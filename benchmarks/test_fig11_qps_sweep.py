@@ -34,6 +34,6 @@ def test_fig11_tail_latency_vs_qps(run_once):
     assert agent_speedup >= sharegpt_speedup
 
     # Tail latency rises with offered load for every workload.
-    for (label, caching), sweep in result.curves.items():
-        ordered = sorted(sweep.results, key=lambda r: r.offered_qps)
+    for key in result.curves:
+        ordered = sorted(result.outcomes(key), key=lambda r: r.offered_qps)
         assert ordered[-1].p95_latency >= ordered[0].p95_latency * 0.8

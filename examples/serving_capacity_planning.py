@@ -4,8 +4,9 @@ Sweeps offered load for a chatbot workload and a ReAct agent workload, with
 and without prefix caching -- and across replica counts -- and reports
 sustainable throughput, tail latency, KV-cache memory pressure, and energy
 per query -- the quantities an operator would use to size a serving
-deployment.  Experiments are declared with :class:`repro.api.ExperimentSpec`
-and driven through the unified experiment API.
+deployment.  Each load sweep is a one-axis :class:`repro.api.StudySpec`
+over ``qps``, and :func:`repro.analysis.peak_throughput` reads the knee off
+its serving outcomes.
 
 Run with::
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 import argparse
 
 from repro.agents import AgentConfig
-from repro.analysis import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_sweep
+from repro.analysis import format_table, peak_throughput
+from repro.api import ArrivalSpec, ExperimentSpec, StudyAxis, StudySpec, run_study
 
 
 def main() -> None:
@@ -47,15 +48,17 @@ def main() -> None:
                     arrival=ArrivalSpec(process="single", num_requests=args.requests),
                     max_decode_chunk=8,
                 )
-                sweep = run_sweep(spec, qps_values)
-                peak = sweep.peak_throughput()
-                busiest = max(sweep.results, key=lambda r: r.offered_qps)
+                study = run_study(
+                    StudySpec(base=spec, axes=(StudyAxis(name="qps", values=qps_values),))
+                )
+                outcomes = [point.outcome.serving for point in study.points]
+                busiest = max(outcomes, key=lambda r: r.offered_qps)
                 rows.append(
                     {
                         "workload": label,
                         "replicas": replicas,
                         "prefix_caching": caching,
-                        "peak_qps": peak,
+                        "peak_qps": peak_throughput(outcomes),
                         "p95_at_peak_s": busiest.p95_latency,
                         "kv_avg_gb": busiest.kv_average_bytes / 1e9,
                         "kv_max_gb": busiest.kv_max_bytes / 1e9,

@@ -55,6 +55,7 @@ from repro.analysis.figures import (
     figure15,
     figure16,
     figure17,
+    peak_throughput,
 )
 from repro.analysis.tables import table1, table2, table3, table4
 
@@ -98,6 +99,7 @@ __all__ = [
     "figure9",
     "format_table",
     "format_value",
+    "peak_throughput",
     "print_table",
     "table1",
     "table2",

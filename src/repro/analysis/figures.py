@@ -15,17 +15,24 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig, PAPER_AGENTS
 from repro.analysis.reporting import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
+from repro.api import (
+    ArrivalSpec,
+    ExperimentSpec,
+    StudyAxis,
+    StudyResult,
+    StudySpec,
+    run_experiment,
+    run_study,
+)
 from repro.core import (
     CharacterizationResult,
     DesignPoint,
-    SingleRequestRunner,
     best_accuracy_point,
     best_efficiency_point,
     mean,
     percentile,
 )
-from repro.serving import ServingConfig, run_at_qps
+from repro.serving import ServingResult
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
 
 #: default design-space defaults per benchmark (iteration budget the paper uses).
@@ -77,17 +84,21 @@ def characterization_matrix(
 ) -> CharacterizationMatrix:
     """Run every supported (agent, benchmark) pair one request at a time."""
     matrix = CharacterizationMatrix()
-    runner = SingleRequestRunner(
-        model=model, enable_prefix_caching=enable_prefix_caching, seed=seed
+    base = ExperimentSpec(
+        model=model,
+        enable_prefix_caching=enable_prefix_caching,
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
     )
     for benchmark in benchmarks:
         workload = create_workload(benchmark, seed=seed)
         for agent in agents:
             if not workload.supports_agent(agent):
                 continue
-            matrix.results[(agent, benchmark)] = runner.run(
-                agent, benchmark, config=default_config(benchmark), num_tasks=num_tasks
+            spec = base.with_overrides(
+                agent=agent, workload=benchmark, agent_config=default_config(benchmark)
             )
+            matrix.results[(agent, benchmark)] = run_experiment(spec).characterization
     return matrix
 
 
@@ -253,20 +264,22 @@ def figure7(
     model: str = "8b",
     seed: int = 0,
 ) -> Figure7Result:
-    runner = SingleRequestRunner(model=model, enable_prefix_caching=True, seed=seed)
-    chatbot = runner.run("chatbot", "sharegpt", num_tasks=num_tasks)
-    hotpot = runner.run(
-        "react", "hotpotqa", config=default_config("hotpotqa"), num_tasks=num_tasks
+    base = ExperimentSpec(
+        model=model,
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
     )
-    webshop = runner.run(
-        "react", "webshop", config=default_config("webshop"), num_tasks=num_tasks
-    )
+    specs = {
+        "sharegpt_chatbot": base.with_overrides(agent="chatbot", workload="sharegpt"),
+        "hotpotqa_react": base.with_overrides(
+            agent="react", workload="hotpotqa", agent_config=default_config("hotpotqa")
+        ),
+        "webshop_react": base.with_overrides(
+            agent="react", workload="webshop", agent_config=default_config("webshop")
+        ),
+    }
     return Figure7Result(
-        distributions={
-            "sharegpt_chatbot": chatbot.latencies,
-            "hotpotqa_react": hotpot.latencies,
-            "webshop_react": webshop.latencies,
-        }
+        distributions={label: run_experiment(spec).latencies for label, spec in specs.items()}
     )
 
 
@@ -366,14 +379,65 @@ def figure9(
 # ---------------------------------------------------------------------------
 
 
+#: Lowest-load p95 latencies at or below this carry no saturation signal (a
+#: degenerate baseline would otherwise collapse the knee threshold to zero
+#: and report no sustainable throughput on healthy runs).
+_BASELINE_EPSILON = 1e-9
+
+
+def peak_throughput(
+    outcomes: Sequence[ServingResult],
+    latency_slo_s: Optional[float] = None,
+    knee_factor: float = 3.0,
+) -> float:
+    """Maximum sustainable QPS at the knee of a load sweep's tail-latency curve.
+
+    ``outcomes`` are the serving results of a ``qps`` study, one per load
+    point, in any order.  The knee is the largest offered QPS whose p95
+    latency stays below ``knee_factor`` times the lowest-load p95 (or below
+    an absolute SLO if one is given) with at least 95% of its requests
+    completed.  This mirrors how the paper reads peak throughput off its
+    Fig. 11 curves.
+
+    A zero (or numerically negligible) lowest-load p95 carries no signal
+    about saturation, so the baseline falls back to the smallest positive
+    p95 in the sweep; if every point is at zero latency the threshold is
+    unbounded and any sufficiently completed point counts.
+    """
+    if not outcomes:
+        return 0.0
+    ordered = sorted(outcomes, key=lambda result: result.offered_qps)
+    if latency_slo_s is not None:
+        threshold = latency_slo_s
+    else:
+        baseline = ordered[0].p95_latency
+        if baseline <= _BASELINE_EPSILON:
+            positive = [
+                result.p95_latency
+                for result in ordered
+                if result.p95_latency > _BASELINE_EPSILON
+            ]
+            baseline = min(positive) if positive else float("inf")
+        threshold = baseline * knee_factor
+    peak = 0.0
+    for result in ordered:
+        if result.p95_latency <= threshold and result.num_completed >= result.num_requests * 0.95:
+            peak = max(peak, result.throughput_qps)
+    return peak
+
+
 @dataclass
 class Figure11Result:
-    curves: Dict[Tuple[str, bool], "object"]  # (workload label, caching) -> QpsSweepResult
+    curves: Dict[Tuple[str, bool], StudyResult]  # (workload label, caching) -> qps study
+
+    def outcomes(self, key: Tuple[str, bool]) -> List[ServingResult]:
+        """The serving outcomes of one curve, one per load point in grid order."""
+        return [point.outcome.serving for point in self.curves[key].points]
 
     def rows(self) -> List[Dict[str, object]]:
         rows = []
-        for (label, caching), sweep in sorted(self.curves.items()):
-            for result in sweep.results:
+        for label, caching in sorted(self.curves):
+            for result in self.outcomes((label, caching)):
                 rows.append(
                     {
                         "workload": label,
@@ -386,7 +450,7 @@ class Figure11Result:
         return rows
 
     def peak_throughputs(self) -> Dict[Tuple[str, bool], float]:
-        return {key: sweep.peak_throughput() for key, sweep in self.curves.items()}
+        return {key: peak_throughput(self.outcomes(key)) for key in self.curves}
 
     def caching_speedup(self, label: str) -> float:
         peaks = self.peak_throughputs()
@@ -435,7 +499,10 @@ def figure11(
                 seed=seed,
                 max_decode_chunk=4,
             )
-            curves[(label, caching)] = run_sweep(spec, qps_grid[label])
+            study = StudySpec(
+                base=spec, axes=(StudyAxis(name="qps", values=tuple(qps_grid[label])),)
+            )
+            curves[(label, caching)] = run_study(study)
     return Figure11Result(curves=curves)
 
 
@@ -481,15 +548,17 @@ def figure12(
     measurements = {}
     for benchmark, qps in scenarios.items():
         for caching in (True, False):
-            config = ServingConfig(
+            spec = ExperimentSpec(
                 agent="react",
-                benchmark=benchmark,
+                workload=benchmark,
                 model=model,
                 enable_prefix_caching=caching,
                 agent_config=default_config(benchmark),
+                arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
                 seed=seed,
+                max_decode_chunk=4,
             )
-            result = run_at_qps(config, qps, num_requests=num_requests)
+            result = run_experiment(spec).serving
             measurements[(benchmark, caching)] = {
                 "avg_bytes": result.kv_average_bytes,
                 "max_bytes": result.kv_max_bytes,
@@ -540,7 +609,11 @@ def figure13(
         "lats": [{"num_children": 3, "max_expansions": 5}, {}, {"num_children": 8}],
         "llmcompiler": [{"replan_rounds": 2}, {}],
     }
-    runner = SingleRequestRunner(model=model, enable_prefix_caching=True, seed=seed)
+    base = ExperimentSpec(
+        model=model,
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
+    )
     points: Dict[str, List[DesignPoint]] = {}
     for benchmark in benchmarks:
         workload = create_workload(benchmark, seed=seed)
@@ -549,8 +622,12 @@ def figure13(
             if not workload.supports_agent(agent):
                 continue
             for index, overrides in enumerate(variants):
-                config = default_config(benchmark, **overrides)
-                result = runner.run(agent, benchmark, config=config, num_tasks=num_tasks)
+                spec = base.with_overrides(
+                    agent=agent,
+                    workload=benchmark,
+                    agent_config=default_config(benchmark, **overrides),
+                )
+                result = run_experiment(spec).characterization
                 bench_points.append(
                     DesignPoint(
                         label=f"{agent}-v{index}",
@@ -608,7 +685,7 @@ class SweepResult:
         return format_table(self.rows(), f"{self.agent} {self.parameter} sweep on {self.benchmark}")
 
 
-def _run_sweep(
+def _parameter_sweep(
     agent: str,
     benchmark: str,
     parameter: str,
@@ -674,7 +751,7 @@ def figure14(
         "webshop": (5, 10, 15, 20, 25, 30),
     }
     sweeps = {
-        benchmark: _run_sweep(
+        benchmark: _parameter_sweep(
             "react", benchmark, "max_iterations", values, num_tasks, model, seed
         )
         for benchmark, values in budgets.items()
@@ -709,7 +786,7 @@ def figure15(
     seed: int = 0,
 ) -> Figure15Result:
     sweeps = {
-        benchmark: _run_sweep(
+        benchmark: _parameter_sweep(
             "react", benchmark, "num_few_shot", counts, num_tasks, model, seed
         )
         for benchmark in benchmarks
@@ -754,13 +831,13 @@ def figure16(
     seed: int = 0,
 ) -> Figure16Result:
     benchmark = "hotpotqa"
-    reflexion_sequential = _run_sweep(
+    reflexion_sequential = _parameter_sweep(
         "reflexion", benchmark, "max_trials", reflexion_trials, num_tasks, model, seed
     )
-    lats_sequential = _run_sweep(
+    lats_sequential = _parameter_sweep(
         "lats", benchmark, "max_expansions", lats_expansions, num_tasks, model, seed
     )
-    lats_parallel = _run_sweep(
+    lats_parallel = _parameter_sweep(
         "lats",
         benchmark,
         "num_children",
@@ -817,10 +894,10 @@ def figure17(
     benchmark = "hotpotqa"
     sweeps: Dict[Tuple[str, str], SweepResult] = {}
     for model in models:
-        sweeps[("reflexion", model)] = _run_sweep(
+        sweeps[("reflexion", model)] = _parameter_sweep(
             "reflexion", benchmark, "max_trials", reflexion_trials, num_tasks, model, seed
         )
-        sweeps[("lats", model)] = _run_sweep(
+        sweeps[("lats", model)] = _parameter_sweep(
             "lats", benchmark, "max_expansions", lats_expansions, num_tasks, model, seed
         )
     return Figure17Result(sweeps=sweeps)

@@ -7,11 +7,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.agents import AgentConfig, PAPER_AGENTS, get_agent_class
 from repro.analysis.reporting import format_table
+from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
 from repro.core import (
     CHATGPT_QUERIES_PER_DAY,
     GOOGLE_QUERIES_PER_DAY,
     PowerProjection,
-    SingleRequestRunner,
     project_power,
 )
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
@@ -141,13 +141,19 @@ def table3(
     agent_configs = agent_configs or TABLE3_AGENT_CONFIGS
     result = Table3Result()
     for model in models:
-        runner = SingleRequestRunner(
+        base = ExperimentSpec(
             model=model,
-            enable_prefix_caching=True,
+            arrival=ArrivalSpec(process="single", num_requests=num_tasks),
             seed=seed,
             max_decode_chunk=max_decode_chunk,
         )
-        baseline = runner.run("chatbot", "sharegpt", num_tasks=max(num_tasks, 10))
+        baseline = run_experiment(
+            base.with_overrides(
+                agent="chatbot",
+                workload="sharegpt",
+                arrival=ArrivalSpec(process="single", num_requests=max(num_tasks, 10)),
+            )
+        ).characterization
         base_latency = baseline.mean_latency
         base_energy = baseline.mean_energy_wh
         result.rows_data.append(
@@ -162,7 +168,9 @@ def table3(
             )
         )
         for agent, config in agent_configs.items():
-            run = runner.run(agent, "hotpotqa", config=config, num_tasks=num_tasks)
+            run = run_experiment(
+                base.with_overrides(agent=agent, workload="hotpotqa", agent_config=config)
+            ).characterization
             result.rows_data.append(
                 Table3Row(
                     model=model,

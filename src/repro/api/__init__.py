@@ -3,8 +3,8 @@
 Declare *what* to run with a frozen :class:`ExperimentSpec` (model, replica
 count, scheduler and router policies, agent, workload, arrival process, seed,
 measurement window), let :class:`SystemBuilder` own *how* it is assembled,
-and drive it with :func:`run_experiment` / :func:`run_sweep`, which return a
-unified :class:`ResultSet`.
+and drive it with :func:`run_experiment`, which returns a unified
+:class:`ResultSet` (or sweep it with :func:`run_study`, below).
 
 Quickstart::
 
@@ -68,20 +68,14 @@ predicted decode still meets the class SLO, and
 hardware-layout study's cost/quality frontier (see
 ``examples/hetero_fleet.py``).
 
-The legacy entry points (``SingleRequestRunner``, ``AgentServer``,
-``run_at_qps``, ``sweep_qps``) remain as thin compatibility shims over this
-layer and reproduce their historical results bit-for-bit (``run_sweep`` is
-a one-axis study).
+This package is the only way in: the paper's figures and tables
+(:mod:`repro.analysis`) are declared as specs and run through these same
+functions, and an offered-load sweep is a one-axis study over ``qps``.
 """
 
 from repro.api.builder import System, SystemBuilder
 from repro.api.results import ResultSet
-from repro.api.runners import (
-    ServingDriver,
-    compat_serving_config,
-    run_experiment,
-    run_sweep,
-)
+from repro.api.runners import ServingDriver, run_experiment
 from repro.api.spec import (
     ARRIVAL_PROCESSES,
     AdmissionSpec,
@@ -134,9 +128,7 @@ __all__ = [
     "TenantSpec",
     "WeightedWorkload",
     "apply_axis_value",
-    "compat_serving_config",
     "resolve_metric",
     "run_experiment",
     "run_study",
-    "run_sweep",
 ]

@@ -1,14 +1,13 @@
 """System assembly: one place that turns a spec into runnable machinery.
 
-:class:`SystemBuilder` owns every wiring decision the legacy entry points
-(``SingleRequestRunner._build``, ``AgentServer.__init__``, ``run_at_qps``)
-used to duplicate: environment creation, replica-pool and cluster
-construction, client binding, workload instantiation (including the weighted
-traffic-class mixture), autoscaler attachment, toolset assembly, and agent
-creation with the experiment-scoped random streams.  The stream namespaces
-intentionally match the legacy ones (``runner/...`` for single-request
-characterization, ``serving/...`` for serving runs) so a one-replica FCFS
-spec reproduces the legacy results bit-for-bit.
+:class:`SystemBuilder` owns every wiring decision: environment creation,
+replica-pool and cluster construction, client binding, workload
+instantiation (including the weighted traffic-class mixture), autoscaler
+attachment, admission, toolset assembly, and agent creation with the
+experiment-scoped random streams.  The stream namespaces (``runner/...``
+for single-request characterization, ``serving/...`` for serving runs) are
+fixed so a one-replica FCFS spec keeps reproducing its golden-pinned
+results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ class SystemBuilder:
         self.spec = spec
 
     def engine_config(self, pool: Optional[PoolSpec] = None) -> EngineConfig:
-        """Engine configuration for one pool (or the legacy default pool)."""
+        """Engine configuration for one declared pool (or the default pool)."""
         spec = self.spec
         model = pool.model if pool is not None else spec.model
         scheduler_policy = pool.scheduler if pool is not None else spec.scheduler
@@ -186,37 +185,38 @@ class SystemBuilder:
         return f"serving/{self.spec.agent}/{self.spec.workload}"
 
     def build_cluster(self, env: Environment) -> Cluster:
-        """Assemble the replica fleet: explicit pools, or the legacy default."""
+        """Assemble the replica fleet: the declared pools, or one default pool."""
         spec = self.spec
         predictor = DecodeLengthPredictor(spec.predictor_error, seed=spec.seed)
-        if spec.pools:
-            pools = [
-                ReplicaPool(
-                    env,
-                    self.engine_config(pool),
-                    name=pool.name,
-                    num_replicas=pool.replicas,
-                    router=pool.router,
-                    traffic_classes=pool.traffic_classes,
-                    max_predicted_decode=pool.max_predicted_decode,
-                    accepts_spill=pool.accepts_spill,
-                )
-                for pool in spec.pools
-            ]
-            return Cluster(
+        if not spec.pools:
+            pool = ReplicaPool(
                 env,
-                pools=pools,
-                predictor=predictor,
-                classification=spec.pool_classification,
-                class_slos=dict(spec.measurement.class_slos),
-                default_slo=spec.measurement.slo_p95_s,
+                self.engine_config(),
+                name="default",
+                num_replicas=spec.replicas,
+                router=spec.router,
             )
+            return Cluster(env, pools=[pool], predictor=predictor)
+        pools = [
+            ReplicaPool(
+                env,
+                self.engine_config(pool),
+                name=pool.name,
+                num_replicas=pool.replicas,
+                router=pool.router,
+                traffic_classes=pool.traffic_classes,
+                max_predicted_decode=pool.max_predicted_decode,
+                accepts_spill=pool.accepts_spill,
+            )
+            for pool in spec.pools
+        ]
         return Cluster(
             env,
-            self.engine_config(),
-            num_replicas=spec.replicas,
-            router=spec.router,
+            pools=pools,
             predictor=predictor,
+            classification=spec.pool_classification,
+            class_slos=dict(spec.measurement.class_slos),
+            default_slo=spec.measurement.slo_p95_s,
         )
 
     def build_traffic(self) -> Dict[str, TrafficClassRuntime]:
@@ -237,21 +237,6 @@ class SystemBuilder:
             )
         return traffic
 
-    def admission_spec(self) -> AdmissionSpec:
-        """The effective admission spec (legacy fields mapped onto the registry).
-
-        ``admission=None`` preserves the historical door behaviour exactly:
-        the enforced concurrency gate when ``max_concurrency`` is set,
-        otherwise the open door.
-        """
-        if self.spec.admission is not None:
-            return self.spec.admission
-        if self.spec.max_concurrency is not None:
-            return AdmissionSpec(
-                policy="concurrency", max_concurrency=self.spec.max_concurrency
-            )
-        return AdmissionSpec()
-
     def _admission_policy(
         self, sub: AdmissionSpec, probe: ClusterLoadProbe
     ) -> AdmissionPolicy:
@@ -266,11 +251,7 @@ class SystemBuilder:
             horizon_s = self.spec.autoscaler.horizon_s
         return build_admission_policy(
             sub.policy,
-            max_concurrency=(
-                sub.max_concurrency
-                if sub.max_concurrency is not None
-                else self.spec.max_concurrency
-            ),
+            max_concurrency=sub.max_concurrency,
             rate_qps=sub.rate_qps,
             burst=sub.burst,
             overload_action=sub.overload_action,
@@ -298,7 +279,7 @@ class SystemBuilder:
         :class:`ClusterLoadProbe`, so door decisions see fleet load before
         any work is enqueued.
         """
-        spec = self.admission_spec()
+        spec = self.spec.admission or AdmissionSpec()
         probe = ClusterLoadProbe(cluster)
         class_policies = {
             label: self._admission_policy(sub, probe)

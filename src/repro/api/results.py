@@ -1,8 +1,8 @@
 """Unified result interface over characterization and serving outcomes.
 
-The legacy entry points returned two unrelated result types --
+An experiment produces one of two result types --
 :class:`~repro.core.runner.CharacterizationResult` (single-request
-characterization) and :class:`~repro.serving.server.ServingResult` (serving
+characterization) or :class:`~repro.serving.server.ServingResult` (serving
 runs).  :class:`ResultSet` wraps whichever one an experiment produced and
 exposes the shared metric vocabulary (request counts, latency distribution,
 accuracy, throughput, energy) uniformly, while keeping the wrapped object

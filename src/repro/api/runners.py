@@ -8,20 +8,18 @@ the spec's arrival process:
 * ``poisson`` / ``uniform`` -> open-loop serving (paper IV-C, Fig. 10/11),
 * ``sequential`` -> closed-loop sequential serving baseline.
 
-``run_sweep`` repeats an open-loop experiment across offered loads and
-returns the tail-latency-vs-QPS curve (paper Fig. 11).
+Offered-load sweeps (the tail-latency-vs-QPS curves of paper Fig. 11) are
+one-axis studies: :func:`repro.api.study.run_study` over a ``qps`` axis.
 
-The legacy entry points (``SingleRequestRunner``, ``AgentServer``,
-``run_at_qps``, ``sweep_qps``) are compatibility shims over these loops; the
-loops preserve the legacy random-stream labelling (including the historical
-worker-numbering behaviour) so one-replica FCFS specs reproduce legacy
-results bit-for-bit.
+The loops keep the historical random-stream labelling (including the
+worker-numbering behaviour), so the golden pins recorded against the
+original single-engine runner and server still hold bit-for-bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.agents import AgentRunResult
 from repro.api.builder import System, SystemBuilder
@@ -48,25 +46,10 @@ from repro.serving.loadgen import (
 )
 from repro.serving.sessions import SessionSpec, SessionState, SessionStats
 from repro.serving.shapes import ConstantShape
-from repro.serving.server import ServingConfig, ServingResult
-from repro.serving.sweep import QpsSweepResult
+from repro.serving.server import ServingResult
 from repro.serving.tenants import Tenant, tenant_fairness
 from repro.sim import RandomStream
 from repro.workloads.base import Task
-
-
-def compat_serving_config(spec: ExperimentSpec) -> ServingConfig:
-    """Legacy :class:`ServingConfig` equivalent of ``spec`` (for result objects)."""
-    return ServingConfig(
-        agent=spec.agent,
-        benchmark=spec.workload,
-        model=spec.model,
-        enable_prefix_caching=spec.enable_prefix_caching,
-        agent_config=spec.agent_config,
-        seed=spec.seed,
-        max_decode_chunk=spec.max_decode_chunk,
-        max_concurrency=spec.max_concurrency,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +124,9 @@ class ServingDriver:
     wait in a per-policy door queue (drained when a completion frees capacity
     or at the policy's requested retry time, e.g. a token-bucket refill), and
     rejected requests are shed with per-class and per-pool accounting.  With
-    no admission spec and no ``max_concurrency`` the controller is the open
-    door and the driver is event-for-event identical to the legacy
-    ``AgentServer`` loop; with ``max_concurrency`` set it reproduces the
-    historical enforced gate bit-for-bit.
+    no admission spec the controller is the open door, and the
+    ``concurrency`` policy reproduces the historical enforced gate
+    bit-for-bit.
     """
 
     def __init__(self, system: System):
@@ -689,7 +671,6 @@ class ServingDriver:
             for result in measured
         )
         return ServingResult(
-            config=compat_serving_config(self.spec),
             offered_qps=offered_qps,
             num_requests=measured_requests,
             results=measured,
@@ -934,25 +915,3 @@ def run_experiment(
     else:
         serving = driver.serve(_build_plan(system))
     return ResultSet(spec=spec, serving=serving)
-
-
-def run_sweep(spec: ExperimentSpec, qps_values: Sequence[float]) -> QpsSweepResult:
-    """Run ``spec`` across several offered loads (fresh system per load).
-
-    Compatibility shim over a one-axis :class:`~repro.api.study.StudySpec`:
-    the ``qps`` axis applies :meth:`ExperimentSpec.at_qps` per point exactly
-    like the historical loop, so the returned sweep is bit-for-bit the
-    legacy result.  Reach for :func:`~repro.api.study.run_study` directly to
-    sweep anything beyond offered load.
-    """
-    from repro.api.study import StudyAxis, StudySpec, run_study
-
-    if not qps_values:
-        # The historical loop ran zero times; a study axis needs values.
-        return QpsSweepResult(config=compat_serving_config(spec))
-    study = StudySpec(
-        base=spec,
-        axes=(StudyAxis(name="qps", values=tuple(qps_values)),),
-        name="qps-sweep",
-    )
-    return run_study(study).as_qps_sweep()

@@ -18,8 +18,8 @@ Fleet vocabulary (the paper's Table IV datacenter scenario):
 * :class:`AutoscalerSpec` -- elastic sizing of one pool from load signals
   (queue depth, rolling p95) with warm-up cost and cooldown.
 
-Single-pool, single-workload specs (the default fields) are unchanged and
-reproduce the legacy results bit-for-bit.
+Single-pool, single-workload specs (the default fields) are the paper's
+single-engine setup; their results are golden-pinned bit-for-bit.
 """
 
 from __future__ import annotations
@@ -239,9 +239,9 @@ class AdmissionSpec:
     registry (``unlimited`` | ``concurrency`` | ``token-bucket`` |
     ``slo-shed``); the remaining fields parameterise it:
 
-    * ``concurrency`` -- ``max_concurrency`` in-flight requests (``None``
-      inherits :attr:`ExperimentSpec.max_concurrency`).  Golden-pinned to
-      reproduce the legacy enforced door gate bit-for-bit.
+    * ``concurrency`` -- at most ``max_concurrency`` in-flight requests
+      (required); excess requests wait at the door.  Golden-pinned to
+      reproduce the historical enforced door gate bit-for-bit.
     * ``token-bucket`` -- ``rate_qps`` + ``burst`` tokens; over-rate requests
       are delayed until the bucket refills (``overload_action="delay"``, the
       default) or shed (``"reject"``).
@@ -303,6 +303,8 @@ class AdmissionSpec:
             )
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError("admission max_concurrency must be >= 1 (or None)")
+        if self.policy.lower() == "concurrency" and self.max_concurrency is None:
+            raise ValueError("admission policy 'concurrency' needs max_concurrency")
         if self.policy.lower() == "token-bucket":
             if self.rate_qps is None or self.rate_qps <= 0:
                 raise ValueError("token-bucket admission requires rate_qps > 0")
@@ -628,10 +630,10 @@ class ExperimentSpec:
     """One experiment, fully described.
 
     ``ExperimentSpec(replicas=1, scheduler="fcfs")`` driven through
-    :func:`repro.api.run_experiment` reproduces the legacy
-    ``SingleRequestRunner`` / ``run_at_qps`` results bit-for-bit at the same
-    seed; raising ``replicas`` and switching ``scheduler`` / ``router``
-    policies explores the multi-replica design space on the same workloads.
+    :func:`repro.api.run_experiment` is the paper's single-engine setup,
+    golden-pinned bit-for-bit at the same seed; raising ``replicas`` and
+    switching ``scheduler`` / ``router`` policies explores the multi-replica
+    design space on the same workloads.
     """
 
     agent: str = "react"
@@ -650,11 +652,8 @@ class ExperimentSpec:
     # (bit-for-bit identical results; see EngineConfig.decode_fast_forward).
     # Disable to force the reference one-event-per-token path.
     decode_fast_forward: bool = True
-    max_concurrency: Optional[int] = None
-    # Admission policy guarding the serving door (None = the legacy
-    # behaviour: unlimited, or the enforced concurrency gate when
-    # max_concurrency is set).  A bare policy name is accepted as shorthand
-    # for AdmissionSpec(policy=name).
+    # Admission policy guarding the serving door (None = the open door).  A
+    # bare policy name is accepted as shorthand for AdmissionSpec(policy=name).
     admission: Optional[AdmissionSpec] = None
     # -- fleet extensions (empty/None = legacy single-pool behaviour) --------
     pools: Tuple[PoolSpec, ...] = ()
@@ -716,8 +715,6 @@ class ExperimentSpec:
             )
         if self.max_decode_chunk < 1:
             raise ValueError("max_decode_chunk must be >= 1")
-        if self.max_concurrency is not None and self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1 (or None for unlimited)")
         if self.measurement.warmup_requests >= self.arrival.num_requests:
             raise ValueError(
                 f"measurement.warmup_requests must be smaller than "
@@ -854,17 +851,6 @@ class ExperimentSpec:
                     f"mixture classes: {sorted(known_classes)}"
                 )
         for scope, sub in (("admission", admission), *admission.per_class):
-            if sub.policy.lower() == "concurrency":
-                if sub.max_concurrency is None and self.max_concurrency is None:
-                    raise ValueError(
-                        f"{scope!r} admission policy 'concurrency' needs "
-                        "max_concurrency (on the admission spec or the experiment)"
-                    )
-                if sub.max_concurrency is not None and self.max_concurrency is not None:
-                    raise ValueError(
-                        "set max_concurrency either on the experiment or on the "
-                        "admission spec, not both"
-                    )
             if sub.protect_class:
                 if not self.workloads:
                     raise ValueError(

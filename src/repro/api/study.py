@@ -12,10 +12,10 @@ and :func:`run_study` expands the Cartesian grid (or an explicit
 :meth:`~StudyResult.pareto_frontier` queries (e.g. replica-seconds vs
 per-class p95 -- the fleet-sizing study).
 
-``run_sweep`` is a one-axis study in disguise: the ``qps`` axis is
-shorthand for :meth:`ExperimentSpec.at_qps`, and
-:meth:`StudyResult.as_qps_sweep` rebuilds the legacy
-:class:`~repro.serving.sweep.QpsSweepResult` bit-for-bit.
+An offered-load sweep (paper Fig. 11) is a one-axis study: the ``qps``
+axis is shorthand for :meth:`ExperimentSpec.at_qps`, and
+:func:`repro.analysis.peak_throughput` reads the knee off its serving
+outcomes.
 
 Metrics (for tabulation and Pareto queries) are either callables on the
 point's :class:`~repro.api.results.ResultSet` or metric-name strings:
@@ -154,8 +154,8 @@ class StudyAxis:
     ``field`` is the dotted spec path the values replace (defaults to
     ``name``); the special path ``qps`` applies
     :meth:`ExperimentSpec.at_qps` so sweeping load also switches
-    characterization specs to open-loop Poisson arrivals, exactly like the
-    legacy sweep.  ``labels`` (optional, same length as ``values``) are the
+    characterization specs to open-loop Poisson arrivals.  ``labels``
+    (optional, same length as ``values``) are the
     display names used in tables and slices.
     """
 
@@ -581,19 +581,6 @@ class StudyResult:
         ]
         return sorted(frontier, key=lambda entry: (cost_sign * entry.cost, entry.quality))
 
-    # -- legacy bridge ---------------------------------------------------------
-    def as_qps_sweep(self) -> Any:
-        """Rebuild the legacy :class:`QpsSweepResult` from a one-axis qps study."""
-        from repro.api.runners import compat_serving_config
-        from repro.serving.sweep import QpsSweepResult
-
-        sweep = QpsSweepResult(config=compat_serving_config(self.study.base))
-        for point in self.points:
-            if point.outcome.serving is None:
-                raise ValueError("as_qps_sweep needs serving outcomes")
-            sweep.results.append(point.outcome.serving)
-        return sweep
-
 
 def _run_study_point(payload: Tuple[StudySpec, int]) -> ResultSet:
     """Execute one grid point by index (module-level so it pickles).
@@ -621,8 +608,8 @@ def run_study(
     Points run in :meth:`StudySpec.expand` order; each builds its spec
     (base + axis overrides + per-point seed) and drives it through
     :func:`~repro.api.runners.run_experiment`, so a one-point study is
-    exactly one experiment and a one-axis qps study is exactly the legacy
-    sweep.  ``progress`` (optional) is called after each completed point.
+    exactly one experiment.  ``progress`` (optional) is called after each
+    completed point.
 
     ``parallel=N`` fans the points out over a ``ProcessPoolExecutor`` with
     ``N`` workers.  Points are independent (fresh simulation, per-point

@@ -33,11 +33,7 @@ from repro.core.datacenter import (
     project_power,
     project_scenarios,
 )
-from repro.core.runner import (
-    CharacterizationResult,
-    RequestObservation,
-    SingleRequestRunner,
-)
+from repro.core.runner import CharacterizationResult, RequestObservation
 
 __all__ = [
     "CHATGPT_QUERIES_PER_DAY",
@@ -49,7 +45,6 @@ __all__ = [
     "LatencyStats",
     "PowerProjection",
     "RequestObservation",
-    "SingleRequestRunner",
     "TokenBreakdown",
     "best_accuracy_point",
     "best_efficiency_point",

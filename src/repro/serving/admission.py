@@ -1,9 +1,9 @@
 """SLO-aware admission control: pluggable door policies for the serving fleet.
 
-Admission control generalises the historical ``ServingConfig.max_concurrency``
-door gate into a policy registry.  A policy sees every request the moment it
-arrives at the serving system -- *before* any work is enqueued on a replica
-pool -- and answers with one of three decisions:
+Admission control is a policy registry, declared on an experiment with
+:class:`~repro.api.spec.AdmissionSpec`.  A policy sees every request the
+moment it arrives at the serving system -- *before* any work is enqueued on
+a replica pool -- and answers with one of three decisions:
 
 * ``admit``  -- spawn the request's worker immediately,
 * ``delay``  -- hold the request at the door (it is re-offered when capacity
@@ -13,11 +13,11 @@ pool -- and answers with one of three decisions:
 
 Built-in policies:
 
-* :class:`UnlimitedAdmission` (``unlimited``) -- the open door (legacy
+* :class:`UnlimitedAdmission` (``unlimited``) -- the open door (the
   default; requests are never delayed or rejected),
-* :class:`ConcurrencyAdmission` (``concurrency``) -- at most N in-flight
-  requests, excess queue at the door.  This reproduces the historical
-  ``max_concurrency`` gate event-for-event (golden-pinned in
+* :class:`ConcurrencyAdmission` (``concurrency``) -- at most
+  ``max_concurrency`` in-flight requests, excess queue at the door.  This
+  reproduces the historical enforced gate event-for-event (golden-pinned in
   ``tests/test_admission.py``),
 * :class:`TokenBucketAdmission` (``token-bucket``) -- classic rate + burst
   limiting; the bucket holds ``burst`` tokens and refills continuously at
@@ -238,10 +238,9 @@ class UnlimitedAdmission(AdmissionPolicy):
 class ConcurrencyAdmission(AdmissionPolicy):
     """At most ``max_concurrency`` in-flight requests; excess wait at the door.
 
-    Event-for-event identical to the historical enforced
-    ``ServingConfig.max_concurrency`` gate: arrivals beyond the cap join a
-    FIFO door queue and are admitted, oldest first, as completions free
-    slots.
+    Event-for-event identical to the historical enforced door gate:
+    arrivals beyond the cap join a FIFO door queue and are admitted, oldest
+    first, as completions free slots.
     """
 
     name = "concurrency"

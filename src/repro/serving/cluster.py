@@ -497,19 +497,14 @@ class Cluster:
 
     Exposes the same ``submit``/``tokenizer``/``model`` surface as a single
     :class:`LLMEngine`, so an :class:`~repro.llm.client.LLMClient` can be
-    bound to a cluster transparently.  The legacy constructor shape --
-    ``Cluster(env, config, num_replicas=N, router=...)`` -- builds one
-    ``"default"`` pool and behaves exactly like the historical flat replica
-    list; pass ``pools=[ReplicaPool(...), ...]`` for a heterogeneous fleet.
+    bound to a cluster transparently.  A homogeneous fleet is one
+    ``"default"`` pool; pass several pools for a heterogeneous fleet.
     """
 
     def __init__(
         self,
         env: Environment,
-        config: Optional[EngineConfig] = None,
-        num_replicas: int = 1,
-        router: "RouterPolicy | str" = "round-robin",
-        pools: Optional[Sequence[ReplicaPool]] = None,
+        pools: Sequence[ReplicaPool],
         predictor: Optional[DecodeLengthPredictor] = None,
         pool_spill_threshold: Optional[float] = 4.0,
         classification: str = "static",
@@ -521,20 +516,13 @@ class Cluster:
                 f"unknown pool classification {classification!r}; "
                 "known: ['static', 'cost-aware']"
             )
+        if not pools:
+            raise ValueError("Cluster needs at least one ReplicaPool")
+        names = [pool.name for pool in pools]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate pool names: {names}")
         self.env = env
-        if pools:
-            names = [pool.name for pool in pools]
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate pool names: {names}")
-            self.pools: Dict[str, ReplicaPool] = {pool.name: pool for pool in pools}
-        else:
-            if config is None:
-                raise ValueError("Cluster needs an EngineConfig or explicit pools")
-            self.pools = {
-                "default": ReplicaPool(
-                    env, config, name="default", num_replicas=num_replicas, router=router
-                )
-            }
+        self.pools: Dict[str, ReplicaPool] = {pool.name: pool for pool in pools}
         self.predictor = predictor or DecodeLengthPredictor()
         self.pool_spill_threshold = pool_spill_threshold
         self.classification = classification
@@ -573,14 +561,6 @@ class Cluster:
         for pool in self.pools.values():
             counts.extend(pool.routed_counts)
         return counts
-
-    @property
-    def router(self) -> RouterPolicy:
-        return self.default_pool.router
-
-    @property
-    def config(self) -> EngineConfig:
-        return self.default_pool.config
 
     @property
     def num_replicas(self) -> int:

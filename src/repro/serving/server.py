@@ -1,15 +1,9 @@
-"""The agent serving system (paper Fig. 10) -- legacy-compatible front end.
+"""The outcome of one serving run (paper Fig. 10's agent serving system).
 
-Historically this module owned the whole serving path; it is now a thin
-compatibility shim over the unified experiment API (:mod:`repro.api`): a
-:class:`ServingConfig` is translated into an
-:class:`~repro.api.spec.ExperimentSpec`, assembly is delegated to
-:class:`~repro.api.builder.SystemBuilder`, and the serving loop lives in
-:class:`~repro.api.runners.ServingDriver`.  Signatures and results are
-unchanged -- a one-replica FCFS run through the new layer reproduces the
-historical metrics bit-for-bit -- and ``ServingConfig.max_concurrency`` is
-now enforced: excess requests queue at the server door and their admission
-delay is reported via :attr:`ServingResult.admission_delays`.
+:class:`ServingResult` is what :func:`repro.api.run_experiment` returns
+(wrapped in a :class:`~repro.api.results.ResultSet`) for open-loop and
+sequential arrival processes; the serving loop itself is
+:class:`~repro.api.runners.ServingDriver`.
 """
 
 from __future__ import annotations
@@ -17,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.agents import AgentConfig, AgentRunResult
+from repro.agents import AgentRunResult
 from repro.core.metrics import (
     GpuRuntimeBreakdown,
     LatencyStats,
@@ -28,33 +22,14 @@ from repro.core.metrics import (
 )
 from repro.serving.admission import ClassAdmissionStats
 from repro.serving.cluster import ScalingEvent
-from repro.serving.loadgen import ArrivalPlan
 from repro.serving.sessions import SessionStats
 from repro.serving.tenants import TenantFairnessStats
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Configuration of one serving experiment."""
-
-    agent: str = "react"
-    benchmark: str = "hotpotqa"
-    model: str = "8b"
-    enable_prefix_caching: bool = True
-    agent_config: AgentConfig = field(default_factory=AgentConfig)
-    seed: int = 0
-    # Simulation-speed knob: how many decode tokens one engine step may batch.
-    max_decode_chunk: int = 4
-    # Maximum agent workers running at once; excess requests queue at the
-    # server door (None = unlimited).
-    max_concurrency: Optional[int] = None
 
 
 @dataclass
 class ServingResult:
     """Outcome of one serving run at a fixed offered load."""
 
-    config: ServingConfig
     offered_qps: float
     num_requests: int
     results: List[AgentRunResult] = field(default_factory=list)
@@ -69,7 +44,7 @@ class ServingResult:
     # Requests routed to each replica, by replica index.
     routed_counts: List[int] = field(default_factory=list)
     # Per-request delay between arrival and worker admission (all zero unless
-    # max_concurrency gated the door).
+    # an admission policy delayed requests at the door).
     admission_delays: List[float] = field(default_factory=list)
     # -- fleet reporting (single-pool runs have one "default" entry) ---------
     # Engine-level metrics per replica pool over the measured window.
@@ -305,79 +280,3 @@ class ServingResult:
     def per_class_admission(self) -> List[Dict[str, object]]:
         """One flat row per traffic class of the door accounting."""
         return [stats.as_dict() for stats in self.admission_stats.values()]
-
-
-def _spec_from_config(config: ServingConfig, arrival) -> "object":
-    """Translate a legacy ServingConfig (+ arrival) into an ExperimentSpec."""
-    from repro.api.spec import ExperimentSpec
-
-    return ExperimentSpec(
-        agent=config.agent,
-        workload=config.benchmark,
-        model=config.model,
-        enable_prefix_caching=config.enable_prefix_caching,
-        agent_config=config.agent_config,
-        arrival=arrival,
-        seed=config.seed,
-        max_decode_chunk=config.max_decode_chunk,
-        max_concurrency=config.max_concurrency,
-    )
-
-
-class AgentServer:
-    """Serving system binding a workload, an agent workflow, and an engine.
-
-    Compatibility shim: assembly and the serving loop are delegated to
-    :mod:`repro.api`; the historical attributes (``env``, ``engine``,
-    ``client``, ``workload``, ``stream``) remain available.
-    """
-
-    def __init__(self, config: ServingConfig):
-        from repro.api.builder import SystemBuilder
-        from repro.api.runners import ServingDriver
-        from repro.api.spec import ArrivalSpec
-
-        self.config = config
-        spec = _spec_from_config(
-            config, arrival=ArrivalSpec(process="sequential", num_requests=1)
-        )
-        self._system = SystemBuilder(spec).build()
-        self._driver = ServingDriver(self._system)
-        self.env = self._system.env
-        self.cluster = self._system.cluster
-        self.engine = self.cluster.replicas[0]
-        self.client = self._system.client
-        self.workload = self._system.workload
-        self.stream = self._system.stream
-
-    # -- open-loop serving -------------------------------------------------------
-    def serve(self, plan: ArrivalPlan) -> ServingResult:
-        """Serve an arrival plan to completion and collect serving metrics."""
-        return self._driver.serve(plan)
-
-    # -- closed-loop sequential serving -------------------------------------------
-    def serve_sequential(self, num_requests: int) -> ServingResult:
-        """Process requests strictly one at a time (the paper's sequential baseline)."""
-        return self._driver.serve_sequential(num_requests)
-
-
-def run_at_qps(
-    config: ServingConfig,
-    qps: float,
-    num_requests: int = 60,
-    task_pool_size: int = 48,
-) -> ServingResult:
-    """Convenience wrapper: drive ``config`` at ``qps`` through the unified API."""
-    from repro.api.runners import run_experiment
-    from repro.api.spec import ArrivalSpec
-
-    spec = _spec_from_config(
-        config,
-        arrival=ArrivalSpec(
-            process="poisson",
-            qps=qps,
-            num_requests=num_requests,
-            task_pool_size=task_pool_size,
-        ),
-    )
-    return run_experiment(spec).serving

@@ -1,8 +1,8 @@
 """Admission-control: golden pins, policy units, spec validation, reporting.
 
-The concurrency golden pin asserts that routing the legacy ``max_concurrency``
-gate through the admission registry is a pure refactor: every metric of a
-gated run must be bit-for-bit identical whichever way the gate is declared.
+The concurrency golden pin holds the registry's ``concurrency`` policy to
+the literal metrics the historical enforced door gate produced on the same
+run, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,40 +57,54 @@ MIXTURE = dict(
 
 
 class TestConcurrencyGoldenPin:
-    """admission='concurrency' must reproduce max_concurrency bit-for-bit."""
+    """A concurrency cap of 2 reproduces the historical door gate bit-for-bit."""
 
-    METRICS = (
-        "mean_latency",
-        "p95_latency",
-        "energy_wh",
-        "throughput_qps",
-        "duration",
-        "kv_average_bytes",
-        "preemptions",
-        "prefix_cache_hit_rate",
-        "num_queued",
-        "mean_admission_delay",
-        "p95_admission_delay",
-    )
+    METRICS = {
+        "mean_latency": 12.829644046221656,
+        "p95_latency": 15.04843118196969,
+        "energy_wh": 3.939336563744215,
+        "throughput_qps": 0.15416632844567035,
+        "duration": 64.86500716999363,
+        "kv_average_bytes": 84637911.32068902,
+        "preemptions": 0,
+        "prefix_cache_hit_rate": 0.918328360771856,
+        "num_queued": 8,
+        "mean_admission_delay": 23.642784611581824,
+        "p95_admission_delay": 47.78539977979733,
+    }
+    LATENCIES = [
+        14.007909532389515,
+        15.020909978486024,
+        5.726043814221553,
+        13.613920161997719,
+        13.910838008061017,
+        8.748285511935087,
+        15.070948530274507,
+        13.930401067330834,
+        13.550633057472957,
+        14.716550800047372,
+    ]
+    ADMISSION_DELAYS = [
+        0.0,
+        0.0,
+        13.614584130853995,
+        14.054309821489783,
+        19.455317993370677,
+        26.189280544844955,
+        32.85070425406177,
+        34.77961896801581,
+        47.308169419523445,
+        48.175860983657785,
+    ]
 
     def test_registry_gate_is_bit_for_bit_identical(self):
-        legacy = run_experiment(agent_spec(max_concurrency=2)).serving
-        registry = run_experiment(
+        gated = run_experiment(
             agent_spec(admission=AdmissionSpec(policy="concurrency", max_concurrency=2))
         ).serving
-        for metric in self.METRICS:
-            assert getattr(registry, metric) == getattr(legacy, metric), metric
-        assert registry.latencies == legacy.latencies
-        assert registry.admission_delays == legacy.admission_delays
-        assert legacy.num_queued > 0  # the gate actually engaged
-
-    def test_string_shorthand_inherits_spec_cap(self):
-        legacy = run_experiment(agent_spec(max_concurrency=2)).serving
-        shorthand = run_experiment(
-            agent_spec(max_concurrency=2, admission="concurrency")
-        ).serving
-        assert shorthand.latencies == legacy.latencies
-        assert shorthand.admission_delays == legacy.admission_delays
+        for metric, expected in self.METRICS.items():
+            assert getattr(gated, metric) == expected, metric
+        assert gated.latencies == self.LATENCIES
+        assert gated.admission_delays == self.ADMISSION_DELAYS
 
     def test_unlimited_policy_matches_open_door(self):
         open_door = run_experiment(agent_spec()).serving
@@ -268,13 +282,8 @@ class TestAdmissionSpecValidation:
     def test_concurrency_needs_a_cap_somewhere(self):
         with pytest.raises(ValueError, match="max_concurrency"):
             agent_spec(admission="concurrency")
-
-    def test_cap_cannot_be_set_twice(self):
-        with pytest.raises(ValueError, match="not both"):
-            agent_spec(
-                max_concurrency=2,
-                admission=AdmissionSpec(policy="concurrency", max_concurrency=3),
-            )
+        with pytest.raises(ValueError, match="max_concurrency"):
+            AdmissionSpec(per_class=(("agent", AdmissionSpec(policy="concurrency")),))
 
     def test_slo_shed_needs_an_slo(self):
         with pytest.raises(ValueError, match="needs an SLO"):
@@ -379,9 +388,9 @@ class TestWarmupValidation:
             )
 
     def test_serve_rejects_plans_shorter_than_warmup(self):
-        # The legacy AgentServer.serve(plan) path takes arbitrary plans that
-        # bypass spec-level validation; the driver must refuse rather than
-        # silently measure an empty window.
+        # ServingDriver.serve(plan) takes arbitrary plans that bypass
+        # spec-level validation; the driver must refuse rather than silently
+        # measure an empty window.
         from repro.api import SystemBuilder, ServingDriver
         from repro.serving.loadgen import poisson_plan
 

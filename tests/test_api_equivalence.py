@@ -1,10 +1,12 @@
-"""The new API must reproduce the seed entry points bit-for-bit.
+"""Golden pins: the spec path reproduces the seed simulator bit-for-bit.
 
-The golden values below were captured by running the pre-redesign
-``SingleRequestRunner`` / ``run_at_qps`` implementations (commit ``c26818c``)
-at the exact configurations used here.  Every metric is asserted with zero
-tolerance: one replica under FCFS scheduling through the unified API must be
-event-for-event identical to the legacy hand-rolled wiring.
+The golden values below were captured by running the original hand-wired
+single-request runner and serving loop (commit ``c26818c``) at the exact
+configurations used here.  Every metric is asserted with zero tolerance:
+one replica under FCFS scheduling through ``run_experiment`` must stay
+event-for-event identical to that wiring.  If an engine or scheduler change
+is *supposed* to shift these numbers, regenerate them on purpose; never
+loosen them to approx.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import pytest
 
 from repro.agents import AgentConfig
 from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
-from repro.core import SingleRequestRunner
-from repro.serving import ServingConfig, run_at_qps
 
 
 class TestCharacterizationGolden:
-    """SingleRequestRunner(model="8b", seed=1).run("react", "hotpotqa", num_tasks=3)."""
+    """react/hotpotqa, 8B, 3 single-arrival requests, seed 1."""
 
     GOLDEN = {
         "mean_latency": 16.668997844782456,
@@ -31,10 +31,6 @@ class TestCharacterizationGolden:
     def _check(self, result):
         for metric, expected in self.GOLDEN.items():
             assert getattr(result, metric) == expected, metric
-
-    def test_legacy_shim_matches_seed(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        self._check(runner.run("react", "hotpotqa", num_tasks=3))
 
     def test_spec_through_new_api_matches_seed(self):
         spec = ExperimentSpec(
@@ -54,7 +50,7 @@ class TestCharacterizationGolden:
 
 
 class TestServingGolden:
-    """run_at_qps(react/hotpotqa, qps=1.0, 10 requests, pool 8, seed 0)."""
+    """react/hotpotqa, Poisson 1 qps, 10 requests, pool 8, seed 0."""
 
     GOLDEN = {
         "mean_latency": 10.870826106902523,
@@ -70,16 +66,6 @@ class TestServingGolden:
         "preemptions": 0,
         "prefix_cache_hit_rate": 0.9135721327637201,
     }
-
-    def _config(self) -> ServingConfig:
-        return ServingConfig(
-            agent="react",
-            benchmark="hotpotqa",
-            model="8b",
-            agent_config=AgentConfig(max_iterations=5),
-            max_decode_chunk=8,
-            seed=0,
-        )
 
     def _spec(self) -> ExperimentSpec:
         return ExperimentSpec(
@@ -98,25 +84,21 @@ class TestServingGolden:
         for metric, expected in self.GOLDEN.items():
             assert getattr(result, metric) == expected, metric
 
-    def test_legacy_shim_matches_seed(self):
-        self._check(run_at_qps(self._config(), qps=1.0, num_requests=10, task_pool_size=8))
-
     def test_spec_through_new_api_matches_seed(self):
         outcome = run_experiment(self._spec())
         self._check(outcome.serving)
         assert outcome.throughput_qps == self.GOLDEN["throughput_qps"]
 
-    def test_shim_and_api_produce_identical_distributions(self):
-        shim = run_at_qps(self._config(), qps=1.0, num_requests=10, task_pool_size=8)
-        api = run_experiment(self._spec()).serving
-        assert shim.latencies == api.latencies
-        assert shim.config == api.config
-
     def test_chatbot_serving_golden(self):
-        config = ServingConfig(
-            agent="chatbot", benchmark="sharegpt", model="8b", max_decode_chunk=8, seed=3
+        spec = ExperimentSpec(
+            agent="chatbot",
+            workload="sharegpt",
+            model="8b",
+            arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
+            seed=3,
+            max_decode_chunk=8,
         )
-        result = run_at_qps(config, qps=4.0, num_requests=12, task_pool_size=8)
+        result = run_experiment(spec).serving
         assert result.mean_latency == 5.165153545879206
         assert result.p95_latency == 9.76467261074811
         assert result.energy_wh == 1.0307809818002893
@@ -124,7 +106,7 @@ class TestServingGolden:
 
 
 class TestTrafficProgramCompat:
-    """Shapes and studies must not perturb the legacy surfaces they wrap."""
+    """Shapes and studies must not perturb the golden-pinned serving run."""
 
     def _spec(self, **overrides) -> ExperimentSpec:
         base = dict(
@@ -162,31 +144,14 @@ class TestTrafficProgramCompat:
         for metric, expected in TestServingGolden.GOLDEN.items():
             assert getattr(outcome.serving, metric) == expected, metric
 
-    def test_run_sweep_is_byte_identical_to_one_axis_study(self):
-        from repro.api import StudyAxis, StudySpec, run_experiment, run_sweep, run_study
-
-        spec = self._spec()
-        qps_values = (0.5, 1.0)
-        sweep = run_sweep(spec, qps_values)
-        study = run_study(
-            StudySpec(base=spec, axes=(StudyAxis(name="qps", values=qps_values),))
-        )
-        manual = [run_experiment(spec.at_qps(qps)).serving for qps in qps_values]
-        for via_sweep, via_study, direct in zip(
-            sweep.results, (point.outcome.serving for point in study.points), manual
-        ):
-            assert via_sweep.latencies == direct.latencies
-            assert via_study.latencies == direct.latencies
-            assert via_sweep.energy_wh == direct.energy_wh
-            assert via_study.energy_wh == direct.energy_wh
-            assert via_sweep.duration == direct.duration
-
     def test_sweep_golden_pin(self):
-        """run_sweep at the golden serving config reproduces the pinned point."""
-        from repro.api import run_sweep
+        """A one-axis qps study at the golden serving config reproduces the pin."""
+        from repro.api import StudyAxis, StudySpec, run_study
 
-        sweep = run_sweep(self._spec(), [1.0])
-        result = sweep.results[0]
+        study = run_study(
+            StudySpec(base=self._spec(), axes=(StudyAxis(name="qps", values=(1.0,)),))
+        )
+        result = study.points[0].outcome.serving
         for metric, expected in TestServingGolden.GOLDEN.items():
             assert getattr(result, metric) == expected, metric
 

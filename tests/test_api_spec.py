@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, MeasurementSpec, SystemBuilder
+from repro.api import (
+    AdmissionSpec,
+    ArrivalSpec,
+    ExperimentSpec,
+    MeasurementSpec,
+    SystemBuilder,
+)
 
 
 class TestExperimentSpecValidation:
@@ -42,8 +48,8 @@ class TestExperimentSpecValidation:
 
     def test_max_concurrency_must_be_positive_or_none(self):
         with pytest.raises(ValueError, match="max_concurrency"):
-            ExperimentSpec(max_concurrency=0)
-        assert ExperimentSpec(max_concurrency=None).max_concurrency is None
+            AdmissionSpec(policy="concurrency", max_concurrency=0)
+        assert AdmissionSpec(max_concurrency=None).max_concurrency is None
 
     def test_known_scheduler_policies_accepted(self):
         for policy in ("fcfs", "priority", "sjf-by-predicted-decode"):
@@ -140,7 +146,7 @@ class TestSpecRoundTrip:
             measurement=MeasurementSpec(warmup_requests=2),
             seed=7,
             max_decode_chunk=8,
-            max_concurrency=12,
+            admission=AdmissionSpec(policy="concurrency", max_concurrency=12),
         )
         payload = spec.to_dict()
         assert payload["arrival"]["qps"] == 1.5
@@ -217,7 +223,7 @@ class TestSystemBuilder:
         )
         system = SystemBuilder(spec).build()
         assert system.cluster.num_replicas == 3
-        assert system.cluster.router.name == "least-loaded"
+        assert system.cluster.default_pool.router.name == "least-loaded"
         for engine in system.cluster.replicas:
             assert engine.scheduler.policy.name == "priority"
         assert system.client.engine is system.cluster

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
+from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
 from repro.llm import (
     EngineConfig,
     Prompt,
@@ -18,6 +18,7 @@ from repro.llm.request import LLMRequest
 from repro.llm.tokenizer import SegmentKind, SyntheticTokenizer
 from repro.serving import (
     Cluster,
+    ReplicaPool,
     available_router_policies,
     create_router_policy,
 )
@@ -133,9 +134,9 @@ class TestSchedulerPolicies:
 
 class TestRouterPolicies:
     def _cluster(self, num_replicas: int = 4, router: str = "round-robin") -> Cluster:
-        return Cluster(
-            Environment(), EngineConfig(), num_replicas=num_replicas, router=router
-        )
+        env = Environment()
+        pool = ReplicaPool(env, EngineConfig(), num_replicas=num_replicas, router=router)
+        return Cluster(env, pools=[pool])
 
     def test_registry_contents(self):
         assert available_router_policies() == [
@@ -151,10 +152,8 @@ class TestRouterPolicies:
 
     def test_round_robin_cycles(self):
         cluster = self._cluster(router="round-robin")
-        picks = [
-            cluster.router.select(make_request(stream=f"s{n}"), cluster.replicas)
-            for n in range(8)
-        ]
+        router = cluster.default_pool.router
+        picks = [router.select(make_request(stream=f"s{n}"), cluster.replicas) for n in range(8)]
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_least_loaded_prefers_emptiest_replica(self):
@@ -162,22 +161,25 @@ class TestRouterPolicies:
         # Load replicas 0-2 by submitting through them directly.
         for index in (0, 0, 1, 2):
             cluster.replicas[index].submit(make_request(stream=f"load{index}"))
-        assert cluster.router.select(make_request(stream="probe"), cluster.replicas) == 3
+        router = cluster.default_pool.router
+        assert router.select(make_request(stream="probe"), cluster.replicas) == 3
 
     def test_prefix_affinity_is_deterministic_and_sticky(self):
         cluster = self._cluster(router="prefix-affinity")
-        first = cluster.router.select(make_request(stream="same"), cluster.replicas)
-        again = cluster.router.select(make_request(stream="same"), cluster.replicas)
+        router = cluster.default_pool.router
+        first = router.select(make_request(stream="same"), cluster.replicas)
+        again = router.select(make_request(stream="same"), cluster.replicas)
         assert first == again
 
     def test_prefix_affinity_spills_under_load(self):
         cluster = self._cluster(router="prefix-affinity")
+        router = cluster.default_pool.router
         request = make_request(stream="hot")
-        preferred = cluster.router.select(request, cluster.replicas)
+        preferred = router.select(request, cluster.replicas)
         # Saturate the preferred replica beyond the spill threshold.
-        for n in range(cluster.router.spill_threshold + 1):
+        for n in range(router.spill_threshold + 1):
             cluster.replicas[preferred].submit(make_request(stream=f"fill{n}"))
-        spilled = cluster.router.select(make_request(stream="hot"), cluster.replicas)
+        spilled = router.select(make_request(stream="hot"), cluster.replicas)
         assert spilled != preferred
 
     def test_single_replica_routes_everything_to_it(self):
@@ -212,7 +214,9 @@ class TestRouterPolicies:
 class TestClusterAggregation:
     def test_replica_count_validation(self):
         with pytest.raises(ValueError, match="num_replicas"):
-            Cluster(Environment(), EngineConfig(), num_replicas=0)
+            ReplicaPool(Environment(), EngineConfig(), num_replicas=0)
+        with pytest.raises(ValueError, match="at least one ReplicaPool"):
+            Cluster(Environment(), pools=[])
 
     def test_multi_replica_serving_reports_aggregates(self):
         spec = ExperimentSpec(
@@ -252,8 +256,6 @@ def tiny_kv_engine_config(num_blocks: int = 9) -> EngineConfig:
 
 class TestReplicaPools:
     def _two_pool_cluster(self, spill_threshold=2.0, **pool_kwargs):
-        from repro.serving import ReplicaPool
-
         env = Environment()
         pool_a = ReplicaPool(
             env, EngineConfig(), name="a", num_replicas=2,
@@ -277,8 +279,6 @@ class TestReplicaPools:
         assert sum(pool_a.routed_counts) == 1  # the untagged default
 
     def test_predicted_decode_length_classification(self):
-        from repro.serving import ReplicaPool
-
         env = Environment()
         short = ReplicaPool(env, EngineConfig(), name="short", max_predicted_decode=32)
         long_pool = ReplicaPool(env, EngineConfig(), name="long")
@@ -322,8 +322,6 @@ class TestReplicaPools:
         )
 
     def test_pinned_pool_never_receives_spill(self):
-        from repro.serving import ReplicaPool
-
         env = Environment()
         pool_a = ReplicaPool(env, EngineConfig(), name="a", traffic_classes=("a",))
         pool_b = ReplicaPool(
@@ -338,8 +336,6 @@ class TestReplicaPools:
         assert pool_b.spilled_in == 0
 
     def test_preemption_under_kv_pressure_in_each_pool(self):
-        from repro.serving import ReplicaPool
-
         env = Environment()
         config = tiny_kv_engine_config(num_blocks=9)
         pool_a = ReplicaPool(env, config, name="a", traffic_classes=("a",))
@@ -363,8 +359,6 @@ class TestReplicaPools:
         assert len(cluster.completed_requests) == 4
 
     def test_replica_seconds_accounting(self):
-        from repro.serving import ReplicaPool
-
         env = Environment()
         pool = ReplicaPool(env, EngineConfig(), name="p", num_replicas=2)
         assert pool.replica_seconds_until(10.0) == pytest.approx(20.0)

@@ -86,6 +86,29 @@ class TestHandWrittenDocs:
                 f"docs/SPECS.md does not document {spec_name}"
             )
 
+    def test_specs_field_tables_match_dataclasses(self):
+        # Each spec section's field table lists exactly the dataclass's
+        # fields: adding, renaming or deleting a field must update the doc.
+        import dataclasses
+
+        from repro import api
+
+        text = (DOCS / "SPECS.md").read_text()
+        checked = []
+        for section in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+            title, _, body = section.partition("\n")
+            spec_type = getattr(api, title.strip(), None)
+            if not dataclasses.is_dataclass(spec_type):
+                continue  # prose-only sections such as "StudySpec / StudyAxis"
+            first_cells = re.findall(r"^\| ([^|]*?) \|", body, flags=re.MULTILINE)
+            documented = [
+                name for cell in first_cells for name in re.findall(r"`(\w+)`", cell)
+            ]
+            fields = [field.name for field in dataclasses.fields(spec_type)]
+            assert sorted(documented) == sorted(fields), title
+            checked.append(title)
+        assert len(checked) >= 10, checked
+
     def test_metrics_doc_matches_resolvable_names(self):
         # Every plain metric name documented must actually resolve on a
         # ResultSet (the doc is a contract, not a wish list).

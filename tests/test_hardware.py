@@ -476,7 +476,7 @@ class TestCostAwareClassification:
     def test_unknown_classification_mode_rejected(self):
         env = Environment()
         with pytest.raises(ValueError, match="unknown pool classification"):
-            Cluster(env, EngineConfig(), classification="greedy")
+            Cluster(env, pools=[make_pool(env, "a", "L4")], classification="greedy")
 
     def test_end_to_end_cost_aware_run(self):
         spec = small_serving_spec(

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table, format_value
-from repro.core import SingleRequestRunner
+from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.core import CharacterizationResult
 from repro.llm import EngineConfig, LLMClient, LLMEngine
 from repro.llm.energy import EnergyMeter, PowerState, joules_to_wh, wh_to_joules
 from repro.llm.hardware import cluster_for_model
@@ -133,10 +134,22 @@ class TestConservationInvariants:
         assert all(result.e2e_latency > 0 for result in results)
 
 
+def characterize_react() -> CharacterizationResult:
+    """Three single-arrival ReAct/HotpotQA requests on the 8B model, seed 2."""
+    spec = ExperimentSpec(
+        agent="react",
+        workload="hotpotqa",
+        model="8b",
+        agent_config=AgentConfig(max_iterations=5),
+        arrival=ArrivalSpec(process="single", num_requests=3),
+        seed=2,
+    )
+    return run_experiment(spec).characterization
+
+
 class TestRunnerObservationConsistency:
     def test_observation_energy_matches_power_window(self):
-        runner = SingleRequestRunner(model="8b", seed=2)
-        result = runner.run("react", "hotpotqa", config=AgentConfig(max_iterations=5), num_tasks=3)
+        result = characterize_react()
         for observation in result.observations:
             # Energy over the request window can never exceed prefill power for
             # the whole window nor fall below idle power for the whole window.
@@ -147,7 +160,6 @@ class TestRunnerObservationConsistency:
             assert low * 0.9 <= observation.energy_wh <= high * 1.1
 
     def test_gpu_window_matches_request_duration(self):
-        runner = SingleRequestRunner(model="8b", seed=2)
-        result = runner.run("react", "hotpotqa", config=AgentConfig(max_iterations=5), num_tasks=3)
+        result = characterize_react()
         for observation in result.observations:
             assert observation.gpu.total == pytest.approx(observation.result.e2e_latency, rel=0.1)

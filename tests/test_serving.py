@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import pytest
 
 from repro.agents import AgentConfig
-from repro.core import SingleRequestRunner
+from repro.analysis import peak_throughput
+from repro.api import ArrivalSpec, ExperimentSpec, StudyAxis, StudySpec, run_experiment, run_study
 from repro.serving import (
-    AgentServer,
     ArrivalPlan,
-    ServingConfig,
+    ServingResult,
     poisson_plan,
-    run_at_qps,
     sequential_plan,
-    sweep_qps,
     uniform_plan,
 )
 from repro.sim import RandomStream
@@ -57,103 +57,141 @@ class TestArrivalPlans:
             ArrivalPlan(arrival_times=[2.0, 1.0], tasks=tasks)
 
 
-def small_config(**overrides) -> ServingConfig:
+def small_spec(**overrides) -> ExperimentSpec:
     defaults = dict(
         agent="react",
-        benchmark="hotpotqa",
+        workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
         max_decode_chunk=8,
         seed=0,
     )
     defaults.update(overrides)
-    return ServingConfig(**defaults)
+    return ExperimentSpec(**defaults)
+
+
+def serve(qps: float, num_requests: int, task_pool_size: int = 48, **overrides) -> ServingResult:
+    """One open-loop Poisson run of :func:`small_spec`."""
+    arrival = ArrivalSpec(
+        process="poisson", qps=qps, num_requests=num_requests, task_pool_size=task_pool_size
+    )
+    return run_experiment(small_spec(arrival=arrival, **overrides)).serving
+
+
+def qps_sweep(
+    qps_values: Sequence[float], num_requests: int, task_pool_size: int = 48, **overrides
+) -> List[ServingResult]:
+    """A one-axis qps study of :func:`small_spec`; one outcome per load."""
+    arrival = ArrivalSpec(
+        process="single", num_requests=num_requests, task_pool_size=task_pool_size
+    )
+    study = StudySpec(
+        base=small_spec(arrival=arrival, **overrides),
+        axes=(StudyAxis(name="qps", values=tuple(qps_values)),),
+    )
+    return [point.outcome.serving for point in run_study(study).points]
 
 
 class TestAgentServer:
     def test_open_loop_serving_completes_all_requests(self):
-        result = run_at_qps(small_config(), qps=1.0, num_requests=12, task_pool_size=8)
+        result = serve(1.0, num_requests=12, task_pool_size=8)
         assert result.num_completed == 12
         assert result.throughput_qps > 0
         assert result.p95_latency >= result.latency_stats.p50
         assert result.energy_wh > 0
 
     def test_sequential_serving(self):
-        server = AgentServer(small_config())
-        result = server.serve_sequential(4)
+        # The multi-call ReAct agent: tool time and several LLM calls per
+        # request still leave no gap between consecutive requests.
+        result = run_experiment(
+            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=4))
+        ).serving
         assert result.num_completed == 4
         assert result.offered_qps == 0.0
         assert result.duration == pytest.approx(sum(result.latencies), rel=0.05)
 
     def test_concurrent_serving_beats_sequential_throughput(self):
-        sequential = AgentServer(small_config()).serve_sequential(8)
-        concurrent = run_at_qps(small_config(), qps=2.0, num_requests=8, task_pool_size=8)
+        sequential = run_experiment(
+            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=8))
+        ).serving
+        concurrent = serve(2.0, num_requests=8, task_pool_size=8)
         assert concurrent.throughput_qps > sequential.throughput_qps
 
     def test_chatbot_serving_has_low_latency_variance(self):
-        config = small_config(agent="chatbot", benchmark="sharegpt")
-        result = run_at_qps(config, qps=2.0, num_requests=15, task_pool_size=15)
+        result = serve(
+            2.0, num_requests=15, task_pool_size=15, agent="chatbot", workload="sharegpt"
+        )
         assert result.num_completed == 15
         assert result.p95_latency < 4 * result.latency_stats.p50 + 1.0
 
     def test_higher_load_increases_tail_latency(self):
-        low = run_at_qps(small_config(), qps=0.3, num_requests=15, task_pool_size=10)
-        high = run_at_qps(small_config(), qps=4.0, num_requests=15, task_pool_size=10)
+        low = serve(0.3, num_requests=15, task_pool_size=10)
+        high = serve(4.0, num_requests=15, task_pool_size=10)
         assert high.p95_latency > low.p95_latency
 
     def test_prefix_caching_improves_hit_rate_and_latency(self):
-        cached = run_at_qps(small_config(enable_prefix_caching=True), qps=1.0, num_requests=12)
-        uncached = run_at_qps(small_config(enable_prefix_caching=False), qps=1.0, num_requests=12)
+        cached = serve(1.0, num_requests=12, enable_prefix_caching=True)
+        uncached = serve(1.0, num_requests=12, enable_prefix_caching=False)
         assert cached.prefix_cache_hit_rate > 0.5
         assert uncached.prefix_cache_hit_rate == 0.0
         assert cached.p95_latency <= uncached.p95_latency * 1.05
 
     def test_kv_memory_lower_with_prefix_caching(self):
-        cached = run_at_qps(small_config(enable_prefix_caching=True), qps=0.5, num_requests=12)
-        uncached = run_at_qps(small_config(enable_prefix_caching=False), qps=0.5, num_requests=12)
+        cached = serve(0.5, num_requests=12, enable_prefix_caching=True)
+        uncached = serve(0.5, num_requests=12, enable_prefix_caching=False)
         assert cached.kv_average_bytes < uncached.kv_average_bytes
         assert cached.kv_max_bytes <= uncached.kv_max_bytes
 
     def test_energy_per_query_positive(self):
-        result = run_at_qps(small_config(), qps=0.5, num_requests=6)
+        result = serve(0.5, num_requests=6)
         assert result.energy_wh_per_query > 0
 
     def test_serving_result_accuracy_in_unit_range(self):
-        result = run_at_qps(small_config(), qps=0.5, num_requests=10)
+        result = serve(0.5, num_requests=10)
         assert 0.0 <= result.accuracy <= 1.0
 
 
 class TestQpsSweep:
     def test_sweep_produces_one_result_per_qps(self):
-        sweep = sweep_qps(small_config(), qps_values=(0.5, 1.0), num_requests=8, task_pool_size=8)
-        assert len(sweep.results) == 2
-        assert sweep.qps_values == [pytest.approx(0.5, rel=0.6), pytest.approx(1.0, rel=0.6)]
-        assert len(sweep.p95_latencies) == 2
+        sweep = qps_sweep((0.5, 1.0), num_requests=8, task_pool_size=8)
+        assert len(sweep) == 2
+        assert [result.offered_qps for result in sweep] == [
+            pytest.approx(0.5, rel=0.6),
+            pytest.approx(1.0, rel=0.6),
+        ]
+        assert all(result.p95_latency > 0 for result in sweep)
 
     def test_peak_throughput_positive_and_bounded(self):
-        sweep = sweep_qps(small_config(), qps_values=(0.25, 0.5, 1.0), num_requests=10)
-        peak = sweep.peak_throughput()
+        peak = peak_throughput(qps_sweep((0.25, 0.5, 1.0), num_requests=10))
         assert 0 < peak <= 1.5
 
     def test_peak_throughput_empty_sweep_is_zero(self):
-        from repro.serving.sweep import QpsSweepResult
-
-        assert QpsSweepResult(config=small_config()).peak_throughput() == 0.0
+        assert peak_throughput([], latency_slo_s=5.0) == 0.0
 
     def test_sharegpt_peak_higher_than_agent_peak(self):
-        agent_sweep = sweep_qps(small_config(), qps_values=(0.5, 1.0), num_requests=10)
-        chatbot_sweep = sweep_qps(
-            small_config(agent="chatbot", benchmark="sharegpt"),
-            qps_values=(2.0, 4.0),
-            num_requests=10,
+        agent_sweep = qps_sweep((0.5, 1.0), num_requests=10)
+        chatbot_sweep = qps_sweep(
+            (2.0, 4.0), num_requests=10, agent="chatbot", workload="sharegpt"
         )
-        assert chatbot_sweep.peak_throughput() > agent_sweep.peak_throughput()
+        assert peak_throughput(chatbot_sweep) > peak_throughput(agent_sweep)
+
+
+def characterize(agent: str, workload: str, num_tasks: int = 20, tasks=None, **overrides):
+    """Single-arrival (one request at a time) characterization at seed 1."""
+    spec = ExperimentSpec(
+        agent=agent,
+        workload=workload,
+        model="8b",
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=1,
+        **overrides,
+    )
+    return run_experiment(spec, tasks=tasks).characterization
 
 
 class TestSingleRequestRunnerIntegration:
     def test_runner_produces_observations_with_engine_metrics(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        result = runner.run("react", "hotpotqa", num_tasks=3)
+        result = characterize("react", "hotpotqa", num_tasks=3)
         assert result.num_requests == 3
         for observation in result.observations:
             assert observation.energy_wh > 0
@@ -163,20 +201,17 @@ class TestSingleRequestRunnerIntegration:
         assert 0 <= result.accuracy <= 1
 
     def test_runner_respects_explicit_tasks(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
         workload = create_workload("math", seed=1)
         tasks = workload.sample_tasks(2)
-        result = runner.run("react", "math", tasks=tasks)
+        result = characterize("react", "math", tasks=tasks)
         assert result.num_requests == 2
         assert [obs.result.task_id for obs in result.observations] == [t.task_id for t in tasks]
 
     def test_gpu_idle_fraction_larger_for_slow_tools(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        hotpot = runner.run("react", "hotpotqa", num_tasks=4)
-        webshop = runner.run("react", "webshop", num_tasks=4)
+        hotpot = characterize("react", "hotpotqa", num_tasks=4)
+        webshop = characterize("react", "webshop", num_tasks=4)
         assert hotpot.gpu_breakdown().fractions["idle"] > webshop.gpu_breakdown().fractions["idle"]
 
     def test_prefix_caching_flag_reflected_in_result(self):
-        runner = SingleRequestRunner(model="8b", enable_prefix_caching=False, seed=1)
-        result = runner.run("cot", "hotpotqa", num_tasks=2)
+        result = characterize("cot", "hotpotqa", num_tasks=2, enable_prefix_caching=False)
         assert result.prefix_caching is False

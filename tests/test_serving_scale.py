@@ -2,12 +2,32 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
-from repro.serving import ServingConfig, ServingResult, run_at_qps
-from repro.serving.sweep import QpsSweepResult
+from repro.analysis import peak_throughput
+from repro.api import (
+    AdmissionSpec,
+    ArrivalSpec,
+    ExperimentSpec,
+    StudyAxis,
+    StudySpec,
+    run_experiment,
+    run_study,
+)
+from repro.serving import ServingResult
+
+
+def qps_study(spec: ExperimentSpec, qps_values: Sequence[float]) -> List[ServingResult]:
+    """Serving outcomes of a one-axis qps study over ``spec``, one per load."""
+    study = StudySpec(base=spec, axes=(StudyAxis(name="qps", values=tuple(qps_values)),))
+    return [point.outcome.serving for point in run_study(study).points]
+
+
+def concurrency_cap(limit: int) -> AdmissionSpec:
+    return AdmissionSpec(policy="concurrency", max_concurrency=limit)
 
 
 def agent_spec(**overrides) -> ExperimentSpec:
@@ -33,7 +53,9 @@ class TestMaxConcurrencyEnforcement:
         assert len(result.admission_delays) == 10
 
     def test_gate_queues_excess_requests_and_reports_delay(self):
-        result = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=2)).serving
+        result = run_experiment(
+            agent_spec(arrival=self.ARRIVAL, admission=concurrency_cap(2))
+        ).serving
         assert result.num_completed == 10
         assert result.num_queued > 0
         assert result.mean_admission_delay > 0.0
@@ -41,72 +63,60 @@ class TestMaxConcurrencyEnforcement:
 
     def test_tighter_gate_increases_latency(self):
         open_door = run_experiment(agent_spec(arrival=self.ARRIVAL)).serving
-        gated = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=1)).serving
+        gated = run_experiment(
+            agent_spec(arrival=self.ARRIVAL, admission=concurrency_cap(1))
+        ).serving
         assert gated.mean_latency > open_door.mean_latency
         assert gated.mean_admission_delay > open_door.mean_admission_delay
 
-    def test_legacy_serving_config_gate_is_enforced(self):
-        config = ServingConfig(
-            agent="react",
-            benchmark="hotpotqa",
-            agent_config=AgentConfig(max_iterations=5),
-            max_decode_chunk=8,
-            max_concurrency=2,
-        )
-        result = run_at_qps(config, qps=3.0, num_requests=10, task_pool_size=8)
-        assert result.num_queued > 0
-        assert result.mean_admission_delay > 0.0
-
     def test_reused_server_reports_per_run_admission_delays(self):
-        from repro.serving import AgentServer, poisson_plan
+        from repro.api import ServingDriver, SystemBuilder
+        from repro.serving import poisson_plan
 
-        config = ServingConfig(
+        spec = ExperimentSpec(
             agent="chatbot",
-            benchmark="sharegpt",
+            workload="sharegpt",
+            arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=4),
             max_decode_chunk=8,
-            max_concurrency=1,
+            admission=concurrency_cap(1),
         )
-        server = AgentServer(config)
+        system = SystemBuilder(spec).build()
+        driver = ServingDriver(system)
         plan = lambda tag: poisson_plan(
-            server.workload, qps=4.0, num_requests=4,
-            stream=server.stream.substream(f"plan/{tag}"), task_pool_size=4,
+            system.workload, qps=4.0, num_requests=4,
+            stream=system.stream.substream(f"plan/{tag}"), task_pool_size=4,
         )
-        first = server.serve(plan("a"))
-        second = server.serve(plan("b"))
+        first = driver.serve(plan("a"))
+        second = driver.serve(plan("b"))
         assert len(first.admission_delays) == 4
         assert len(second.admission_delays) == 4
 
 
 class TestPeakThroughputHardening:
     def _result(self, qps: float, p95: float, completed: int = 10) -> ServingResult:
-        result = ServingResult(
-            config=ServingConfig(), offered_qps=qps, num_requests=completed, duration=1.0
-        )
+        result = ServingResult(offered_qps=qps, num_requests=completed, duration=1.0)
         # Fabricate a latency distribution with the desired p95 by reusing a
         # single value; ServingResult derives p95 from results' latencies.
         result.results = [_FakeRun(p95) for _ in range(completed)]
         return result
 
     def test_zero_baseline_does_not_collapse_threshold(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 0.0), self._result(1.0, 2.0), self._result(2.0, 3.0)]
+        sweep = [self._result(0.5, 0.0), self._result(1.0, 2.0), self._result(2.0, 3.0)]
         # Seed behaviour: threshold = 0 * 3 = 0 -> only the zero-latency point
         # qualifies.  Hardened behaviour: baseline falls back to the smallest
         # positive p95 (2.0), threshold 6.0, so every point qualifies.
-        assert sweep.peak_throughput() == pytest.approx(10.0 / 1.0)
+        assert peak_throughput(sweep) == pytest.approx(10.0 / 1.0)
 
     def test_all_zero_latencies_count_completed_points(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 0.0), self._result(1.0, 0.0)]
-        assert sweep.peak_throughput() > 0.0
+        sweep = [self._result(0.5, 0.0), self._result(1.0, 0.0)]
+        assert peak_throughput(sweep) > 0.0
 
     def test_explicit_slo_still_respected(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 1.0), self._result(1.0, 9.0)]
-        assert sweep.peak_throughput(latency_slo_s=2.0) == pytest.approx(10.0)
+        sweep = [self._result(0.5, 1.0), self._result(1.0, 9.0)]
+        assert peak_throughput(sweep, latency_slo_s=2.0) == pytest.approx(10.0)
 
     def test_empty_sweep_is_zero(self):
-        assert QpsSweepResult(config=ServingConfig()).peak_throughput() == 0.0
+        assert peak_throughput([]) == 0.0
 
     def test_warmup_opens_measured_window_at_boundary(self):
         from repro.api import MeasurementSpec
@@ -137,13 +147,13 @@ class TestPeakThroughputHardening:
             arrival=ArrivalSpec(process="single", num_requests=8, task_pool_size=6),
             max_decode_chunk=8,
         )
-        sweep = run_sweep(spec, (1.0, 2.0))
+        sweep = qps_study(spec, (1.0, 2.0))
         # Warm-up trimming shrinks both completions and the issued count, so
         # the 95%-completion knee gate still passes on healthy runs.
-        for result in sweep.results:
+        for result in sweep:
             assert result.num_requests == 6
             assert result.num_completed == 6
-        assert sweep.peak_throughput() > 0.0
+        assert peak_throughput(sweep) > 0.0
 
 
 class _FakeRun:
@@ -173,17 +183,18 @@ class TestReplicaScaling:
     @classmethod
     def _single_replica_peak(cls) -> float:
         if not hasattr(cls, "_cached_single_peak"):
-            sweep = run_sweep(cls._template(), cls.QPS_GRID)
-            cls._cached_single_peak = sweep.peak_throughput()
+            cls._cached_single_peak = peak_throughput(qps_study(cls._template(), cls.QPS_GRID))
         return cls._cached_single_peak
 
     @pytest.mark.parametrize("router", ["round-robin", "least-loaded", "prefix-affinity"])
     def test_four_replicas_beat_one(self, router):
-        sweep = run_sweep(self._template().with_overrides(replicas=4, router=router), self.QPS_GRID)
+        sweep = qps_study(
+            self._template().with_overrides(replicas=4, router=router), self.QPS_GRID
+        )
         single_peak = self._single_replica_peak()
         assert single_peak > 0
-        assert sweep.peak_throughput() > single_peak
+        assert peak_throughput(sweep) > single_peak
         # Every load point completes.
-        for result in sweep.results:
+        for result in sweep:
             assert result.num_completed == result.num_requests
             assert result.num_replicas == 4

@@ -9,7 +9,7 @@ from repro.llm import EngineConfig, Prompt, SamplingParams
 from repro.llm.kvcache import KVCacheConfig
 from repro.llm.request import LLMRequest
 from repro.llm.tokenizer import SegmentKind, SyntheticTokenizer
-from repro.serving import Cluster
+from repro.serving import Cluster, ReplicaPool
 from repro.sim import Environment
 
 TOKENIZER = SyntheticTokenizer()
@@ -133,54 +133,55 @@ class TestKvCacheFraction:
 
 class TestSessionAffinityRouter:
     def _cluster(self, num_replicas: int = 4) -> Cluster:
-        return Cluster(
-            Environment(),
-            EngineConfig(),
-            num_replicas=num_replicas,
-            router="session-affinity",
+        env = Environment()
+        pool = ReplicaPool(
+            env, EngineConfig(), num_replicas=num_replicas, router="session-affinity"
         )
+        return Cluster(env, pools=[pool])
 
     def test_untagged_requests_fall_back_to_least_loaded(self):
         cluster = self._cluster()
+        router = cluster.default_pool.router
         for index in (0, 0, 1, 2):
             cluster.replicas[index].submit(make_request(stream=f"load{index}"))
-        assert cluster.router.select(make_request(), cluster.replicas) == 3
+        assert router.select(make_request(), cluster.replicas) == 3
 
     def test_session_sticks_to_its_home(self):
         cluster = self._cluster()
-        home = cluster.router.select(make_request(session="s0"), cluster.replicas)
+        router = cluster.default_pool.router
+        home = router.select(make_request(session="s0"), cluster.replicas)
         # Mild load elsewhere must not move the session off its home.
         other = (home + 1) % len(cluster.replicas)
         cluster.replicas[home].submit(make_request(stream="busy"))
         assert other != home
-        assert cluster.router.select(make_request(session="s0"), cluster.replicas) == home
-        assert cluster.router.invalidations == 0
+        assert router.select(make_request(session="s0"), cluster.replicas) == home
+        assert router.invalidations == 0
 
     def test_spill_invalidates_affinity(self):
         cluster = self._cluster()
-        home = cluster.router.select(make_request(session="s0"), cluster.replicas)
-        for n in range(cluster.router.spill_threshold + 1):
+        router = cluster.default_pool.router
+        home = router.select(make_request(session="s0"), cluster.replicas)
+        for n in range(router.spill_threshold + 1):
             cluster.replicas[home].submit(make_request(stream=f"fill{n}"))
-        moved = cluster.router.select(make_request(session="s0"), cluster.replicas)
+        moved = router.select(make_request(session="s0"), cluster.replicas)
         assert moved != home
-        assert cluster.router.invalidations == 1
+        assert router.invalidations == 1
         # The spill re-pins: the session's new home is the spill target.
-        assert cluster.router.select(make_request(session="s0"), cluster.replicas) == moved
+        assert router.select(make_request(session="s0"), cluster.replicas) == moved
 
     def test_replica_shrink_invalidates_and_re_pins(self):
         cluster = self._cluster()
+        router = cluster.default_pool.router
         replicas = list(cluster.replicas)
-        home = cluster.router.select(make_request(session="s0"), replicas)
+        home = router.select(make_request(session="s0"), replicas)
         # The home replica leaves the active set (autoscaler shrink).
         survivors = [engine for i, engine in enumerate(replicas) if i != home]
-        re_pinned = cluster.router.select(make_request(session="s0"), survivors)
-        assert cluster.router.invalidations == 1
+        re_pinned = router.select(make_request(session="s0"), survivors)
+        assert router.invalidations == 1
         new_home = survivors[re_pinned]
         # Subsequent turns stick to the new home, no further invalidation.
-        assert survivors[
-            cluster.router.select(make_request(session="s0"), survivors)
-        ] is new_home
-        assert cluster.router.invalidations == 1
+        assert survivors[router.select(make_request(session="s0"), survivors)] is new_home
+        assert router.invalidations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,11 @@ class TestSessionServing:
         # A concurrency-1 door admits one *interaction* at a time; later
         # turns of an admitted session never re-enter the door, so the
         # offered count equals the arrival plan, not the turn count.
-        outcome = run_experiment(session_spec(max_concurrency=1))
+        from repro.api import AdmissionSpec
+
+        outcome = run_experiment(
+            session_spec(admission=AdmissionSpec(policy="concurrency", max_concurrency=1))
+        )
         stats = outcome.session_stats
         assert stats.completed_sessions == 4
         assert outcome.num_completed == 12

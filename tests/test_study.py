@@ -23,7 +23,6 @@ from repro.api import (
     resolve_metric,
     run_experiment,
     run_study,
-    run_sweep,
 )
 from repro.serving.shapes import ConstantShape, SquareWaveShape
 
@@ -347,21 +346,6 @@ class TestRunStudy:
         ]
         assert first.points[0].outcome.latencies != first.points[1].outcome.latencies
         assert [p.seed for p in first.points] == [0, 1]
-
-    def test_run_sweep_is_a_one_axis_study(self):
-        spec = tiny_spec()
-        qps_values = [1.0, 2.0]
-        sweep = run_sweep(spec, qps_values)
-        manual = [run_experiment(spec.at_qps(qps)).serving for qps in qps_values]
-        assert [r.latencies for r in sweep.results] == [r.latencies for r in manual]
-        assert [r.energy_wh for r in sweep.results] == [r.energy_wh for r in manual]
-        assert sweep.qps_values == [r.offered_qps for r in manual]
-
-    def test_run_sweep_with_no_loads_returns_empty_sweep(self):
-        # The historical loop ran zero times; the study shim must too.
-        sweep = run_sweep(tiny_spec(), [])
-        assert sweep.results == []
-        assert sweep.peak_throughput() == 0.0
 
     def test_progress_callback_sees_every_point(self):
         seen = []
