@@ -10,7 +10,8 @@ of hash-randomised keys somewhere in the scheduling or aggregation path
 -- the tests all pass within one process, and results drift between
 processes.  This script pins the contract the way CI exercises it: run a
 small but representative experiment battery -- including the chunked
-prefill and speculative-decoding fidelity paths -- in two fresh
+prefill and speculative-decoding fidelity paths, a least-loaded fleet and
+a shed, autoscaled two-pool fleet -- in two fresh
 interpreters with *different* hash seeds, serialise every result to
 canonical JSON (full latency vectors, not just summaries), and diff.
 
@@ -42,15 +43,18 @@ HASH_SEEDS = ("0", "42")
 def battery() -> dict:
     """Run the experiment battery and return a JSON-ready payload."""
     from repro.api import (
+        AdmissionSpec,
         ArrivalSpec,
+        AutoscalerSpec,
         ExperimentSpec,
+        PoolSpec,
         SpeculativeSpec,
         WeightedWorkload,
         run_experiment,
     )
     from repro.agents import AgentConfig
 
-    def mixture(**overrides) -> ExperimentSpec:
+    def mixture(num_requests: int = 12, **overrides) -> ExperimentSpec:
         return ExperimentSpec(
             workloads=(
                 WeightedWorkload(
@@ -62,7 +66,10 @@ def battery() -> dict:
             ),
             agent_config=AgentConfig(max_iterations=4),
             arrival=ArrivalSpec(
-                process="poisson", qps=8.0, num_requests=12, task_pool_size=6
+                process="poisson",
+                qps=8.0,
+                num_requests=num_requests,
+                task_pool_size=6,
             ),
             max_num_seqs=4,
             **overrides,
@@ -86,6 +93,47 @@ def battery() -> dict:
                 task_pool_size=6,
             ),
             max_num_seqs=2,
+        ),
+        # Fleets: decode runs span other replicas' events, so routing,
+        # admission and the autoscaler read engines mid-run.
+        "chat-fleet": ExperimentSpec(
+            agent="chatbot",
+            workload="sharegpt",
+            replicas=4,
+            router="least-loaded",
+            arrival=ArrivalSpec(
+                process="poisson", qps=12.0, num_requests=24, task_pool_size=12
+            ),
+        ),
+        "shed-autoscaled-pools": mixture(
+            num_requests=24,
+            pools=(
+                PoolSpec(name="chat", replicas=2, traffic_classes=("chat",)),
+                PoolSpec(
+                    name="agent",
+                    replicas=1,
+                    router="least-loaded",
+                    traffic_classes=("agent",),
+                ),
+            ),
+            admission=AdmissionSpec(
+                per_class=(
+                    (
+                        "agent",
+                        AdmissionSpec(
+                            policy="slo-shed", slo_p95_s=4.0, protect_class="chat"
+                        ),
+                    ),
+                )
+            ),
+            autoscaler=AutoscalerSpec(
+                pool="agent",
+                max_replicas=3,
+                check_interval_s=1.0,
+                warmup_s=2.0,
+                mode="predictive",
+                forecaster="holt",
+            ),
         ),
     }
     payload = {}

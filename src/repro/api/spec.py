@@ -648,7 +648,7 @@ class ExperimentSpec:
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
     max_decode_chunk: int = 1
-    # Fast-forward uninterrupted decode stretches in one simulated event
+    # Fast-forward each engine's decode runs, one simulated event per run
     # (bit-for-bit identical results; see EngineConfig.decode_fast_forward).
     # Disable to force the reference one-event-per-token path.
     decode_fast_forward: bool = True

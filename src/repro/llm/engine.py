@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.llm.energy import EnergyMeter, PowerState
+from repro.llm.energy import EnergyMeter, EnergySnapshot, PowerState
 from repro.llm.hardware import ClusterSpec, cluster_for_model
 from repro.llm.kvcache import KVCacheConfig
 from repro.llm.models import ModelSpec, LLAMA_3_1_8B
@@ -48,11 +48,13 @@ class EngineConfig:
     # (new arrivals wait for the in-flight chunk) for simulation speed.
     max_decode_chunk: int = 1
     # Exact decode fast-forwarding: collapse runs of per-token decode steps
-    # into one simulated event up to the next scheduling boundary (arrival,
-    # completion, KV-allocation pressure, run horizon), reconstructing every
-    # per-token timing so results are bit-for-bit identical to the per-token
-    # path.  Unlike ``max_decode_chunk`` this is not an approximation; it is
-    # on by default and only disabled for A/B-testing the equivalence.
+    # into one simulated event.  A run is bounded per engine -- by this
+    # engine's earliest completion, its KV-allocation budget, the run
+    # horizon, and arrivals at this engine -- never by other engines' events;
+    # every per-token timing is reconstructed, so results are bit-for-bit
+    # identical to the per-token path.  Unlike ``max_decode_chunk`` this is
+    # not an approximation; it is on by default and only disabled for
+    # A/B-testing the equivalence.
     decode_fast_forward: bool = True
     # Fraction of the hardware-derived KV block budget this engine gets
     # (1.0 = the full budget; see KVCacheConfig.from_hardware).
@@ -113,8 +115,36 @@ class EngineStepRecord:
     energy_joules: float
 
 
+@dataclass(slots=True)
+class _DecodeRun:
+    """A fast-forwarded decode run in flight.
+
+    ``ends[i]`` is the absolute end time of virtual step ``i``; steps
+    ``[0, applied)`` have been replayed.  ``alloc_plan`` is the planner's
+    replay index -> positions (into ``decodes``) of the sequences whose
+    block table grows at that step boundary.
+    """
+
+    decodes: List[LLMRequest]
+    start: float
+    durations: List[float]
+    ends: List[float]
+    alloc_plan: Dict[int, List[int]]
+    applied: int = 0
+
+
 class LLMEngine:
-    """Discrete-event vLLM-style engine bound to a simulation environment."""
+    """Discrete-event vLLM-style engine bound to a simulation environment.
+
+    A fast-forwarded decode run applies its virtual steps lazily, so while
+    one is in flight the engine's state lags ``env.now``.  Reads that can
+    happen mid-run go through :meth:`request_queues`,
+    :meth:`kv_utilization` and :meth:`energy_snapshot`, which first replay
+    the steps that have ended.  :attr:`num_pending_requests` and
+    :attr:`completed_requests` are exact at any instant without that:
+    admission, preemption and completions happen only at the engine's own
+    wake-ups.
+    """
 
     def __init__(self, env: Environment, config: EngineConfig):
         self.env = env
@@ -170,11 +200,29 @@ class LLMEngine:
 
         self._wakeup: Optional[Event] = None
         self._idle_since: Optional[float] = None
+        self._decode_run: Optional[_DecodeRun] = None
         self._process = env.process(self._run())
 
     # -- public API ---------------------------------------------------------
     def submit(self, request: LLMRequest) -> Event:
-        """Queue a request; returns the event that fires with its LLMResult."""
+        """Queue a request; returns the event that fires with its LLMResult.
+
+        A decode run in flight is cut after the virtual step in progress
+        (the one whose ``[start, end)`` holds ``now``): like the per-token
+        path, the engine sees the arrival at the next step boundary.  An
+        arrival exactly at a boundary counts toward the later step, as in
+        the per-token path when the arrival's event was scheduled after the
+        earlier step began; one scheduled before that, landing on the
+        boundary to the last bit, would have been seen a step sooner.
+        """
+        run = self._decode_run
+        if run is not None:
+            self._catch_up()
+            kept = bisect_right(run.ends, self.env.now) + 1
+            if kept < len(run.ends):
+                del run.durations[kept:]
+                del run.ends[kept:]
+                self._process.retarget(self.env.timeout_at(run.ends[-1]))
         request.timings.arrival = self.env.now
         completion = self.env.event()
         request.completion_event = completion
@@ -185,6 +233,24 @@ class LLMEngine:
     @property
     def num_pending_requests(self) -> int:
         return self.scheduler.num_waiting + self.scheduler.num_running
+
+    def request_queues(self) -> Tuple[Sequence[LLMRequest], Sequence[LLMRequest]]:
+        """The waiting and running requests, decode progress current as of now."""
+        self._catch_up()
+        return self.scheduler.waiting, self.scheduler.running
+
+    def kv_utilization(self) -> float:
+        """Fraction of this engine's KV blocks in use now (0 without blocks)."""
+        self._catch_up()
+        total = self.kv_cache.allocator.num_blocks
+        if total <= 0:
+            return 0.0
+        return self.kv_cache.active_blocks() / total
+
+    def energy_snapshot(self) -> EnergySnapshot:
+        """Energy booked so far, including every decode step that has ended."""
+        self._catch_up()
+        return self.energy.snapshot()
 
     # -- engine loop ----------------------------------------------------------
     def _wake(self) -> None:
@@ -471,21 +537,25 @@ class LLMEngine:
     def _execute_decode_exact(self, step: ScheduledStep, preempted: bool):
         """Decode with exact fast-forwarding.
 
-        Advances the decode batch as many token steps as can be proven
-        unobservable -- strictly before the next pending event
-        (:meth:`Environment.peek`), within the active run horizon, before the
-        earliest request completion, within the KV free-block budget, and only
-        when this step's scheduling did not preempt -- in a single simulated
-        event, then replays the per-token bookkeeping (energy accounting,
-        per-request decode time and output tokens, KV block growth, step
-        records) with the exact float sequencing of the per-token path.  The
-        result is bit-for-bit identical to running one token per event.
+        Advances the decode batch through a run of virtual token steps in a
+        single simulated event.  The run ends only at this engine's own
+        boundaries -- its earliest request completion, its KV free-block
+        budget, the active run horizon (:meth:`_plan_decode_chunk`) -- and
+        only forms when this step's scheduling did not preempt.  Events
+        elsewhere in the simulation fire while the run is in flight: reads
+        that can observe this engine first replay the virtual steps that have
+        already ended (:meth:`_catch_up`), and :meth:`submit` cuts the run
+        after the step in progress.  The replay (:meth:`_replay_decode`)
+        reproduces the per-token bookkeeping with the exact float sequencing
+        of the per-token path, so the result is bit-for-bit identical to
+        running one token per event.
         """
         start = self.env.now
         decodes = step.decodes
         context_lengths = [request.context_length for request in decodes]
         first_duration = self.perf.decode_step_time(context_lengths)
         durations = [first_duration]
+        ends = [start + first_duration]
         alloc_plan: Dict[int, List[int]] = {}
         if (
             self.config.decode_fast_forward
@@ -500,43 +570,54 @@ class LLMEngine:
         ):
             k_limit = min(request.remaining_output_tokens for request in decodes)
             if k_limit > 1:
-                durations, alloc_plan = self._plan_decode_chunk(
+                durations, ends, alloc_plan = self._plan_decode_chunk(
                     start, first_duration, context_lengths, decodes, k_limit
                 )
-        wake = start
-        for duration in durations:
-            wake = wake + duration
-        yield self.env.timeout_at(wake)
+        run = _DecodeRun(decodes, start, durations, ends, alloc_plan)
+        self._decode_run = run
+        yield self.env.timeout_at(ends[-1])
+        self._decode_run = None
+        self._replay_decode(run, len(run.durations))
 
-        # Replay the per-token effects in the order the per-token loop
-        # produces them: for each virtual step i at [s_i, e_i] -- energy,
-        # per-request decode time + output token, completions (last step
-        # only; earlier steps cannot complete by construction), the step
-        # record (sampling KV state before the next step's reservations),
-        # then the KV appends for step i+1.  Only requests the plan proved
-        # need a block at this boundary hit the allocator: the per-token
-        # path's other append_token calls are no-ops with no side effects.
-        k = len(durations)
+    def _replay_decode(self, run: _DecodeRun, stop: int) -> None:
+        """Apply virtual steps ``[run.applied, stop)`` of a decode run.
+
+        Replays the per-token effects in the order the per-token loop
+        produces them: for each virtual step i at [s_i, e_i] -- energy,
+        per-request decode time + output token, completions (the run's last
+        step only; earlier steps cannot complete by construction), the step
+        record (sampling KV state before the next step's reservations), then
+        the KV appends for step i+1.  Only requests the plan proved need a
+        block at this boundary hit the allocator: the per-token path's other
+        append_token calls are no-ops with no side effects.
+        """
+        first = run.applied
+        run.applied = stop
+        decodes = run.decodes
+        durations = run.durations[first:stop]
+        count = stop - first
+        last = len(run.durations) - 1
         batch = len(decodes)
         tokens_per_request = [
             self.tokenizer.synthetic_tokens(
                 f"output:{request.request_id}",
-                request.num_output_tokens + k,
+                request.num_output_tokens + count,
                 start=request.num_output_tokens,
             )
             for request in decodes
         ]
-        last = k - 1
         joules_series = self.energy.record_series(PowerState.DECODE, durations)
         append_kv = self.kv_cache.append_token
+        alloc_plan = run.alloc_plan
         timings = [request.timings for request in decodes]
         outputs = [request.output_token_ids for request in decodes]
-        # Inlined _record_step: the chunk runs with no other process observing
-        # engine state, so the batch size, waiting count, and (between planned
-        # block allocations, each of which adds exactly one active block) the
-        # KV occupancy are known without re-deriving them per virtual step.
-        # The last step re-samples both after completions run, exactly where
-        # the per-token path samples them.
+        # Inlined _record_step: inside a run nothing but the run itself
+        # changes this engine's state (an arrival cuts the run, so only the
+        # last step can see it), so the batch size, waiting count, and
+        # (between planned block allocations, each of which adds exactly one
+        # active block) the KV occupancy are known without re-deriving them
+        # per virtual step.  The last step re-samples both after completions
+        # run, exactly where the per-token path samples them.
         allocator = self.kv_cache.allocator
         bytes_per_block = allocator.config.bytes_per_block
         kv_blocks = allocator.num_active_blocks
@@ -548,14 +629,15 @@ class LLMEngine:
         kv_time = self._full_kv_time
         kv_weighted = self._full_kv_weighted
         kv_max = self._full_kv_max
-        self.total_generated_tokens += batch * k
-        step_start = start
-        for index, duration in enumerate(durations):
+        self.total_generated_tokens += batch * count
+        step_start = run.ends[first - 1] if first else run.start
+        for offset, duration in enumerate(durations):
+            index = first + offset
             step_end = step_start + duration
-            joules = joules_series[index]
+            joules = joules_series[offset]
             for pos, tokens in enumerate(tokens_per_request):
                 timings[pos].decode_time += duration
-                outputs[pos].append(tokens[index])
+                outputs[pos].append(tokens[offset])
             if index == last:
                 self._finish_completed(decodes)
                 kv_blocks = allocator.num_active_blocks
@@ -597,6 +679,21 @@ class LLMEngine:
         self._full_kv_weighted = kv_weighted
         self._full_kv_max = kv_max
 
+    def _catch_up(self) -> None:
+        """Replay the in-flight run's virtual steps that have ended by now.
+
+        A step ending exactly at ``now`` has ended (steps are half-open
+        ``[start, end)``): in the per-token path its end event is processed
+        before any event scheduled after the step began.  The run's last
+        step is left to the engine's own wake-up: it carries the run's
+        completions.
+        """
+        run = self._decode_run
+        if run is not None:
+            ended = bisect_right(run.ends, self.env.now, 0, len(run.ends) - 1)
+            if ended > run.applied:
+                self._replay_decode(run, ended)
+
     def _plan_decode_chunk(
         self,
         start: float,
@@ -604,22 +701,23 @@ class LLMEngine:
         context_lengths: List[int],
         decodes: List[LLMRequest],
         k_limit: int,
-    ) -> Tuple[List[float], Dict[int, List[int]]]:
-        """Durations of the longest provably-unobservable run of decode steps.
+    ) -> Tuple[List[float], List[float], Dict[int, List[int]]]:
+        """Durations of the longest run of decode steps this engine can own.
 
-        Extends the chunk one virtual step at a time while (a) every wake
-        time stays strictly before the next pending external event, so no
-        other process can observe engine state mid-chunk, (b) the final wake
-        stays within the active numeric run horizon, so a paused run never
-        leaves the chunk half-applied, and (c) the KV block allocations the
-        per-token path would perform at each intermediate boundary all fit in
-        the free pool, so no step would have preempted.
+        Extends the run one virtual step at a time, up to ``k_limit`` (the
+        earliest completion), while (a) the final wake stays within the
+        active numeric run horizon, so a paused run never leaves the run
+        half-applied, and (b) the KV block allocations the per-token path
+        would perform at each intermediate boundary all fit in the free
+        pool, so no step would have preempted.  Events elsewhere in the
+        simulation do not bound the run: an arrival at this engine cuts it
+        (:meth:`submit`), and reads of its state catch it up first.
 
-        Returns the durations plus the allocation plan: replay loop index ->
-        positions (into ``decodes``, ascending) of the sequences whose block
-        table must grow at that step boundary.
+        Returns the durations, each step's absolute end time, and the
+        allocation plan: replay loop index -> positions (into ``decodes``,
+        ascending) of the sequences whose block table must grow at that step
+        boundary.
         """
-        peek = self.env.peek()
         horizon = self.env.run_horizon
         block_size = self.kv_cache.block_size
         free_budget = self.kv_cache.num_free_blocks()
@@ -643,12 +741,13 @@ class LLMEngine:
         durations = [first_duration]
         lengths = list(context_lengths)
         end = start + first_duration
+        ends = [end]
         single = len(lengths) == 1
         if single:
             # Inline the scalar decode roofline (PerformanceModel
             # .decode_step_time's batch-of-one branch, same expressions in the
             # same order) so the per-virtual-step planning cost is arithmetic
-            # only.  The planner runs once per simulated token.
+            # only: the planner prices every simulated token.
             perf = self.perf
             kv_per_token = perf._kv_bytes_per_token
             weight_bytes = perf._weight_bytes
@@ -671,7 +770,7 @@ class LLMEngine:
                     lengths[pos] += 1
                 next_duration = decode_step_time(lengths)
             next_end = end + next_duration
-            if next_end >= peek or next_end > horizon:
+            if next_end > horizon:
                 break
             growers: List[int] = []
             while due and due[0][0] == index:
@@ -689,8 +788,9 @@ class LLMEngine:
                 # ``index - 2`` (its appends prepare the following step).
                 alloc_plan[index - 2] = growers
             durations.append(next_duration)
+            ends.append(next_end)
             end = next_end
-        return durations, alloc_plan
+        return durations, ends, alloc_plan
 
     # -- helpers -------------------------------------------------------------
     def _append_output_token(self, request: LLMRequest) -> None:

@@ -73,9 +73,14 @@ class SchedulingPolicy:
     #: policies are time-invariant; the engine's decode fast-forward relies on
     #: this to know that a prefill attempt that failed for lack of KV blocks
     #: would keep failing (and keep selecting the same candidate) at every
-    #: intermediate token boundary of a fast-forwarded chunk.  Custom policies
-    #: whose selection genuinely depends on wall-clock time must set this to
-    #: ``False`` to force per-token scheduling under contention.
+    #: intermediate token boundary of a fast-forwarded run.  A run is bounded
+    #: per engine: only its own completions, KV budget and arrivals end it,
+    #: so it may span many events elsewhere in the simulation.  Neither the
+    #: queue nor the policy's counters change inside it (an arrival cuts the
+    #: run; admission and completion hooks fire only at the engine's own
+    #: wake-ups).  Custom policies whose selection genuinely depends on
+    #: wall-clock time must set this to ``False`` to force per-token
+    #: scheduling under contention.
     time_invariant_select = True
 
     def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:

@@ -164,10 +164,7 @@ class ClusterLoadProbe:
         """
         utilization = 0.0
         for engine in self.cluster.engines:
-            total = engine.kv_cache.allocator.num_blocks
-            if total <= 0:
-                continue
-            utilization = max(utilization, engine.kv_cache.active_blocks() / total)
+            utilization = max(utilization, engine.kv_utilization())
         return utilization
 
     def pending_per_active_replica(self) -> float:

@@ -51,6 +51,16 @@ class RouterPolicy:
     name = "base"
 
     def select(self, request: LLMRequest, replicas: Sequence[LLMEngine]) -> int:
+        """Index into ``replicas`` of the replica that takes ``request``.
+
+        Routing runs while other replicas are in the middle of fast-forwarded
+        decode runs, whose virtual steps are applied lazily.
+        ``num_pending_requests`` is exact at any instant: a run changes it
+        only at its last step, at the engine's own wake-up.  A router that
+        reads any other engine state must go through the engine methods that
+        first catch the run up (``request_queues()``, ``kv_utilization()``,
+        ``energy_snapshot()``).
+        """
         raise NotImplementedError
 
 
@@ -404,10 +414,10 @@ class ReplicaPool:
         """
         total = 0.0
         for engine in self.replicas:
-            scheduler = engine.scheduler
-            for request in scheduler.waiting:
+            waiting, running = engine.request_queues()
+            for request in waiting:
                 total += predictor.predict(request)
-            for request in scheduler.running:
+            for request in running:
                 total += max(
                     0.0, predictor.predict(request) - request.num_output_tokens
                 )
@@ -682,7 +692,7 @@ class Cluster:
     # -- aggregated reporting -------------------------------------------------
     def energy_snapshot(self) -> ClusterEnergySnapshot:
         return ClusterEnergySnapshot(
-            {id(engine): engine.energy.snapshot() for engine in self.engines}
+            {id(engine): engine.energy_snapshot() for engine in self.engines}
         )
 
     def energy_since(self, snapshot: ClusterEnergySnapshot) -> ClusterEnergyWindow:

@@ -195,6 +195,24 @@ class Process(Event):
                 pass
             self._target = None
 
+    def retarget(self, event: Event) -> None:
+        """Make the waiting process resume on ``event`` instead of its target.
+
+        The process is detached from the event it is waiting on, as
+        :meth:`interrupt` does, and waits on ``event`` instead; the old
+        target still fires, but no longer resumes this process.  Lets the
+        owner of a sleeping process move its wake-up (the engine shortens
+        an in-flight decode run this way when a request arrives).
+        """
+        target = self._target
+        if target is None or target.processed:
+            raise SimulationError("retarget() needs a process waiting on an event")
+        if event.processed:
+            raise SimulationError("cannot retarget onto an already processed event")
+        target.callbacks.remove(self._resume)
+        event.callbacks.append(self._resume)
+        self._target = event
+
     # -- driving ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self.env._active_process = self
@@ -313,9 +331,12 @@ class Environment:
     def run_horizon(self) -> float:
         """The numeric ``until`` of the active :meth:`run` call (``inf`` otherwise).
 
-        Lets cooperating components (e.g. the decode fast-forward planner)
-        avoid scheduling internal state changes past the point where the
-        caller will observe the simulation.
+        Lets cooperating components avoid scheduling internal state changes
+        past the point where the caller will observe the simulation.  The
+        engine's decode fast-forward bounds each run by it, next to the
+        engine's own completions, KV budget and arrivals, so every run
+        started inside ``run(until=t)`` has been applied when the call
+        returns.
         """
         return self._horizon
 

@@ -6,14 +6,38 @@ run identical scenarios with the flag on and off and require *byte-identical*
 outcomes -- every step record, every per-request timing float, every energy
 and KV statistic -- under idle decode, mid-decode arrivals, and KV-pressure
 preemption.
+
+In a fleet a run spans other engines' events, so the fleet scenarios also
+cover every read that can observe an engine mid-run: the predicted backlog
+(``cost-aware`` classification, ``slo-shed``, the predictive autoscaler),
+KV utilisation (``oit-throttle``) and the energy snapshot at the warm-up
+boundary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from unittest import mock
 
 import pytest
 
+from repro.agents import AgentConfig
+from repro.api import (
+    AdmissionSpec,
+    ArrivalSpec,
+    AutoscalerSpec,
+    ExperimentSpec,
+    MeasurementSpec,
+    PoolSpec,
+    ServingDriver,
+    SessionSpec,
+    SystemBuilder,
+    TenantSpec,
+    WeightedWorkload,
+    run_experiment,
+)
+from repro.api.runners import _build_plan
 from repro.llm import EngineConfig, LLMClient, LLMEngine
 from repro.llm.prefix_cache import PrefixCache
 from repro.llm.request import reset_request_ids
@@ -113,6 +137,52 @@ class TestFastForwardEquivalence:
 
         assert_bit_identical(EngineConfig(), script)
 
+    def test_arrival_exactly_at_a_step_boundary(self):
+        def early(env, engine, client):
+            def proc():
+                yield client.generate(user_prompt(engine, "early", 150), output_tokens=300)
+
+            env.process(proc())
+
+        _, ref = run_scenario(EngineConfig(), early, fast_forward=False)
+        step = [record for record in ref.step_records if record.kind == "decode"][40]
+        boundary = step.start + step.duration
+
+        def script(env, engine, client):
+            def late():
+                # Scheduled while the step runs, the arrival lands after the
+                # per-token path has already started the next step.
+                yield env.timeout_at(step.start + step.duration / 2)
+                yield env.timeout_at(boundary)
+                yield client.generate(user_prompt(engine, "late", 90), output_tokens=40)
+
+            early(env, engine, client)
+            env.process(late())
+
+        assert_bit_identical(EngineConfig(), script)
+
+    def test_run_until_lands_every_ended_step(self):
+        """``env.run(until=t)`` returns with every step ending by ``t`` applied."""
+        observed = {}
+        for fast_forward in (True, False):
+            reset_request_ids()
+            env = Environment()
+            engine = LLMEngine(env, EngineConfig(decode_fast_forward=fast_forward))
+            client = LLMClient(env, engine)
+
+            def proc():
+                yield client.generate(user_prompt(engine, "paused", 150), output_tokens=300)
+
+            env.process(proc())
+            env.run(until=2.0)
+            (request,) = engine.scheduler.running
+            observed[fast_forward] = (
+                request.num_output_tokens,
+                engine.step_records,
+                engine.energy.joules_by_state,
+            )
+        assert observed[True] == observed[False]
+
     def test_kv_pressure_preemption(self):
         config = tiny_kv_engine_config(num_blocks=40)
 
@@ -186,3 +256,288 @@ class TestChunkedDecodeKVClamp:
         assert all(process.value.output_tokens == 180 for process in processes)
         assert reservations, "chunked path never engaged"
         assert all(reservations), "a chunk reservation exceeded KV headroom"
+
+
+# ---------------------------------------------------------------------------
+# Fleets: a run spans other engines' events
+# ---------------------------------------------------------------------------
+
+
+def run_captured(spec: ExperimentSpec):
+    """``run_experiment(spec)`` plus the :class:`System` it assembled."""
+    built = []
+    original = SystemBuilder.build
+
+    def build(self):
+        system = original(self)
+        built.append(system)
+        return system
+
+    with mock.patch.object(SystemBuilder, "build", build):
+        result = run_experiment(spec)
+    return result, built[0]
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, default=repr)
+
+
+def assert_fleet_bit_identical(spec: ExperimentSpec) -> None:
+    """Fast-forward on and off give byte-identical results, fewer events on."""
+    fast, fast_system = run_captured(spec)
+    ref, ref_system = run_captured(spec.with_overrides(decode_fast_forward=False))
+
+    assert canonical(fast.summary()) == canonical(ref.summary())
+    assert canonical(fast.per_class_summary()) == canonical(ref.per_class_summary())
+    assert canonical(fast.per_pool_summary()) == canonical(ref.per_pool_summary())
+    assert canonical(fast.per_class_admission()) == canonical(ref.per_class_admission())
+    assert canonical(fast.latencies) == canonical(ref.latencies)
+    fast_engines = list(fast_system.cluster.engines)
+    ref_engines = list(ref_system.cluster.engines)
+    assert len(fast_engines) == len(ref_engines)
+    for a, b in zip(fast_engines, ref_engines):
+        assert a.step_records == b.step_records
+        assert a.energy.joules_by_state == b.energy.joules_by_state
+        assert a.energy.seconds_by_state == b.energy.seconds_by_state
+    assert fast_system.env.events_processed < ref_system.env.events_processed
+
+
+CHAT_AND_AGENT = (
+    WeightedWorkload(agent="chatbot", workload="sharegpt", weight=0.6, name="chat"),
+    WeightedWorkload(agent="react", workload="hotpotqa", weight=0.4, name="agent"),
+)
+
+
+class TestFleetEquivalence:
+    """Fleet scenarios, fast-forward on against off.
+
+    Each engine read that catches a run up has a scenario that fails
+    without the catch-up: ``request_queues()`` (the predicted backlog)
+    in ``test_cost_aware_classification``, ``kv_utilization()`` in
+    ``test_oit_throttle``, ``energy_snapshot()`` in ``test_warmup_window``,
+    and the one in ``submit()`` in seven of the eight.
+    """
+
+    def test_least_loaded_eight_replicas(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                replicas=8,
+                router="least-loaded",
+                arrival=ArrivalSpec(
+                    process="poisson", qps=16.0, num_requests=48, task_pool_size=48
+                ),
+                seed=3,
+            )
+        )
+
+    def test_session_affinity_and_prefix_affinity_pools(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                pools=(
+                    PoolSpec(
+                        name="chat",
+                        replicas=2,
+                        router="session-affinity",
+                        traffic_classes=("chat",),
+                    ),
+                    PoolSpec(
+                        name="agent",
+                        replicas=2,
+                        router="prefix-affinity",
+                        traffic_classes=("agent",),
+                    ),
+                ),
+                workloads=(
+                    WeightedWorkload(
+                        agent="chatbot",
+                        workload="sharegpt",
+                        weight=0.6,
+                        name="chat",
+                        sessions=SessionSpec(turns=3, think_time_s=1.0),
+                    ),
+                    CHAT_AND_AGENT[1],
+                ),
+                agent_config=AgentConfig(max_iterations=3),
+                arrival=ArrivalSpec(
+                    process="poisson", qps=4.0, num_requests=16, task_pool_size=16
+                ),
+                seed=5,
+            )
+        )
+
+    def test_slo_shed_with_predictive_autoscaler(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                pools=(
+                    PoolSpec(name="chat", replicas=2, traffic_classes=("chat",)),
+                    PoolSpec(
+                        name="agent",
+                        replicas=1,
+                        router="least-loaded",
+                        traffic_classes=("agent",),
+                        hardware="L4",
+                    ),
+                ),
+                workloads=CHAT_AND_AGENT,
+                agent_config=AgentConfig(max_iterations=4),
+                arrival=ArrivalSpec(
+                    process="poisson", qps=6.0, num_requests=40, task_pool_size=40
+                ),
+                admission=AdmissionSpec(
+                    per_class=(
+                        (
+                            "agent",
+                            AdmissionSpec(
+                                policy="slo-shed", slo_p95_s=4.0, protect_class="chat"
+                            ),
+                        ),
+                    )
+                ),
+                autoscaler=AutoscalerSpec(
+                    pool="agent",
+                    min_replicas=1,
+                    max_replicas=3,
+                    check_interval_s=1.0,
+                    warmup_s=2.0,
+                    mode="predictive",
+                    forecaster="holt",
+                ),
+                seed=2,
+            )
+        )
+
+    def test_oit_throttle(self):
+        # Tiny KV caches keep the fleet's peak utilisation around the
+        # throttle's threshold, so its reads decide who gets shed.
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                replicas=3,
+                router="least-loaded",
+                kv_cache_fraction=0.02,
+                arrival=ArrivalSpec(
+                    process="poisson",
+                    qps=8.0,
+                    num_requests=40,
+                    task_pool_size=40,
+                    tenants=TenantSpec(num_users=1000, skew=1.2, num_apps=2),
+                ),
+                admission=AdmissionSpec(
+                    policy="oit-throttle",
+                    user_rpm=None,
+                    app_rpm=8.0,
+                    kv_threshold=0.6,
+                    queue_threshold=100.0,
+                ),
+                seed=4,
+            )
+        )
+
+    def test_warmup_window(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                replicas=4,
+                router="least-loaded",
+                arrival=ArrivalSpec(
+                    process="poisson", qps=8.0, num_requests=24, task_pool_size=24
+                ),
+                measurement=MeasurementSpec(warmup_requests=6),
+                seed=6,
+            )
+        )
+
+    def test_cost_aware_classification(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                pools=(
+                    PoolSpec(name="fast", replicas=2, hardware="H100-80GB"),
+                    PoolSpec(name="cheap", replicas=2, hardware="L4"),
+                ),
+                workloads=CHAT_AND_AGENT,
+                agent_config=AgentConfig(max_iterations=3),
+                arrival=ArrivalSpec(
+                    process="poisson", qps=8.0, num_requests=32, task_pool_size=32
+                ),
+                pool_classification="cost-aware",
+                measurement=MeasurementSpec(class_slos=(("chat", 3.0), ("agent", 6.0))),
+                seed=7,
+            )
+        )
+
+    def test_chunked_prefill_four_replicas(self):
+        assert_fleet_bit_identical(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                replicas=4,
+                router="least-loaded",
+                prefill_chunk_tokens=64,
+                arrival=ArrivalSpec(
+                    process="poisson", qps=10.0, num_requests=32, task_pool_size=32
+                ),
+                seed=8,
+            )
+        )
+
+    def test_tiny_kv_preemption_across_replicas(self):
+        spec = ExperimentSpec(
+            agent="chatbot",
+            workload="sharegpt",
+            replicas=3,
+            router="round-robin",
+            kv_cache_fraction=0.004,
+            arrival=ArrivalSpec(
+                process="poisson", qps=12.0, num_requests=30, task_pool_size=30
+            ),
+            seed=9,
+        )
+        _, system = run_captured(spec)
+        assert system.cluster.preemption_count > 0, "scenario must actually preempt"
+        assert_fleet_bit_identical(spec)
+
+
+class TestPinnedCounters:
+    """Exact work counters of one tiny fleet.
+
+    Both counters are pure functions of the spec, so a change that makes
+    decode runs stop at other engines' events again (over 2,500 events
+    with fast-forward on) fails here exactly, not by timing noise.
+    """
+
+    SPEC = ExperimentSpec(
+        agent="chatbot",
+        workload="sharegpt",
+        replicas=4,
+        router="least-loaded",
+        arrival=ArrivalSpec(
+            process="poisson", qps=8.0, num_requests=16, task_pool_size=16
+        ),
+        seed=11,
+    )
+    ENGINE_STEPS = 2693
+
+    def counters(self, fast_forward: bool):
+        """(events processed, non-idle engine steps) of one served run."""
+        reset_request_ids()
+        system = SystemBuilder(
+            self.SPEC.with_overrides(decode_fast_forward=fast_forward)
+        ).build()
+        ServingDriver(system).serve(_build_plan(system))
+        steps = sum(
+            1
+            for engine in system.cluster.engines
+            for record in engine.step_records
+            if record.kind != "idle"
+        )
+        return system.env.events_processed, steps
+
+    def test_fast_forward_on(self):
+        assert self.counters(True) == (156, self.ENGINE_STEPS)
+
+    def test_fast_forward_off(self):
+        assert self.counters(False) == (2798, self.ENGINE_STEPS)

@@ -225,6 +225,49 @@ class TestProcesses:
         process.interrupt()  # should not raise
         assert process.value == 1
 
+    def test_retarget_moves_the_wakeup(self, env):
+        wakes = []
+
+        def sleeper():
+            value = yield env.timeout(10.0, value="late")
+            wakes.append((env.now, value))
+
+        def mover(target):
+            yield env.timeout(2.0)
+            target.retarget(env.timeout_at(3.5, value="early"))
+
+        target = env.process(sleeper())
+        env.process(mover(target))
+        env.run(until=5.0)
+        assert wakes == [(3.5, "early")]
+        assert not target.is_alive
+        # The abandoned timeout still fires, but resumes nobody.
+        env.run()
+        assert env.now == 10.0
+        assert wakes == [(3.5, "early")]
+
+    def test_retarget_needs_a_waiting_process(self, env):
+        def quick():
+            yield env.timeout(0.5)
+
+        process = env.process(quick())
+        with pytest.raises(SimulationError):
+            process.retarget(env.timeout(1.0))  # not started yet
+        env.run()
+        with pytest.raises(SimulationError):
+            process.retarget(env.timeout(1.0))  # finished
+
+    def test_retarget_onto_processed_event_raises(self, env):
+        fired = env.timeout(0.0)
+
+        def sleeper():
+            yield env.timeout(5.0)
+
+        process = env.process(sleeper())
+        env.run(until=1.0)
+        with pytest.raises(SimulationError):
+            process.retarget(fired)
+
     def test_two_processes_interleave_in_time_order(self, env):
         order = []
 
