@@ -74,9 +74,7 @@ def test_table4_exact_study_wall_clock(run_once, monkeypatch):
     counter = count_events(monkeypatch)
 
     def build():
-        t3 = table3(
-            models=("8b", "70b"), num_tasks=tasks, seed=0, max_decode_chunk=1
-        )
+        t3 = table3(models=("8b", "70b"), num_tasks=tasks, seed=0)
         return t3, table4(table3_result=t3)
 
     started = time.perf_counter()
@@ -87,7 +85,7 @@ def test_table4_exact_study_wall_clock(run_once, monkeypatch):
     force_fast_forward(monkeypatch, False)
     counter["events"] = 0
     started = time.perf_counter()
-    ref_t3 = table3(models=("8b", "70b"), num_tasks=tasks, seed=0, max_decode_chunk=1)
+    ref_t3 = table3(models=("8b", "70b"), num_tasks=tasks, seed=0)
     ref_t4 = table4(table3_result=ref_t3)
     ref_elapsed = time.perf_counter() - started
     ref_events = counter["events"]

@@ -21,9 +21,10 @@ minimize_quality=False)`` -- which scheduler buys fairness, and what does
 it pay in chat SLO attainment?
 
 Expected read: under heavy skew fcfs lets the whale monopolise the
-contended window (served-token max/min ratio several times vtc's), while
-vtc holds the ratio down at equal or better chat attainment -- fairness
-scheduling is close to free.
+contended window (at some loads it starves a contending tenant outright,
+an infinite served-token max/min ratio), while vtc holds the ratio finite
+at equal or better chat attainment -- fairness scheduling is close to
+free.
 
 Run with::
 
@@ -32,7 +33,28 @@ Run with::
 
 from __future__ import annotations
 
+import math
+
 from repro.analysis import fairness_study, predictor_error_study
+
+
+def heavy_skew_ratios(study, scheduler: str) -> str:
+    """``scheduler``'s heavy-skew served-token ratio per load, in words.
+
+    A fully starved contending tenant makes the ratio infinite, so loads
+    that starve one are named rather than given a number.
+    """
+    ratios = [
+        (qps, study.served_ratio(scheduler, "heavy", f"{qps:g}"))
+        for qps in study.result.axis_values("qps")
+    ]
+    parts = [
+        f"{ratio:.2f}x at {qps:g} qps" for qps, ratio in ratios if not math.isinf(ratio)
+    ]
+    starved = [f"{qps:g}" for qps, ratio in ratios if math.isinf(ratio)]
+    if starved:
+        parts.insert(0, f"starves a tenant at {' and '.join(starved)} qps")
+    return ", ".join(parts)
 
 
 def main() -> None:
@@ -44,11 +66,10 @@ def main() -> None:
         print(study.format_frontier(skew))
         print()
 
-    fcfs = study.mean_served_ratio("fcfs", "heavy")
-    vtc = study.mean_served_ratio("vtc", "heavy")
     print(
-        f"heavy skew, mean over loads: fcfs serves the whale "
-        f"{fcfs:.1f}x the tail's tokens; vtc holds the ratio to {vtc:.1f}x"
+        f"heavy skew, whale-to-tail served tokens: "
+        f"fcfs {heavy_skew_ratios(study, 'fcfs')}; "
+        f"vtc {heavy_skew_ratios(study, 'vtc')}"
     )
     frontier = study.frontier_schedulers("heavy")
     print(f"heavy-skew frontier (fairest first): {' -> '.join(frontier)}")

@@ -72,7 +72,6 @@ def main() -> None:
         ),
         arrival=ArrivalSpec(process="poisson", qps=2.5, num_requests=30, task_pool_size=12),
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
         # Route and schedule on noisy decode-length predictions (20 % error)
         # instead of assuming a perfect oracle.
         predictor_error=0.2,

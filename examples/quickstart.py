@@ -107,7 +107,6 @@ def main() -> None:
         replicas=2,
         router="least-loaded",
         scheduler="fcfs",
-        max_decode_chunk=8,
         arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=16, task_pool_size=8),
     )
     serving = run_experiment(serving_spec)

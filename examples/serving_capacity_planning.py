@@ -46,7 +46,6 @@ def main() -> None:
                     enable_prefix_caching=caching,
                     agent_config=AgentConfig(max_iterations=7),
                     arrival=ArrivalSpec(process="single", num_requests=args.requests),
-                    max_decode_chunk=8,
                 )
                 study = run_study(
                     StudySpec(base=spec, axes=(StudyAxis(name="qps", values=qps_values),))

@@ -32,7 +32,6 @@ def main() -> None:
             agent_config=config,
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
-            max_decode_chunk=4,
         )
         return run_experiment(spec).characterization
 

@@ -185,7 +185,6 @@ def admission_study(
         measurement=MeasurementSpec(
             class_slos=(("chat", chat_slo_s),), warmup_requests=warmup_requests
         ),
-        max_decode_chunk=8,
         seed=seed,
     )
     outcomes: Dict[str, ResultSet] = {}

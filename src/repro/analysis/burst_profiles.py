@@ -190,7 +190,6 @@ def burst_profile_study(
             forecaster_alpha=0.6,
             forecaster_beta=0.4,
         ),
-        max_decode_chunk=8,
         seed=seed,
     )
     study = StudySpec(

@@ -177,11 +177,7 @@ def engine_fidelity_study(
     (``max_num_seqs`` caps the batch so long agent prefills and short chat
     decodes genuinely share each engine step), served on one replica at one
     seed, so every grid point pays the same replica-seconds and movement is
-    attributable to the engine knob.  The base spec deliberately leaves
-    ``max_decode_chunk`` at 1: the legacy approximate decode chunking is
-    incompatible with both fidelity features (see
-    :class:`~repro.llm.engine.EngineConfig`), and exact decode
-    fast-forwarding already covers the uncontended stretches.
+    attributable to the engine knob.
 
     ``chunk_values`` should include ``None`` (atomic prefill) as the
     baseline arm; ``speculative`` defaults to a

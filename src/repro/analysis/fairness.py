@@ -232,7 +232,6 @@ def predictor_error_study(
             num_requests=num_requests,
             task_pool_size=task_pool_size,
         ),
-        max_decode_chunk=4,
         max_num_seqs=max_num_seqs,
         seed=seed,
     )
@@ -300,7 +299,6 @@ def fairness_study(
             tenants=TenantSpec(num_users=num_users, skew=skews[0][1], num_apps=40),
         ),
         measurement=MeasurementSpec(class_slos=(("chat", chat_slo_s),)),
-        max_decode_chunk=4,
         max_num_seqs=max_num_seqs,
         seed=seed,
     )

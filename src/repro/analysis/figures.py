@@ -497,7 +497,6 @@ def figure11(
                 agent_config=default_config(benchmark) if benchmark != "sharegpt" else AgentConfig(),
                 arrival=ArrivalSpec(process="single", num_requests=num_requests),
                 seed=seed,
-                max_decode_chunk=4,
             )
             study = StudySpec(
                 base=spec, axes=(StudyAxis(name="qps", values=tuple(qps_grid[label])),)
@@ -556,7 +555,6 @@ def figure12(
                 agent_config=default_config(benchmark),
                 arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
                 seed=seed,
-                max_decode_chunk=4,
             )
             result = run_experiment(spec).serving
             measurements[(benchmark, caching)] = {
@@ -1008,7 +1006,6 @@ def mixed_fleet(
             process="poisson", qps=qps, num_requests=num_requests, task_pool_size=12
         ),
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
         predictor_error=predictor_error,
         seed=seed,
     )

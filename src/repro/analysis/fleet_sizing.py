@@ -155,7 +155,6 @@ def fleet_sizing_study(
             task_pool_size=task_pool_size,
         ),
         measurement=MeasurementSpec(class_slos=(("chat", chat_slo_s),)),
-        max_decode_chunk=8,
         seed=seed,
     )
     study = StudySpec(

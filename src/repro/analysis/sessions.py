@@ -189,7 +189,6 @@ def sessions_study(
                 think_time_s=think_time_s,
             ),
         ),
-        max_decode_chunk=4,
         seed=seed,
     )
     study = StudySpec(

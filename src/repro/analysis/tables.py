@@ -135,7 +135,6 @@ def table3(
     num_tasks: int = 6,
     seed: int = 0,
     agent_configs: Optional[Dict[str, AgentConfig]] = None,
-    max_decode_chunk: int = 4,
 ) -> Table3Result:
     """Reproduce Table III: ShareGPT vs Reflexion vs LATS on HotpotQA."""
     agent_configs = agent_configs or TABLE3_AGENT_CONFIGS
@@ -145,7 +144,6 @@ def table3(
             model=model,
             arrival=ArrivalSpec(process="single", num_requests=num_tasks),
             seed=seed,
-            max_decode_chunk=max_decode_chunk,
         )
         baseline = run_experiment(
             base.with_overrides(

@@ -141,9 +141,6 @@ class SystemBuilder:
         prefix_caching = spec.enable_prefix_caching
         if pool is not None and pool.enable_prefix_caching is not None:
             prefix_caching = pool.enable_prefix_caching
-        max_decode_chunk = spec.max_decode_chunk
-        if pool is not None and pool.max_decode_chunk is not None:
-            max_decode_chunk = pool.max_decode_chunk
         scheduler_kwargs = {}
         if spec.max_num_seqs is not None:
             scheduler_kwargs["max_num_seqs"] = spec.max_num_seqs
@@ -168,7 +165,6 @@ class SystemBuilder:
                 predictor_seed=spec.seed,
                 **scheduler_kwargs,
             ),
-            max_decode_chunk=max_decode_chunk,
             decode_fast_forward=spec.decode_fast_forward,
             kv_cache_fraction=kv_cache_fraction,
             prefill_chunk_tokens=prefill_chunk_tokens,

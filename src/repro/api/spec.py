@@ -375,8 +375,8 @@ class PoolSpec:
     ``traffic_classes`` names the :class:`WeightedWorkload` labels this pool
     prefers; ``max_predicted_decode`` additionally (or instead) claims every
     request whose predicted decode length fits the bound.  ``None`` for
-    ``enable_prefix_caching`` / ``max_decode_chunk`` / ``kv_cache_fraction``
-    inherits the experiment defaults.
+    ``enable_prefix_caching`` / ``kv_cache_fraction`` inherits the
+    experiment defaults.
 
     ``hardware`` gives this pool its own GPU generation and tensor-parallel
     degree (a :class:`~repro.llm.hardware.HardwareSpec`; a bare catalog GPU
@@ -395,7 +395,6 @@ class PoolSpec:
     max_predicted_decode: Optional[int] = None
     accepts_spill: bool = True
     enable_prefix_caching: Optional[bool] = None
-    max_decode_chunk: Optional[int] = None
     kv_cache_fraction: Optional[float] = None
     # Chunked-prefill budget and speculative-decoding model for this pool's
     # engines (None = inherit the experiment defaults; dict forms accepted
@@ -427,8 +426,6 @@ class PoolSpec:
             )
         if self.max_predicted_decode is not None and self.max_predicted_decode < 1:
             raise ValueError(f"pool {self.name!r}: max_predicted_decode must be >= 1")
-        if self.max_decode_chunk is not None and self.max_decode_chunk < 1:
-            raise ValueError(f"pool {self.name!r}: max_decode_chunk must be >= 1")
         if self.kv_cache_fraction is not None and not 0 < self.kv_cache_fraction <= 1:
             raise ValueError(
                 f"pool {self.name!r}: kv_cache_fraction must be in (0, 1] (or None)"
@@ -647,7 +644,6 @@ class ExperimentSpec:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    max_decode_chunk: int = 1
     # Fast-forward each engine's decode runs, one simulated event per run
     # (bit-for-bit identical results; see EngineConfig.decode_fast_forward).
     # Disable to force the reference one-event-per-token path.
@@ -713,8 +709,6 @@ class ExperimentSpec:
                 f"unknown router policy {self.router!r}; "
                 f"known: {available_router_policies()}"
             )
-        if self.max_decode_chunk < 1:
-            raise ValueError("max_decode_chunk must be >= 1")
         if self.measurement.warmup_requests >= self.arrival.num_requests:
             raise ValueError(
                 f"measurement.warmup_requests must be smaller than "
@@ -739,16 +733,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"speculative must be a SpeculativeSpec (or a dict form), "
                 f"got {self.speculative!r}"
-            )
-        if self.max_decode_chunk > 1 and (
-            self.prefill_chunk_tokens is not None or self.speculative is not None
-        ):
-            # Same incoherence EngineConfig.__post_init__ rejects; fail at
-            # spec construction with the experiment-level field names.
-            raise ValueError(
-                "prefill_chunk_tokens / speculative are incompatible with "
-                "max_decode_chunk > 1 (approximate decode chunking); "
-                "use decode_fast_forward for speed instead"
             )
         if isinstance(self.hardware, str):
             object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))

@@ -42,19 +42,13 @@ class EngineConfig:
     block_size: int = 16
     enable_prefix_caching: bool = True
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    # Number of decode tokens the engine may batch into one simulated step
-    # when no request is waiting for admission.  1 = exact token-level
-    # simulation; larger values trade a bounded amount of queueing fidelity
-    # (new arrivals wait for the in-flight chunk) for simulation speed.
-    max_decode_chunk: int = 1
     # Exact decode fast-forwarding: collapse runs of per-token decode steps
     # into one simulated event.  A run is bounded per engine -- by this
     # engine's earliest completion, its KV-allocation budget, the run
     # horizon, and arrivals at this engine -- never by other engines' events;
     # every per-token timing is reconstructed, so results are bit-for-bit
-    # identical to the per-token path.  Unlike ``max_decode_chunk`` this is
-    # not an approximation; it is on by default and only disabled for
-    # A/B-testing the equivalence.
+    # identical to the per-token path.  It is on by default and only
+    # disabled for A/B-testing the equivalence.
     decode_fast_forward: bool = True
     # Fraction of the hardware-derived KV block budget this engine gets
     # (1.0 = the full budget; see KVCacheConfig.from_hardware).
@@ -71,26 +65,8 @@ class EngineConfig:
     speculative: Optional[SpeculativeSpec] = None
 
     def __post_init__(self) -> None:
-        if self.max_decode_chunk < 1:
-            raise ValueError("max_decode_chunk must be >= 1")
         if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1")
-        # ``max_decode_chunk > 1`` (legacy approximate chunking) and
-        # ``decode_fast_forward`` compose with a documented precedence:
-        # approximate chunking wins on uncontended steps (no waiting
-        # requests), exact fast-forwarding covers contended stretches.  The
-        # two *fidelity* features below, however, change what a decode step
-        # means, so combining them with the approximation is incoherent.
-        if self.max_decode_chunk > 1 and self.prefill_chunk_tokens is not None:
-            raise ValueError(
-                "prefill_chunk_tokens is incompatible with max_decode_chunk > 1 "
-                "(approximate decode chunking); use decode_fast_forward for speed"
-            )
-        if self.max_decode_chunk > 1 and self.speculative is not None:
-            raise ValueError(
-                "speculative decoding is incompatible with max_decode_chunk > 1 "
-                "(approximate decode chunking); use decode_fast_forward for speed"
-            )
 
     def resolved_cluster(self) -> ClusterSpec:
         return self.cluster if self.cluster is not None else cluster_for_model(self.model)
@@ -397,16 +373,9 @@ class LLMEngine:
             return
         if self.config.speculative is not None:
             # Speculative decoding changes what a decode step *is* (verify +
-            # draft, multiple tokens per sequence), so it supersedes both
-            # chunking knobs and the fast-forward (enforced/validated in
-            # EngineConfig.__post_init__).
+            # draft, multiple tokens per sequence), so it supersedes the
+            # fast-forward.
             yield from self._execute_decode_speculative(step)
-            return
-        if self.config.max_decode_chunk > 1 and self.scheduler.num_waiting == 0:
-            # Legacy approximate chunking (opt-in knob): one roofline step for
-            # up to ``max_decode_chunk`` tokens, trading queueing fidelity for
-            # speed.  Kept for configs that ask for it explicitly.
-            yield from self._execute_decode_approx(step)
             return
         yield from self._execute_decode_exact(step, preempted)
 
@@ -472,67 +441,6 @@ class LLMEngine:
             generated_tokens=generated,
             energy_joules=joules,
         )
-
-    def _execute_decode_approx(self, step: ScheduledStep):
-        start = self.env.now
-        chunk = self._decode_chunk_size(step)
-        context_lengths = [request.context_length for request in step.decodes]
-        duration = 0.0
-        for offset in range(chunk):
-            duration += self.perf.decode_step_time(
-                [length + offset for length in context_lengths]
-            )
-        if chunk > 1:
-            # Reserve KV space for the extra tokens of the chunk up front.
-            # ``_decode_chunk_size`` clamped the chunk to the free-block
-            # headroom, so this reservation cannot over-commit the cache.
-            for request in step.decodes:
-                self.kv_cache.reserve_tokens(request, chunk, now=self.env.now)
-        yield self.env.timeout(duration)
-        joules = self.energy.record(PowerState.DECODE, duration)
-
-        generated = 0
-        for request in step.decodes:
-            request.timings.decode_time += duration
-            tokens_for_request = min(chunk, request.remaining_output_tokens)
-            for _ in range(max(tokens_for_request, 1)):
-                self._append_output_token(request)
-                generated += 1
-        self.total_generated_tokens += generated
-        self._finish_completed(step.decodes)
-        self._record_step(
-            start=start,
-            duration=duration,
-            kind="decode",
-            batch_size=len(step.decodes),
-            new_tokens=0,
-            cached_tokens=0,
-            generated_tokens=generated,
-            energy_joules=joules,
-        )
-
-    def _decode_chunk_size(self, step: ScheduledStep) -> int:
-        """Tokens to decode in one simulated step (bounded fast-forwarding)."""
-        max_chunk = max(1, self.config.max_decode_chunk)
-        if max_chunk == 1 or self.scheduler.num_waiting > 0:
-            return 1
-        remaining = min(request.remaining_output_tokens for request in step.decodes)
-        chunk = max(1, min(max_chunk, remaining))
-        # Clamp to KV headroom: the chunk grows every sequence's context by
-        # ``chunk`` tokens, so the blocks that growth needs must fit in the
-        # free pool -- otherwise the reservation would steal blocks that the
-        # preemption machinery assumes are still available.
-        block_size = self.kv_cache.block_size
-        free = self.kv_cache.num_free_blocks()
-        while chunk > 1:
-            needed = 0
-            for request in step.decodes:
-                target_blocks = -(-(request.context_length + chunk) // block_size)
-                needed += max(0, target_blocks - len(request.block_ids))
-            if needed <= free:
-                break
-            chunk -= 1
-        return chunk
 
     def _execute_decode_exact(self, step: ScheduledStep, preempted: bool):
         """Decode with exact fast-forwarding.

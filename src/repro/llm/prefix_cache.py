@@ -232,8 +232,8 @@ class PrefixCache:
     def reserve_tokens(self, request: LLMRequest, num_tokens: int, now: float = 0.0) -> bool:
         """Reserve KV space for ``num_tokens`` upcoming tokens in one call.
 
-        Used by the engine's approximate decode chunking, which grows the
-        context by a whole chunk in one simulated step.  Allocates every
+        Used by speculative decoding, which grows the context by every
+        accepted token in one simulated step.  Allocates every
         block the grown context needs (not just one), so block accounting
         stays exact; returns ``False`` without allocating anything when the
         free pool cannot cover the growth.

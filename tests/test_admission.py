@@ -1,8 +1,7 @@
 """Admission-control: golden pins, policy units, spec validation, reporting.
 
 The concurrency golden pin holds the registry's ``concurrency`` policy to
-the literal metrics the historical enforced door gate produced on the same
-run, bit-for-bit.
+literal metrics of one exact-decode run, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ def agent_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
         seed=0,
         arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=10, task_pool_size=8),
     )
@@ -51,50 +49,51 @@ MIXTURE = dict(
     ),
     agent_config=AgentConfig(max_iterations=5),
     arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=16, task_pool_size=8),
-    max_decode_chunk=8,
     seed=0,
 )
 
 
 class TestConcurrencyGoldenPin:
-    """A concurrency cap of 2 reproduces the historical door gate bit-for-bit."""
+    """A concurrency cap of 2 reproduces the pinned door gate bit-for-bit."""
 
+    # Re-pinned at exact decode when the approximate decode chunking this run
+    # used was deleted.
     METRICS = {
-        "mean_latency": 12.829644046221656,
-        "p95_latency": 15.04843118196969,
-        "energy_wh": 3.939336563744215,
-        "throughput_qps": 0.15416632844567035,
-        "duration": 64.86500716999363,
-        "kv_average_bytes": 84637911.32068902,
+        "mean_latency": 12.628310580867481,
+        "p95_latency": 14.927020364071147,
+        "energy_wh": 3.8739230303890655,
+        "throughput_qps": 0.15606578603494042,
+        "duration": 64.07554310309355,
+        "kv_average_bytes": 90625647.68728551,
         "preemptions": 0,
         "prefix_cache_hit_rate": 0.918328360771856,
         "num_queued": 8,
-        "mean_admission_delay": 23.642784611581824,
-        "p95_admission_delay": 47.78539977979733,
+        "mean_admission_delay": 23.257865579985936,
+        "p95_admission_delay": 47.06637672555817,
     }
     LATENCIES = [
-        14.007909532389515,
-        15.020909978486024,
-        5.726043814221553,
-        13.613920161997719,
-        13.910838008061017,
-        8.748285511935087,
-        15.070948530274507,
-        13.930401067330834,
-        13.550633057472957,
-        14.716550800047372,
+        13.776076213721327,
+        14.872020083612046,
+        5.518941797484709,
+        13.282800943128317,
+        13.829246226030097,
+        8.604161303077078,
+        14.972020593537685,
+        13.769127230874062,
+        13.195113053683613,
+        14.463598363525854,
     ]
     ADMISSION_DELAYS = [
         0.0,
         0.0,
-        13.614584130853995,
-        14.054309821489783,
-        19.455317993370677,
-        26.189280544844955,
-        32.85070425406177,
-        34.77961896801581,
-        47.308169419523445,
-        48.175860983657785,
+        13.382750812185808,
+        13.905419926615805,
+        19.099326081759855,
+        25.626328007307364,
+        32.413120560420026,
+        34.07254222162021,
+        46.77165778914488,
+        47.30751040080541,
     ]
 
     def test_registry_gate_is_bit_for_bit_identical(self):
@@ -158,7 +157,6 @@ class TestTokenBucketRefill:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            max_decode_chunk=8,
             arrival=ArrivalSpec(
                 process="uniform", qps=8.0, num_requests=4, task_pool_size=4
             ),
@@ -397,7 +395,6 @@ class TestWarmupValidation:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            max_decode_chunk=8,
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=9),
             measurement=MeasurementSpec(warmup_requests=3),
         )
@@ -415,7 +412,6 @@ class TestWarmupValidation:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            max_decode_chunk=8,
             arrival=ArrivalSpec(process="single", num_requests=10),
             measurement=MeasurementSpec(warmup_requests=5),
         )
@@ -429,7 +425,6 @@ class TestWarmupValidation:
         base = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            max_decode_chunk=8,
             arrival=ArrivalSpec(process="single", num_requests=5),
         )
         full = run_experiment(base)

@@ -1,11 +1,12 @@
 """Golden pins: the spec path reproduces the seed simulator bit-for-bit.
 
-The golden values below were captured by running the original hand-wired
-single-request runner and serving loop (commit ``c26818c``) at the exact
-configurations used here.  Every metric is asserted with zero tolerance:
-one replica under FCFS scheduling through ``run_experiment`` must stay
-event-for-event identical to that wiring.  If an engine or scheduler change
-is *supposed* to shift these numbers, regenerate them on purpose; never
+The characterization golden was captured by running the original
+hand-wired single-request runner (commit ``c26818c``); the serving goldens
+are exact-decode runs of the configurations used here, identical with
+``decode_fast_forward`` on and off.  Every metric is asserted with zero
+tolerance: one replica under FCFS scheduling through ``run_experiment``
+must stay event-for-event identical.  If an engine or scheduler change is
+*supposed* to shift these numbers, regenerate them on purpose; never
 loosen them to approx.
 """
 
@@ -52,17 +53,15 @@ class TestCharacterizationGolden:
 class TestServingGolden:
     """react/hotpotqa, Poisson 1 qps, 10 requests, pool 8, seed 0."""
 
+    # Re-pinned at exact decode (one token per step) when the approximate
+    # decode chunking these runs used was deleted.
     GOLDEN = {
-        "mean_latency": 10.870826106902523,
-        "p95_latency": 15.505812430261916,
-        "energy_wh": 1.55705991896767,
-        "throughput_qps": 0.43405991885767026,
-        "duration": 23.038293944111054,
-        # Chunked decode now reserves KV blocks for the whole chunk up front
-        # (it previously appended chunk tokens against a one-token
-        # reservation), so active-block accounting is higher than the
-        # original seed value of 143263924.27464935.
-        "kv_average_bytes": 145131482.13128176,
+        "mean_latency": 10.646407395255261,
+        "p95_latency": 15.151794256321168,
+        "energy_wh": 1.530517725786379,
+        "throughput_qps": 0.43800395819435634,
+        "duration": 22.83084390658105,
+        "kv_average_bytes": 153650818.11970353,
         "preemptions": 0,
         "prefix_cache_hit_rate": 0.9135721327637201,
     }
@@ -77,7 +76,6 @@ class TestServingGolden:
             agent_config=AgentConfig(max_iterations=5),
             arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=10, task_pool_size=8),
             seed=0,
-            max_decode_chunk=8,
         )
 
     def _check(self, result):
@@ -96,13 +94,13 @@ class TestServingGolden:
             model="8b",
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
             seed=3,
-            max_decode_chunk=8,
         )
         result = run_experiment(spec).serving
-        assert result.mean_latency == 5.165153545879206
-        assert result.p95_latency == 9.76467261074811
-        assert result.energy_wh == 1.0307809818002893
-        assert result.throughput_qps == 0.8750023061426455
+        # Re-pinned at exact decode when approximate decode chunking was deleted.
+        assert result.mean_latency == 5.129143362404462
+        assert result.p95_latency == 9.723356564694797
+        assert result.energy_wh == 1.028324972396009
+        assert result.throughput_qps == 0.8776463353494244
 
 
 class TestTrafficProgramCompat:
@@ -120,7 +118,6 @@ class TestTrafficProgramCompat:
                 process="poisson", qps=1.0, num_requests=10, task_pool_size=8
             ),
             seed=0,
-            max_decode_chunk=8,
         )
         base.update(overrides)
         return ExperimentSpec(**base)
@@ -168,7 +165,6 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=5, task_pool_size=5),
-            max_decode_chunk=8,
         )
         outcome = run_experiment(spec)
         summary = outcome.summary()
@@ -182,7 +178,6 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="sequential", num_requests=3),
-            max_decode_chunk=8,
         )
         outcome = run_experiment(spec)
         assert outcome.serving.offered_qps == 0.0
@@ -191,9 +186,7 @@ class TestResultSetInterface:
 
     def test_measurement_warmup_excludes_first_completions(self):
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=6, task_pool_size=5)
-        base = ExperimentSpec(
-            agent="chatbot", workload="sharegpt", arrival=arrival, max_decode_chunk=8
-        )
+        base = ExperimentSpec(agent="chatbot", workload="sharegpt", arrival=arrival)
         full = run_experiment(base)
         from repro.api import MeasurementSpec
 

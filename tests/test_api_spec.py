@@ -145,7 +145,6 @@ class TestSpecRoundTrip:
             arrival=ArrivalSpec(process="poisson", qps=1.5, num_requests=9, task_pool_size=5),
             measurement=MeasurementSpec(warmup_requests=2),
             seed=7,
-            max_decode_chunk=8,
             admission=AdmissionSpec(policy="concurrency", max_concurrency=12),
         )
         payload = spec.to_dict()

@@ -121,7 +121,6 @@ class TestSchedulerPolicies:
                 workload="sharegpt",
                 scheduler=policy,
                 arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=4, task_pool_size=4),
-                max_decode_chunk=8,
             )
             outcome = run_experiment(spec)
             assert outcome.num_completed == 4, policy
@@ -197,7 +196,6 @@ class TestRouterPolicies:
             router="round-robin",
             arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=9, task_pool_size=6),
             seed=11,
-            max_decode_chunk=8,
         )
         first = run_experiment(spec).serving
         second = run_experiment(spec).serving
@@ -224,7 +222,6 @@ class TestClusterAggregation:
             workload="sharegpt",
             replicas=2,
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=8, task_pool_size=6),
-            max_decode_chunk=8,
         )
         result = run_experiment(spec).serving
         assert result.num_replicas == 2

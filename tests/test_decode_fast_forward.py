@@ -39,7 +39,6 @@ from repro.api import (
 )
 from repro.api.runners import _build_plan
 from repro.llm import EngineConfig, LLMClient, LLMEngine
-from repro.llm.prefix_cache import PrefixCache
 from repro.llm.request import reset_request_ids
 from repro.llm.tokenizer import Prompt, SegmentKind
 from repro.sim import Environment
@@ -216,46 +215,6 @@ class TestFastForwardEquivalence:
             env.process(proc())
 
         assert_bit_identical(EngineConfig(), script)
-
-
-class TestChunkedDecodeKVClamp:
-    def test_chunk_reservations_always_fit_free_pool(self, monkeypatch):
-        """Approximate chunking must clamp the chunk to KV headroom.
-
-        The chunk reserves ``chunk`` tokens of KV growth per running request
-        up front; ``_decode_chunk_size`` clamps the chunk so that the total
-        growth fits the free pool.  A reservation that comes back ``False``
-        would mean tokens were simulated without KV backing.
-        """
-        config = dataclasses.replace(
-            tiny_kv_engine_config(num_blocks=40), max_decode_chunk=8
-        )
-        reservations = []
-        original = PrefixCache.reserve_tokens
-
-        def checked(self, request, num_tokens, now=0.0):
-            ok = original(self, request, num_tokens, now=now)
-            reservations.append(ok)
-            return ok
-
-        monkeypatch.setattr(PrefixCache, "reserve_tokens", checked)
-
-        reset_request_ids()
-        env = Environment()
-        engine = LLMEngine(env, config)
-        client = LLMClient(env, engine)
-
-        def proc(index):
-            result = yield client.generate(
-                user_prompt(engine, f"clamp{index}", 96), output_tokens=180
-            )
-            return result
-
-        processes = [env.process(proc(index)) for index in range(3)]
-        env.run()
-        assert all(process.value.output_tokens == 180 for process in processes)
-        assert reservations, "chunked path never engaged"
-        assert all(reservations), "a chunk reservation exceeded KV headroom"
 
 
 # ---------------------------------------------------------------------------

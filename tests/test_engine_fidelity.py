@@ -326,19 +326,9 @@ class TestEngineFidelityStudy:
 
 
 class TestConfigAndPlumbing:
-    def test_engine_config_rejects_decode_chunk_combos(self):
-        with pytest.raises(ValueError):
-            EngineConfig(max_decode_chunk=8, prefill_chunk_tokens=64)
-        with pytest.raises(ValueError):
-            EngineConfig(max_decode_chunk=8, speculative=SpeculativeSpec())
+    def test_engine_config_rejects_empty_prefill_chunk(self):
         with pytest.raises(ValueError):
             EngineConfig(prefill_chunk_tokens=0)
-
-    def test_experiment_spec_rejects_decode_chunk_combos(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(max_decode_chunk=4, prefill_chunk_tokens=256)
-        with pytest.raises(ValueError):
-            ExperimentSpec(max_decode_chunk=4, speculative=SpeculativeSpec())
 
     def test_spec_round_trips_through_dict(self):
         spec = ExperimentSpec(

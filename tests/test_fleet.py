@@ -78,7 +78,6 @@ def mixed_fleet_spec(**overrides) -> ExperimentSpec:
             scale_down_pending_per_replica=0.25,
         ),
         arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=16, task_pool_size=8),
-        max_decode_chunk=8,
         seed=7,
     )
     base.update(overrides)
@@ -270,7 +269,6 @@ class TestDecodeLengthPredictor:
             scheduler="sjf-by-predicted-decode",
             predictor_error=0.3,
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=5, task_pool_size=4),
-            max_decode_chunk=8,
         )
         outcome = run_experiment(spec)
         assert outcome.num_completed == 5
@@ -337,7 +335,6 @@ class TestFleetRegressions:
             arrival=ArrivalSpec(
                 process="poisson", qps=20.0, num_requests=30, task_pool_size=8
             ),
-            max_decode_chunk=8,
             seed=3,
         )
         first = run_experiment(spec)
@@ -357,7 +354,6 @@ class TestFleetRegressions:
             arrival=ArrivalSpec(
                 process="poisson", qps=4.0, num_requests=3, task_pool_size=3
             ),
-            max_decode_chunk=8,
         )
         system = SystemBuilder(spec).build()
 

@@ -298,7 +298,6 @@ def small_serving_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=10,
                             task_pool_size=6),
-        max_decode_chunk=8,
         seed=0,
     )
     base.update(overrides)

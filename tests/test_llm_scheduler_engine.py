@@ -243,19 +243,6 @@ class TestEngine:
         breakdown = engine.runtime_breakdown()
         assert breakdown["idle"] == pytest.approx(5.0, abs=0.5)
 
-    def test_decode_chunking_preserves_token_counts(self):
-        env = Environment()
-        engine = LLMEngine(env, EngineConfig(max_decode_chunk=8))
-        result = self.run_single(env, engine, output_tokens=100)
-        assert result.output_tokens == 100
-
-    def test_decode_chunking_approximates_unchunked_latency(self):
-        env_a = Environment()
-        exact = self.run_single(env_a, LLMEngine(env_a, EngineConfig(max_decode_chunk=1)), output_tokens=200)
-        env_b = Environment()
-        chunked = self.run_single(env_b, LLMEngine(env_b, EngineConfig(max_decode_chunk=8)), output_tokens=200)
-        assert chunked.e2e_latency == pytest.approx(exact.e2e_latency, rel=0.1)
-
     def test_runtime_breakdown_window_clipping(self, env, engine):
         result = self.run_single(env, engine, output_tokens=64)
         half = result.finish_time / 2

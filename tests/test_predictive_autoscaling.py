@@ -99,7 +99,6 @@ def predictive_spec(**overrides) -> ExperimentSpec:
         ),
         measurement=MeasurementSpec(class_slos=(("chat", 16.0),)),
         arrival=ArrivalSpec(process="poisson", qps=8.0, num_requests=30, task_pool_size=8),
-        max_decode_chunk=8,
         seed=0,
     )
     base.update(overrides)
@@ -393,7 +392,7 @@ class TestPredictiveServing:
         assert summary["forecast_mae"] == first.forecast_mae
 
     def test_reactive_runs_reproduce_pr3_numbers(self):
-        # Golden pin generated from the pre-forecasting tree (PR-3): the
+        # Golden pin first captured on the pre-forecasting tree: the
         # reactive controller and its serving pipeline must not shift by a
         # single event when the predictive machinery is idle.
         spec = ExperimentSpec(
@@ -416,28 +415,28 @@ class TestPredictiveServing:
             arrival=ArrivalSpec(
                 process="poisson", qps=3.0, num_requests=12, task_pool_size=8
             ),
-            max_decode_chunk=8,
             seed=7,
         )
         outcome = run_experiment(spec)
+        # Re-pinned at exact decode when approximate decode chunking was deleted.
         assert outcome.latencies == [
-            2.6941078043121167,
-            7.550351017798753,
-            5.84351769049711,
-            6.2152313936974135,
-            7.300760703507089,
-            8.956348470123501,
-            9.630460732567077,
-            17.49887780530729,
-            17.166760066377762,
-            21.05311449817187,
-            21.46772476611589,
-            27.016158061140302,
+            2.693706879793915,
+            7.472405313755288,
+            5.779532951107268,
+            6.1772126359766215,
+            7.221658231065257,
+            8.783045633469191,
+            9.658526644845569,
+            17.289095795516776,
+            20.747736264424013,
+            17.12160557620708,
+            21.1872773387076,
+            26.710779827392443,
         ]
         assert [
             (event.time, event.action) for event in outcome.serving.scaling_events
-        ] == [(2.0, "grow"), (3.0, "grow"), (22.0, "shrink"), (25.0, "shrink")]
-        assert outcome.replica_seconds == pytest.approx(73.5572885685319, abs=1e-9)
+        ] == [(2.0, "grow"), (3.0, "grow"), (25.0, "shrink"), (27.0, "shrink")]
+        assert outcome.replica_seconds == 78.25191033478404
         # The idle predictive surface stays dark on reactive runs.
         assert outcome.forecast_mae is None
         assert outcome.scale_ahead_lead_s is None

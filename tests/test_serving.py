@@ -63,7 +63,6 @@ def small_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
         seed=0,
     )
     defaults.update(overrides)

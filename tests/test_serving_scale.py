@@ -36,7 +36,6 @@ def agent_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
         seed=0,
     )
     defaults.update(overrides)
@@ -77,7 +76,6 @@ class TestMaxConcurrencyEnforcement:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=4),
-            max_decode_chunk=8,
             admission=concurrency_cap(1),
         )
         system = SystemBuilder(spec).build()
@@ -122,9 +120,7 @@ class TestPeakThroughputHardening:
         from repro.api import MeasurementSpec
 
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=8, task_pool_size=6)
-        base = ExperimentSpec(
-            agent="chatbot", workload="sharegpt", arrival=arrival, max_decode_chunk=8
-        )
+        base = ExperimentSpec(agent="chatbot", workload="sharegpt", arrival=arrival)
         full = run_experiment(base).serving
         warm = run_experiment(
             base.with_overrides(measurement=MeasurementSpec(warmup_requests=3))
@@ -145,7 +141,6 @@ class TestPeakThroughputHardening:
             workload="sharegpt",
             measurement=MeasurementSpec(warmup_requests=2),
             arrival=ArrivalSpec(process="single", num_requests=8, task_pool_size=6),
-            max_decode_chunk=8,
         )
         sweep = qps_study(spec, (1.0, 2.0))
         # Warm-up trimming shrinks both completions and the issued count, so
@@ -177,7 +172,6 @@ class TestReplicaScaling:
             model="8b",
             arrival=ArrivalSpec(process="single", num_requests=40, task_pool_size=10),
             seed=0,
-            max_decode_chunk=8,
         )
 
     @classmethod

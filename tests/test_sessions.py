@@ -31,7 +31,6 @@ def session_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         replicas=2,
         router="session-affinity",
-        max_decode_chunk=8,
         arrival=ArrivalSpec(
             process="poisson",
             qps=2.0,
@@ -325,7 +324,6 @@ class TestSessionServing:
             ),
             replicas=2,
             router="session-affinity",
-            max_decode_chunk=8,
             arrival=ArrivalSpec(
                 process="poisson", qps=2.0, num_requests=6, task_pool_size=4
             ),

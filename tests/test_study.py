@@ -31,7 +31,6 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     base = dict(
         agent="chatbot",
         workload="sharegpt",
-        max_decode_chunk=8,
         arrival=ArrivalSpec(
             process="poisson", qps=2.0, num_requests=6, task_pool_size=5
         ),

@@ -473,7 +473,6 @@ class TestTenantedExperiments:
                 process="poisson", qps=4.0, num_requests=10, task_pool_size=6,
                 tenants=TenantSpec(num_users=1_000_000, skew=1.5, num_apps=20),
             ),
-            max_decode_chunk=8,
         )
         kwargs.update(overrides)
         return ExperimentSpec(**kwargs)
