@@ -35,5 +35,5 @@ def test_fig11_tail_latency_vs_qps(run_once):
 
     # Tail latency rises with offered load for every workload.
     for key in result.curves:
-        ordered = sorted(result.outcomes(key), key=lambda r: r.offered_qps)
+        ordered = sorted(result.outcomes(key), key=lambda r: r.serving.offered_qps)
         assert ordered[-1].p95_latency >= ordered[0].p95_latency * 0.8

@@ -135,7 +135,7 @@ def test_fairness_at_thousand_concurrent(run_once):
         peak = peak_in_flight(serving)
         print(f"{point.labels}: peak in-flight {peak}, "
               f"preemptions {serving.preemptions}")
-        assert serving.num_completed == num_requests
+        assert point.outcome.num_completed == num_requests
         # 1k+ requests genuinely concurrent...
         assert peak >= 1000
         # ...contending on KV memory, not on the (non-binding) batch cap.

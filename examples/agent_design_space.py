@@ -41,7 +41,7 @@ def main() -> None:
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
         )
-        result = run_experiment(spec).characterization
+        result = run_experiment(spec)
         points.append(
             DesignPoint(
                 label=agent,
@@ -50,7 +50,7 @@ def main() -> None:
                 accuracy=result.mean_score if args.benchmark == "webshop" else result.accuracy,
                 latency_s=result.mean_latency,
                 total_tokens=result.mean_total_tokens,
-                energy_wh=result.mean_energy_wh,
+                energy_wh=result.energy_wh_per_query,
                 p95_latency_s=result.latency_stats.p95,
             )
         )

@@ -59,7 +59,7 @@ def main() -> None:
         arrival=ArrivalSpec(process="single", num_requests=10),
         seed=0,
     )
-    result = run_experiment(spec).characterization
+    result = run_experiment(spec)
 
     print("=== ReAct on HotpotQA (Llama-3.1-8B, 1x A100-40GB) ===")
     print(f"requests:            {result.num_requests}")
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"mean latency:        {result.mean_latency:.1f} s   (p95 {result.latency_stats.p95:.1f} s)")
     print(f"LLM calls/request:   {result.mean_llm_calls:.1f}")
     print(f"tool calls/request:  {result.mean_tool_calls:.1f}")
-    print(f"GPU energy/request:  {result.mean_energy_wh:.2f} Wh")
+    print(f"GPU energy/request:  {result.energy_wh_per_query:.2f} Wh")
     print()
 
     breakdown = result.latency_breakdown()
@@ -97,7 +97,7 @@ def main() -> None:
             "correct": obs.result.answer_correct,
             "energy_wh": obs.energy_wh,
         }
-        for obs in result.observations
+        for obs in result.characterization.observations
     ]
     print(format_table(rows))
     print()

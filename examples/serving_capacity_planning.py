@@ -50,8 +50,8 @@ def main() -> None:
                 study = run_study(
                     StudySpec(base=spec, axes=(StudyAxis(name="qps", values=qps_values),))
                 )
-                outcomes = [point.outcome.serving for point in study.points]
-                busiest = max(outcomes, key=lambda r: r.offered_qps)
+                outcomes = [point.outcome for point in study.points]
+                busiest = max(outcomes, key=lambda r: r.serving.offered_qps)
                 rows.append(
                     {
                         "workload": label,
@@ -59,10 +59,10 @@ def main() -> None:
                         "prefix_caching": caching,
                         "peak_qps": peak_throughput(outcomes),
                         "p95_at_peak_s": busiest.p95_latency,
-                        "kv_avg_gb": busiest.kv_average_bytes / 1e9,
-                        "kv_max_gb": busiest.kv_max_bytes / 1e9,
+                        "kv_avg_gb": busiest.serving.kv_average_bytes / 1e9,
+                        "kv_max_gb": busiest.serving.kv_max_bytes / 1e9,
                         "energy_wh_per_query": busiest.energy_wh_per_query,
-                        "preemptions": busiest.preemptions,
+                        "preemptions": busiest.serving.preemptions,
                     }
                 )
 

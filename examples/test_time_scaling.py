@@ -33,7 +33,7 @@ def main() -> None:
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
         )
-        return run_experiment(spec).characterization
+        return run_experiment(spec)
 
     rows = []
     for model in args.models:
@@ -48,7 +48,7 @@ def main() -> None:
                     "accuracy": result.accuracy,
                     "latency_s": result.mean_latency,
                     "tokens": result.mean_total_tokens,
-                    "energy_wh": result.mean_energy_wh,
+                    "energy_wh": result.energy_wh_per_query,
                 }
             )
 
@@ -63,7 +63,7 @@ def main() -> None:
                     "accuracy": result.accuracy,
                     "latency_s": result.mean_latency,
                     "tokens": result.mean_total_tokens,
-                    "energy_wh": result.mean_energy_wh,
+                    "energy_wh": result.energy_wh_per_query,
                 }
             )
 

@@ -18,6 +18,7 @@ from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
+    ResultSet,
     StudyAxis,
     StudyResult,
     StudySpec,
@@ -25,14 +26,12 @@ from repro.api import (
     run_study,
 )
 from repro.core import (
-    CharacterizationResult,
     DesignPoint,
     best_accuracy_point,
     best_efficiency_point,
     mean,
     percentile,
 )
-from repro.serving import ServingResult
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
 
 #: default design-space defaults per benchmark (iteration budget the paper uses).
@@ -65,9 +64,9 @@ def default_config(benchmark: str, **overrides) -> AgentConfig:
 class CharacterizationMatrix:
     """Single-request characterization of every (agent, benchmark) pair."""
 
-    results: Dict[Tuple[str, str], CharacterizationResult] = field(default_factory=dict)
+    results: Dict[Tuple[str, str], ResultSet] = field(default_factory=dict)
 
-    def get(self, agent: str, benchmark: str) -> Optional[CharacterizationResult]:
+    def get(self, agent: str, benchmark: str) -> Optional[ResultSet]:
         return self.results.get((agent, benchmark))
 
     def pairs(self) -> List[Tuple[str, str]]:
@@ -98,7 +97,7 @@ def characterization_matrix(
             spec = base.with_overrides(
                 agent=agent, workload=benchmark, agent_config=default_config(benchmark)
             )
-            matrix.results[(agent, benchmark)] = run_experiment(spec).characterization
+            matrix.results[(agent, benchmark)] = run_experiment(spec)
     return matrix
 
 
@@ -386,14 +385,14 @@ _BASELINE_EPSILON = 1e-9
 
 
 def peak_throughput(
-    outcomes: Sequence[ServingResult],
+    outcomes: Sequence[ResultSet],
     latency_slo_s: Optional[float] = None,
     knee_factor: float = 3.0,
 ) -> float:
     """Maximum sustainable QPS at the knee of a load sweep's tail-latency curve.
 
-    ``outcomes`` are the serving results of a ``qps`` study, one per load
-    point, in any order.  The knee is the largest offered QPS whose p95
+    ``outcomes`` are the results of a ``qps`` study, one per load point,
+    in any order.  The knee is the largest offered QPS whose p95
     latency stays below ``knee_factor`` times the lowest-load p95 (or below
     an absolute SLO if one is given) with at least 95% of its requests
     completed.  This mirrors how the paper reads peak throughput off its
@@ -406,7 +405,7 @@ def peak_throughput(
     """
     if not outcomes:
         return 0.0
-    ordered = sorted(outcomes, key=lambda result: result.offered_qps)
+    ordered = sorted(outcomes, key=lambda result: result.serving.offered_qps)
     if latency_slo_s is not None:
         threshold = latency_slo_s
     else:
@@ -430,9 +429,9 @@ def peak_throughput(
 class Figure11Result:
     curves: Dict[Tuple[str, bool], StudyResult]  # (workload label, caching) -> qps study
 
-    def outcomes(self, key: Tuple[str, bool]) -> List[ServingResult]:
-        """The serving outcomes of one curve, one per load point in grid order."""
-        return [point.outcome.serving for point in self.curves[key].points]
+    def outcomes(self, key: Tuple[str, bool]) -> List[ResultSet]:
+        """The outcomes of one curve, one per load point in grid order."""
+        return [point.outcome for point in self.curves[key].points]
 
     def rows(self) -> List[Dict[str, object]]:
         rows = []
@@ -442,7 +441,7 @@ class Figure11Result:
                     {
                         "workload": label,
                         "prefix_caching": caching,
-                        "offered_qps": result.offered_qps,
+                        "offered_qps": result.serving.offered_qps,
                         "p95_latency_s": result.p95_latency,
                         "throughput_qps": result.throughput_qps,
                     }
@@ -625,7 +624,7 @@ def figure13(
                     workload=benchmark,
                     agent_config=default_config(benchmark, **overrides),
                 )
-                result = run_experiment(spec).characterization
+                result = run_experiment(spec)
                 bench_points.append(
                     DesignPoint(
                         label=f"{agent}-v{index}",
@@ -635,7 +634,7 @@ def figure13(
                         latency_s=result.mean_latency,
                         config=dict(overrides),
                         total_tokens=result.mean_total_tokens,
-                        energy_wh=result.mean_energy_wh,
+                        energy_wh=result.energy_wh_per_query,
                         p95_latency_s=result.latency_stats.p95,
                     )
                 )
@@ -707,7 +706,7 @@ def _parameter_sweep(
             arrival=ArrivalSpec(process="single", num_requests=num_tasks),
             seed=seed,
         )
-        result = run_experiment(spec).characterization
+        result = run_experiment(spec)
         points.append(
             DesignPoint(
                 label=f"{agent}-{parameter}={value}",
@@ -717,7 +716,7 @@ def _parameter_sweep(
                 latency_s=result.mean_latency,
                 config={parameter: value},
                 total_tokens=result.mean_total_tokens,
-                energy_wh=result.mean_energy_wh,
+                energy_wh=result.energy_wh_per_query,
                 p95_latency_s=result.latency_stats.p95,
             )
         )

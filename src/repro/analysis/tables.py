@@ -151,9 +151,9 @@ def table3(
                 workload="sharegpt",
                 arrival=ArrivalSpec(process="single", num_requests=max(num_tasks, 10)),
             )
-        ).characterization
+        )
         base_latency = baseline.mean_latency
-        base_energy = baseline.mean_energy_wh
+        base_energy = baseline.energy_wh_per_query
         result.rows_data.append(
             Table3Row(
                 model=model,
@@ -168,16 +168,17 @@ def table3(
         for agent, config in agent_configs.items():
             run = run_experiment(
                 base.with_overrides(agent=agent, workload="hotpotqa", agent_config=config)
-            ).characterization
+            )
+            energy = run.energy_wh_per_query
             result.rows_data.append(
                 Table3Row(
                     model=model,
                     workload=agent,
                     accuracy=run.accuracy,
                     latency_s=run.mean_latency,
-                    energy_wh=run.mean_energy_wh,
+                    energy_wh=energy,
                     latency_vs_sharegpt=(run.mean_latency / base_latency) if base_latency else 0.0,
-                    energy_vs_sharegpt=(run.mean_energy_wh / base_energy) if base_energy else 0.0,
+                    energy_vs_sharegpt=(energy / base_energy) if base_energy else 0.0,
                 )
             )
     return Table3Result(rows_data=result.rows_data)

@@ -1,13 +1,16 @@
-"""Unified result interface over characterization and serving outcomes.
+"""The one metric vocabulary, over characterization and serving records.
 
-An experiment produces one of two result types --
+An experiment produces one of two records --
 :class:`~repro.core.runner.CharacterizationResult` (single-request
-characterization) or :class:`~repro.serving.server.ServingResult` (serving
-runs).  :class:`ResultSet` wraps whichever one an experiment produced and
-exposes the shared metric vocabulary (request counts, latency distribution,
-accuracy, throughput, energy) uniformly, while keeping the wrapped object
-reachable through :attr:`raw` for mode-specific detail (GPU breakdowns,
-KV-memory stats, admission delays, ...).
+characterization: one observation per request) or
+:class:`~repro.serving.server.ServingResult` (open-loop serving: the
+completed agent runs plus fleet, door and engine telemetry).  The records
+hold only what a run measured.  :class:`ResultSet` wraps whichever one an
+experiment produced and is the only place a metric is defined: request
+counts, latency distribution, accuracy, per-request calls and tokens,
+throughput, energy, cost, admission, fairness and sessions.  Each metric
+is computed once from the records, over the measured agent runs
+(:attr:`ResultSet.runs`) of either kind.
 """
 
 from __future__ import annotations
@@ -15,9 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.agents import AgentRunResult
 from repro.api.spec import ExperimentSpec
-from repro.core.metrics import LatencyStats, mean
+from repro.core.metrics import (
+    GpuRuntimeBreakdown,
+    LatencyBreakdown,
+    LatencyStats,
+    TokenBreakdown,
+    mean,
+    percentile,
+)
 from repro.core.runner import CharacterizationResult
+from repro.serving.server import ServingResult
 
 
 @dataclass
@@ -26,7 +38,7 @@ class ResultSet:
 
     spec: ExperimentSpec
     characterization: Optional[CharacterizationResult] = None
-    serving: Optional[Any] = None  # ServingResult (typed loosely to avoid cycles)
+    serving: Optional[ServingResult] = None
 
     def __post_init__(self) -> None:
         if (self.characterization is None) == (self.serving is None):
@@ -41,29 +53,29 @@ class ResultSet:
         return "characterization" if self.characterization is not None else "serving"
 
     @property
-    def raw(self) -> Any:
-        """The wrapped mode-specific result object."""
-        return self.characterization if self.characterization is not None else self.serving
+    def runs(self) -> List[AgentRunResult]:
+        """The measured agent runs, in completion order (one per request or turn)."""
+        if self.characterization is not None:
+            return [obs.result for obs in self.characterization.observations]
+        return self.serving.results
 
     # -- unified metrics -------------------------------------------------------
     @property
     def num_requests(self) -> int:
         """Requests in the measured window (sessionful runs count turns)."""
         if self.characterization is not None:
-            return self.characterization.num_requests
+            return len(self.characterization.observations)
         return self.serving.num_requests
 
     @property
     def num_completed(self) -> int:
         """Requests that ran to completion inside the measured window."""
-        if self.characterization is not None:
-            return self.characterization.num_requests
-        return self.serving.num_completed
+        return len(self.runs)
 
     @property
     def latencies(self) -> List[float]:
         """Per-request end-to-end latencies (seconds), in completion order."""
-        return self.raw.latencies
+        return [run.e2e_latency for run in self.runs]
 
     @property
     def latency_stats(self) -> LatencyStats:
@@ -83,8 +95,65 @@ class ResultSet:
     @property
     def accuracy(self) -> float:
         """Task accuracy over completed requests (oracle-graded)."""
-        return self.raw.accuracy
+        return mean([1.0 if run.answer_correct else 0.0 for run in self.runs])
 
+    # -- per-request agent work (paper Figs. 4, 8, 9, 13-17) ---------------------
+    @property
+    def mean_score(self) -> float:
+        """Mean graded task score (partial credit; WebShop's accuracy metric)."""
+        return mean([run.score for run in self.runs])
+
+    @property
+    def mean_llm_calls(self) -> float:
+        """Mean LLM invocations per request."""
+        return mean([run.num_llm_calls for run in self.runs])
+
+    @property
+    def mean_tool_calls(self) -> float:
+        """Mean tool invocations per request."""
+        return mean([run.num_tool_calls for run in self.runs])
+
+    @property
+    def mean_total_tokens(self) -> float:
+        """Mean prompt + output tokens per request, summed over its LLM calls."""
+        return mean([run.total_tokens for run in self.runs])
+
+    @property
+    def mean_prefill_time(self) -> float:
+        """Mean summed prefill seconds per request."""
+        return mean([sum(call.prefill_time for call in run.llm_calls) for run in self.runs])
+
+    @property
+    def mean_decode_time(self) -> float:
+        """Mean summed decode seconds per request."""
+        return mean([sum(call.decode_time for call in run.llm_calls) for run in self.runs])
+
+    @property
+    def mean_llm_inference_latency(self) -> float:
+        """Mean summed LLM-call latency per request (paper Fig. 9's metric)."""
+        return mean([sum(call.e2e_latency for call in run.llm_calls) for run in self.runs])
+
+    def latency_breakdown(self) -> LatencyBreakdown:
+        """Per-request average LLM/tool/overlap/other split (paper Fig. 5)."""
+        return LatencyBreakdown.average(LatencyBreakdown.from_result(run) for run in self.runs)
+
+    def token_breakdown(self) -> TokenBreakdown:
+        """Per-request average prompt/output token composition (paper Fig. 8)."""
+        return TokenBreakdown.average(TokenBreakdown.from_result(run) for run in self.runs)
+
+    def gpu_breakdown(self) -> GpuRuntimeBreakdown:
+        """GPU prefill/decode/idle split (paper Fig. 6).
+
+        The per-request average over each request's window for
+        characterization; the measured window for serving.
+        """
+        if self.characterization is not None:
+            return GpuRuntimeBreakdown.average(
+                obs.gpu for obs in self.characterization.observations
+            )
+        return self.serving.gpu
+
+    # -- throughput & energy -------------------------------------------------------
     @property
     def duration(self) -> float:
         """Wall-clock (simulated) span of the measured window."""
@@ -140,16 +209,14 @@ class ResultSet:
     @property
     def cost_per_1k_tokens(self) -> float:
         """USD per 1000 served tokens (0.0 when nothing was served)."""
-        if self.serving is None:
+        if self.served_tokens <= 0:
             return 0.0
-        return self.serving.cost_per_1k_tokens
+        return self.cost_usd / (self.served_tokens / 1000.0)
 
     @property
     def energy_j(self) -> float:
         """Measured-window energy in joules (:attr:`energy_wh` in SI units)."""
-        if self.serving is None:
-            return self.energy_wh * 3600.0
-        return self.serving.energy_j
+        return self.energy_wh * 3600.0
 
     @property
     def pool_stats(self) -> Dict[str, Any]:
@@ -182,32 +249,60 @@ class ResultSet:
         return self.serving.admission_stats
 
     @property
+    def admission_delays(self) -> List[float]:
+        """Per-request wait at the door before a worker slot opened (serving only)."""
+        if self.serving is None:
+            return []
+        return self.serving.admission_delays
+
+    @property
+    def num_queued(self) -> int:
+        """Requests that waited at the door before a worker slot opened."""
+        return sum(1 for delay in self.admission_delays if delay > 0)
+
+    @property
+    def mean_admission_delay(self) -> float:
+        """Mean wait at the door (seconds)."""
+        return mean(self.admission_delays)
+
+    @property
+    def p95_admission_delay(self) -> float:
+        """95th-percentile wait at the door (seconds)."""
+        return percentile(self.admission_delays, 95.0)
+
+    @property
     def num_rejected(self) -> int:
         """Requests the admission policy shed instead of serving."""
-        if self.serving is None:
-            return 0
-        return self.serving.num_rejected
+        return sum(stats.rejected for stats in self.admission_stats.values())
 
     @property
     def rejection_rate(self) -> float:
         """Shed fraction of the offered load (0.0 with an open door)."""
-        if self.serving is None:
+        offered = sum(stats.offered for stats in self.admission_stats.values())
+        if offered == 0:
             return 0.0
-        return self.serving.rejection_rate
+        return self.num_rejected / offered
 
     @property
     def shed_tokens(self) -> float:
         """Estimated decode tokens the fleet avoided by shedding requests."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.shed_tokens
+        return sum(stats.shed_tokens for stats in self.admission_stats.values())
 
     @property
     def slo_attainment(self) -> Optional[float]:
-        """Fraction of measured requests meeting the experiment-wide p95 SLO."""
-        if self.serving is None:
+        """Fraction of measured requests meeting the experiment-wide p95 SLO.
+
+        ``None`` when the spec declares no experiment-wide SLO; per-class
+        SLOs live in :attr:`class_stats`.
+        """
+        slo = self.spec.measurement.slo_p95_s
+        if slo is None:
             return None
-        return self.serving.slo_attainment
+        return mean([1.0 if latency <= slo else 0.0 for latency in self.latencies])
+
+    def per_class_admission(self) -> List[Dict[str, Any]]:
+        """One flat row per traffic class of the door accounting."""
+        return [stats.as_dict() for stats in self.admission_stats.values()]
 
     # -- predictive autoscaling -------------------------------------------------
     @property
@@ -220,15 +315,9 @@ class ResultSet:
     @property
     def scale_ahead_lead_s(self) -> Optional[float]:
         """Mean head start of forecast-triggered grows over the reactive trigger."""
-        if self.serving is None:
+        if self.serving is None or not self.serving.scale_ahead_leads:
             return None
-        return self.serving.scale_ahead_lead_s
-
-    def per_class_admission(self) -> List[Dict[str, Any]]:
-        """One flat row per traffic class of the door accounting."""
-        if self.serving is None:
-            return []
-        return self.serving.per_class_admission()
+        return mean(self.serving.scale_ahead_leads)
 
     # -- per-tenant fairness ------------------------------------------------------
     @property
@@ -240,24 +329,25 @@ class ResultSet:
 
     @property
     def served_token_ratio(self) -> Optional[float]:
-        """Served-token max/min ratio across contending tenants (1.0 = fair)."""
-        if self.serving is None:
-            return None
-        return self.serving.served_token_ratio
+        """Served-token max/min ratio across contending tenants (1.0 = fair).
+
+        ``inf`` when a contending tenant was fully starved within the
+        contended window.
+        """
+        stats = self.tenant_stats
+        return None if stats is None else stats.max_min_ratio
 
     @property
     def jain_fairness(self) -> Optional[float]:
         """Jain's fairness index over per-tenant served tokens."""
-        if self.serving is None:
-            return None
-        return self.serving.jain_fairness
+        stats = self.tenant_stats
+        return None if stats is None else stats.jain
 
     @property
     def tenant_throttle_rate(self) -> Optional[float]:
         """Door rejection fraction of tenanted offers."""
-        if self.serving is None:
-            return None
-        return self.serving.tenant_throttle_rate
+        stats = self.tenant_stats
+        return None if stats is None else stats.throttle_rate
 
     # -- multi-turn sessions ------------------------------------------------------
     @property
@@ -269,45 +359,44 @@ class ResultSet:
 
     @property
     def cross_turn_hit_rate(self) -> Optional[float]:
-        """Prefix-cache hit rate over later-turn prompt tokens."""
-        if self.serving is None:
-            return None
-        return self.serving.cross_turn_hit_rate
+        """Prefix-cache hit rate over later-turn prompt tokens.
+
+        Measures how much conversation context survived the think-time gap:
+        1.0 means every later turn re-read its history straight from the KV
+        cache of the replica that served the previous turn.
+        """
+        stats = self.session_stats
+        return None if stats is None else stats.cross_turn_hit_rate
 
     @property
     def num_sessions(self) -> Optional[int]:
         """Interactions started during the run."""
-        if self.serving is None:
-            return None
-        return self.serving.num_sessions
+        stats = self.session_stats
+        return None if stats is None else stats.num_sessions
 
     @property
     def completed_sessions(self) -> Optional[int]:
         """Interactions that finished their final turn."""
-        if self.serving is None:
-            return None
-        return self.serving.completed_sessions
+        stats = self.session_stats
+        return None if stats is None else stats.completed_sessions
 
     @property
     def total_turns(self) -> Optional[int]:
         """Turns served across every session."""
-        if self.serving is None:
-            return None
-        return self.serving.total_turns
+        stats = self.session_stats
+        return None if stats is None else stats.total_turns
 
     @property
     def mean_turns_per_session(self) -> Optional[float]:
         """Mean turns served per started session."""
-        if self.serving is None:
-            return None
-        return self.serving.mean_turns_per_session
+        stats = self.session_stats
+        return None if stats is None else stats.mean_turns_per_session
 
     @property
     def affinity_invalidations(self) -> Optional[int]:
         """Sticky-routing re-pins (spills plus homes lost to replica churn)."""
-        if self.serving is None:
-            return None
-        return self.serving.affinity_invalidations
+        stats = self.session_stats
+        return None if stats is None else stats.affinity_invalidations
 
     # -- engine fidelity ----------------------------------------------------------
     @property
@@ -320,9 +409,9 @@ class ResultSet:
     @property
     def mean_accepted_per_step(self) -> Optional[float]:
         """Mean draft tokens accepted per speculative verify (``None`` = off)."""
-        if self.serving is None:
+        if self.serving is None or self.serving.spec_sequence_steps == 0:
             return None
-        return self.serving.mean_accepted_per_step
+        return self.serving.spec_accepted_tokens / self.serving.spec_sequence_steps
 
     @property
     def draft_energy_j(self) -> float:

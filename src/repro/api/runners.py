@@ -4,9 +4,13 @@
 :class:`~repro.api.builder.System` from the spec and drives it according to
 the spec's arrival process:
 
-* ``single``     -> one-request-at-a-time characterization (paper IV-A/IV-B),
+* ``single`` -> one-request-at-a-time characterization (paper IV-A/IV-B),
+  recorded as a :class:`~repro.core.runner.CharacterizationResult`;
 * ``poisson`` / ``uniform`` -> open-loop serving (paper IV-C, Fig. 10/11),
-* ``sequential`` -> closed-loop sequential serving baseline.
+  recorded as a :class:`~repro.serving.server.ServingResult`.
+
+Either record comes back wrapped in a :class:`~repro.api.results.ResultSet`,
+which defines every metric.
 
 Offered-load sweeps (the tail-latency-vs-QPS curves of paper Fig. 11) are
 one-axis studies: :func:`repro.api.study.run_study` over a ``qps`` axis.
@@ -36,14 +40,7 @@ from repro.core.runner import CharacterizationResult, RequestObservation
 from repro.llm.energy import PowerState
 from repro.llm.tokenizer import SegmentKind
 from repro.serving.cluster import ReplicaPool
-from repro.serving.loadgen import (
-    ArrivalPlan,
-    mixture_plan,
-    poisson_plan,
-    sequential_plan,
-    shaped_plan,
-    uniform_plan,
-)
+from repro.serving.loadgen import ArrivalPlan, mixture_plan, shaped_plan
 from repro.serving.sessions import SessionSpec, SessionState, SessionStats
 from repro.serving.shapes import ConstantShape
 from repro.serving.server import ServingResult
@@ -74,13 +71,7 @@ def _run_characterization(
         )
     agent = system.create_agent(seed_stream=system.stream)
 
-    outcome = CharacterizationResult(
-        agent=spec.agent,
-        benchmark=spec.workload,
-        model=cluster.model.name,
-        config=spec.agent_config,
-        prefix_caching=spec.enable_prefix_caching,
-    )
+    observations: List[RequestObservation] = []
     for task in tasks:
         start_time = env.now
         energy_before = cluster.energy_snapshot()
@@ -91,7 +82,7 @@ def _run_characterization(
             cluster.runtime_breakdown(start_time, end_time)
         )
         kv_stats = cluster.kv_memory_stats(start_time, end_time)
-        outcome.observations.append(
+        observations.append(
             RequestObservation(
                 result=result,
                 energy_wh=window.total_wh,
@@ -104,14 +95,11 @@ def _run_characterization(
     # Warm-up exclusion: drop the first ``warmup_requests`` observations so
     # characterization honours MeasurementSpec instead of silently ignoring
     # it (spec validation guarantees at least one observation survives).
-    warmup = spec.measurement.warmup_requests
-    if warmup:
-        outcome.observations = outcome.observations[warmup:]
-    return outcome
+    return CharacterizationResult(observations[spec.measurement.warmup_requests:])
 
 
 # ---------------------------------------------------------------------------
-# Serving (arrival processes: "poisson", "uniform", "sequential")
+# Serving (arrival processes: "poisson", "uniform")
 # ---------------------------------------------------------------------------
 
 
@@ -213,7 +201,7 @@ class ServingDriver:
         return labels
 
     # -- agent/worker assembly ------------------------------------------------
-    def _make_agent(self, label: Optional[str] = None):
+    def _make_agent(self, label: Optional[str]):
         seed_stream = self.system.stream.substream(
             f"agent-worker/{self._active_workers}"
         )
@@ -572,34 +560,6 @@ class ServingDriver:
         pending = self.env.pending_events()
         return bool(pending) and all(id(event) in background for event in pending)
 
-    # -- closed-loop sequential serving ---------------------------------------
-    def serve_sequential(self, num_requests: int) -> ServingResult:
-        """Process requests strictly one at a time (the paper's baseline)."""
-        system, env = self.system, self.env
-        plan = sequential_plan(system.workload, num_requests)
-        collected: List[AgentRunResult] = []
-        self._admission_delays = []
-        self._warmup_boundary = None
-        self._tenant_completions = []
-        # Closed-loop serving bypasses the door (one request at a time can
-        # never overload it); clear stale accounting from a previous run.
-        self.admission.reset_counts()
-        energy_before = system.cluster.energy_snapshot()
-        start_time = env.now
-        for task in plan.tasks:
-            agent = self._make_agent()
-            result = env.run(agent.run_process(task))
-            collected.append(result)
-            self._note_completion(collected)
-        return self._build_result(
-            collected,
-            offered_qps=0.0,
-            num_requests=num_requests,
-            energy_before=energy_before,
-            start_time=start_time,
-            end_time=env.now,
-        )
-
     # -- result assembly -------------------------------------------------------
     def _build_result(
         self,
@@ -696,7 +656,6 @@ class ServingDriver:
             served_tokens=served_tokens,
             scaling_events=list(system.cluster.scaling_events),
             admission_stats=self.admission.class_stats(),
-            slo_p95_s=self.spec.measurement.slo_p95_s,
             forecast_mae=forecast_mae,
             scale_ahead_leads=scale_ahead_leads,
             tenant_stats=self._tenant_stats(contended_until),
@@ -849,42 +808,19 @@ def _build_plan(system: System) -> ArrivalPlan:
             duration_s=arrival.duration_s,
             tenants=arrival.tenants,
         )
-    if arrival.shape is not None or arrival.duration_s is not None:
-        # Shaped traffic program on a single workload (identity-shape plans
-        # delegate to the legacy generators inside shaped_plan).
-        return shaped_plan(
-            system.workload,
-            qps=arrival.qps,
-            shape=arrival.shape if arrival.shape is not None else ConstantShape(),
-            num_requests=arrival.num_requests,
-            stream=system.stream.substream(f"plan/{arrival.qps}"),
-            task_pool_size=arrival.task_pool_size,
-            process=arrival.process,
-            duration_s=arrival.duration_s,
-            tenants=arrival.tenants,
-        )
-    if arrival.process == "poisson":
-        return poisson_plan(
-            system.workload,
-            qps=arrival.qps,
-            num_requests=arrival.num_requests,
-            stream=system.stream.substream(f"plan/{arrival.qps}"),
-            task_pool_size=arrival.task_pool_size,
-            tenants=arrival.tenants,
-        )
-    if arrival.process == "uniform":
-        # The stream feeds only tenant sampling here (deterministic arrivals
-        # and round-robin task picks draw nothing), so untenanted uniform
-        # plans stay bit-for-bit identical.
-        return uniform_plan(
-            system.workload,
-            qps=arrival.qps,
-            num_requests=arrival.num_requests,
-            task_pool_size=arrival.task_pool_size,
-            stream=system.stream.substream(f"plan/{arrival.qps}"),
-            tenants=arrival.tenants,
-        )
-    raise ValueError(f"no open-loop plan for arrival process {arrival.process!r}")
+    # One workload: the identity shape delegates to the unshaped generators
+    # inside shaped_plan, so unshaped plans stay bit-for-bit the legacy plans.
+    return shaped_plan(
+        system.workload,
+        qps=arrival.qps,
+        shape=arrival.shape if arrival.shape is not None else ConstantShape(),
+        num_requests=arrival.num_requests,
+        stream=system.stream.substream(f"plan/{arrival.qps}"),
+        task_pool_size=arrival.task_pool_size,
+        process=arrival.process,
+        duration_s=arrival.duration_s,
+        tenants=arrival.tenants,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -904,14 +840,8 @@ def run_experiment(
 
     reset_request_ids()
     system = SystemBuilder(spec).build()
-    process = spec.arrival.process
-    if process == "single":
+    if spec.arrival.process == "single":
         return ResultSet(spec=spec, characterization=_run_characterization(system, tasks))
     if tasks is not None:
         raise ValueError("explicit tasks are only supported for single-arrival specs")
-    driver = ServingDriver(system)
-    if process == "sequential":
-        serving = driver.serve_sequential(spec.arrival.num_requests)
-    else:
-        serving = driver.serve(_build_plan(system))
-    return ResultSet(spec=spec, serving=serving)
+    return ResultSet(spec=spec, serving=ServingDriver(system).serve(_build_plan(system)))

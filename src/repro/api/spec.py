@@ -45,7 +45,7 @@ from repro.serving.tenants import TenantSpec
 from repro.workloads import available_workloads
 
 #: Arrival processes understood by the experiment runners.
-ARRIVAL_PROCESSES: Tuple[str, ...] = ("single", "poisson", "uniform", "sequential")
+ARRIVAL_PROCESSES: Tuple[str, ...] = ("single", "poisson", "uniform")
 
 #: Agents that run without a toolset.
 TOOLLESS_AGENTS: Tuple[str, ...] = ("cot", "chatbot")
@@ -59,8 +59,6 @@ class ArrivalSpec:
       characterization setup; Section IV-A/IV-B).
     * ``poisson`` -- open-loop Poisson arrivals at ``qps`` (Section IV-C).
     * ``uniform`` -- open-loop deterministic arrivals at ``qps``.
-    * ``sequential`` -- closed-loop: all requests queued at t=0, served one
-      at a time (the paper's sequential serving baseline).
 
     Open-loop processes optionally carry a ``shape``: a
     :class:`~repro.serving.shapes.RateShape` modulating the base rate over

@@ -152,12 +152,6 @@ def uniform_plan(
     )
 
 
-def sequential_plan(workload: Workload, num_requests: int) -> ArrivalPlan:
-    """All requests available at time zero (used for closed-loop sequential runs)."""
-    tasks = workload.sample_tasks(num_requests)
-    return ArrivalPlan(arrival_times=[0.0] * num_requests, tasks=tasks)
-
-
 # ---------------------------------------------------------------------------
 # Shaped (time-varying) arrival streams
 # ---------------------------------------------------------------------------

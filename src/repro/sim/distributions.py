@@ -150,7 +150,7 @@ class PoissonArrivals:
 
 
 class DeterministicArrivals:
-    """Evenly spaced arrivals (used by closed-loop / sequential experiments)."""
+    """Evenly spaced arrivals (the ``uniform`` arrival process)."""
 
     def __init__(self, rate_qps: float):
         if rate_qps <= 0:

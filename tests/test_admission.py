@@ -57,19 +57,22 @@ class TestConcurrencyGoldenPin:
     """A concurrency cap of 2 reproduces the pinned door gate bit-for-bit."""
 
     # Re-pinned at exact decode when the approximate decode chunking this run
-    # used was deleted.
+    # used was deleted.  METRICS holds ResultSet metrics; RECORD holds fields
+    # of the wrapped ServingResult.
     METRICS = {
         "mean_latency": 12.628310580867481,
         "p95_latency": 14.927020364071147,
         "energy_wh": 3.8739230303890655,
         "throughput_qps": 0.15606578603494042,
         "duration": 64.07554310309355,
-        "kv_average_bytes": 90625647.68728551,
-        "preemptions": 0,
-        "prefix_cache_hit_rate": 0.918328360771856,
         "num_queued": 8,
         "mean_admission_delay": 23.257865579985936,
         "p95_admission_delay": 47.06637672555817,
+    }
+    RECORD = {
+        "kv_average_bytes": 90625647.68728551,
+        "preemptions": 0,
+        "prefix_cache_hit_rate": 0.918328360771856,
     }
     LATENCIES = [
         13.776076213721327,
@@ -99,15 +102,17 @@ class TestConcurrencyGoldenPin:
     def test_registry_gate_is_bit_for_bit_identical(self):
         gated = run_experiment(
             agent_spec(admission=AdmissionSpec(policy="concurrency", max_concurrency=2))
-        ).serving
+        )
         for metric, expected in self.METRICS.items():
             assert getattr(gated, metric) == expected, metric
+        for name, expected in self.RECORD.items():
+            assert getattr(gated.serving, name) == expected, name
         assert gated.latencies == self.LATENCIES
         assert gated.admission_delays == self.ADMISSION_DELAYS
 
     def test_unlimited_policy_matches_open_door(self):
-        open_door = run_experiment(agent_spec()).serving
-        unlimited = run_experiment(agent_spec(admission="unlimited")).serving
+        open_door = run_experiment(agent_spec())
+        unlimited = run_experiment(agent_spec(admission="unlimited"))
         assert unlimited.latencies == open_door.latencies
         assert unlimited.num_rejected == 0
         assert unlimited.rejection_rate == 0.0
@@ -162,7 +167,7 @@ class TestTokenBucketRefill:
             ),
             admission=AdmissionSpec(policy="token-bucket", rate_qps=0.5, burst=1),
         )
-        result = run_experiment(spec).serving
+        result = run_experiment(spec)
         assert result.num_completed == 4
         assert result.num_rejected == 0
         delays = sorted(result.admission_delays)

@@ -24,14 +24,10 @@ class TestCharacterizationGolden:
     GOLDEN = {
         "mean_latency": 16.668997844782456,
         "accuracy": 0.3333333333333333,
-        "mean_energy_wh": 0.8561984437107726,
+        "energy_wh_per_query": 0.8561984437107726,
         "mean_llm_calls": 7.0,
         "mean_total_tokens": 7180.333333333333,
     }
-
-    def _check(self, result):
-        for metric, expected in self.GOLDEN.items():
-            assert getattr(result, metric) == expected, metric
 
     def test_spec_through_new_api_matches_seed(self):
         spec = ExperimentSpec(
@@ -44,27 +40,35 @@ class TestCharacterizationGolden:
             seed=1,
         )
         outcome = run_experiment(spec)
-        self._check(outcome.characterization)
-        # Unified interface agrees with the wrapped result.
-        assert outcome.mean_latency == self.GOLDEN["mean_latency"]
-        assert outcome.accuracy == self.GOLDEN["accuracy"]
+        for metric, expected in self.GOLDEN.items():
+            assert getattr(outcome, metric) == expected, metric
 
 
 class TestServingGolden:
     """react/hotpotqa, Poisson 1 qps, 10 requests, pool 8, seed 0."""
 
     # Re-pinned at exact decode (one token per step) when the approximate
-    # decode chunking these runs used was deleted.
+    # decode chunking these runs used was deleted.  GOLDEN holds ResultSet
+    # metrics; RECORD holds fields of the wrapped ServingResult.
     GOLDEN = {
         "mean_latency": 10.646407395255261,
         "p95_latency": 15.151794256321168,
         "energy_wh": 1.530517725786379,
         "throughput_qps": 0.43800395819435634,
         "duration": 22.83084390658105,
+    }
+    RECORD = {
         "kv_average_bytes": 153650818.11970353,
         "preemptions": 0,
         "prefix_cache_hit_rate": 0.9135721327637201,
     }
+
+    @classmethod
+    def check(cls, outcome):
+        for metric, expected in cls.GOLDEN.items():
+            assert getattr(outcome, metric) == expected, metric
+        for name, expected in cls.RECORD.items():
+            assert getattr(outcome.serving, name) == expected, name
 
     def _spec(self) -> ExperimentSpec:
         return ExperimentSpec(
@@ -78,14 +82,8 @@ class TestServingGolden:
             seed=0,
         )
 
-    def _check(self, result):
-        for metric, expected in self.GOLDEN.items():
-            assert getattr(result, metric) == expected, metric
-
     def test_spec_through_new_api_matches_seed(self):
-        outcome = run_experiment(self._spec())
-        self._check(outcome.serving)
-        assert outcome.throughput_qps == self.GOLDEN["throughput_qps"]
+        self.check(run_experiment(self._spec()))
 
     def test_chatbot_serving_golden(self):
         spec = ExperimentSpec(
@@ -95,7 +93,7 @@ class TestServingGolden:
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
             seed=3,
         )
-        result = run_experiment(spec).serving
+        result = run_experiment(spec)
         # Re-pinned at exact decode when approximate decode chunking was deleted.
         assert result.mean_latency == 5.129143362404462
         assert result.p95_latency == 9.723356564694797
@@ -137,9 +135,7 @@ class TestTrafficProgramCompat:
                 shape=ConstantShape(),
             )
         )
-        outcome = run_experiment(shaped)
-        for metric, expected in TestServingGolden.GOLDEN.items():
-            assert getattr(outcome.serving, metric) == expected, metric
+        TestServingGolden.check(run_experiment(shaped))
 
     def test_sweep_golden_pin(self):
         """A one-axis qps study at the golden serving config reproduces the pin."""
@@ -148,9 +144,7 @@ class TestTrafficProgramCompat:
         study = run_study(
             StudySpec(base=self._spec(), axes=(StudyAxis(name="qps", values=(1.0,)),))
         )
-        result = study.points[0].outcome.serving
-        for metric, expected in TestServingGolden.GOLDEN.items():
-            assert getattr(result, metric) == expected, metric
+        TestServingGolden.check(study.points[0].outcome)
 
 
 class TestResultSetInterface:
@@ -171,18 +165,34 @@ class TestResultSetInterface:
         assert summary["kind"] == "serving"
         assert summary["num_completed"] == 5
         assert summary["throughput_qps"] == outcome.throughput_qps
-        assert outcome.raw is outcome.serving
+        assert outcome.runs is outcome.serving.results
 
-    def test_sequential_arrival_runs_closed_loop(self):
-        spec = ExperimentSpec(
-            agent="chatbot",
-            workload="sharegpt",
-            arrival=ArrivalSpec(process="sequential", num_requests=3),
+    def test_metrics_are_defined_over_runs_of_either_kind(self):
+        # Serving runs report the per-request aggregates characterization
+        # reports, and characterization runs honour the experiment SLO.
+        from repro.api import MeasurementSpec
+
+        serving = run_experiment(
+            ExperimentSpec(
+                agent="react",
+                workload="hotpotqa",
+                agent_config=AgentConfig(max_iterations=5),
+                arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=4, task_pool_size=4),
+            )
         )
-        outcome = run_experiment(spec)
-        assert outcome.serving.offered_qps == 0.0
-        assert outcome.num_completed == 3
-        assert outcome.serving.duration == pytest.approx(sum(outcome.latencies), rel=0.05)
+        calls = [run.num_llm_calls for run in serving.serving.results]
+        assert serving.mean_llm_calls == sum(calls) / len(calls)
+        assert serving.mean_llm_calls >= 1
+        assert serving.mean_total_tokens > 0
+        characterization = run_experiment(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                arrival=ArrivalSpec(process="single", num_requests=4),
+                measurement=MeasurementSpec(slo_p95_s=1e9),
+            )
+        )
+        assert characterization.slo_attainment == 1.0
 
     def test_measurement_warmup_excludes_first_completions(self):
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=6, task_pool_size=5)

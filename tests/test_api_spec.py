@@ -88,8 +88,6 @@ class TestArrivalSpecValidation:
 
         with pytest.raises(ValueError, match="rate shape"):
             ArrivalSpec(process="single", shape=RampShape())
-        with pytest.raises(ValueError, match="rate shape"):
-            ArrivalSpec(process="sequential", shape="diurnal")
 
     def test_shape_shorthands_coerce(self):
         from repro.serving.shapes import DiurnalShape, RampShape

@@ -197,10 +197,10 @@ class TestRouterPolicies:
             arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=9, task_pool_size=6),
             seed=11,
         )
-        first = run_experiment(spec).serving
-        second = run_experiment(spec).serving
-        assert first.routed_counts == second.routed_counts
-        assert sum(first.routed_counts) >= 9
+        first = run_experiment(spec)
+        second = run_experiment(spec)
+        assert first.serving.routed_counts == second.serving.routed_counts
+        assert sum(first.serving.routed_counts) >= 9
         assert first.latencies == second.latencies
 
 

@@ -119,3 +119,23 @@ class TestHandWrittenDocs:
         assert len(names) > 20
         for name in names:
             assert hasattr(ResultSet, name), f"documented metric {name!r} unknown"
+
+    def test_every_scalar_metric_is_documented(self):
+        # The other direction: every scalar ResultSet property (the names
+        # metric() and studies resolve) has a row in the doc.
+        from typing import Optional, get_type_hints
+
+        from repro.api import ResultSet
+
+        text = (DOCS / "METRICS.md").read_text()
+        documented = set(re.findall(r"^\| `([a-z_0-9]+)` \|", text, flags=re.MULTILINE))
+        scalar_types = (int, float, Optional[int], Optional[float])
+        scalar = {
+            name
+            for name, member in vars(ResultSet).items()
+            if isinstance(member, property)
+            and get_type_hints(member.fget)["return"] in scalar_types
+        }
+        assert len(scalar) > 30  # the scan sees the real properties
+        undocumented = sorted(scalar - documented)
+        assert not undocumented, f"docs/METRICS.md lacks rows for {undocumented}"

@@ -106,7 +106,7 @@ class TestFleetSpecs:
         with pytest.raises(ValueError, match="open-loop"):
             ExperimentSpec(
                 workloads=(WeightedWorkload(agent="chatbot", workload="sharegpt"),),
-                arrival=ArrivalSpec(process="sequential", num_requests=4),
+                arrival=ArrivalSpec(process="single", num_requests=4),
             )
 
     def test_mixture_weights_must_be_positive(self):
@@ -364,7 +364,7 @@ class TestFleetRegressions:
         system.create_agent = lambda **kwargs: StuckAgent()
         driver = ServingDriver(system)
         result = driver.serve(_build_plan(system))
-        assert result.num_completed == 0
+        assert result.results == []
 
     def test_mixture_spec_skips_legacy_workload(self):
         from repro.api.builder import SystemBuilder

@@ -1,9 +1,12 @@
-"""The dependency manifest declares every third-party module the suites import.
+"""The dependency manifest declares every third-party module the repo imports.
 
-CI installs the ``test`` extra of ``pyproject.toml`` and nothing else, so a
-test, benchmark or perfbench module that imports an undeclared package
-passes locally and fails at collection in CI.  Import names are compared
-with the declared distribution names normalised (lower case, ``-`` -> ``_``).
+CI installs the package with its ``test`` extra for the suites, and the
+package alone (its runtime ``dependencies``) for the examples, docs and
+determinism lanes.  So a suite module that imports an undeclared package,
+or a library, example or script module that imports anything beyond the
+runtime dependencies, passes locally and fails at import in CI.  Import
+names are compared with the declared distribution names normalised (lower
+case, ``-`` -> ``_``).
 """
 
 from __future__ import annotations
@@ -12,18 +15,19 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, Iterable, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUITES = ("tests", "benchmarks", "perfbench")
+PROGRAMS = ("src", "examples", "scripts")
 FIRST_PARTY = {"repro", "tests", "perfbench", "bench_utils", "conftest"}
 
 
-def declared_requirements() -> Set[str]:
-    """Normalised names of the runtime dependencies plus the ``test`` extra."""
+def declared_requirements(*keys: str) -> Set[str]:
+    """Normalised names of the ``pyproject.toml`` lists named by ``keys``."""
     text = (REPO_ROOT / "pyproject.toml").read_text()
     names: Set[str] = set()
-    for key in ("dependencies", "test"):
+    for key in keys:
         listing = re.search(rf"^{key} = \[(.*?)\]", text, flags=re.MULTILINE | re.DOTALL)
         assert listing is not None, f"pyproject.toml has no {key} list"
         for requirement in re.findall(r'"([^"]+)"', listing.group(1)):
@@ -32,11 +36,11 @@ def declared_requirements() -> Set[str]:
     return names
 
 
-def third_party_imports() -> Dict[str, str]:
-    """Top-level third-party module -> the first suite file importing it."""
+def third_party_imports(directories: Iterable[str]) -> Dict[str, str]:
+    """Top-level third-party module -> the first file importing it."""
     found: Dict[str, str] = {}
-    for suite in SUITES:
-        for path in sorted((REPO_ROOT / suite).rglob("*.py")):
+    for directory in directories:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
@@ -51,11 +55,19 @@ def third_party_imports() -> Dict[str, str]:
     return found
 
 
+def undeclared(imported: Dict[str, str], declared: Set[str]) -> Dict[str, str]:
+    return {module: path for module, path in imported.items() if module.lower() not in declared}
+
+
 def test_every_suite_import_is_declared():
-    imported = third_party_imports()
+    imported = third_party_imports(SUITES)
     assert "hypothesis" in imported  # the scan sees the suites' real imports
-    declared = declared_requirements()
-    missing = {
-        module: path for module, path in imported.items() if module.lower() not in declared
-    }
+    missing = undeclared(imported, declared_requirements("dependencies", "test"))
     assert not missing, f"imported but not declared in pyproject.toml: {missing}"
+
+
+def test_every_program_import_is_a_runtime_dependency():
+    imported = third_party_imports(PROGRAMS)
+    assert "numpy" in imported  # the scan sees the library's real imports
+    missing = undeclared(imported, declared_requirements("dependencies"))
+    assert not missing, f"imported but not in pyproject.toml dependencies: {missing}"

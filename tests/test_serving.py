@@ -8,14 +8,16 @@ import pytest
 
 from repro.agents import AgentConfig
 from repro.analysis import peak_throughput
-from repro.api import ArrivalSpec, ExperimentSpec, StudyAxis, StudySpec, run_experiment, run_study
-from repro.serving import (
-    ArrivalPlan,
-    ServingResult,
-    poisson_plan,
-    sequential_plan,
-    uniform_plan,
+from repro.api import (
+    ArrivalSpec,
+    ExperimentSpec,
+    ResultSet,
+    StudyAxis,
+    StudySpec,
+    run_experiment,
+    run_study,
 )
+from repro.serving import ArrivalPlan, poisson_plan, uniform_plan
 from repro.sim import RandomStream
 from repro.workloads import create_workload
 
@@ -38,11 +40,6 @@ class TestArrivalPlans:
         plan = uniform_plan(workload, qps=2.0, num_requests=4)
         gaps = [b - a for a, b in zip(plan.arrival_times, plan.arrival_times[1:])]
         assert all(gap == pytest.approx(0.5) for gap in gaps)
-
-    def test_sequential_plan_all_at_time_zero(self):
-        workload = create_workload("hotpotqa", seed=1)
-        plan = sequential_plan(workload, 5)
-        assert plan.arrival_times == [0.0] * 5
 
     def test_mismatched_lengths_rejected(self):
         workload = create_workload("hotpotqa", seed=1)
@@ -69,17 +66,17 @@ def small_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
-def serve(qps: float, num_requests: int, task_pool_size: int = 48, **overrides) -> ServingResult:
+def serve(qps: float, num_requests: int, task_pool_size: int = 48, **overrides) -> ResultSet:
     """One open-loop Poisson run of :func:`small_spec`."""
     arrival = ArrivalSpec(
         process="poisson", qps=qps, num_requests=num_requests, task_pool_size=task_pool_size
     )
-    return run_experiment(small_spec(arrival=arrival, **overrides)).serving
+    return run_experiment(small_spec(arrival=arrival, **overrides))
 
 
 def qps_sweep(
     qps_values: Sequence[float], num_requests: int, task_pool_size: int = 48, **overrides
-) -> List[ServingResult]:
+) -> List[ResultSet]:
     """A one-axis qps study of :func:`small_spec`; one outcome per load."""
     arrival = ArrivalSpec(
         process="single", num_requests=num_requests, task_pool_size=task_pool_size
@@ -88,10 +85,10 @@ def qps_sweep(
         base=small_spec(arrival=arrival, **overrides),
         axes=(StudyAxis(name="qps", values=tuple(qps_values)),),
     )
-    return [point.outcome.serving for point in run_study(study).points]
+    return [point.outcome for point in run_study(study).points]
 
 
-class TestAgentServer:
+class TestOpenLoopServing:
     def test_open_loop_serving_completes_all_requests(self):
         result = serve(1.0, num_requests=12, task_pool_size=8)
         assert result.num_completed == 12
@@ -99,20 +96,10 @@ class TestAgentServer:
         assert result.p95_latency >= result.latency_stats.p50
         assert result.energy_wh > 0
 
-    def test_sequential_serving(self):
-        # The multi-call ReAct agent: tool time and several LLM calls per
-        # request still leave no gap between consecutive requests.
-        result = run_experiment(
-            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=4))
-        ).serving
-        assert result.num_completed == 4
-        assert result.offered_qps == 0.0
-        assert result.duration == pytest.approx(sum(result.latencies), rel=0.05)
-
     def test_concurrent_serving_beats_sequential_throughput(self):
         sequential = run_experiment(
-            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=8))
-        ).serving
+            small_spec(arrival=ArrivalSpec(process="single", num_requests=8))
+        )
         concurrent = serve(2.0, num_requests=8, task_pool_size=8)
         assert concurrent.throughput_qps > sequential.throughput_qps
 
@@ -131,15 +118,15 @@ class TestAgentServer:
     def test_prefix_caching_improves_hit_rate_and_latency(self):
         cached = serve(1.0, num_requests=12, enable_prefix_caching=True)
         uncached = serve(1.0, num_requests=12, enable_prefix_caching=False)
-        assert cached.prefix_cache_hit_rate > 0.5
-        assert uncached.prefix_cache_hit_rate == 0.0
+        assert cached.serving.prefix_cache_hit_rate > 0.5
+        assert uncached.serving.prefix_cache_hit_rate == 0.0
         assert cached.p95_latency <= uncached.p95_latency * 1.05
 
     def test_kv_memory_lower_with_prefix_caching(self):
         cached = serve(0.5, num_requests=12, enable_prefix_caching=True)
         uncached = serve(0.5, num_requests=12, enable_prefix_caching=False)
-        assert cached.kv_average_bytes < uncached.kv_average_bytes
-        assert cached.kv_max_bytes <= uncached.kv_max_bytes
+        assert cached.serving.kv_average_bytes < uncached.serving.kv_average_bytes
+        assert cached.serving.kv_max_bytes <= uncached.serving.kv_max_bytes
 
     def test_energy_per_query_positive(self):
         result = serve(0.5, num_requests=6)
@@ -154,7 +141,7 @@ class TestQpsSweep:
     def test_sweep_produces_one_result_per_qps(self):
         sweep = qps_sweep((0.5, 1.0), num_requests=8, task_pool_size=8)
         assert len(sweep) == 2
-        assert [result.offered_qps for result in sweep] == [
+        assert [result.serving.offered_qps for result in sweep] == [
             pytest.approx(0.5, rel=0.6),
             pytest.approx(1.0, rel=0.6),
         ]
@@ -185,14 +172,14 @@ def characterize(agent: str, workload: str, num_tasks: int = 20, tasks=None, **o
         seed=1,
         **overrides,
     )
-    return run_experiment(spec, tasks=tasks).characterization
+    return run_experiment(spec, tasks=tasks)
 
 
-class TestSingleRequestRunnerIntegration:
+class TestCharacterizationRun:
     def test_runner_produces_observations_with_engine_metrics(self):
         result = characterize("react", "hotpotqa", num_tasks=3)
         assert result.num_requests == 3
-        for observation in result.observations:
+        for observation in result.characterization.observations:
             assert observation.energy_wh > 0
             assert observation.gpu.total > 0
             assert observation.kv_max_bytes > 0
@@ -204,13 +191,9 @@ class TestSingleRequestRunnerIntegration:
         tasks = workload.sample_tasks(2)
         result = characterize("react", "math", tasks=tasks)
         assert result.num_requests == 2
-        assert [obs.result.task_id for obs in result.observations] == [t.task_id for t in tasks]
+        assert [run.task_id for run in result.runs] == [t.task_id for t in tasks]
 
     def test_gpu_idle_fraction_larger_for_slow_tools(self):
         hotpot = characterize("react", "hotpotqa", num_tasks=4)
         webshop = characterize("react", "webshop", num_tasks=4)
         assert hotpot.gpu_breakdown().fractions["idle"] > webshop.gpu_breakdown().fractions["idle"]
-
-    def test_prefix_caching_flag_reflected_in_result(self):
-        result = characterize("cot", "hotpotqa", num_tasks=2, enable_prefix_caching=False)
-        assert result.prefix_caching is False

@@ -13,6 +13,7 @@ from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
     StudyAxis,
+    ResultSet,
     StudySpec,
     run_experiment,
     run_study,
@@ -20,10 +21,10 @@ from repro.api import (
 from repro.serving import ServingResult
 
 
-def qps_study(spec: ExperimentSpec, qps_values: Sequence[float]) -> List[ServingResult]:
-    """Serving outcomes of a one-axis qps study over ``spec``, one per load."""
+def qps_study(spec: ExperimentSpec, qps_values: Sequence[float]) -> List[ResultSet]:
+    """Outcomes of a one-axis qps study over ``spec``, one per load."""
     study = StudySpec(base=spec, axes=(StudyAxis(name="qps", values=tuple(qps_values)),))
-    return [point.outcome.serving for point in run_study(study).points]
+    return [point.outcome for point in run_study(study).points]
 
 
 def concurrency_cap(limit: int) -> AdmissionSpec:
@@ -46,7 +47,7 @@ class TestMaxConcurrencyEnforcement:
     ARRIVAL = ArrivalSpec(process="poisson", qps=3.0, num_requests=10, task_pool_size=8)
 
     def test_unlimited_concurrency_never_queues(self):
-        result = run_experiment(agent_spec(arrival=self.ARRIVAL)).serving
+        result = run_experiment(agent_spec(arrival=self.ARRIVAL))
         assert result.num_queued == 0
         assert result.mean_admission_delay == 0.0
         assert len(result.admission_delays) == 10
@@ -54,17 +55,17 @@ class TestMaxConcurrencyEnforcement:
     def test_gate_queues_excess_requests_and_reports_delay(self):
         result = run_experiment(
             agent_spec(arrival=self.ARRIVAL, admission=concurrency_cap(2))
-        ).serving
+        )
         assert result.num_completed == 10
         assert result.num_queued > 0
         assert result.mean_admission_delay > 0.0
         assert result.p95_admission_delay >= result.mean_admission_delay
 
     def test_tighter_gate_increases_latency(self):
-        open_door = run_experiment(agent_spec(arrival=self.ARRIVAL)).serving
+        open_door = run_experiment(agent_spec(arrival=self.ARRIVAL))
         gated = run_experiment(
             agent_spec(arrival=self.ARRIVAL, admission=concurrency_cap(1))
-        ).serving
+        )
         assert gated.mean_latency > open_door.mean_latency
         assert gated.mean_admission_delay > open_door.mean_admission_delay
 
@@ -91,12 +92,16 @@ class TestMaxConcurrencyEnforcement:
 
 
 class TestPeakThroughputHardening:
-    def _result(self, qps: float, p95: float, completed: int = 10) -> ServingResult:
-        result = ServingResult(offered_qps=qps, num_requests=completed, duration=1.0)
+    def _result(self, qps: float, p95: float, completed: int = 10) -> ResultSet:
         # Fabricate a latency distribution with the desired p95 by reusing a
-        # single value; ServingResult derives p95 from results' latencies.
-        result.results = [_FakeRun(p95) for _ in range(completed)]
-        return result
+        # single value; ResultSet derives p95 from the runs' latencies.
+        serving = ServingResult(
+            offered_qps=qps,
+            num_requests=completed,
+            results=[_FakeRun(p95) for _ in range(completed)],
+            duration=1.0,
+        )
+        return ResultSet(spec=ExperimentSpec(), serving=serving)
 
     def test_zero_baseline_does_not_collapse_threshold(self):
         sweep = [self._result(0.5, 0.0), self._result(1.0, 2.0), self._result(2.0, 3.0)]
@@ -121,10 +126,10 @@ class TestPeakThroughputHardening:
 
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=8, task_pool_size=6)
         base = ExperimentSpec(agent="chatbot", workload="sharegpt", arrival=arrival)
-        full = run_experiment(base).serving
+        full = run_experiment(base)
         warm = run_experiment(
             base.with_overrides(measurement=MeasurementSpec(warmup_requests=3))
-        ).serving
+        )
         # Same simulation, smaller measured window: duration and energy must
         # shrink, so derived rates are not diluted by the warm-up period.
         assert warm.duration < full.duration
@@ -191,4 +196,4 @@ class TestReplicaScaling:
         # Every load point completes.
         for result in sweep:
             assert result.num_completed == result.num_requests
-            assert result.num_replicas == 4
+            assert result.serving.num_replicas == 4

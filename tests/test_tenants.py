@@ -518,7 +518,7 @@ class TestTenantedExperiments:
 
         with pytest.raises(ValueError, match="tenants"):
             ArrivalSpec(
-                process="sequential", num_requests=4,
+                process="single", num_requests=4,
                 tenants=TenantSpec(num_users=10),
             )
 
