@@ -10,8 +10,9 @@ of hash-randomised keys somewhere in the scheduling or aggregation path
 -- the tests all pass within one process, and results drift between
 processes.  This script pins the contract the way CI exercises it: run a
 small but representative experiment battery -- including the chunked
-prefill and speculative-decoding fidelity paths, a least-loaded fleet and
-a shed, autoscaled two-pool fleet -- in two fresh
+prefill and speculative-decoding fidelity paths, many vtc tenants under
+KV pressure, a least-loaded fleet and a shed, autoscaled two-pool
+fleet -- in two fresh
 interpreters with *different* hash seeds, serialise every result to
 canonical JSON (full latency vectors, not just summaries), and diff.
 
@@ -49,6 +50,7 @@ def battery() -> dict:
         ExperimentSpec,
         PoolSpec,
         SpeculativeSpec,
+        TenantSpec,
         WeightedWorkload,
         run_experiment,
     )
@@ -93,6 +95,28 @@ def battery() -> dict:
                 task_pool_size=6,
             ),
             max_num_seqs=2,
+        ),
+        # Many tenants behind a nearly full KV cache: vtc's deferred joins
+        # and preemption's re-queue at the front of the index.
+        "vtc-kv-pressure": ExperimentSpec(
+            workloads=(
+                WeightedWorkload(
+                    agent="chatbot", workload="sharegpt", weight=0.6, name="chat"
+                ),
+                WeightedWorkload(
+                    agent="react", workload="hotpotqa", weight=0.4, name="agent"
+                ),
+            ),
+            agent_config=AgentConfig(max_iterations=4),
+            scheduler="vtc",
+            kv_cache_fraction=0.02,
+            arrival=ArrivalSpec(
+                process="poisson",
+                qps=16.0,
+                num_requests=40,
+                task_pool_size=40,
+                tenants=TenantSpec(num_users=1000, skew=1.6, num_apps=8),
+            ),
         ),
         # Fleets: decode runs span other replicas' events, so routing,
         # admission and the autoscaler read engines mid-run.

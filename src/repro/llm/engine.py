@@ -471,10 +471,6 @@ class LLMEngine:
             # A partial prefill in flight means the next step will be MIXED,
             # so no decode run is unobservable (always empty in atomic mode).
             and not self.scheduler.prefilling
-            and (
-                self.scheduler.num_waiting == 0
-                or self.scheduler.policy.time_invariant_select
-            )
         ):
             k_limit = min(request.remaining_output_tokens for request in decodes)
             if k_limit > 1:

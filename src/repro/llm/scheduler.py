@@ -5,17 +5,20 @@ The scheduler decides, before each engine step, whether the step is a
 running requests -- the contention the paper highlights) or a *decode* step
 (one token for every running sequence).  Admission order is delegated to a
 :class:`SchedulingPolicy` selected by name through a registry
-(``fcfs`` | ``priority`` | ``sjf-by-predicted-decode`` | ``vtc``), and is bounded by a
-per-step token budget, a maximum batch size, and KV-cache capacity.  When the
-cache is exhausted mid-decode the most recently admitted request is preempted
-with recompute semantics.
+(``fcfs`` | ``priority`` | ``sjf-by-predicted-decode`` | ``vtc``), which owns
+an index of the waiting queue, and is bounded by a per-step token budget, a
+maximum batch size, and KV-cache capacity.  When the cache is exhausted
+mid-decode the most recently admitted request is preempted with recompute
+semantics.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush, heapreplace
+from itertools import count
 from typing import Deque, Dict, List, Optional, Set, Tuple, Type
 
 from repro.llm.predictor import DecodeLengthPredictor
@@ -53,46 +56,53 @@ class SchedulerConfig:
 
 
 class SchedulingPolicy:
-    """Decides which waiting request is admitted next.
+    """Owns the index of the waiting queue that decides who is admitted next.
 
-    Policies are selectors over the waiting queue: the scheduler calls
-    :meth:`select_index` repeatedly during one prefill pass, removing the
-    chosen request each time, so policies never mutate the queue themselves.
+    The scheduler hands every queued request to the policy -- :meth:`push`
+    on arrival, :meth:`push_front` when preemption re-queues it -- and asks
+    :meth:`peek` for the next candidate during a prefill pass, calling
+    :meth:`pop` only once the candidate's KV allocation succeeded.  A failed
+    allocation or a token-budget stop leaves the index untouched, so the
+    next pass peeks the same candidate in O(1) instead of rescanning the
+    queue.  The scheduler keeps its own queue-order view
+    (``Scheduler.waiting``); policies never see it.
+
+    A request's key is fixed at push and nothing reads the clock, so the
+    candidate changes only when the index or the policy's own counters do.
+    The engine's decode fast-forward relies on this: a prefill attempt that
+    failed for lack of KV blocks keeps failing, on the same candidate, at
+    every token boundary of a run (a run is cut by arrivals, and the hooks
+    fire only at the engine's own wake-ups).
+
+    **Tie rule**: ties go to the earliest-queued request.  :meth:`push`
+    hands out increasing sequence numbers and :meth:`push_front` decreasing
+    negative ones, so a preempted request sits ahead of every request with
+    an equal key, and a policy whose keys are all equal behaves exactly like
+    :class:`FCFSPolicy`.  Regression-pinned in
+    ``tests/test_scheduler_policies.py``.
 
     Stateful policies (``vtc``) additionally receive feedback through the
-    optional :meth:`on_scheduled` / :meth:`on_complete` hooks, which the
-    scheduler fires when a request is admitted to prefill and when it
-    finishes; the base implementations are no-ops, so existing selector-only
-    policies are unaffected.
+    :meth:`on_scheduled` / :meth:`on_complete` hooks, which the scheduler
+    fires when a request is admitted to prefill and when it finishes; the
+    base implementations are no-ops.
     """
 
     name = "base"
 
-    #: Whether :meth:`select_index` depends only on the waiting queue's
-    #: contents and the policy's own counters -- not on ``now``.  All built-in
-    #: policies are time-invariant; the engine's decode fast-forward relies on
-    #: this to know that a prefill attempt that failed for lack of KV blocks
-    #: would keep failing (and keep selecting the same candidate) at every
-    #: intermediate token boundary of a fast-forwarded run.  A run is bounded
-    #: per engine: only its own completions, KV budget and arrivals end it,
-    #: so it may span many events elsewhere in the simulation.  Neither the
-    #: queue nor the policy's counters change inside it (an arrival cuts the
-    #: run; admission and completion hooks fire only at the engine's own
-    #: wake-ups).  Custom policies whose selection genuinely depends on
-    #: wall-clock time must set this to ``False`` to force per-token
-    #: scheduling under contention.
-    time_invariant_select = True
+    def push(self, request: LLMRequest) -> None:
+        """Queue ``request`` behind every request already queued."""
+        raise NotImplementedError
 
-    def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:
-        """Index (into ``waiting``) of the request to admit next.
+    def push_front(self, request: LLMRequest) -> None:
+        """Re-queue a preempted ``request`` ahead of every queued request."""
+        raise NotImplementedError
 
-        **Determinism contract**: comparison-based policies scan the queue
-        from index 0 and replace the incumbent only on a *strict* win, so
-        ties break toward the earliest-queued request (FCFS-stable).  A
-        policy whose scores are all equal must therefore behave exactly
-        like :class:`FCFSPolicy`.  Regression-pinned in
-        ``tests/test_scheduler_policies.py``.
-        """
+    def peek(self) -> LLMRequest:
+        """The request to admit next (the queue must be non-empty)."""
+        raise NotImplementedError
+
+    def pop(self) -> LLMRequest:
+        """Remove and return the request :meth:`peek` returns."""
         raise NotImplementedError
 
     def on_scheduled(self, request: LLMRequest, now: float) -> None:
@@ -112,58 +122,80 @@ class FCFSPolicy(SchedulingPolicy):
 
     name = "fcfs"
 
-    def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:
-        return 0
+    def __init__(self) -> None:
+        self._queue: Deque[LLMRequest] = deque()
+
+    def push(self, request: LLMRequest) -> None:
+        self._queue.append(request)
+
+    def push_front(self, request: LLMRequest) -> None:
+        self._queue.appendleft(request)
+
+    def peek(self) -> LLMRequest:
+        return self._queue[0]
+
+    def pop(self) -> LLMRequest:
+        return self._queue.popleft()
 
 
-class PriorityPolicy(SchedulingPolicy):
+class _KeyedHeapPolicy(SchedulingPolicy):
+    """Smallest ``_key`` first, from a heap of (key, sequence number, request)."""
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, LLMRequest]] = []
+        self._back = count()
+        self._front = count(-1, -1)
+
+    def _key(self, request: LLMRequest) -> float:
+        raise NotImplementedError
+
+    def push(self, request: LLMRequest) -> None:
+        heappush(self._heap, (self._key(request), next(self._back), request))
+
+    def push_front(self, request: LLMRequest) -> None:
+        heappush(self._heap, (self._key(request), next(self._front), request))
+
+    def peek(self) -> LLMRequest:
+        return self._heap[0][2]
+
+    def pop(self) -> LLMRequest:
+        return heappop(self._heap)[2]
+
+
+class PriorityPolicy(_KeyedHeapPolicy):
     """Highest ``metadata["priority"]`` first; FCFS among equal priorities.
 
-    Priorities are read from ``LLMRequest.metadata["priority"]``, which the
-    submitter (a client, workload, or admission layer) must set; the built-in
-    agents do not assign priorities yet, so without an assigning caller this
-    policy degenerates to FCFS (every request scores 0.0).
+    Priorities are read once, at push, from
+    ``LLMRequest.metadata["priority"]``, which the submitter (a client,
+    workload, or admission layer) must set; the built-in agents do not
+    assign priorities yet, so without an assigning caller this policy
+    degenerates to FCFS (every request scores 0.0).
     """
 
     name = "priority"
 
-    def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:
-        best_index = 0
-        best_priority = None
-        for index, request in enumerate(waiting):
-            priority = self._priority(request)
-            if best_priority is None or priority > best_priority:
-                best_index, best_priority = index, priority
-        return best_index
-
-    @staticmethod
-    def _priority(request: LLMRequest) -> float:
-        return float(request.metadata.get("priority", 0.0))
+    def _key(self, request: LLMRequest) -> float:
+        return -float(request.metadata.get("priority", 0.0))
 
 
-class ShortestJobPolicy(SchedulingPolicy):
+class ShortestJobPolicy(_KeyedHeapPolicy):
     """Shortest predicted decode first (FCFS tie-break).
 
-    Decode lengths come from a :class:`DecodeLengthPredictor`: exact by
-    default (the idealized upper bound for SJF schedulers driven by learned
-    output-length prediction), noisy when the scheduler config sets a
-    ``predictor_error`` -- so scheduler studies no longer have to assume a
-    perfect oracle.
+    Decode lengths come from a :class:`DecodeLengthPredictor`, asked once
+    per queued request at push: exact by default (the idealized upper bound
+    for SJF schedulers driven by learned output-length prediction), noisy
+    when the scheduler config sets a ``predictor_error`` -- so scheduler
+    studies no longer have to assume a perfect oracle.
     """
 
     name = "sjf-by-predicted-decode"
 
     def __init__(self) -> None:
+        super().__init__()
         self.predictor = DecodeLengthPredictor()
 
-    def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:
-        best_index = 0
-        best_cost = None
-        for index, request in enumerate(waiting):
-            cost = self.predictor.predict(request)
-            if best_cost is None or cost < best_cost:
-                best_index, best_cost = index, cost
-        return best_index
+    def _key(self, request: LLMRequest) -> float:
+        return self.predictor.predict(request)
 
 
 class VirtualTokenCounterPolicy(SchedulingPolicy):
@@ -184,12 +216,21 @@ class VirtualTokenCounterPolicy(SchedulingPolicy):
     The tenant key is ``metadata["tenant"]`` (stamped by the serving driver
     for tenanted arrivals), falling back to ``metadata["traffic_class"]``
     so untenanted mixtures still get per-class fairness, then to a single
-    shared key -- under which VTC degenerates to FCFS exactly (strict-``<``
-    scan from index 0, per the determinism contract).
+    shared key -- under which VTC degenerates to FCFS exactly (tie rule).
 
-    A tenant first seen mid-run joins at the *minimum* live counter rather
-    than zero: newcomers get immediate service without being handed a deep
-    credit that would starve everyone else while they catch up.
+    A tenant first queued mid-run joins, at the next :meth:`peek`, at the
+    *minimum* counter over every tenant seen so far rather than at zero:
+    newcomers get immediate service without being handed a deep credit
+    that would starve everyone else while they catch up.  Counters are
+    never dropped and only grow.
+
+    The index is a FIFO per tenant plus a heap of the tenants with queued
+    requests keyed on (counter, head sequence number).  An entry goes stale
+    when its tenant's counter or head moves; the change pushes a fresh
+    entry and :meth:`peek` discards stale ones.  A second heap holds one
+    (counter, tenant) entry per tenant seen; because counters only grow,
+    a stale entry is a lower bound, refreshed when it reaches the top, so
+    the top is the minimum once it is current.
     """
 
     name = "vtc"
@@ -200,6 +241,15 @@ class VirtualTokenCounterPolicy(SchedulingPolicy):
         self.input_weight = input_weight
         self.output_weight = output_weight
         self.counters: Dict[str, float] = {}
+        # tenant -> its queued (sequence number, request) pairs, in queue
+        # order; a tenant with nothing queued has no entry.
+        self._queues: Dict[str, Deque[Tuple[int, LLMRequest]]] = defaultdict(deque)
+        self._heads: List[Tuple[float, int, str]] = []
+        self._floor: List[Tuple[float, str]] = []
+        # Queued tenants with no counter yet, in push order.
+        self._joining: List[str] = []
+        self._back = count()
+        self._front = count(-1, -1)
 
     @staticmethod
     def _tenant_key(request: LLMRequest) -> str:
@@ -211,34 +261,87 @@ class VirtualTokenCounterPolicy(SchedulingPolicy):
             return str(traffic_class)
         return ""
 
-    def _counter_for(self, key: str) -> float:
+    def push(self, request: LLMRequest) -> None:
+        key = self._tenant_key(request)
+        queue = self._queues[key]
+        queue.append((next(self._back), request))
+        if len(queue) == 1:
+            self._index_head(key, queue)
+
+    def push_front(self, request: LLMRequest) -> None:
+        key = self._tenant_key(request)
+        queue = self._queues[key]
+        queue.appendleft((next(self._front), request))
+        self._index_head(key, queue)
+
+    def _index_head(self, key: str, queue: Deque[Tuple[int, LLMRequest]]) -> None:
         counter = self.counters.get(key)
         if counter is None:
-            # Lazy join at the current minimum: fresh tenants go first among
-            # peers but carry no unbounded credit from their idle past.
-            counter = min(self.counters.values(), default=0.0)
-            self.counters[key] = counter
-        return counter
+            self._joining.append(key)
+        else:
+            heappush(self._heads, (counter, queue[0][0], key))
 
-    def select_index(self, waiting: Deque[LLMRequest], now: float) -> int:
-        best_index = 0
-        best_counter = None
-        for index, request in enumerate(waiting):
-            counter = self._counter_for(self._tenant_key(request))
-            if best_counter is None or counter < best_counter:
-                best_index, best_counter = index, counter
-        return best_index
+    def peek(self) -> LLMRequest:
+        if self._joining:
+            # Deferred joins: a hook since the push may have raised the
+            # minimum the newcomers join at.
+            minimum = self._minimum()
+            for key in self._joining:
+                if key not in self.counters:
+                    self._set_counter(key, minimum)
+            self._joining.clear()
+        heads = self._heads
+        while True:
+            counter, seq, key = heads[0]
+            queue = self._queues.get(key)
+            if queue and queue[0][0] == seq and self.counters[key] == counter:
+                return queue[0][1]
+            heappop(heads)
+
+    def pop(self) -> LLMRequest:
+        request = self.peek()
+        counter, _, key = heappop(self._heads)
+        queue = self._queues[key]
+        queue.popleft()
+        if queue:
+            heappush(self._heads, (counter, queue[0][0], key))
+        else:
+            del self._queues[key]
+        return request
+
+    def _minimum(self) -> float:
+        floor = self._floor
+        while floor:
+            counter, key = floor[0]
+            current = self.counters[key]
+            if current == counter:
+                return counter
+            heapreplace(floor, (current, key))
+        return 0.0
+
+    def _set_counter(self, key: str, counter: float) -> None:
+        if key not in self.counters:
+            heappush(self._floor, (counter, key))
+        self.counters[key] = counter
+        queue = self._queues.get(key)
+        if queue is not None:
+            heappush(self._heads, (counter, queue[0][0], key))
+
+    def _charge(self, key: str, amount: float) -> None:
+        counter = self.counters.get(key)
+        if counter is None:
+            # An unseen tenant joins at the current minimum first.
+            counter = self._minimum()
+        self._set_counter(key, counter + amount)
 
     def on_scheduled(self, request: LLMRequest, now: float) -> None:
-        key = self._tenant_key(request)
-        self.counters[key] = (
-            self._counter_for(key) + self.input_weight * request.num_prompt_tokens
+        self._charge(
+            self._tenant_key(request), self.input_weight * request.num_prompt_tokens
         )
 
     def on_complete(self, request: LLMRequest, now: float) -> None:
-        key = self._tenant_key(request)
-        self.counters[key] = (
-            self._counter_for(key) + self.output_weight * request.num_output_tokens
+        self._charge(
+            self._tenant_key(request), self.output_weight * request.num_output_tokens
         )
 
 
@@ -327,6 +430,8 @@ class Scheduler:
         # pre-chunking behaviour, bit-for-bit); an int enables chunked
         # prefill with that per-step prompt-token budget.
         self.prefill_chunk_tokens = prefill_chunk_tokens
+        # Queue order, which request_queues() reports; the policy's index
+        # holds the same requests and decides which is admitted next.
         self.waiting: Deque[LLMRequest] = deque()
         self.running: List[LLMRequest] = []
         # Requests admitted under chunked prefill whose prompt is not fully
@@ -338,6 +443,7 @@ class Scheduler:
     def add_request(self, request: LLMRequest) -> None:
         request.state = RequestState.WAITING
         self.waiting.append(request)
+        self.policy.push(request)
 
     def has_work(self) -> bool:
         return bool(self.waiting) or bool(self.running) or bool(self.prefilling)
@@ -406,15 +512,15 @@ class Scheduler:
             total_seqs = len(self.running) + len(self.prefilling) + len(prefills)
             if total_seqs >= self.config.max_num_seqs:
                 break
-            index = self.policy.select_index(self.waiting, now)
-            request = self.waiting[index]
+            request = self.policy.peek()
             allocation = self.kv_cache.allocate_sequence(
                 request, now=now, defer_registration=True
             )
             if allocation is None:
                 # KV cache full: admit nothing more this step.
                 break
-            del self.waiting[index]
+            self.policy.pop()
+            self.waiting.remove(request)
             uncached = request.num_prompt_tokens - allocation.num_cached_tokens
             request.num_computed_tokens = allocation.num_cached_tokens
             request.state = RequestState.RUNNING
@@ -446,8 +552,7 @@ class Scheduler:
         while self.waiting:
             if len(self.running) + len(prefills) >= self.config.max_num_seqs:
                 break
-            index = self.policy.select_index(self.waiting, now)
-            request = self.waiting[index]
+            request = self.policy.peek()
             cached_estimate = self.kv_cache.peek_cached_tokens(
                 request.prompt_token_ids,
                 hashes=request.prompt_block_hashes(self.kv_cache.block_size),
@@ -461,7 +566,8 @@ class Scheduler:
                 # and nothing was admitted the request simply waits for blocks
                 # freed by future completions.
                 break
-            del self.waiting[index]
+            self.policy.pop()
+            self.waiting.remove(request)
             new_tokens = request.num_prompt_tokens - allocation.num_cached_tokens
             token_budget -= new_tokens
             request.state = RequestState.RUNNING
@@ -484,42 +590,42 @@ class Scheduler:
     def _schedule_decode(self, now: float) -> ScheduledStep:
         # Reserve KV space for the next token of every running sequence,
         # preempting the newest sequences if the cache is exhausted.  Victim
-        # and protection checks use identity sets, keeping this pass O(n)
-        # in the common (no-preemption) case instead of O(n^2).
+        # and protection checks use sets (requests hash by identity), keeping
+        # this pass O(n) in the common (no-preemption) case instead of O(n^2).
         scheduled: List[LLMRequest] = []
-        protected: Set[int] = set()
-        preempted: Set[int] = set()
+        protected: Set[LLMRequest] = set()
+        preempted: Set[LLMRequest] = set()
         for request in list(self.running):
-            if id(request) in preempted:
+            if request in preempted:
                 # Already preempted as a victim earlier in this pass.
                 continue
-            protected.add(id(request))
+            protected.add(request)
             reserved = self.kv_cache.append_token(request, now=now)
             while not reserved:
                 victim = self._pick_preemption_victim(protected=protected)
                 if victim is None:
                     break
                 self._preempt(victim, now)
-                preempted.add(id(victim))
+                preempted.add(victim)
                 reserved = self.kv_cache.append_token(request, now=now)
             if reserved:
                 scheduled.append(request)
             else:
                 # Could not make room even after preempting everything else.
                 self._preempt(request, now)
-                protected.discard(id(request))
+                protected.discard(request)
         return ScheduledStep(kind=StepKind.DECODE, decodes=scheduled)
 
     def _pick_preemption_victim(
-        self, protected: Set[int]
+        self, protected: Set[LLMRequest]
     ) -> Optional[LLMRequest]:
         # Partial prefills are the cheapest victims (least work to re-pay),
         # newest first; the list is always empty in atomic mode.
         for candidate in reversed(self.prefilling):
-            if id(candidate) not in protected:
+            if candidate not in protected:
                 return candidate
         for candidate in reversed(self.running):
-            if id(candidate) not in protected:
+            if candidate not in protected:
                 return candidate
         return None
 
@@ -532,6 +638,7 @@ class Scheduler:
         self.kv_cache.release_for_preemption(request, now=now)
         request.state = RequestState.WAITING
         self.waiting.appendleft(request)
+        self.policy.push_front(request)
         self.preemption_count += 1
 
     # -- step completion hooks ---------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
 from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
@@ -40,6 +38,13 @@ def make_request(
         sampling=SamplingParams(output_tokens=output_tokens),
         metadata={"priority": priority} if priority else None,
     )
+
+
+def first_admitted(policy, waiting) -> int:
+    """Position in ``waiting`` of the request ``policy`` admits first."""
+    for request in waiting:
+        policy.push(request)
+    return waiting.index(policy.peek())
 
 
 # ---------------------------------------------------------------------------
@@ -79,40 +84,32 @@ class TestSchedulerPolicies:
 
     def test_fcfs_always_picks_queue_head(self):
         policy = create_scheduler_policy("fcfs")
-        waiting = deque(
-            [make_request(output_tokens=n, stream=f"s{n}") for n in (30, 10, 20)]
-        )
-        assert policy.select_index(waiting, now=0.0) == 0
+        waiting = [make_request(output_tokens=n, stream=f"s{n}") for n in (30, 10, 20)]
+        assert first_admitted(policy, waiting) == 0
 
     def test_sjf_picks_shortest_predicted_decode(self):
         policy = create_scheduler_policy("sjf-by-predicted-decode")
-        waiting = deque(
-            [make_request(output_tokens=n, stream=f"s{n}") for n in (30, 10, 20)]
-        )
-        assert policy.select_index(waiting, now=0.0) == 1
+        waiting = [make_request(output_tokens=n, stream=f"s{n}") for n in (30, 10, 20)]
+        assert first_admitted(policy, waiting) == 1
 
     def test_sjf_breaks_ties_fcfs(self):
         policy = create_scheduler_policy("sjf-by-predicted-decode")
-        waiting = deque(
-            [make_request(output_tokens=8, stream=f"s{n}") for n in range(3)]
-        )
-        assert policy.select_index(waiting, now=0.0) == 0
+        waiting = [make_request(output_tokens=8, stream=f"s{n}") for n in range(3)]
+        assert first_admitted(policy, waiting) == 0
 
     def test_priority_prefers_highest_priority(self):
         policy = create_scheduler_policy("priority")
-        waiting = deque(
-            [
-                make_request(stream="low", priority=0.0),
-                make_request(stream="high", priority=5.0),
-                make_request(stream="mid", priority=2.0),
-            ]
-        )
-        assert policy.select_index(waiting, now=0.0) == 1
+        waiting = [
+            make_request(stream="low", priority=0.0),
+            make_request(stream="high", priority=5.0),
+            make_request(stream="mid", priority=2.0),
+        ]
+        assert first_admitted(policy, waiting) == 1
 
     def test_priority_ties_resolve_fcfs(self):
         policy = create_scheduler_policy("priority")
-        waiting = deque([make_request(stream=f"s{n}", priority=1.0) for n in range(3)])
-        assert policy.select_index(waiting, now=0.0) == 0
+        waiting = [make_request(stream=f"s{n}", priority=1.0) for n in range(3)]
+        assert first_admitted(policy, waiting) == 0
 
     def test_all_policies_run_end_to_end(self):
         for policy in available_scheduler_policies():
