@@ -13,7 +13,7 @@ Two timed probes of the traffic-program surface:
 """
 
 from repro.analysis import fleet_sizing_study
-from repro.serving.loadgen import mixture_plan, shaped_plan
+from repro.serving.loadgen import arrival_plan
 from repro.serving.shapes import SquareWaveShape
 from repro.sim.distributions import RandomStream
 from repro.workloads import create_workload
@@ -27,11 +27,11 @@ BURST = SquareWaveShape(
 def _generate_plans():
     chat = create_workload("sharegpt", seed=0)
     agent = create_workload("hotpotqa", seed=0)
-    single = shaped_plan(
-        chat, qps=4.0, shape=BURST, num_requests=400,
+    single = arrival_plan(
+        [(None, chat, 1.0)], qps=4.0, shape=BURST, num_requests=400,
         stream=RandomStream(0, "bench/shaped"), task_pool_size=8,
     )
-    mixture = mixture_plan(
+    mixture = arrival_plan(
         [("chat", chat, 0.5, None), ("agent", agent, 0.5, BURST)],
         qps=4.0, num_requests=400, stream=RandomStream(0, "bench/mixture"),
         task_pool_size=8,

@@ -41,8 +41,8 @@ def force_fast_forward(monkeypatch, enabled: bool) -> None:
     """Pin ``decode_fast_forward`` for every engine the builder constructs."""
     original = SystemBuilder.engine_config
 
-    def forced(self):
-        return dataclasses.replace(original(self), decode_fast_forward=enabled)
+    def forced(self, pool):
+        return dataclasses.replace(original(self, pool), decode_fast_forward=enabled)
 
     monkeypatch.setattr(SystemBuilder, "engine_config", forced)
 

@@ -6,7 +6,7 @@ replica pool with a weighted chat+agent mixture at burst load and sweeps the
 admission policy guarding the door:
 
 * ``unlimited``    -- the open door (no protection),
-* ``concurrency``  -- a global in-flight cap (the legacy blunt gate),
+* ``concurrency``  -- a global in-flight cap (a blunt, golden-pinned gate),
 * ``token-bucket`` -- the agent class rate-limited to a fixed budget,
 * ``slo-shed``     -- agent work shed whenever the projected chat p95
   violates the SLO declared in ``MeasurementSpec`` (deadline-aware).

@@ -116,17 +116,6 @@ class BurstProfileResult:
             "Predictive autoscaling across burst profiles", PROFILE_METRICS
         )
 
-    def mean_lead_s(self, forecaster: str) -> float:
-        """Mean scale-ahead lead across profiles for one forecaster (0 if none)."""
-        leads = [
-            point.outcome.scale_ahead_lead_s
-            for point in self.result.slice(forecaster=forecaster).points
-            if point.outcome.scale_ahead_lead_s is not None
-        ]
-        if not leads:
-            return 0.0
-        return sum(leads) / len(leads)
-
     def lead_on(self, profile: str, forecaster: str) -> Optional[float]:
         """Scale-ahead lead of one grid cell (``None`` = never scaled ahead)."""
         cell = self.result.slice(profile=profile, forecaster=forecaster).points

@@ -109,12 +109,6 @@ class SessionStudyResult:
         (point,) = self.result.slice(router=router, turns=turns, kv=kv).points
         return point.metric("cross_turn_hit_rate")
 
-    def mean_hit_rate(self, router: str) -> float:
-        """Cross-turn hit rate averaged over the session/capacity axes."""
-        points = self.result.slice(router=router).points
-        rates = [point.metric("cross_turn_hit_rate") for point in points]
-        return sum(rates) / len(rates)
-
     def frontier_routers(self, **labels: str) -> List[str]:
         """Router labels on the frontier, fastest first."""
         return [

@@ -110,12 +110,6 @@ class Table3Result:
             )
         return rows
 
-    def energy_for(self, model: str, workload: str) -> float:
-        for row in self.rows_data:
-            if row.model == model and row.workload == workload:
-                return row.energy_wh
-        raise KeyError(f"no Table III row for {model}/{workload}")
-
     def format(self) -> str:
         return format_table(self.rows(), "Table III: per-request accuracy, latency, energy (HotpotQA)")
 

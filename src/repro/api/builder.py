@@ -1,11 +1,13 @@
 """System assembly: one place that turns a spec into runnable machinery.
 
 :class:`SystemBuilder` owns every wiring decision: environment creation,
-replica-pool and cluster construction, client binding, workload
-instantiation (including the weighted traffic-class mixture), autoscaler
-attachment, admission, toolset assembly, and agent creation with the
-experiment-scoped random streams.  The stream namespaces (``runner/...``
-for single-request characterization, ``serving/...`` for serving runs) are
+replica-pool and cluster construction, client binding, traffic-class
+instantiation, autoscaler attachment, admission, toolset assembly, and
+agent creation with the experiment-scoped random streams.  Everything it
+builds sees only pools (:attr:`ExperimentSpec.fleet`) and traffic classes
+(:meth:`SystemBuilder.build_traffic`); a flat spec is one ``"default"``
+pool and one unlabelled class.  The stream namespaces (``runner/...`` for
+single-request characterization, ``serving/...`` for serving runs) are
 fixed so a one-replica FCFS spec keeps reproducing its golden-pinned
 results bit-for-bit.
 """
@@ -17,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.agents import create_agent
 from repro.agents.base import BaseAgent
-from repro.api.spec import AdmissionSpec, ExperimentSpec, PoolSpec, WeightedWorkload
+from repro.api.spec import TOOLLESS_AGENTS, AdmissionSpec, ExperimentSpec, PoolSpec
 from repro.llm import EngineConfig, LLMClient, SchedulerConfig
 from repro.llm.models import get_model
 from repro.llm.predictor import DecodeLengthPredictor
@@ -31,15 +33,15 @@ from repro.serving.autoscaler import Autoscaler
 from repro.serving.cluster import Cluster, ReplicaPool
 from repro.serving.forecast import build_forecaster
 from repro.sim import Environment, RandomStream
-from repro.tools.base import ToolSet
 from repro.workloads import create_workload
 from repro.workloads.base import Workload
 
 
 @dataclass
 class TrafficClassRuntime:
-    """One traffic class of the mixture, bound to live machinery.
+    """One traffic class, bound to live machinery.
 
+    ``label`` is ``None`` for the one unlabelled class of a flat spec.
     ``shape`` is the class's own rate modulation (``None`` = steady): the
     load generator superposes each shaped class as its own arrival process.
     ``tenants`` is the class's own user population (``None`` = inherit the
@@ -48,65 +50,44 @@ class TrafficClassRuntime:
     session spec, or single-shot).
     """
 
-    label: str
+    label: Optional[str]
     agent: str
     workload: Workload
     weight: float
     agent_config: object  # AgentConfig
-    needs_tools: bool = True
     shape: object = None  # Optional[RateShape]
     tenants: object = None  # Optional[TenantSpec]
     sessions: object = None  # Optional[SessionSpec]
+
+    @property
+    def needs_tools(self) -> bool:
+        """Whether this class's agent needs the tool runtime."""
+        return self.agent.lower() not in TOOLLESS_AGENTS
 
 
 @dataclass
 class System:
     """Fully assembled experiment machinery, ready to be driven.
 
-    ``workload`` is the legacy single workload; it is ``None`` for mixture
-    specs, whose per-class workloads live in ``traffic``.
+    ``traffic`` maps each traffic-class label to its runtime; a flat spec's
+    one unlabelled class is keyed ``None``.
     """
 
     spec: ExperimentSpec
     env: Environment
     cluster: Cluster
     client: LLMClient
-    workload: Optional[Workload]
     stream: RandomStream
-    traffic: Dict[str, TrafficClassRuntime] = field(default_factory=dict)
+    traffic: Dict[Optional[str], TrafficClassRuntime] = field(default_factory=dict)
     autoscaler: Optional[Autoscaler] = None
     admission: Optional[AdmissionController] = None
 
-    def build_toolset(self) -> Optional[ToolSet]:
-        """Fresh toolset bound to this system (``None`` for tool-less agents)."""
-        if not self.spec.needs_tools:
-            return None
-        return self.workload.build_toolset(self.env, self.client.tokenizer, self.client)
-
-    def create_agent(
-        self,
-        seed_stream: RandomStream,
-        toolset: Optional[ToolSet] = None,
-        build_toolset: bool = True,
-    ) -> BaseAgent:
-        """Instantiate the spec's agent bound to this system."""
-        if toolset is None and build_toolset:
-            toolset = self.build_toolset()
-        return create_agent(
-            self.spec.agent,
-            env=self.env,
-            client=self.client,
-            workload=self.workload,
-            toolset=toolset,
-            config=self.spec.agent_config,
-            seed_stream=seed_stream,
-        )
-
-    def create_class_agent(self, label: str, seed_stream: RandomStream) -> BaseAgent:
+    def create_agent(self, label: Optional[str], seed_stream: RandomStream) -> BaseAgent:
         """Instantiate the agent of traffic class ``label`` bound to its workload.
 
-        The agent stamps its traffic class onto every LLM request it issues,
-        which is what pool-aware cluster routing classifies on.
+        A labelled class's agent stamps its traffic class onto every LLM
+        request it issues, which is what pool-aware cluster routing
+        classifies on; the unlabelled class stamps nothing.
         """
         runtime = self.traffic[label]
         toolset = None
@@ -123,7 +104,8 @@ class System:
             config=runtime.agent_config,
             seed_stream=seed_stream,
         )
-        agent.request_metadata["traffic_class"] = label
+        if label is not None:
+            agent.request_metadata["traffic_class"] = label
         return agent
 
 
@@ -133,66 +115,53 @@ class SystemBuilder:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
 
-    def engine_config(self, pool: Optional[PoolSpec] = None) -> EngineConfig:
-        """Engine configuration for one declared pool (or the default pool)."""
+    def engine_config(self, pool: PoolSpec) -> EngineConfig:
+        """Engine configuration for one pool; its unset fields inherit the spec's."""
         spec = self.spec
-        model = pool.model if pool is not None else spec.model
-        scheduler_policy = pool.scheduler if pool is not None else spec.scheduler
-        prefix_caching = spec.enable_prefix_caching
-        if pool is not None and pool.enable_prefix_caching is not None:
-            prefix_caching = pool.enable_prefix_caching
+
+        def inherit(value, default):
+            return default if value is None else value
+
         scheduler_kwargs = {}
         if spec.max_num_seqs is not None:
             scheduler_kwargs["max_num_seqs"] = spec.max_num_seqs
-        kv_cache_fraction = spec.kv_cache_fraction
-        if pool is not None and pool.kv_cache_fraction is not None:
-            kv_cache_fraction = pool.kv_cache_fraction
-        prefill_chunk_tokens = spec.prefill_chunk_tokens
-        if pool is not None and pool.prefill_chunk_tokens is not None:
-            prefill_chunk_tokens = pool.prefill_chunk_tokens
-        speculative = spec.speculative
-        if pool is not None and pool.speculative is not None:
-            speculative = pool.speculative
-        hardware = spec.hardware
-        if pool is not None and pool.hardware is not None:
-            hardware = pool.hardware
+        hardware = inherit(pool.hardware, spec.hardware)
         return EngineConfig(
-            model=get_model(model),
-            enable_prefix_caching=prefix_caching,
+            model=get_model(pool.model),
+            enable_prefix_caching=inherit(
+                pool.enable_prefix_caching, spec.enable_prefix_caching
+            ),
             scheduler=SchedulerConfig(
-                policy=scheduler_policy,
+                policy=pool.scheduler,
                 predictor_error=spec.predictor_error,
                 predictor_seed=spec.seed,
                 **scheduler_kwargs,
             ),
             decode_fast_forward=spec.decode_fast_forward,
-            kv_cache_fraction=kv_cache_fraction,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            speculative=speculative,
+            kv_cache_fraction=inherit(pool.kv_cache_fraction, spec.kv_cache_fraction),
+            prefill_chunk_tokens=inherit(
+                pool.prefill_chunk_tokens, spec.prefill_chunk_tokens
+            ),
+            speculative=inherit(pool.speculative, spec.speculative),
             # None keeps EngineConfig.resolved_cluster() on cluster_for_model,
-            # the golden-pinned legacy hardware.
+            # the golden-pinned default hardware.
             cluster=hardware.resolve() if hardware is not None else None,
         )
 
     def stream_name(self) -> str:
-        """Experiment-scoped random-stream namespace (legacy-compatible)."""
+        """Experiment-scoped random-stream namespace.
+
+        Keyed on the flat ``agent``/``workload`` even for mixtures, because
+        every golden pin draws from it.
+        """
         if self.spec.arrival.process == "single":
             return f"runner/{self.spec.agent}/{self.spec.workload}"
         return f"serving/{self.spec.agent}/{self.spec.workload}"
 
     def build_cluster(self, env: Environment) -> Cluster:
-        """Assemble the replica fleet: the declared pools, or one default pool."""
+        """Assemble the replica fleet: one :class:`ReplicaPool` per fleet pool."""
         spec = self.spec
         predictor = DecodeLengthPredictor(spec.predictor_error, seed=spec.seed)
-        if not spec.pools:
-            pool = ReplicaPool(
-                env,
-                self.engine_config(),
-                name="default",
-                num_replicas=spec.replicas,
-                router=spec.router,
-            )
-            return Cluster(env, pools=[pool], predictor=predictor)
         pools = [
             ReplicaPool(
                 env,
@@ -204,7 +173,7 @@ class SystemBuilder:
                 max_predicted_decode=pool.max_predicted_decode,
                 accepts_spill=pool.accepts_spill,
             )
-            for pool in spec.pools
+            for pool in spec.fleet
         ]
         return Cluster(
             env,
@@ -215,23 +184,33 @@ class SystemBuilder:
             default_slo=spec.measurement.slo_p95_s,
         )
 
-    def build_traffic(self) -> Dict[str, TrafficClassRuntime]:
-        """Instantiate the workload of every traffic class in the mixture."""
+    def build_traffic(self) -> Dict[Optional[str], TrafficClassRuntime]:
+        """Instantiate every traffic class: the declared mixture, or the one
+        unlabelled class (key ``None``, weight 1.0) the flat fields describe."""
         spec = self.spec
-        traffic: Dict[str, TrafficClassRuntime] = {}
-        for mix in spec.workloads:
-            traffic[mix.name] = TrafficClassRuntime(
+        if not spec.workloads:
+            return {
+                None: TrafficClassRuntime(
+                    label=None,
+                    agent=spec.agent,
+                    workload=create_workload(spec.workload, seed=spec.seed),
+                    weight=1.0,
+                    agent_config=spec.agent_config,
+                )
+            }
+        return {
+            mix.name: TrafficClassRuntime(
                 label=mix.name,
                 agent=mix.agent,
                 workload=create_workload(mix.workload, seed=spec.seed),
                 weight=mix.weight,
                 agent_config=mix.agent_config or spec.agent_config,
-                needs_tools=mix.needs_tools,
                 shape=mix.shape,
                 tenants=mix.tenants,
                 sessions=mix.sessions,
             )
-        return traffic
+            for mix in spec.workloads
+        }
 
     def _admission_policy(
         self, sub: AdmissionSpec, probe: ClusterLoadProbe
@@ -300,8 +279,8 @@ class SystemBuilder:
         pool = cluster.pool(scaling.pool) if scaling.pool else cluster.default_pool
         # Predictive mode needs a forecaster fed by the arrival timeline (the
         # serving driver feeds it) and the cluster's shared decode predictor
-        # for backlog pricing; reactive mode takes neither, keeping the
-        # golden-pinned legacy behaviour untouched.
+        # for backlog pricing; reactive mode takes neither, keeping its
+        # golden-pinned behaviour untouched.
         forecaster = None
         if scaling.mode == "predictive":
             forecaster = build_forecaster(
@@ -330,16 +309,11 @@ class SystemBuilder:
         )
 
     def build(self) -> System:
-        """Assemble environment, cluster, client, workloads, and streams."""
+        """Assemble environment, cluster, client, traffic, and streams."""
         spec = self.spec
         env = Environment()
         cluster = self.build_cluster(env)
         client = LLMClient(env, cluster)
-        # Mixture specs serve only their traffic classes; the legacy single
-        # workload would be dead weight (hotpotqa builds a synthetic corpus).
-        workload = (
-            create_workload(spec.workload, seed=spec.seed) if not spec.workloads else None
-        )
         stream = RandomStream(spec.seed, self.stream_name())
         traffic = self.build_traffic()
         autoscaler = self.build_autoscaler(env, cluster)
@@ -349,7 +323,6 @@ class SystemBuilder:
             env=env,
             cluster=cluster,
             client=client,
-            workload=workload,
             stream=stream,
             traffic=traffic,
             autoscaler=autoscaler,

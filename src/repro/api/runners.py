@@ -15,9 +15,9 @@ which defines every metric.
 Offered-load sweeps (the tail-latency-vs-QPS curves of paper Fig. 11) are
 one-axis studies: :func:`repro.api.study.run_study` over a ``qps`` axis.
 
-The loops keep the historical random-stream labelling (including the
-worker-numbering behaviour), so the golden pins recorded against the
-original single-engine runner and server still hold bit-for-bit.
+The loops keep the original single-engine runner's and server's
+random-stream labelling (including the worker numbering), because the golden
+pins recorded against them hold bit-for-bit.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from repro.core.runner import CharacterizationResult, RequestObservation
 from repro.llm.energy import PowerState
 from repro.llm.tokenizer import SegmentKind
 from repro.serving.cluster import ReplicaPool
-from repro.serving.loadgen import ArrivalPlan, mixture_plan, shaped_plan
+from repro.serving.loadgen import ArrivalPlan, arrival_plan
 from repro.serving.sessions import SessionSpec, SessionState, SessionStats
-from repro.serving.shapes import ConstantShape
 from repro.serving.server import ServingResult
 from repro.serving.tenants import Tenant, tenant_fairness
 from repro.sim import RandomStream
@@ -59,8 +58,9 @@ def _run_characterization(
 ) -> CharacterizationResult:
     spec = system.spec
     env, cluster = system.env, system.cluster
+    # Characterization specs cannot be mixtures: the one class is unlabelled.
     if tasks is None:
-        tasks = system.workload.sample_tasks(spec.arrival.num_requests)
+        tasks = system.traffic[None].workload.sample_tasks(spec.arrival.num_requests)
     elif spec.measurement.warmup_requests >= len(tasks):
         # Spec validation only covers arrival.num_requests; explicit task
         # lists bypass it and must not silently measure an empty window.
@@ -69,7 +69,7 @@ def _run_characterization(
             f"must be smaller than the explicit task list ({len(tasks)} tasks): "
             "the measured window would be empty"
         )
-    agent = system.create_agent(seed_stream=system.stream)
+    agent = system.create_agent(None, seed_stream=system.stream)
 
     observations: List[RequestObservation] = []
     for task in tasks:
@@ -122,13 +122,13 @@ class ServingDriver:
         self.env = system.env
         self.spec = system.spec
         self.admission = system.admission
-        # Legacy worker counter: incremented when a worker process starts,
+        # Worker counter: incremented when a worker process starts,
         # decremented when it finishes, and used to label the worker's agent
-        # seed stream (kept for bit-for-bit legacy compatibility).
+        # seed stream (golden-pinned, so it stays a live count, not an id).
         self._active_workers = 0
         # Door queues of delayed requests, one FIFO per admission policy
-        # instance (so a shared policy keeps the legacy global FIFO order
-        # while per-class policies cannot head-of-line block each other).
+        # instance (so a shared policy keeps one global FIFO order while
+        # per-class policies cannot head-of-line block each other).
         self._door_queues: Dict[
             int,
             Tuple[
@@ -195,9 +195,10 @@ class ServingDriver:
                 for label in other.traffic_classes
             }
             labels.add(None)
-            for runtime in self.system.traffic.values():
-                if runtime.label.lower() not in claimed_elsewhere:
-                    labels.add(runtime.label.lower())
+            for label in self.system.traffic:
+                # The unlabelled class is the None already in the set.
+                if label is not None and label.lower() not in claimed_elsewhere:
+                    labels.add(label.lower())
         return labels
 
     # -- agent/worker assembly ------------------------------------------------
@@ -205,9 +206,7 @@ class ServingDriver:
         seed_stream = self.system.stream.substream(
             f"agent-worker/{self._active_workers}"
         )
-        if label is None:
-            return self.system.create_agent(seed_stream=seed_stream)
-        return self.system.create_class_agent(label, seed_stream=seed_stream)
+        return self.system.create_agent(label, seed_stream)
 
     def _worker(
         self,
@@ -290,13 +289,11 @@ class ServingDriver:
         """Effective session shape for a traffic class (override, else inherit).
 
         Mirrors the tenant-spec semantics: a class-level ``sessions`` wins,
-        otherwise the arrival-level spec applies to every class (or to the
-        single legacy workload).  ``None`` = single-shot.
+        otherwise the arrival-level spec applies.  ``None`` = single-shot.
         """
-        if label is not None:
-            runtime = self.system.traffic.get(label)
-            if runtime is not None and runtime.sessions is not None:
-                return runtime.sessions
+        runtime = self.system.traffic.get(label)
+        if runtime is not None and runtime.sessions is not None:
+            return runtime.sessions
         return self.spec.arrival.sessions
 
     # -- door gate (admission control) ----------------------------------------
@@ -784,40 +781,20 @@ class ServingDriver:
 
 def _build_plan(system: System) -> ArrivalPlan:
     arrival = system.spec.arrival
-    if system.traffic:
-        # Weighted traffic-class mixture: one arrival process (or, when any
-        # shape is declared, superposed per-class shaped processes), each
-        # request tagged with the class it was sampled from.
-        return mixture_plan(
-            [
-                (
-                    runtime.label,
-                    runtime.workload,
-                    runtime.weight,
-                    runtime.shape,
-                    runtime.tenants,
-                )
-                for runtime in system.traffic.values()
-            ],
-            qps=arrival.qps,
-            num_requests=arrival.num_requests,
-            stream=system.stream.substream(f"mixture-plan/{arrival.qps}"),
-            task_pool_size=arrival.task_pool_size,
-            process=arrival.process,
-            shape=arrival.shape,
-            duration_s=arrival.duration_s,
-            tenants=arrival.tenants,
-        )
-    # One workload: the identity shape delegates to the unshaped generators
-    # inside shaped_plan, so unshaped plans stay bit-for-bit the legacy plans.
-    return shaped_plan(
-        system.workload,
+    # The plan stream is golden-pinned: "plan/" for the unlabelled class,
+    # "mixture-plan/" for labelled classes.
+    namespace = "plan" if None in system.traffic else "mixture-plan"
+    return arrival_plan(
+        [
+            (runtime.label, runtime.workload, runtime.weight, runtime.shape, runtime.tenants)
+            for runtime in system.traffic.values()
+        ],
         qps=arrival.qps,
-        shape=arrival.shape if arrival.shape is not None else ConstantShape(),
         num_requests=arrival.num_requests,
-        stream=system.stream.substream(f"plan/{arrival.qps}"),
+        stream=system.stream.substream(f"{namespace}/{arrival.qps}"),
         task_pool_size=arrival.task_pool_size,
         process=arrival.process,
+        shape=arrival.shape,
         duration_s=arrival.duration_s,
         tenants=arrival.tenants,
     )

@@ -18,13 +18,16 @@ Fleet vocabulary (the paper's Table IV datacenter scenario):
 * :class:`AutoscalerSpec` -- elastic sizing of one pool from load signals
   (queue depth, rolling p95) with warm-up cost and cooldown.
 
-Single-pool, single-workload specs (the default fields) are the paper's
-single-engine setup; their results are golden-pinned bit-for-bit.
+The flat fields are shorthand for the paper's single-engine setup: ``model``,
+``replicas``, ``scheduler`` and ``router`` describe the one ``"default"``
+pool of :attr:`ExperimentSpec.fleet`, and ``agent``, ``workload`` and
+``agent_config`` the one unlabelled traffic class.  Their results are
+golden-pinned bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.agents import AgentConfig
@@ -50,6 +53,9 @@ ARRIVAL_PROCESSES: Tuple[str, ...] = ("single", "poisson", "uniform")
 #: Agents that run without a toolset.
 TOOLLESS_AGENTS: Tuple[str, ...] = ("cot", "chatbot")
 
+#: Flat fields that describe the default pool; declared pools carry their own.
+FLAT_FLEET_FIELDS: Tuple[str, ...] = ("model", "replicas", "scheduler", "router")
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -67,8 +73,9 @@ class ArrivalSpec:
     ``piecewise``, from the :mod:`repro.serving.shapes` registry.  A bare
     shape name is shorthand for the shape with default parameters, and a
     dict form (``{"kind": "ramp", ...}``) is accepted for deserialization.
-    ``shape=None`` (and the identity ``ConstantShape(1.0)``) reproduces the
-    legacy constant-rate arrivals bit-for-bit.
+    ``shape=None`` (and the identity ``ConstantShape(1.0)``) is the
+    constant-rate Poisson or deterministic process, golden-pinned
+    bit-for-bit.
 
     ``duration_s`` switches the plan from count semantics (exactly
     ``num_requests`` arrivals) to span semantics: every arrival inside
@@ -411,7 +418,7 @@ class PoolSpec:
         try:
             get_model(self.model)
         except KeyError as error:
-            raise ValueError(str(error)) from None
+            raise ValueError(f"pool {self.name!r}: {error.args[0]}") from None
         if self.scheduler.lower() not in SCHEDULER_POLICIES:
             raise ValueError(
                 f"pool {self.name!r}: unknown scheduler policy {self.scheduler!r}; "
@@ -537,19 +544,14 @@ class WeightedWorkload:
                 f"(or a dict form), got {self.sessions!r}"
             )
 
-    @property
-    def needs_tools(self) -> bool:
-        """Whether this class's agent needs the tool runtime (see ``TOOLLESS_AGENTS``)."""
-        return self.agent.lower() not in TOOLLESS_AGENTS
-
 
 @dataclass(frozen=True)
 class AutoscalerSpec:
     """Elastic sizing of one pool from load signals.
 
     ``pool=""`` targets the default (first) pool.  In the default
-    ``mode="reactive"`` (the historical behaviour, golden-pinned), scale-up
-    triggers when pending requests per provisioned replica exceed
+    ``mode="reactive"`` (golden-pinned), scale-up triggers when pending
+    requests per provisioned replica exceed
     ``scale_up_pending_per_replica`` or the rolling p95 of LLM latencies
     violates ``p95_slo_s`` (when set); scale-down when the queue falls below
     ``scale_down_pending_per_replica`` with no SLO pressure.  New replicas
@@ -629,6 +631,13 @@ class ExperimentSpec:
     golden-pinned bit-for-bit at the same seed; raising ``replicas`` and
     switching ``scheduler`` / ``router`` policies explores the multi-replica
     design space on the same workloads.
+
+    The flat fleet fields (``model``, ``replicas``, ``scheduler``,
+    ``router``) are shorthand for one ``"default"`` pool (see :attr:`fleet`)
+    and may not be set beside ``pools``.  The flat ``agent``, ``workload``
+    and ``agent_config`` are shorthand for one unlabelled traffic class;
+    beside ``workloads`` they only name the random-stream namespace (and
+    ``agent_config`` stays the classes' default).
     """
 
     agent: str = "react"
@@ -649,7 +658,7 @@ class ExperimentSpec:
     # Admission policy guarding the serving door (None = the open door).  A
     # bare policy name is accepted as shorthand for AdmissionSpec(policy=name).
     admission: Optional[AdmissionSpec] = None
-    # -- fleet extensions (empty/None = legacy single-pool behaviour) --------
+    # -- fleet extensions (empty pools/workloads = the flat shorthand) -------
     pools: Tuple[PoolSpec, ...] = ()
     workloads: Tuple[WeightedWorkload, ...] = ()
     autoscaler: Optional[AutoscalerSpec] = None
@@ -662,23 +671,23 @@ class ExperimentSpec:
     # actually differ from fcfs.
     max_num_seqs: Optional[int] = None
     # Fraction of the hardware-derived KV block budget each replica gets
-    # (1.0 = the full budget, the legacy behaviour).  Shrinking it models a
-    # smaller prefix-cache working set: warm conversation prefixes are
-    # evicted sooner, which is the capacity axis of the sessions study.
+    # (1.0 = the full budget).  Shrinking it models a smaller prefix-cache
+    # working set: warm conversation prefixes are evicted sooner, which is
+    # the capacity axis of the sessions study.
     kv_cache_fraction: float = 1.0
     # Chunked prefill: per-step budget of prompt tokens each engine computes,
     # co-scheduled with decode tokens in one mixed roofline step.  None (the
-    # default) keeps atomic prefill -- bit-for-bit the legacy behaviour.
+    # default) keeps atomic prefill, golden-pinned bit-for-bit.
     prefill_chunk_tokens: Optional[int] = None
     # Speculative decoding acceptance model (dict forms accepted); None (the
-    # default) disables it -- bit-for-bit the legacy behaviour.
+    # default) disables it, golden-pinned bit-for-bit.
     speculative: Optional[SpeculativeSpec] = None
     # Default hardware for every pool's engines (a HardwareSpec; bare catalog
     # GPU names and dict forms accepted; PoolSpec.hardware overrides it per
-    # pool).  None (the default) keeps cluster_for_model -- bit-for-bit the
-    # legacy behaviour.
+    # pool).  None (the default) keeps cluster_for_model, golden-pinned
+    # bit-for-bit.
     hardware: Optional[HardwareSpec] = None
-    # How the cluster picks a pool for each request: "static" (the legacy
+    # How the cluster picks a pool for each request: "static" (the
     # traffic-class / predicted-decode classification) or "cost-aware" (the
     # cheapest pool whose predicted decode still meets the request's class
     # SLO; classes without a declared SLO fall back to static).
@@ -690,22 +699,6 @@ class ExperimentSpec:
         if self.workload.lower() not in available_workloads():
             raise ValueError(
                 f"unknown workload {self.workload!r}; known: {available_workloads()}"
-            )
-        try:
-            get_model(self.model)
-        except KeyError as error:
-            raise ValueError(str(error)) from None
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.scheduler.lower() not in SCHEDULER_POLICIES:
-            raise ValueError(
-                f"unknown scheduler policy {self.scheduler!r}; "
-                f"known: {available_scheduler_policies()}"
-            )
-        if self.router.lower() not in ROUTER_POLICIES:
-            raise ValueError(
-                f"unknown router policy {self.router!r}; "
-                f"known: {available_router_policies()}"
             )
         if self.measurement.warmup_requests >= self.arrival.num_requests:
             raise ValueError(
@@ -736,15 +729,11 @@ class ExperimentSpec:
             object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
         elif isinstance(self.hardware, dict):
             object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
-        if self.hardware is not None:
-            if not isinstance(self.hardware, HardwareSpec):
-                raise ValueError(
-                    f"hardware must be a HardwareSpec (or a catalog GPU name / "
-                    f"dict form), got {self.hardware!r}"
-                )
-            # Pools carrying their own model validate their own fit; the
-            # experiment default must at least fit the experiment model.
-            self.hardware.resolve().kv_cache_bytes(get_model(self.model))
+        if self.hardware is not None and not isinstance(self.hardware, HardwareSpec):
+            raise ValueError(
+                f"hardware must be a HardwareSpec (or a catalog GPU name / "
+                f"dict form), got {self.hardware!r}"
+            )
         if self.pool_classification not in ("static", "cost-aware"):
             raise ValueError(
                 f"unknown pool_classification {self.pool_classification!r}; "
@@ -765,9 +754,23 @@ class ExperimentSpec:
             object.__setattr__(self, "pools", tuple(self.pools))
         if not isinstance(self.workloads, tuple):
             object.__setattr__(self, "workloads", tuple(self.workloads))
+        if self.pools:
+            ignored = [
+                spec_field.name
+                for spec_field in fields(self)
+                if spec_field.name in FLAT_FLEET_FIELDS
+                and getattr(self, spec_field.name) != spec_field.default
+            ]
+            if ignored:
+                raise ValueError(
+                    f"flat fleet fields {ignored} would be ignored beside declared "
+                    "pools: set them on each PoolSpec instead"
+                )
         pool_names = [pool.name for pool in self.pools]
         if len(set(pool_names)) != len(pool_names):
             raise ValueError(f"duplicate pool names: {pool_names}")
+        # Building the fleet validates the default pool the flat fields describe.
+        fleet = self.fleet
         class_labels = [mix.name for mix in self.workloads]
         if len(set(class_labels)) != len(class_labels):
             raise ValueError(f"duplicate traffic-class labels: {class_labels}")
@@ -778,7 +781,7 @@ class ExperimentSpec:
                     "(poisson or uniform)"
                 )
             known = {label.lower() for label in class_labels}
-            for pool in self.pools:
+            for pool in fleet:
                 for traffic_class in pool.traffic_classes:
                     if traffic_class.lower() not in known:
                         raise ValueError(
@@ -788,7 +791,7 @@ class ExperimentSpec:
         if self.hardware is not None:
             # Pools without their own hardware inherit the experiment default;
             # their (possibly different) model must fit it too.
-            for pool in self.pools:
+            for pool in fleet:
                 if pool.hardware is None:
                     try:
                         self.hardware.resolve().kv_cache_bytes(get_model(pool.model))
@@ -799,10 +802,11 @@ class ExperimentSpec:
                 raise ValueError(
                     "autoscaling requires a serving arrival process, not 'single'"
                 )
-            if self.autoscaler.pool and self.autoscaler.pool not in pool_names:
+            fleet_names = [pool.name for pool in fleet]
+            if self.autoscaler.pool and self.autoscaler.pool not in fleet_names:
                 raise ValueError(
                     f"autoscaler targets unknown pool {self.autoscaler.pool!r}; "
-                    f"known: {pool_names or ['default']}"
+                    f"known: {fleet_names}"
                 )
 
     def _validate_admission(self) -> None:
@@ -859,11 +863,24 @@ class ExperimentSpec:
 
     # -- derived -------------------------------------------------------------
     @property
-    def needs_tools(self) -> bool:
-        """Whether any configured agent needs the tool runtime."""
-        if self.workloads:
-            return any(mix.needs_tools for mix in self.workloads)
-        return self.agent.lower() not in TOOLLESS_AGENTS
+    def fleet(self) -> Tuple[PoolSpec, ...]:
+        """The replica pools: the declared ``pools``, or the one ``"default"``
+        pool the flat ``model``/``replicas``/``scheduler``/``router`` describe.
+
+        Pool fields left ``None`` inherit the experiment defaults (prefix
+        caching, KV fraction, chunked prefill, speculation, hardware).
+        """
+        if self.pools:
+            return self.pools
+        return (
+            PoolSpec(
+                name="default",
+                model=self.model,
+                replicas=self.replicas,
+                scheduler=self.scheduler,
+                router=self.router,
+            ),
+        )
 
     def with_overrides(self, **overrides: Any) -> "ExperimentSpec":
         """Copy with fields replaced (validation reruns on construction)."""

@@ -165,10 +165,6 @@ class ClusterSpec:
             )
 
     @property
-    def num_gpus(self) -> int:
-        return self.tensor_parallel
-
-    @property
     def total_peak_flops(self) -> float:
         return self.gpu.peak_flops * self.tensor_parallel
 

@@ -139,10 +139,6 @@ class LLMRequest:
         return self.num_prompt_tokens + self.num_output_tokens
 
     @property
-    def is_finished(self) -> bool:
-        return self.state == RequestState.FINISHED
-
-    @property
     def remaining_output_tokens(self) -> int:
         return max(0, self.target_output_tokens - self.num_output_tokens)
 

@@ -456,10 +456,6 @@ class Scheduler:
     def num_running(self) -> int:
         return len(self.running)
 
-    @property
-    def num_prefilling(self) -> int:
-        return len(self.prefilling)
-
     # -- scheduling -----------------------------------------------------------
     def schedule(self, now: float = 0.0) -> Optional[ScheduledStep]:
         """Pick the work for the next engine step, or ``None`` if idle."""

@@ -224,7 +224,7 @@ class AdmissionPolicy:
 
 
 class UnlimitedAdmission(AdmissionPolicy):
-    """The open door: every request is admitted immediately (legacy default)."""
+    """The open door: every request is admitted immediately (the default policy)."""
 
     name = "unlimited"
 

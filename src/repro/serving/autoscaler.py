@@ -348,10 +348,6 @@ class Autoscaler:
         total = sum(request.num_output_tokens for request in window)
         return total / span / max(self._mean_active_over_window(), 1.0)
 
-    def per_replica_token_rate(self, now: float) -> float:
-        """Decode tokens/s one active replica recently sustained (0 when cold)."""
-        return self._per_replica_token_rate(self.recent_completions(now), now)
-
     def mean_tokens_per_request(self, now: float) -> float:
         """Mean decode tokens of recently completed pool requests."""
         window = self.recent_completions(now)

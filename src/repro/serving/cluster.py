@@ -16,8 +16,8 @@ generator) or, failing that, by predicted decode length against the pools'
 declared bounds -- and may then *spill* to a less-loaded pool when the
 preferred pool is overloaded; inside the chosen pool the pool's router picks
 the replica.  With a single pool and any router the cluster is behaviourally
-identical to the flat replica list it replaces, so legacy single-pool
-experiments reproduce bit-for-bit.
+identical to a flat replica list, so single-pool experiments (the flat
+spec's ``"default"`` pool) reproduce their golden pins bit-for-bit.
 
 The cluster duck-types the small engine surface
 :class:`~repro.llm.client.LLMClient` depends on (``submit``, ``tokenizer``,

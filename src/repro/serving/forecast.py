@@ -103,10 +103,6 @@ class ArrivalForecaster:
             return None
         return sum(errors) / len(errors)
 
-    @property
-    def num_forecasts(self) -> int:
-        return len(self._forecasts)
-
 
 class NoForecaster(ArrivalForecaster):
     """Predicts zero future arrivals (the look-ahead-free control arm)."""

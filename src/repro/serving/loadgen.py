@@ -1,24 +1,21 @@
 """Load generation for the agent serving experiments (paper Section IV-C).
 
 The paper drives its serving system with requests sampled uniformly from the
-benchmark and arriving according to a Poisson process at a target QPS; this
-module produces those arrival schedules and the accompanying task samples.
-:func:`mixture_plan` generalises the single-workload generators to the
-datacenter scenario (paper Table IV): one arrival process whose requests are
-drawn from a weighted mixture of traffic classes (e.g. chatbot + agent), each
-request tagged with its class so pool-aware routers can steer it.
+benchmark and arriving according to a Poisson process at a target QPS;
+:func:`arrival_plan` produces those arrival schedules and the accompanying
+task samples.  A plan serves one or more traffic classes: a single-workload
+run is the one unlabelled class ``[(None, workload, 1.0)]``, and the
+datacenter scenario (paper Table IV) is a weighted mixture of labelled
+classes (e.g. chatbot + agent), each request tagged with its class so
+pool-aware routers can steer it.
 
-Time-varying traffic programs build on the same generators:
-:func:`shaped_plan` modulates a Poisson process by a
-:class:`~repro.serving.shapes.RateShape` via Lewis thinning (candidate
-arrivals at the peak rate, accepted with probability ``level(t)/max_level``)
-or a deterministic process by rate integration, and :func:`mixture_plan`
-accepts an overall shape plus per-class shapes so each traffic class can
-burst independently (per-class shaped processes superposed by arrival time).
-The identity shape reproduces the unshaped generators bit-for-bit: thinning
-at a constant level-1 envelope accepts every candidate, and the acceptance
-draws come from a separate substream, so the arrival times and task picks
-are untouched.
+Time-varying traffic programs modulate the same plans: an overall
+:class:`~repro.serving.shapes.RateShape` plus optional per-class shapes turn
+each class into its own shaped process -- Poisson processes by Lewis
+thinning (candidate arrivals at the peak rate, accepted with probability
+``level(t)/max_level``), deterministic ones by rate integration -- and the
+per-class processes are superposed by arrival time, so each class bursts
+independently.
 """
 
 from __future__ import annotations
@@ -41,9 +38,9 @@ _MAX_REJECTS_PER_ARRIVAL = 100_000
 class ArrivalPlan:
     """A schedule of (arrival_time, task) pairs for one serving run.
 
-    ``traffic_classes`` optionally labels each arrival with the traffic class
-    it was sampled from (mixture plans); single-workload plans leave it
-    ``None``.  ``tenants`` optionally labels each arrival with the
+    ``traffic_classes`` labels each arrival with the traffic class it was
+    sampled from; plans of the one unlabelled class leave it ``None``.
+    ``tenants`` optionally labels each arrival with the
     :class:`~repro.serving.tenants.Tenant` that issued it (``None`` for
     untenanted plans, and per-entry ``None`` for arrivals of untenanted
     classes inside a partially tenanted mixture).
@@ -90,96 +87,29 @@ class ArrivalPlan:
         return len(self.arrival_times) / self.duration
 
 
-def _sampled_tenants(
-    tenants: Optional[TenantSpec],
-    count: int,
-    stream: Optional[RandomStream],
-    substream: str = "tenants",
-) -> Optional[List[Tenant]]:
-    """Per-arrival tenant draws from a dedicated substream (``None`` = untenanted).
-
-    Tenant draws come from their own substream, created only when a tenant
-    spec is present, so untenanted plans consume exactly the same random
-    numbers as before tenants existed (bit-for-bit golden pins hold).
-    """
-    if tenants is None:
-        return None
-    if stream is None:
-        raise ValueError("tenanted plans need a RandomStream to draw tenants from")
-    from repro.serving.tenants import sample_tenants
-
-    return sample_tenants(tenants, count, stream.substream(substream))
-
-
-def poisson_plan(
-    workload: Workload,
-    qps: float,
-    num_requests: int,
-    stream: RandomStream,
-    task_pool_size: int = 64,
-    tenants: Optional[TenantSpec] = None,
-) -> ArrivalPlan:
-    """Poisson arrivals at ``qps`` with tasks sampled (with replacement) from a pool."""
-    if num_requests < 1:
-        raise ValueError("num_requests must be >= 1")
-    pool = workload.sample_tasks(max(task_pool_size, 1))
-    arrivals = PoissonArrivals(qps, stream.substream("arrivals")).arrival_times(num_requests)
-    pick_stream = stream.substream("task-pick")
-    tasks = [pool[pick_stream.integers(0, len(pool))] for _ in range(num_requests)]
-    return ArrivalPlan(
-        arrival_times=arrivals,
-        tasks=tasks,
-        tenants=_sampled_tenants(tenants, num_requests, stream),
-    )
-
-
-def uniform_plan(
-    workload: Workload,
-    qps: float,
-    num_requests: int,
-    task_pool_size: int = 64,
-    stream: RandomStream | None = None,
-    tenants: Optional[TenantSpec] = None,
-) -> ArrivalPlan:
-    """Evenly spaced arrivals (deterministic), useful for calibration tests."""
-    pool = workload.sample_tasks(max(task_pool_size, 1))
-    arrivals = DeterministicArrivals(qps).arrival_times(num_requests)
-    tasks = [pool[index % len(pool)] for index in range(num_requests)]
-    return ArrivalPlan(
-        arrival_times=arrivals,
-        tasks=tasks,
-        tenants=_sampled_tenants(tenants, num_requests, stream),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Shaped (time-varying) arrival streams
+# Shaped (time-varying) arrival processes
 # ---------------------------------------------------------------------------
 
 
 class _ProductShape(RateShape):
-    """Pointwise product of shapes (overall program x per-class modulation)."""
+    """Pointwise product of the overall program and one class's modulation."""
 
-    def __init__(self, *shapes: RateShape):
-        self.shapes = [shape for shape in shapes if shape is not None]
+    def __init__(self, outer: RateShape, inner: RateShape):
+        self.outer = outer
+        self.inner = inner
 
     def level(self, t: float) -> float:
-        value = 1.0
-        for shape in self.shapes:
-            value *= shape.level(t)
-        return value
+        return self.outer.level(t) * self.inner.level(t)
 
     @property
     def max_level(self) -> float:
-        value = 1.0
-        for shape in self.shapes:
-            value *= shape.max_level
-        return value
+        return self.outer.max_level * self.inner.max_level
 
     def next_change(self, t: float) -> Optional[float]:
         boundaries = [
             boundary
-            for boundary in (shape.next_change(t) for shape in self.shapes)
+            for boundary in (self.outer.next_change(t), self.inner.next_change(t))
             if boundary is not None and boundary > t
         ]
         return min(boundaries) if boundaries else None
@@ -187,6 +117,17 @@ class _ProductShape(RateShape):
 
 def _is_identity(shape: Optional[RateShape]) -> bool:
     return shape is None or (isinstance(shape, ConstantShape) and shape.is_identity)
+
+
+def _class_program(
+    shape: Optional[RateShape], class_shape: Optional[RateShape]
+) -> RateShape:
+    """The rate program of one class: overall shape x class shape."""
+    if shape is None:
+        return class_shape if class_shape is not None else ConstantShape()
+    if class_shape is None:
+        return shape
+    return _ProductShape(shape, class_shape)
 
 
 def _thinned_arrivals(
@@ -199,8 +140,8 @@ def _thinned_arrivals(
 
     Candidates arrive at the peak rate ``qps * max_level`` and are accepted
     with probability ``level(t) / max_level``.  A level-1 constant shape
-    accepts every candidate without touching the acceptance stream, which is
-    what keeps unshaped plans bit-for-bit identical.
+    accepts every candidate without touching the acceptance stream, so its
+    arrival times are those of the plain Poisson process.
 
     Zero-rate spans are not spun through candidate by candidate: the
     Poisson process is memoryless, so when a candidate lands on a dead span
@@ -234,131 +175,87 @@ def _thinned_arrivals(
                 )
 
 
-def _collect_arrivals(
-    arrivals: Iterator[float],
-    num_requests: int,
-    duration_s: Optional[float],
-) -> List[float]:
-    """Up to ``num_requests`` arrival times, stopping at ``duration_s`` if set."""
-    times: List[float] = []
-    for t in arrivals:
-        if duration_s is not None and t > duration_s:
-            break
-        times.append(t)
-        if len(times) >= num_requests:
-            break
-    return times
+# ---------------------------------------------------------------------------
+# The arrival plan
+# ---------------------------------------------------------------------------
 
 
-def shaped_plan(
-    workload: Workload,
-    qps: float,
-    shape: RateShape,
-    num_requests: int,
-    stream: RandomStream,
-    task_pool_size: int = 64,
-    process: str = "poisson",
-    duration_s: Optional[float] = None,
-    tenants: Optional[TenantSpec] = None,
-) -> ArrivalPlan:
-    """One workload served by a shaped arrival process (a traffic program).
-
-    The effective arrival rate at time ``t`` is ``qps * shape.level(t)``:
-    Poisson processes are modulated by thinning, ``uniform`` (deterministic)
-    processes by rate integration.  ``duration_s`` switches the plan from
-    count semantics (exactly ``num_requests`` arrivals) to span semantics
-    (every arrival inside ``[0, duration_s]``, with ``num_requests`` as a
-    safety cap).  The identity shape delegates to the unshaped generators,
-    so ``ConstantShape(1.0)`` plans are bit-for-bit the legacy plans.
-    """
-    if num_requests < 1:
-        raise ValueError("num_requests must be >= 1")
-    if not isinstance(shape, RateShape):
-        raise ValueError(f"shaped_plan needs a RateShape, got {shape!r}")
-    if duration_s is not None and duration_s <= 0:
-        raise ValueError("duration_s must be > 0 (or None for count semantics)")
-    if _is_identity(shape) and duration_s is None:
-        if process == "poisson":
-            return poisson_plan(
-                workload, qps, num_requests, stream, task_pool_size, tenants=tenants
-            )
-        if process == "uniform":
-            return uniform_plan(
-                workload, qps, num_requests, task_pool_size, stream, tenants=tenants
-            )
-        raise ValueError(f"shaped plans support poisson/uniform, not {process!r}")
-    if process == "poisson":
-        arrivals = _thinned_arrivals(
-            shape, qps, stream.substream("arrivals"), stream.substream("thinning")
-        )
-    elif process == "uniform":
-        arrivals = iter_deterministic_arrivals(shape, qps, stop_before=duration_s)
-    else:
-        raise ValueError(f"shaped plans support poisson/uniform, not {process!r}")
-    times = _collect_arrivals(arrivals, num_requests, duration_s)
-    if not times:
-        raise ValueError(
-            "shaped plan generated no arrivals: the shape stays at zero rate "
-            "for the whole plan span"
-        )
-    pool = workload.sample_tasks(max(task_pool_size, 1))
-    if process == "poisson":
-        pick_stream = stream.substream("task-pick")
-        tasks = [pool[pick_stream.integers(0, len(pool))] for _ in times]
-    else:
-        tasks = [pool[index % len(pool)] for index in range(len(times))]
-    return ArrivalPlan(
-        arrival_times=times,
-        tasks=tasks,
-        tenants=_sampled_tenants(tenants, len(times), stream),
-    )
-
-
-#: One traffic class of a mixture: (label, workload, weight[, shape[, tenants]]).
-MixtureComponent = Union[
-    Tuple[str, Workload, float],
-    Tuple[str, Workload, float, Optional[RateShape]],
-    Tuple[str, Workload, float, Optional[RateShape], Optional[TenantSpec]],
+#: One traffic class of a plan: (label, workload, weight[, shape[, tenants]]).
+#: ``label=None`` is the unlabelled class of a single-workload plan.
+PlanClass = Union[
+    Tuple[Optional[str], Workload, float],
+    Tuple[Optional[str], Workload, float, Optional[RateShape]],
+    Tuple[Optional[str], Workload, float, Optional[RateShape], Optional[TenantSpec]],
 ]
 
 
-class _MixtureTenants:
-    """Lazy per-class tenant samplers for a mixture plan.
+def _substream(stream: RandomStream, name: str, label: Optional[str]) -> RandomStream:
+    """The class's own substream: bare ``name`` for the unlabelled class."""
+    return stream.substream(name if label is None else f"{name}/{label}")
 
-    Each tenanted class gets its own :class:`TenantPopulation` and
-    ``tenants/{label}`` substream, created on first use, so untenanted
-    classes never touch the random state and the plan's tenant column is
-    ``None`` when no class is tenanted at all.
+
+def _superposed(
+    programs: Sequence[Iterator[float]],
+    num_requests: int,
+    duration_s: Optional[float],
+) -> Tuple[List[float], List[int]]:
+    """Merge per-class arrival streams by time: (times, class indices)."""
+    merged: List[Tuple[float, int]] = []
+    for index, arrivals in enumerate(programs):
+        first = next(arrivals, None)
+        if first is not None:
+            heapq.heappush(merged, (first, index))
+    times: List[float] = []
+    indices: List[int] = []
+    while merged:
+        t, index = heapq.heappop(merged)
+        if duration_s is not None and t > duration_s:
+            # Streams yield non-decreasing times: once the earliest pending
+            # arrival is past the span, every later one is too.
+            break
+        times.append(t)
+        indices.append(index)
+        if len(times) >= num_requests:
+            break
+        upcoming = next(programs[index], None)
+        if upcoming is not None:
+            heapq.heappush(merged, (upcoming, index))
+    return times, indices
+
+
+def _tenant_column(
+    stream: RandomStream,
+    labels: Sequence[Optional[str]],
+    specs: Sequence[Optional[TenantSpec]],
+    indices: Sequence[int],
+) -> Optional[List[Optional[Tenant]]]:
+    """Per-arrival tenant draws (``None`` when no class is tenanted).
+
+    Each tenanted class draws from its own user population on its own
+    ``tenants`` substream, created on first use, so tenant draws never
+    perturb arrival times or task picks.
     """
-
-    def __init__(
-        self,
-        stream: RandomStream,
-        specs: Dict[str, Optional[TenantSpec]],
-    ):
-        self._stream = stream
-        self._specs = specs
-        self._populations: Dict[str, TenantPopulation] = {}
-        self._streams: Dict[str, RandomStream] = {}
-        self.any_tenanted = any(spec is not None for spec in specs.values())
-
-    def sample(self, label: str) -> Optional[Tenant]:
-        spec = self._specs[label]
+    if all(spec is None for spec in specs):
+        return None
+    samplers: Dict[int, Tuple[TenantPopulation, RandomStream]] = {}
+    column: List[Optional[Tenant]] = []
+    for index in indices:
+        spec = specs[index]
         if spec is None:
-            return None
-        population = self._populations.get(label)
-        if population is None:
-            population = TenantPopulation(spec)
-            self._populations[label] = population
-            self._streams[label] = self._stream.substream(f"tenants/{label}")
-        return population.sample(self._streams[label])
+            column.append(None)
+            continue
+        sampler = samplers.get(index)
+        if sampler is None:
+            sampler = samplers[index] = (
+                TenantPopulation(spec),
+                _substream(stream, "tenants", labels[index]),
+            )
+        column.append(sampler[0].sample(sampler[1]))
+    return column
 
-    def column(self, drawn: List[Optional[Tenant]]) -> Optional[List[Optional[Tenant]]]:
-        return drawn if self.any_tenanted else None
 
-
-def mixture_plan(
-    components: Sequence[MixtureComponent],
+def arrival_plan(
+    classes: Sequence[PlanClass],
     qps: float,
     num_requests: int,
     stream: RandomStream,
@@ -368,144 +265,107 @@ def mixture_plan(
     duration_s: Optional[float] = None,
     tenants: Optional[TenantSpec] = None,
 ) -> ArrivalPlan:
-    """One arrival process over a weighted mixture of traffic classes.
+    """One arrival schedule over weighted traffic classes.
 
-    ``components`` is a sequence of ``(label, workload, weight)``,
+    ``classes`` is a sequence of ``(label, workload, weight)``,
     ``(label, workload, weight, shape)`` or ``(label, workload, weight,
-    shape, tenants)``; every arrival is tagged with the class label so the
-    cluster can route it to the right pool.  A per-class :class:`TenantSpec`
-    overrides the plan-level ``tenants`` default for that class; each
-    tenanted class draws from its own user population on its own substream.
+    shape, tenants)``.  A labelled class tags each of its arrivals with its
+    label so the cluster can route it to the right pool; a one-class plan
+    may leave its class unlabelled (``label=None``).  A per-class
+    :class:`TenantSpec` overrides the plan-level ``tenants`` default for
+    that class.  Each class draws from its own substreams (bare names for
+    the unlabelled class, ``<name>/{label}`` otherwise), so adding or
+    reshaping one class never perturbs another's task picks or tenants.
 
-    Without shaping (the legacy path, bit-for-bit preserved): one arrival
-    process at ``qps``, each arrival drawing its traffic class by weight and
-    then a task (with replacement) from that class's pool.
+    Tasks are picked from each class's pool of ``task_pool_size`` samples:
+    with replacement for ``poisson`` arrivals, round-robin per class for
+    ``uniform`` (deterministic) arrivals.
 
-    With shaping (an overall ``shape`` and/or per-class shapes): each class
-    becomes its own shaped process at rate
-    ``qps * normalized_weight * shape.level(t) * class_shape.level(t)``, so
-    classes burst independently (the Table IV scenario: agent traffic
-    spiking over a steady chat floor); the per-class processes are superposed
-    by arrival time into one plan.
+    Without shaping (no ``shape``, no class shape, no ``duration_s``): one
+    arrival process at ``qps``, each arrival drawing its class by weight.
+    Otherwise each class becomes its own shaped process at rate
+    ``qps * normalized_weight * shape.level(t) * class_shape.level(t)``,
+    and the per-class processes are superposed by arrival time.
+    ``duration_s`` switches the plan from count semantics (exactly
+    ``num_requests`` arrivals) to span semantics (every arrival inside
+    ``[0, duration_s]``, with ``num_requests`` as a safety cap).
     """
     if num_requests < 1:
         raise ValueError("num_requests must be >= 1")
-    if not components:
-        raise ValueError("mixture needs at least one traffic class")
+    if not classes:
+        raise ValueError("an arrival plan needs at least one traffic class")
     if duration_s is not None and duration_s <= 0:
         raise ValueError("duration_s must be > 0 (or None for count semantics)")
-    normalized = [
-        (entry[0], entry[1], entry[2], entry[3] if len(entry) > 3 else None)
-        for entry in components
-    ]
-    tenant_specs: Dict[str, Optional[TenantSpec]] = {
-        entry[0]: (entry[4] if len(entry) > 4 and entry[4] is not None else tenants)
-        for entry in components
-    }
-    total_weight = sum(weight for _, _, weight, _ in normalized)
-    if total_weight <= 0:
-        raise ValueError("mixture weights must sum to > 0")
     if process not in ("poisson", "uniform"):
-        raise ValueError(f"mixture plans support poisson/uniform, not {process!r}")
-    labels = [label for label, _, _, _ in normalized]
-    mixture_tenants = _MixtureTenants(stream, tenant_specs)
-    pools: Dict[str, List[Task]] = {
-        label: workload.sample_tasks(max(task_pool_size, 1))
-        for label, workload, _, _ in normalized
-    }
-    unshaped = (
-        _is_identity(shape)
-        and all(_is_identity(class_shape) for _, _, _, class_shape in normalized)
-        and duration_s is None
-    )
-    if unshaped:
-        # Legacy single-process path (golden-pinned): one arrival stream,
-        # class drawn by weight per arrival.
-        probabilities = [weight / total_weight for _, _, weight, _ in normalized]
+        raise ValueError(f"arrival plans support poisson/uniform, not {process!r}")
+    if shape is not None and not isinstance(shape, RateShape):
+        raise ValueError(f"arrival_plan needs a RateShape, got {shape!r}")
+    if stream is None:
+        raise ValueError("arrival_plan needs a RandomStream to draw from")
+    labels = [entry[0] for entry in classes]
+    if None in labels and len(labels) > 1:
+        raise ValueError("only a one-class plan may leave its class unlabelled")
+    weights = [entry[2] for entry in classes]
+    class_shapes = [entry[3] if len(entry) > 3 else None for entry in classes]
+    tenant_specs = [
+        entry[4] if len(entry) > 4 and entry[4] is not None else tenants
+        for entry in classes
+    ]
+    total_weight = sum(weights)
+    if total_weight <= 0:
+        raise ValueError("traffic-class weights must sum to > 0")
+    pools = [entry[1].sample_tasks(max(task_pool_size, 1)) for entry in classes]
+    if duration_s is None and _is_identity(shape) and all(map(_is_identity, class_shapes)):
+        # One arrival process at qps; each arrival draws its class by weight
+        # (a one-class plan skips the draw: class-pick is its own substream).
         if process == "poisson":
-            arrivals = PoissonArrivals(qps, stream.substream("arrivals")).arrival_times(
-                num_requests
-            )
+            arrivals = PoissonArrivals(qps, stream.substream("arrivals"))
         else:
-            arrivals = DeterministicArrivals(qps).arrival_times(num_requests)
-        class_stream = stream.substream("class-pick")
-        pick_streams = {
-            label: stream.substream(f"task-pick/{label}") for label in labels
-        }
-        chosen: List[str] = []
-        tasks: List[Task] = []
-        drawn: List[Optional[Tenant]] = []
-        for _ in range(num_requests):
-            label = class_stream.choice(labels, p=probabilities)
-            pool = pools[label]
-            tasks.append(pool[pick_streams[label].integers(0, len(pool))])
-            chosen.append(label)
-            drawn.append(mixture_tenants.sample(label))
-        return ArrivalPlan(
-            arrival_times=arrivals,
-            tasks=tasks,
-            traffic_classes=chosen,
-            tenants=mixture_tenants.column(drawn),
-        )
-    # Shaped mixture: superposed per-class shaped processes.  Each class has
-    # its own substreams so adding/reshaping one class never perturbs the
-    # arrival times of another.
-    merged: List[Tuple[float, int]] = []
-    heapq.heapify(merged)
-    streams: List[Iterator[float]] = []
-    for index, (label, _, weight, class_shape) in enumerate(normalized):
-        class_rate = qps * weight / total_weight
-        program = _ProductShape(shape, class_shape)
-        if process == "poisson":
-            arrivals = _thinned_arrivals(
-                program,
-                class_rate,
-                stream.substream(f"arrivals/{label}"),
-                stream.substream(f"thinning/{label}"),
-            )
+            arrivals = DeterministicArrivals(qps)
+        times = arrivals.arrival_times(num_requests)
+        if len(classes) == 1:
+            indices = [0] * num_requests
         else:
-            arrivals = iter_deterministic_arrivals(
-                program, class_rate, stop_before=duration_s
+            class_stream = stream.substream("class-pick")
+            probabilities = [weight / total_weight for weight in weights]
+            order = list(range(len(classes)))
+            indices = [class_stream.choice(order, p=probabilities) for _ in times]
+    else:
+        programs = []
+        for label, weight, class_shape in zip(labels, weights, class_shapes):
+            program = _class_program(shape, class_shape)
+            class_rate = qps * weight / total_weight
+            if process == "poisson":
+                programs.append(
+                    _thinned_arrivals(
+                        program,
+                        class_rate,
+                        _substream(stream, "arrivals", label),
+                        _substream(stream, "thinning", label),
+                    )
+                )
+            else:
+                programs.append(
+                    iter_deterministic_arrivals(program, class_rate, stop_before=duration_s)
+                )
+        times, indices = _superposed(programs, num_requests, duration_s)
+        if not times:
+            raise ValueError(
+                "arrival plan generated no arrivals: every class stays at zero "
+                "rate for the whole plan span"
             )
-        streams.append(arrivals)
-        first = next(arrivals, None)
-        if first is not None:
-            heapq.heappush(merged, (first, index))
-    pick_streams = {
-        label: stream.substream(f"task-pick/{label}") for label in labels
-    }
-    round_robin = [0] * len(normalized)
-    times: List[float] = []
-    tasks = []
-    chosen = []
-    drawn = []
-    while merged and len(times) < num_requests:
-        t, index = heapq.heappop(merged)
-        if duration_s is not None and t > duration_s:
-            # Streams yield non-decreasing times: once the earliest pending
-            # arrival is past the span, every later one is too.
-            break
-        label = labels[index]
-        pool = pools[label]
-        if process == "poisson":
-            tasks.append(pool[pick_streams[label].integers(0, len(pool))])
-        else:
-            tasks.append(pool[round_robin[index] % len(pool)])
-            round_robin[index] += 1
-        times.append(t)
-        chosen.append(label)
-        drawn.append(mixture_tenants.sample(label))
-        upcoming = next(streams[index], None)
-        if upcoming is not None:
-            heapq.heappush(merged, (upcoming, index))
-    if not times:
-        raise ValueError(
-            "shaped mixture generated no arrivals: every class stays at zero "
-            "rate for the whole plan span"
-        )
+    if process == "poisson":
+        picks = [_substream(stream, "task-pick", label) for label in labels]
+        tasks = [pools[i][picks[i].integers(0, len(pools[i]))] for i in indices]
+    else:
+        served = [0] * len(classes)
+        tasks = []
+        for i in indices:
+            tasks.append(pools[i][served[i] % len(pools[i])])
+            served[i] += 1
     return ArrivalPlan(
         arrival_times=times,
         tasks=tasks,
-        traffic_classes=chosen,
-        tenants=mixture_tenants.column(drawn),
+        traffic_classes=None if labels == [None] else [labels[i] for i in indices],
+        tenants=_tenant_column(stream, labels, tenant_specs, indices),
     )

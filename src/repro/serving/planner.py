@@ -37,8 +37,8 @@ class FleetPlan:
     quality: float
     #: Axis labels of the winning point (e.g. ``{"fleet": "mixed-h100-l4"}``).
     labels: Dict[str, str] = field(default_factory=dict)
-    #: Replica count per pool in the winning layout; single-pool specs map
-    #: the implicit pool name ``"default"`` to ``spec.replicas``.
+    #: Replica count per pool in the winning layout (``spec.fleet``: a flat
+    #: spec maps its one pool ``"default"`` to ``spec.replicas``).
     pool_targets: Dict[str, int] = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -52,10 +52,7 @@ class FleetPlan:
 
 
 def _pool_targets(point: StudyPoint) -> Dict[str, int]:
-    spec = point.spec
-    if spec.pools:
-        return {pool.name: pool.replicas for pool in spec.pools}
-    return {"default": spec.replicas}
+    return {pool.name: pool.replicas for pool in point.spec.fleet}
 
 
 class FleetPlanner:

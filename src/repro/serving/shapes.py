@@ -11,7 +11,7 @@ modulated by thinning, deterministic arrivals by rate integration).
 Built-in shapes (the registry accepts external ones too):
 
 * :class:`ConstantShape` -- ``level`` everywhere (``level=1.0`` is the
-  legacy constant-rate behaviour; ``level=0.0`` is silence, useful as a
+  unshaped constant rate; ``level=0.0`` is silence, useful as a
   piecewise segment),
 * :class:`RampShape` -- linear from ``start_level`` to ``end_level`` over
   ``ramp_s``, holding ``end_level`` afterwards (load migrations, launches),
@@ -44,6 +44,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.registry import PolicyRegistry
+
+#: Step discontinuities a zero-rate walk crosses before it gives up: a level
+#: that stays zero across this many of them is treated as never recovering
+#: (a periodic shape times a shape that dies for good has boundaries forever).
+_MAX_ZERO_RATE_STEPS = 10_000
 
 
 class RateShape:
@@ -83,7 +88,7 @@ class RateShape:
         arrival stream is over.  Generators use this to skip zero-rate
         spans without spinning through doomed candidates.
         """
-        for _ in range(10_000):
+        for _ in range(_MAX_ZERO_RATE_STEPS):
             if self.level(t) > 0:
                 return t
             boundary = self.next_change(t)
@@ -115,7 +120,7 @@ def available_shapes() -> List[str]:
 @register_shape
 @dataclass(frozen=True)
 class ConstantShape(RateShape):
-    """The same multiplier everywhere; ``level=1.0`` is the legacy constant rate."""
+    """The same multiplier everywhere; ``level=1.0`` is the unshaped constant rate."""
 
     name = "constant"
 
@@ -135,7 +140,7 @@ class ConstantShape(RateShape):
 
     @property
     def is_identity(self) -> bool:
-        """True for the multiplier-of-one shape (bit-for-bit legacy arrivals)."""
+        """True for the multiplier-of-one shape (bit-for-bit the unshaped arrivals)."""
         return self.level_value == 1.0
 
 
@@ -456,26 +461,34 @@ def iter_deterministic_arrivals(
     First-order rate integration: each arrival advances the clock by the
     current inter-arrival gap ``1 / rate(t)``.  Zero-rate spans are skipped
     to the shape's next step discontinuity; a zero-rate span with no
-    upcoming discontinuity ends the stream (the rate never recovers).
-    ``stop_before`` stops generation once the clock reaches it -- the final
-    yielded arrival may land just past it, exactly like the historical
-    trace generators -- while ``None`` streams forever (callers truncate).
+    upcoming discontinuity ends the stream (the rate never recovers), as
+    does one that stays zero across ``_MAX_ZERO_RATE_STEPS`` discontinuities
+    in a row.  ``stop_before`` stops generation once the clock reaches it
+    -- the final yielded arrival may land just past it, exactly like the
+    historical trace generators -- while ``None`` streams forever (callers
+    truncate).
 
     This is the single integrator behind both :func:`deterministic_trace`
     (offline traces) and the shaped ``uniform`` arrival plans, so boundary
     and zero-rate semantics cannot drift between them.
     """
     t = 0.0
+    zero_steps = 0
     while stop_before is None or t < stop_before:
         rate = qps * shape.level(t)
         if rate <= 0:
             boundary = shape.next_change(t)
-            if boundary is None or boundary <= t or (
-                stop_before is not None and boundary >= stop_before
+            zero_steps += 1
+            if (
+                boundary is None
+                or boundary <= t
+                or (stop_before is not None and boundary >= stop_before)
+                or zero_steps > _MAX_ZERO_RATE_STEPS
             ):
                 return
             t = boundary
             continue
+        zero_steps = 0
         t += 1.0 / rate
         yield t
 

@@ -340,10 +340,6 @@ class Environment:
         """
         return self._horizon
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
         return Event(self)

@@ -395,7 +395,7 @@ class TestWarmupValidation:
         # spec-level validation; the driver must refuse rather than silently
         # measure an empty window.
         from repro.api import SystemBuilder, ServingDriver
-        from repro.serving.loadgen import poisson_plan
+        from repro.serving.loadgen import arrival_plan
 
         spec = ExperimentSpec(
             agent="chatbot",
@@ -405,8 +405,8 @@ class TestWarmupValidation:
         )
         system = SystemBuilder(spec).build()
         driver = ServingDriver(system)
-        short = poisson_plan(
-            system.workload, qps=2.0, num_requests=2,
+        short = arrival_plan(
+            [(None, system.traffic[None].workload, 1.0)], qps=2.0, num_requests=2,
             stream=system.stream.substream("plan/short"), task_pool_size=2,
         )
         with pytest.raises(ValueError, match="warmup_requests"):
@@ -422,7 +422,7 @@ class TestWarmupValidation:
         )
         from repro.api import SystemBuilder
 
-        tasks = SystemBuilder(spec).build().workload.sample_tasks(3)
+        tasks = SystemBuilder(spec).build().traffic[None].workload.sample_tasks(3)
         with pytest.raises(ValueError, match="warmup_requests"):
             run_experiment(spec, tasks=tasks)
 

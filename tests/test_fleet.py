@@ -102,6 +102,26 @@ class TestFleetSpecs:
         with pytest.raises(ValueError, match="router policy"):
             PoolSpec(name="p", router="random")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("model", "70b"),
+            ("replicas", 2),
+            ("scheduler", "priority"),
+            ("router", "least-loaded"),
+        ],
+    )
+    def test_flat_fleet_field_beside_pools_rejected(self, field, value):
+        # Declared pools carry their own fleet settings; a flat one beside
+        # them would be silently ignored.
+        with pytest.raises(ValueError, match=rf"flat fleet fields \['{field}'\]"):
+            mixed_fleet_spec(**{field: value})
+
+    def test_flat_traffic_fields_beside_workloads_allowed(self):
+        # agent/workload beside a mixture name the random-stream namespace.
+        spec = mixed_fleet_spec(agent="chatbot", workload="sharegpt")
+        assert spec.agent == "chatbot"
+
     def test_mixture_requires_open_loop_arrival(self):
         with pytest.raises(ValueError, match="open-loop"):
             ExperimentSpec(
@@ -361,7 +381,7 @@ class TestFleetRegressions:
             def run_process(self, task):
                 return system.env.event()  # never fires
 
-        system.create_agent = lambda **kwargs: StuckAgent()
+        system.create_agent = lambda label, seed_stream: StuckAgent()
         driver = ServingDriver(system)
         result = driver.serve(_build_plan(system))
         assert result.results == []
@@ -370,5 +390,6 @@ class TestFleetRegressions:
         from repro.api.builder import SystemBuilder
 
         system = SystemBuilder(mixed_fleet_spec()).build()
-        assert system.workload is None
+        # No unlabelled class: the flat workload is never instantiated.
+        assert None not in system.traffic
         assert set(system.traffic) == {"chat", "agent"}

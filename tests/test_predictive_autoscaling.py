@@ -358,7 +358,12 @@ class TestPredictiveServing:
         from repro.api.builder import SystemBuilder
         from repro.api.runners import ServingDriver, _build_plan
 
+        # Declared pools carry their own fleet settings, so the flat ones
+        # go back to their defaults.
         spec = predictive_spec(
+            replicas=1,
+            router="round-robin",
+            scheduler="fcfs",
             pools=(
                 PoolSpec(name="chat", replicas=2, traffic_classes=("chat",)),
                 PoolSpec(name="agent", replicas=2, traffic_classes=("agent",)),

@@ -17,7 +17,7 @@ from repro.api import (
     run_experiment,
     run_study,
 )
-from repro.serving import ArrivalPlan, poisson_plan, uniform_plan
+from repro.serving import ArrivalPlan, arrival_plan
 from repro.sim import RandomStream
 from repro.workloads import create_workload
 
@@ -25,7 +25,9 @@ from repro.workloads import create_workload
 class TestArrivalPlans:
     def test_poisson_plan_shapes(self):
         workload = create_workload("hotpotqa", seed=1)
-        plan = poisson_plan(workload, qps=2.0, num_requests=50, stream=RandomStream(1, "p"))
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, num_requests=50, stream=RandomStream(1, "p")
+        )
         assert len(plan) == 50
         assert plan.offered_qps == pytest.approx(2.0, rel=0.4)
         assert all(b >= a for a, b in zip(plan.arrival_times, plan.arrival_times[1:]))
@@ -33,11 +35,17 @@ class TestArrivalPlans:
     def test_poisson_plan_requires_requests(self):
         workload = create_workload("hotpotqa", seed=1)
         with pytest.raises(ValueError):
-            poisson_plan(workload, qps=1.0, num_requests=0, stream=RandomStream(1, "p"))
+            arrival_plan(
+                [(None, workload, 1.0)], qps=1.0, num_requests=0,
+                stream=RandomStream(1, "p"),
+            )
 
     def test_uniform_plan_evenly_spaced(self):
         workload = create_workload("webshop", seed=1)
-        plan = uniform_plan(workload, qps=2.0, num_requests=4)
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, num_requests=4,
+            stream=RandomStream(1, "u"), process="uniform",
+        )
         gaps = [b - a for a, b in zip(plan.arrival_times, plan.arrival_times[1:])]
         assert all(gap == pytest.approx(0.5) for gap in gaps)
 

@@ -71,7 +71,7 @@ class TestMaxConcurrencyEnforcement:
 
     def test_reused_server_reports_per_run_admission_delays(self):
         from repro.api import ServingDriver, SystemBuilder
-        from repro.serving import poisson_plan
+        from repro.serving import arrival_plan
 
         spec = ExperimentSpec(
             agent="chatbot",
@@ -81,8 +81,8 @@ class TestMaxConcurrencyEnforcement:
         )
         system = SystemBuilder(spec).build()
         driver = ServingDriver(system)
-        plan = lambda tag: poisson_plan(
-            system.workload, qps=4.0, num_requests=4,
+        plan = lambda tag: arrival_plan(
+            [(None, system.traffic[None].workload, 1.0)], qps=4.0, num_requests=4,
             stream=system.stream.substream(f"plan/{tag}"), task_pool_size=4,
         )
         first = driver.serve(plan("a"))

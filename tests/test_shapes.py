@@ -5,7 +5,8 @@ validation, serialization round-trips (including nested piecewise
 programs through JSON), piecewise edge cases (zero-rate segments,
 segment-boundary arrivals), the deterministic trace integrator, and the
 thinning-based shaped plans -- including the golden identity: a constant
-level-1 shape produces bit-for-bit the legacy unshaped plans.
+level-1 shape produces bit-for-bit the unshaped plans of the generators
+``arrival_plan`` replaced (kept as the reference in ``test_arrival_plan``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from repro.serving.loadgen import mixture_plan, poisson_plan, shaped_plan, uniform_plan
+from repro.serving.loadgen import arrival_plan
 from repro.serving.shapes import (
     ConstantShape,
     DiurnalShape,
@@ -31,6 +32,11 @@ from repro.serving.shapes import (
 )
 from repro.sim.distributions import RandomStream
 from repro.workloads import create_workload
+from tests.test_arrival_plan import (
+    reference_mixture_plan,
+    reference_poisson_plan,
+    reference_uniform_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -276,21 +282,23 @@ class TestDeterministicTrace:
 
 class TestShapedPlan:
     def test_identity_shape_is_bit_for_bit_legacy(self, workload):
-        legacy = poisson_plan(
+        legacy = reference_poisson_plan(
             workload, qps=2.0, num_requests=30, stream=RandomStream(3, "p"),
             task_pool_size=8,
         )
-        shaped = shaped_plan(
-            workload, qps=2.0, shape=ConstantShape(), num_requests=30,
+        shaped = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=ConstantShape(), num_requests=30,
             stream=RandomStream(3, "p"), task_pool_size=8,
         )
         assert shaped.arrival_times == legacy.arrival_times
         assert shaped.tasks == legacy.tasks
 
     def test_identity_uniform_is_bit_for_bit_legacy(self, workload):
-        legacy = uniform_plan(workload, qps=2.0, num_requests=10, task_pool_size=8)
-        shaped = shaped_plan(
-            workload, qps=2.0, shape=ConstantShape(), num_requests=10,
+        legacy = reference_uniform_plan(
+            workload, qps=2.0, num_requests=10, task_pool_size=8
+        )
+        shaped = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=ConstantShape(), num_requests=10,
             stream=RandomStream(3, "p"), task_pool_size=8, process="uniform",
         )
         assert shaped.arrival_times == legacy.arrival_times
@@ -301,8 +309,8 @@ class TestShapedPlan:
             base_level=0.25, burst_level=4.0, period_s=40.0, burst_start_s=10.0,
             burst_s=10.0,
         )
-        plan = shaped_plan(
-            workload, qps=2.0, shape=wave, num_requests=80,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=wave, num_requests=80,
             stream=RandomStream(0, "burst"), task_pool_size=8,
         )
         in_burst = [t for t in plan.arrival_times if (t % 40.0) // 10.0 == 1.0]
@@ -310,8 +318,8 @@ class TestShapedPlan:
         assert len(in_burst) > len(plan) * 0.6
 
     def test_duration_semantics_cap_the_span(self, workload):
-        plan = shaped_plan(
-            workload, qps=2.0, shape=ConstantShape(), num_requests=1000,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=ConstantShape(), num_requests=1000,
             stream=RandomStream(0, "dur"), task_pool_size=8, process="uniform",
             duration_s=15.0,
         )
@@ -321,8 +329,8 @@ class TestShapedPlan:
     def test_boundary_arrival_lands_inside_duration(self, workload):
         # qps=1 uniform arrivals land exactly on integer seconds; the arrival
         # at t == duration_s is inside the closed span.
-        plan = shaped_plan(
-            workload, qps=1.0, shape=ConstantShape(), num_requests=100,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=1.0, shape=ConstantShape(), num_requests=100,
             stream=RandomStream(0, "edge"), task_pool_size=8, process="uniform",
             duration_s=5.0,
         )
@@ -332,8 +340,8 @@ class TestShapedPlan:
         # A trace whose rate dies for good must end the plan, not stall the
         # thinning loop: count semantics simply come up short.
         dead_tail = TraceShape(times=(0.0, 30.0), levels=(1.0, 0.0))
-        plan = shaped_plan(
-            workload, qps=2.0, shape=dead_tail, num_requests=500,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=dead_tail, num_requests=500,
             stream=RandomStream(0, "tail"), task_pool_size=8,
         )
         assert 0 < len(plan) < 500
@@ -347,8 +355,8 @@ class TestShapedPlan:
                 (10.0, ConstantShape(level_value=1.0)),
             )
         )
-        plan = shaped_plan(
-            workload, qps=2.0, shape=program, num_requests=40,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, shape=program, num_requests=40,
             stream=RandomStream(0, "silent"), task_pool_size=8,
         )
         assert not [t for t in plan.arrival_times if 10.0 < t <= 20.0]
@@ -362,26 +370,26 @@ class TestShapedPlan:
             )
         )
         with pytest.raises(ValueError, match="no arrivals"):
-            shaped_plan(
-                workload, qps=1.0, shape=program, num_requests=10,
+            arrival_plan(
+                [(None, workload, 1.0)], qps=1.0, shape=program, num_requests=10,
                 stream=RandomStream(0, "z"), task_pool_size=8, process="uniform",
                 duration_s=10.0,
             )
 
     def test_rejects_bad_inputs(self, workload):
         with pytest.raises(ValueError, match="RateShape"):
-            shaped_plan(
-                workload, qps=1.0, shape="burst", num_requests=5,
+            arrival_plan(
+                [(None, workload, 1.0)], qps=1.0, shape="burst", num_requests=5,
                 stream=RandomStream(0, "x"),
             )
         with pytest.raises(ValueError, match="duration_s"):
-            shaped_plan(
-                workload, qps=1.0, shape=ConstantShape(), num_requests=5,
+            arrival_plan(
+                [(None, workload, 1.0)], qps=1.0, shape=ConstantShape(), num_requests=5,
                 stream=RandomStream(0, "x"), duration_s=-1.0,
             )
         with pytest.raises(ValueError, match="poisson/uniform"):
-            shaped_plan(
-                workload, qps=1.0, shape=ConstantShape(), num_requests=5,
+            arrival_plan(
+                [(None, workload, 1.0)], qps=1.0, shape=ConstantShape(), num_requests=5,
                 stream=RandomStream(0, "x"), process="sequential",
             )
 
@@ -393,12 +401,12 @@ class TestShapedMixture:
 
     def test_unshaped_mixture_is_bit_for_bit_legacy(self, workload):
         components = self._components(workload)
-        legacy = mixture_plan(
+        legacy = reference_mixture_plan(
             components, qps=2.0, num_requests=20, stream=RandomStream(0, "m"),
             task_pool_size=8,
         )
         with_nones = [entry + (None,) for entry in components]
-        modern = mixture_plan(
+        modern = arrival_plan(
             with_nones, qps=2.0, num_requests=20, stream=RandomStream(0, "m"),
             task_pool_size=8, shape=ConstantShape(),
         )
@@ -413,7 +421,7 @@ class TestShapedMixture:
         )
         components = self._components(workload)
         shaped = [components[0] + (None,), components[1] + (wave,)]
-        plan = mixture_plan(
+        plan = arrival_plan(
             shaped, qps=3.0, num_requests=60, stream=RandomStream(0, "m"),
             task_pool_size=8,
         )
@@ -429,7 +437,7 @@ class TestShapedMixture:
 
     def test_shaped_mixture_duration_semantics(self, workload):
         components = [entry + (None,) for entry in self._components(workload)]
-        plan = mixture_plan(
+        plan = arrival_plan(
             components, qps=2.0, num_requests=1000, stream=RandomStream(0, "m"),
             task_pool_size=8, process="uniform", duration_s=12.0,
         )
@@ -437,17 +445,40 @@ class TestShapedMixture:
         # Two classes at 1 qps each => ~24 arrivals inside the span.
         assert len(plan) == 24
 
+    def test_uniform_class_that_dies_under_a_periodic_program_ends(self, workload):
+        # A square wave has step boundaries forever: a class whose own shape
+        # dies for good must end its deterministic stream instead of walking
+        # those boundaries without end.
+        dead_tail = TraceShape(times=(0.0, 8.0), levels=(1.0, 0.0))
+        wave = SquareWaveShape(
+            base_level=0.5, burst_level=3.0, period_s=12.0, burst_start_s=4.0,
+            burst_s=4.0,
+        )
+        components = self._components(workload)
+        plan = arrival_plan(
+            [components[0] + (dead_tail,), components[1]], qps=2.0,
+            num_requests=40, stream=RandomStream(0, "m"), task_pool_size=8,
+            process="uniform", shape=wave,
+        )
+        assert len(plan) == 40
+        chat_times = [
+            t for t, label in zip(plan.arrival_times, plan.traffic_classes)
+            if label == "chat"
+        ]
+        # Rate integration may land the last arrival one gap past the death.
+        assert chat_times and chat_times[-1] < 9.0 < plan.arrival_times[-1]
+
     def test_shaped_mixture_is_deterministic(self, workload):
         wave = SquareWaveShape(
             base_level=0.5, burst_level=2.0, period_s=20.0, burst_start_s=5.0,
             burst_s=5.0,
         )
         components = [entry + (wave,) for entry in self._components(workload)]
-        first = mixture_plan(
+        first = arrival_plan(
             components, qps=2.0, num_requests=30, stream=RandomStream(7, "m"),
             task_pool_size=8,
         )
-        second = mixture_plan(
+        second = arrival_plan(
             components, qps=2.0, num_requests=30, stream=RandomStream(7, "m"),
             task_pool_size=8,
         )

@@ -3,9 +3,9 @@
 Covers the tenant vocabulary end to end: spec validation and
 serialization, lazy Zipf sampling (determinism, rank bounds, skew
 ordering, O(distinct-seen) memory on a million-user population), plan
-labeling across poisson/uniform/shaped/mixture generators -- including
-the golden pins: untenanted plans are bit-for-bit the pre-tenant plans,
-and tenant draws never perturb arrival times or task picks -- plus the
+labeling across poisson/uniform/shaped/mixture plans -- including the
+golden pins: untenanted plans are bit-for-bit the pre-tenant plans, and
+tenant draws never perturb arrival times or task picks -- plus the
 per-arrival label integrity of superposed shaped mixtures, the
 vtc/oit-throttle behaviours, and the fairness report maths.
 """
@@ -25,7 +25,7 @@ from repro.serving.admission import (
     available_admission_policies,
     build_admission_policy,
 )
-from repro.serving.loadgen import mixture_plan, poisson_plan, shaped_plan, uniform_plan
+from repro.serving.loadgen import arrival_plan
 from repro.serving.shapes import ConstantShape, SquareWaveShape
 from repro.serving.tenants import (
     Tenant,
@@ -132,9 +132,9 @@ class TestZipfSampling:
 
 class TestTenantedPlans:
     def test_poisson_plan_labels_every_arrival(self, workload):
-        plan = poisson_plan(
-            workload, qps=2.0, num_requests=20, stream=RandomStream(1, "p"),
-            tenants=TenantSpec(num_users=1000, skew=1.4),
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, num_requests=20,
+            stream=RandomStream(1, "p"), tenants=TenantSpec(num_users=1000, skew=1.4),
         )
         assert plan.tenants is not None
         assert len(plan.tenants) == 20
@@ -143,10 +143,12 @@ class TestTenantedPlans:
     def test_untenanted_plan_bit_for_bit_identical(self, workload):
         # Golden pin: the tenants substream only exists when a spec is
         # present, so untenanted plans consume exactly the legacy draws.
-        legacy = poisson_plan(workload, qps=2.0, num_requests=30, stream=RandomStream(9, "p"))
-        tenanted = poisson_plan(
-            workload, qps=2.0, num_requests=30, stream=RandomStream(9, "p"),
-            tenants=TenantSpec(num_users=100, skew=1.2),
+        legacy = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, num_requests=30, stream=RandomStream(9, "p")
+        )
+        tenanted = arrival_plan(
+            [(None, workload, 1.0)], qps=2.0, num_requests=30,
+            stream=RandomStream(9, "p"), tenants=TenantSpec(num_users=100, skew=1.2),
         )
         assert legacy.tenants is None
         assert legacy.tenant_labels() == [None] * 30
@@ -154,17 +156,18 @@ class TestTenantedPlans:
         assert [t.task_id for t in tenanted.tasks] == [t.task_id for t in legacy.tasks]
 
     def test_uniform_plan_tenants(self, workload):
-        plan = uniform_plan(
-            workload, qps=4.0, num_requests=12, stream=RandomStream(2, "u"),
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=4.0, num_requests=12,
+            stream=RandomStream(2, "u"), process="uniform",
             tenants=TenantSpec(num_users=500, skew=1.0),
         )
         assert plan.tenants is not None and len(plan.tenants) == 12
 
     def test_tenanted_plan_requires_stream(self, workload):
         with pytest.raises(ValueError, match="RandomStream"):
-            uniform_plan(
-                workload, qps=4.0, num_requests=4,
-                tenants=TenantSpec(num_users=10),
+            arrival_plan(
+                [(None, workload, 1.0)], qps=4.0, num_requests=4, stream=None,
+                process="uniform", tenants=TenantSpec(num_users=10),
             )
 
     def test_shaped_plan_tenants(self, workload):
@@ -172,8 +175,8 @@ class TestTenantedPlans:
             base_level=0.5, burst_level=3.0, period_s=10.0, burst_start_s=2.0,
             burst_s=4.0,
         )
-        plan = shaped_plan(
-            workload, qps=3.0, shape=shape, num_requests=25,
+        plan = arrival_plan(
+            [(None, workload, 1.0)], qps=3.0, shape=shape, num_requests=25,
             stream=RandomStream(4, "s"), task_pool_size=8,
             tenants=TenantSpec(num_users=1000, skew=1.3),
         )
@@ -185,12 +188,12 @@ class TestTenantedPlans:
             base_level=0.5, burst_level=2.0, period_s=8.0, burst_start_s=2.0,
             burst_s=2.0,
         )
-        a = shaped_plan(
-            workload, qps=3.0, shape=shape, num_requests=20,
+        a = arrival_plan(
+            [(None, workload, 1.0)], qps=3.0, shape=shape, num_requests=20,
             stream=RandomStream(6, "s"), task_pool_size=8,
         )
-        b = shaped_plan(
-            workload, qps=3.0, shape=shape, num_requests=20,
+        b = arrival_plan(
+            [(None, workload, 1.0)], qps=3.0, shape=shape, num_requests=20,
             stream=RandomStream(6, "s"), task_pool_size=8,
             tenants=TenantSpec(num_users=100, skew=1.2),
         )
@@ -201,7 +204,7 @@ class TestTenantedPlans:
 
 class TestMixtureTenantIntegrity:
     def test_unshaped_mixture_tenants(self, workload, other_workload):
-        plan = mixture_plan(
+        plan = arrival_plan(
             [("chat", workload, 0.6), ("agent", other_workload, 0.4)],
             qps=4.0, num_requests=30, stream=RandomStream(3, "m"),
             task_pool_size=8,
@@ -213,11 +216,11 @@ class TestMixtureTenantIntegrity:
 
     def test_mixture_golden_pin(self, workload, other_workload):
         components = [("chat", workload, 0.6), ("agent", other_workload, 0.4)]
-        legacy = mixture_plan(
+        legacy = arrival_plan(
             components, qps=4.0, num_requests=30, stream=RandomStream(8, "m"),
             task_pool_size=8,
         )
-        tenanted = mixture_plan(
+        tenanted = arrival_plan(
             components, qps=4.0, num_requests=30, stream=RandomStream(8, "m"),
             task_pool_size=8, tenants=TenantSpec(num_users=100, skew=1.2),
         )
@@ -230,7 +233,7 @@ class TestMixtureTenantIntegrity:
 
     def test_partially_tenanted_mixture(self, workload, other_workload):
         # A per-class spec on one class only: the other class stays None.
-        plan = mixture_plan(
+        plan = arrival_plan(
             [
                 ("chat", workload, 0.6, None, TenantSpec(num_users=100, skew=1.2)),
                 ("agent", other_workload, 0.4),
@@ -258,7 +261,7 @@ class TestMixtureTenantIntegrity:
             base_level=0.5, burst_level=3.0, period_s=12.0, burst_start_s=4.0,
             burst_s=4.0,
         )
-        plan = mixture_plan(
+        plan = arrival_plan(
             [
                 ("chat", workload, 0.6, None, chat_spec),
                 ("agent", other_workload, 0.4, shape, agent_spec),
@@ -284,7 +287,7 @@ class TestMixtureTenantIntegrity:
             base_level=0.5, burst_level=3.0, period_s=12.0, burst_start_s=4.0,
             burst_s=4.0,
         )
-        plan = mixture_plan(
+        plan = arrival_plan(
             [("chat", workload, 0.7), ("agent", other_workload, 0.3, shape)],
             qps=5.0, num_requests=30, stream=RandomStream(2, "m"),
             task_pool_size=8, shape=ConstantShape(),
