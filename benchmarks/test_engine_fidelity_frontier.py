@@ -36,8 +36,8 @@ def test_chunking_and_speculation_frontier(run_once):
 
     # The headline: chunking removes head-of-line blocking entirely and
     # improves chat tail latency at equal replica-seconds.
-    assert study.hol_block_s("off", "off") > 0
-    assert study.hol_block_s("256", "off") == 0.0
+    assert study.metric("prefill_hol_block_s", chunk="off", spec="off") > 0
+    assert study.metric("prefill_hol_block_s", chunk="256", spec="off") == 0.0
     assert advantage["chat_p95_s"] < 0
 
     # Speculation is an energy-for-latency trade: faster chat tails, paid

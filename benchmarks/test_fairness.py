@@ -44,7 +44,7 @@ def test_vtc_beats_fcfs_under_heavy_skew(run_once):
     print()
     print(study.format())
     for skew in ("mild", "heavy"):
-        print(study.format_frontier(skew))
+        print(study.format_frontier(skew=skew))
 
     fcfs = study.mean_served_ratio("fcfs", "heavy")
     vtc = study.mean_served_ratio("vtc", "heavy")
@@ -58,10 +58,9 @@ def test_vtc_beats_fcfs_under_heavy_skew(run_once):
     heavy = study.result.slice(skew="heavy")
     for point in heavy.slice(scheduler="vtc").points:
         qps = point.labels["qps"]
-        (fcfs_point,) = heavy.slice(scheduler="fcfs", qps=qps).points
-        assert point.metric("class_attainment:chat") >= fcfs_point.metric(
-            "class_attainment:chat"
-        )
+        assert point.metric("class_attainment:chat") >= heavy.at(
+            scheduler="fcfs", qps=qps
+        ).metric("class_attainment:chat")
 
     # The fairness frontier is queryable and vtc sits on it.
-    assert "vtc" in study.frontier_schedulers("heavy")
+    assert "vtc" in study.frontier_labels("scheduler", skew="heavy")

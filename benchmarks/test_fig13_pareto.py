@@ -30,7 +30,12 @@ def test_fig13_accuracy_cost_design_space(run_once):
         efficient = best_efficiency_point(points)
         assert efficient.latency_s < max(p.latency_s for p in points)
 
-        frontier = pareto_frontier(points)
+        frontier = pareto_frontier(
+            points,
+            cost=lambda p: p.latency_s,
+            quality=lambda p: p.accuracy,
+            minimize_quality=False,
+        )
         assert 1 <= len(frontier) <= len(points)
 
     # LLMCompiler beats ReAct on HotpotQA cost-efficiency but loses on WebShop

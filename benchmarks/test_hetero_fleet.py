@@ -19,7 +19,7 @@ def test_hetero_fleet_cost_frontier(run_once):
     print()
     print(study.format())
     for traffic in ("steady", "burst"):
-        print(study.format_frontier(traffic))
+        print(study.format_frontier(traffic=traffic))
 
     # The headline: under both traffic programs the mixed fleet serves
     # tokens cheaper than the attainment-matched homogeneous A100 fleet
@@ -27,7 +27,7 @@ def test_hetero_fleet_cost_frontier(run_once):
     # fleet cannot sit on the frontier, the mixed fleet does.
     for traffic in ("steady", "burst"):
         assert study.mixed_dominates(traffic)
-        fleets = study.frontier_fleets(traffic)
+        fleets = study.frontier_labels("fleet", traffic=traffic)
         assert "mixed-h100-l4" in fleets
         assert "a100-heavy" not in fleets
 
@@ -37,8 +37,8 @@ def test_hetero_fleet_cost_frontier(run_once):
     print(f"plan under $0.003/1k tokens: {plan.describe()}")
     assert plan.labels.get("fleet") == "mixed-h100-l4"
     assert plan.cost <= 0.003
-    assert plan.quality >= study.fleet_metric(
-        "burst", "a100-heavy", "class_attainment:chat"
+    assert plan.quality >= study.metric(
+        "class_attainment:chat", traffic="burst", fleet="a100-heavy"
     )
 
 

@@ -77,7 +77,7 @@ def test_fleet_sizing_mini_study(run_once):
         assert point.outcome.num_completed == 24
 
     for traffic in ("steady", "burst"):
-        frontier = study.frontier(traffic)
+        frontier = study.frontier(traffic=traffic)
         assert frontier, traffic
         # The lean fleet is always the cheapest frontier point.
         assert frontier[0].point.labels["fleet"] == "chat1+agent2"

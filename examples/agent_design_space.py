@@ -56,7 +56,13 @@ def main() -> None:
         )
 
     efficiency = normalized_efficiency(points)
-    frontier_labels = {point.label for point in pareto_frontier(points)}
+    frontier = pareto_frontier(
+        points,
+        cost=lambda point: point.latency_s,
+        quality=lambda point: point.accuracy,
+        minimize_quality=False,
+    )
+    frontier_labels = {point.label for point in frontier}
     rows = [
         {
             "agent": point.agent,

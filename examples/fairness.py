@@ -45,7 +45,12 @@ def heavy_skew_ratios(study, scheduler: str) -> str:
     that starve one are named rather than given a number.
     """
     ratios = [
-        (qps, study.served_ratio(scheduler, "heavy", f"{qps:g}"))
+        (
+            qps,
+            study.metric(
+                "served_token_ratio", scheduler=scheduler, skew="heavy", qps=f"{qps:g}"
+            ),
+        )
         for qps in study.result.axis_values("qps")
     ]
     parts = [
@@ -63,7 +68,7 @@ def main() -> None:
     print()
 
     for skew in ("mild", "heavy"):
-        print(study.format_frontier(skew))
+        print(study.format_frontier(skew=skew))
         print()
 
     print(
@@ -71,7 +76,7 @@ def main() -> None:
         f"fcfs {heavy_skew_ratios(study, 'fcfs')}; "
         f"vtc {heavy_skew_ratios(study, 'vtc')}"
     )
-    frontier = study.frontier_schedulers("heavy")
+    frontier = study.frontier_labels("scheduler", skew="heavy")
     print(f"heavy-skew frontier (fairest first): {' -> '.join(frontier)}")
     if "vtc" in frontier:
         print(

@@ -38,11 +38,11 @@ def main() -> None:
     print()
 
     for traffic in ("steady", "burst"):
-        print(study.format_frontier(traffic))
+        print(study.format_frontier(traffic=traffic))
         print()
 
-    steady = study.frontier_fleets("steady")
-    burst = study.frontier_fleets("burst")
+    steady = study.frontier_labels("fleet", traffic="steady")
+    burst = study.frontier_labels("fleet", traffic="burst")
     print(f"steady-traffic frontier: {' -> '.join(steady)}")
     print(f"burst-traffic frontier:  {' -> '.join(burst)}")
     dropped = [fleet for fleet in steady if fleet not in burst]

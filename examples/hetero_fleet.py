@@ -38,7 +38,7 @@ def main() -> None:
     print()
 
     for traffic in ("steady", "burst"):
-        print(study.format_frontier(traffic))
+        print(study.format_frontier(traffic=traffic))
         print()
 
     for traffic in ("steady", "burst"):

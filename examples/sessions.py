@@ -56,7 +56,7 @@ def main() -> None:
         f"{advantage['hit_rate']:+.3f} cross-turn hit rate at "
         f"{advantage['p95_s']:+.2f}s p95 (equal replica-seconds)"
     )
-    frontier = study.frontier_routers()
+    frontier = study.frontier_labels("router")
     print(f"frontier routers (fastest first): {' -> '.join(frontier)}")
     if set(frontier) == {"session-affinity"}:
         print(

@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
+from repro.analysis.study_view import chat_agent_mixture
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
-    WeightedWorkload,
     run_experiment,
 )
 
@@ -167,14 +167,7 @@ def admission_study(
     completions so the cold ramp does not dilute the steady-state comparison.
     """
     base = ExperimentSpec(
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         replicas=replicas,
         router="least-loaded",
         scheduler="sjf-by-predicted-decode",

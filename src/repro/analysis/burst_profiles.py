@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
+from repro.analysis.study_view import StudyView
 from repro.api import (
     ArrivalSpec,
     AutoscalerSpec,
     ExperimentSpec,
     StudyAxis,
-    StudyResult,
     StudySpec,
     run_study,
 )
@@ -61,15 +61,6 @@ DEFAULT_PROFILES: Tuple[Tuple[str, RateShape], ...] = (
 #: Forecasters swept in the loop (the ``none`` baseline never scales ahead).
 DEFAULT_FORECASTERS: Tuple[str, ...] = ("none", "windowed-rate", "holt")
 
-#: Metric columns of the in-the-loop table.
-PROFILE_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("completed", "num_completed"),
-    ("p95_s", "p95_latency"),
-    ("forecast_mae", "forecast_mae"),
-    ("scale_ahead_lead_s", "scale_ahead_lead_s"),
-    ("replica_seconds", "replica_seconds"),
-)
-
 
 def offline_accuracy(
     profiles: Sequence[Tuple[str, RateShape]] = DEFAULT_PROFILES,
@@ -97,31 +88,28 @@ def offline_accuracy(
 
 
 @dataclass
-class BurstProfileResult:
+class BurstProfileResult(StudyView):
     """Offline accuracy rows plus the executed forecaster x shape study."""
 
     accuracy: List[Dict[str, object]]
-    result: StudyResult
 
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(PROFILE_METRICS)
+    METRICS = (
+        ("completed", "num_completed"),
+        ("p95_s", "p95_latency"),
+        ("forecast_mae", "forecast_mae"),
+        ("scale_ahead_lead_s", "scale_ahead_lead_s"),
+        ("replica_seconds", "replica_seconds"),
+    )
 
     def format_accuracy(self) -> str:
         return format_table(
             self.accuracy, "Offline forecast MAE by profile (req/s; lower is better)"
         )
 
-    def format(self) -> str:
-        return self.result.format(
-            "Predictive autoscaling across burst profiles", PROFILE_METRICS
-        )
-
     def lead_on(self, profile: str, forecaster: str) -> Optional[float]:
         """Scale-ahead lead of one grid cell (``None`` = never scaled ahead)."""
-        cell = self.result.slice(profile=profile, forecaster=forecaster).points
-        if not cell:
-            raise ValueError(f"no study cell for {profile!r} x {forecaster!r}")
-        return cell[0].outcome.scale_ahead_lead_s
+        cell = self.result.at(profile=profile, forecaster=forecaster)
+        return cell.outcome.scale_ahead_lead_s
 
     def best_offline(self, profile: str) -> str:
         """The forecaster with the lowest offline MAE on ``profile``."""
@@ -199,6 +187,7 @@ def burst_profile_study(
         name="burst-profiles",
     )
     return BurstProfileResult(
-        accuracy=offline_accuracy(profiles, qps=qps),
         result=run_study(study),
+        title="Predictive autoscaling across burst profiles",
+        accuracy=offline_accuracy(profiles, qps=qps),
     )

@@ -29,84 +29,37 @@ quality="class_p95:chat")`` shows which combinations are worth paying for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.agents import AgentConfig
-from repro.analysis.reporting import format_table
+from repro.analysis.study_view import FrontierView, chat_agent_mixture
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
-    ParetoPoint,
     SpeculativeSpec,
     StudyAxis,
-    StudyResult,
     StudySpec,
-    WeightedWorkload,
     run_study,
 )
 
-#: Metric columns the engine-fidelity tables report.
-ENGINE_FIDELITY_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("chat_p95_s", "class_p95:chat"),
-    ("agent_p95_s", "class_p95:agent"),
-    ("qps", "throughput_qps"),
-    ("hol_s", "prefill_hol_block_s"),
-    ("accepted", "mean_accepted_per_step"),
-    ("draft_j", "draft_energy_j"),
-    ("wh_per_q", "energy_wh_per_query"),
-    ("replica_s", "replica_seconds"),
-)
 
+class EngineFidelityStudyResult(FrontierView):
+    """The executed chunk-budget x speculation grid: energy vs chat p95."""
 
-@dataclass
-class EngineFidelityStudyResult:
-    """The executed chunk-budget x speculation grid plus its Pareto views."""
-
-    result: StudyResult
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(ENGINE_FIDELITY_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            "Engine fidelity: prefill chunk budget x speculative decoding",
-            ENGINE_FIDELITY_METRICS,
-        )
-
-    def frontier(self, **labels: str) -> List[ParetoPoint]:
-        """Energy per query vs chat tail latency (optionally sliced)."""
-        view = self.result if not labels else self.result.slice(**labels)
-        return view.pareto_frontier(
-            cost="energy_wh_per_query",
-            quality="class_p95:chat",
-        )
-
-    def format_frontier(self, **labels: str) -> str:
-        rows = [
-            {
-                "chunk": entry.point.labels.get("chunk", "?"),
-                "spec": entry.point.labels.get("spec", "?"),
-                "wh_per_q": entry.cost,
-                "chat_p95_s": entry.quality,
-                "hol_s": entry.point.metric("prefill_hol_block_s"),
-                "draft_j": entry.point.metric("draft_energy_j"),
-            }
-            for entry in self.frontier(**labels)
-        ]
-        return format_table(
-            rows, "Pareto frontier (energy per query vs chat tail latency)"
-        )
-
-    def chat_p95(self, chunk: str, spec: str) -> float:
-        """Chat p95 latency of one grid cell."""
-        (point,) = self.result.slice(chunk=chunk, spec=spec).points
-        return point.metric("class_p95:chat")
-
-    def hol_block_s(self, chunk: str, spec: str) -> float:
-        """Prefill head-of-line blocking seconds of one grid cell."""
-        (point,) = self.result.slice(chunk=chunk, spec=spec).points
-        return point.metric("prefill_hol_block_s")
+    METRICS = (
+        ("chat_p95_s", "class_p95:chat"),
+        ("agent_p95_s", "class_p95:agent"),
+        ("qps", "throughput_qps"),
+        ("hol_s", "prefill_hol_block_s"),
+        ("accepted", "mean_accepted_per_step"),
+        ("draft_j", "draft_energy_j"),
+        ("wh_per_q", "energy_wh_per_query"),
+        ("replica_s", "replica_seconds"),
+    )
+    COST, QUALITY = "wh_per_q", "chat_p95_s"
+    FRONTIER_AXES = ("chunk", "spec")
+    FRONTIER_EXTRAS = ("hol_s", "draft_j")
+    FRONTIER_TITLE = "Pareto frontier (energy per query vs chat tail latency)"
 
     def chunking_advantage(self, chunk: str, spec: str = "off") -> Dict[str, float]:
         """Chunked minus atomic prefill, same speculation arm, same arrivals.
@@ -116,23 +69,15 @@ class EngineFidelityStudyResult:
         engine-fidelity win: slicing the agent prompts unblocked the chat
         decodes without buying any extra hardware.
         """
-        chunked = self.result.slice(chunk=chunk, spec=spec)
-        atomic = self.result.slice(chunk="off", spec=spec)
-        (chunked_point,) = chunked.points
-        (atomic_point,) = atomic.points
+        chunked = self.result.at(chunk=chunk, spec=spec)
+        atomic = self.result.at(chunk="off", spec=spec)
         return {
-            "chat_p95_s": (
-                chunked_point.metric("class_p95:chat")
-                - atomic_point.metric("class_p95:chat")
-            ),
-            "hol_s": (
-                chunked_point.metric("prefill_hol_block_s")
-                - atomic_point.metric("prefill_hol_block_s")
-            ),
-            "replica_s": (
-                chunked_point.metric("replica_seconds")
-                - atomic_point.metric("replica_seconds")
-            ),
+            column: chunked.metric(name) - atomic.metric(name)
+            for column, name in (
+                ("chat_p95_s", "class_p95:chat"),
+                ("hol_s", "prefill_hol_block_s"),
+                ("replica_s", "replica_seconds"),
+            )
         }
 
     def speculation_tradeoff(self, chunk: str = "off") -> Dict[str, float]:
@@ -142,20 +87,13 @@ class EngineFidelityStudyResult:
         compress the decode phase) bought with a positive ``draft_j``
         (the draft model's extra compute is not free energy-wise).
         """
-        on = self.result.slice(chunk=chunk, spec="on")
-        off = self.result.slice(chunk=chunk, spec="off")
-        (on_point,) = on.points
-        (off_point,) = off.points
+        on = self.result.at(chunk=chunk, spec="on")
+        off = self.result.at(chunk=chunk, spec="off")
         return {
-            "chat_p95_s": (
-                on_point.metric("class_p95:chat")
-                - off_point.metric("class_p95:chat")
-            ),
-            "p95_s": (
-                on_point.metric("p95_latency") - off_point.metric("p95_latency")
-            ),
-            "draft_j": on_point.metric("draft_energy_j"),
-            "accepted": on_point.metric("mean_accepted_per_step"),
+            "chat_p95_s": on.metric("class_p95:chat") - off.metric("class_p95:chat"),
+            "p95_s": on.metric("p95_latency") - off.metric("p95_latency"),
+            "draft_j": on.metric("draft_energy_j"),
+            "accepted": on.metric("mean_accepted_per_step"),
         }
 
 
@@ -190,14 +128,7 @@ def engine_fidelity_study(
     if speculative is None:
         speculative = SpeculativeSpec()
     base = ExperimentSpec(
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         agent_config=AgentConfig(max_iterations=4),
         arrival=ArrivalSpec(
             process="poisson",
@@ -228,4 +159,7 @@ def engine_fidelity_study(
         ),
         name="engine-fidelity",
     )
-    return EngineFidelityStudyResult(result=run_study(study, parallel=parallel))
+    return EngineFidelityStudyResult(
+        result=run_study(study, parallel=parallel),
+        title="Engine fidelity: prefill chunk budget x speculative decoding",
+    )

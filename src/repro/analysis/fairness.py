@@ -38,32 +38,19 @@ cost, since long chat requests keep losing ties to short agent steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
-from repro.analysis.reporting import format_table
+from repro.analysis.study_view import FrontierView, StudyView, chat_agent_mixture
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
     MeasurementSpec,
-    ParetoPoint,
     StudyAxis,
-    StudyResult,
     StudySpec,
-    WeightedWorkload,
     run_study,
 )
 from repro.serving.tenants import TenantSpec
-
-#: Metric columns the fairness tables report.
-FAIRNESS_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("completed", "num_completed"),
-    ("served_ratio", "served_token_ratio"),
-    ("jain", "jain_fairness"),
-    ("chat_p95_s", "class_p95:chat"),
-    ("chat_slo", "class_attainment:chat"),
-)
 
 #: The admission-order policies the study compares.
 FAIRNESS_SCHEDULERS: Tuple[str, ...] = (
@@ -74,54 +61,20 @@ FAIRNESS_SCHEDULERS: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class FairnessStudyResult:
-    """The executed fairness grid plus its Pareto views."""
+class FairnessStudyResult(FrontierView):
+    """The executed fairness grid: served-token ratio vs chat attainment."""
 
-    result: StudyResult
-    chat_slo_s: float
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(FAIRNESS_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            f"Scheduler fairness on the chat+agent mixture "
-            f"(chat p95 SLO {self.chat_slo_s:g}s)",
-            FAIRNESS_METRICS,
-        )
-
-    def frontier(self, skew: Optional[str] = None) -> List[ParetoPoint]:
-        """Served-token ratio vs chat SLO attainment (optionally per skew)."""
-        view = self.result if skew is None else self.result.slice(skew=skew)
-        return view.pareto_frontier(
-            cost="served_token_ratio",
-            quality="class_attainment:chat",
-            minimize_quality=False,
-        )
-
-    def format_frontier(self, skew: str) -> str:
-        rows = [
-            {
-                "scheduler": entry.point.labels.get("scheduler", "?"),
-                "qps": entry.point.labels.get("qps", "?"),
-                "served_ratio": entry.cost,
-                "chat_slo": entry.quality,
-                "jain": entry.point.metric("jain_fairness"),
-            }
-            for entry in self.frontier(skew)
-        ]
-        return format_table(
-            rows,
-            f"Pareto frontier under {skew} skew (fairness vs chat attainment)",
-        )
-
-    def served_ratio(self, scheduler: str, skew: str, qps: str) -> float:
-        """The served-token max/min ratio of one grid cell."""
-        (point,) = self.result.slice(
-            scheduler=scheduler, skew=skew, qps=qps
-        ).points
-        return point.metric("served_token_ratio")
+    METRICS = (
+        ("completed", "num_completed"),
+        ("served_ratio", "served_token_ratio"),
+        ("jain", "jain_fairness"),
+        ("chat_p95_s", "class_p95:chat"),
+        ("chat_slo", "class_attainment:chat"),
+    )
+    COST, QUALITY, MINIMIZE_QUALITY = "served_ratio", "chat_slo", False
+    FRONTIER_AXES = ("scheduler", "qps")
+    FRONTIER_EXTRAS = ("jain",)
+    FRONTIER_TITLE = "Pareto frontier under {skew} skew (fairness vs chat attainment)"
 
     def mean_served_ratio(self, scheduler: str, skew: str) -> float:
         """Served-token ratio averaged over the load axis (one skew level)."""
@@ -129,41 +82,16 @@ class FairnessStudyResult:
         ratios = [point.metric("served_token_ratio") for point in points]
         return sum(ratios) / len(ratios)
 
-    def frontier_schedulers(self, skew: str) -> List[str]:
-        """Scheduler labels on the frontier, fairest first."""
-        return [
-            entry.point.labels.get("scheduler", "?") for entry in self.frontier(skew)
-        ]
 
-
-#: Metric columns the predictor-error tables report.
-PREDICTOR_ERROR_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("completed", "num_completed"),
-    ("mean_s", "mean_latency"),
-    ("p95_s", "p95_latency"),
-    ("chat_p95_s", "class_p95:chat"),
-)
-
-
-@dataclass
-class PredictorErrorStudyResult:
+class PredictorErrorStudyResult(StudyView):
     """Scheduler x predictor-noise grid: where does sjf's advantage collapse?"""
 
-    result: StudyResult
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(PREDICTOR_ERROR_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            "sjf-by-predicted-decode vs fcfs under a noisy decode predictor",
-            PREDICTOR_ERROR_METRICS,
-        )
-
-    def mean_latency(self, scheduler: str, error: str) -> float:
-        """Mean request latency of one grid cell."""
-        (point,) = self.result.slice(scheduler=scheduler, error=error).points
-        return point.metric("mean_latency")
+    METRICS = (
+        ("completed", "num_completed"),
+        ("mean_s", "mean_latency"),
+        ("p95_s", "p95_latency"),
+        ("chat_p95_s", "class_p95:chat"),
+    )
 
     def sjf_advantage(self, error: str) -> float:
         """Relative mean-latency win of sjf over fcfs at one noise level.
@@ -172,8 +100,10 @@ class PredictorErrorStudyResult:
         fcfs ignores the predictor, so its cell doubles as the noise-free
         baseline at every error level.
         """
-        fcfs = self.mean_latency("fcfs", error)
-        sjf = self.mean_latency("sjf-by-predicted-decode", error)
+        fcfs = self.metric("mean_latency", scheduler="fcfs", error=error)
+        sjf = self.metric(
+            "mean_latency", scheduler="sjf-by-predicted-decode", error=error
+        )
         if fcfs <= 0:
             return 0.0
         return (fcfs - sjf) / fcfs
@@ -217,14 +147,7 @@ def predictor_error_study(
     baseline at every noise level.
     """
     base = ExperimentSpec(
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         agent_config=AgentConfig(max_iterations=4),
         arrival=ArrivalSpec(
             process="poisson",
@@ -251,7 +174,10 @@ def predictor_error_study(
         ),
         name="predictor-error",
     )
-    return PredictorErrorStudyResult(result=run_study(study, parallel=parallel))
+    return PredictorErrorStudyResult(
+        result=run_study(study, parallel=parallel),
+        title="sjf-by-predicted-decode vs fcfs under a noisy decode predictor",
+    )
 
 
 def fairness_study(
@@ -282,14 +208,7 @@ def fairness_study(
     :func:`repro.api.run_study`); results are bit-identical to serial runs.
     """
     base = ExperimentSpec(
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         agent_config=AgentConfig(max_iterations=4),
         arrival=ArrivalSpec(
             process="poisson",
@@ -327,5 +246,9 @@ def fairness_study(
         name="tenant-fairness",
     )
     return FairnessStudyResult(
-        result=run_study(study, parallel=parallel), chat_slo_s=chat_slo_s
+        result=run_study(study, parallel=parallel),
+        title=(
+            f"Scheduler fairness on the chat+agent mixture "
+            f"(chat p95 SLO {chat_slo_s:g}s)"
+        ),
     )

@@ -11,12 +11,14 @@ point).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig, PAPER_AGENTS
 from repro.analysis.reporting import format_table
+from repro.analysis.study_view import chat_agent_mixture, chat_agent_pools
 from repro.api import (
     ArrivalSpec,
+    AutoscalerSpec,
     ExperimentSpec,
     ResultSet,
     StudyAxis,
@@ -961,8 +963,6 @@ def mixed_fleet(
     ReAct traffic.  Returns per-pool throughput/p95/energy/replica-seconds
     and per-class latency/accuracy -- the datacenter-scale view of Table IV.
     """
-    from repro.api.spec import AutoscalerSpec, PoolSpec, WeightedWorkload
-
     autoscaler = None
     if autoscale:
         autoscaler = AutoscalerSpec(
@@ -975,31 +975,8 @@ def mixed_fleet(
             scale_down_pending_per_replica=0.5,
         )
     spec = ExperimentSpec(
-        pools=(
-            PoolSpec(
-                name="chat",
-                model="8b",
-                replicas=chat_replicas,
-                router="least-loaded",
-                traffic_classes=("chat",),
-            ),
-            PoolSpec(
-                name="agent",
-                model="8b",
-                replicas=agent_replicas,
-                scheduler="sjf-by-predicted-decode",
-                router="prefix-affinity",
-                traffic_classes=("agent",),
-            ),
-        ),
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        pools=chat_agent_pools(chat_replicas, agent_replicas),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         autoscaler=autoscaler,
         arrival=ArrivalSpec(
             process="poisson", qps=qps, num_requests=num_requests, task_pool_size=12

@@ -20,95 +20,36 @@ grid and both frontiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
-from repro.analysis.reporting import format_table
+from repro.analysis.study_view import FrontierView, chat_agent_mixture, chat_agent_pools
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
     MeasurementSpec,
-    ParetoPoint,
-    PoolSpec,
     StudyAxis,
-    StudyResult,
     StudySpec,
-    WeightedWorkload,
     run_study,
 )
 from repro.serving.shapes import ConstantShape, RateShape, SquareWaveShape
 
-#: Metric columns the fleet-sizing tables report.
-FLEET_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("completed", "num_completed"),
-    ("chat_p95_s", "class_p95:chat"),
-    ("agent_p95_s", "class_p95:agent"),
-    ("replica_seconds", "replica_seconds"),
-    ("energy_wh", "energy_wh"),
-    ("throughput_qps", "throughput_qps"),
-)
 
+class FleetSizingResult(FrontierView):
+    """The executed fleet-sizing grid: replica-seconds vs chat p95."""
 
-def _pool_layout(chat_replicas: int, agent_replicas: int) -> Tuple[PoolSpec, ...]:
-    """One fleet candidate: a chat pool + an SJF/prefix-affinity agent pool."""
-    return (
-        PoolSpec(
-            name="chat",
-            model="8b",
-            replicas=chat_replicas,
-            router="least-loaded",
-            traffic_classes=("chat",),
-        ),
-        PoolSpec(
-            name="agent",
-            model="8b",
-            replicas=agent_replicas,
-            scheduler="sjf-by-predicted-decode",
-            router="prefix-affinity",
-            traffic_classes=("agent",),
-        ),
+    METRICS = (
+        ("completed", "num_completed"),
+        ("chat_p95_s", "class_p95:chat"),
+        ("agent_p95_s", "class_p95:agent"),
+        ("replica_seconds", "replica_seconds"),
+        ("energy_wh", "energy_wh"),
+        ("throughput_qps", "throughput_qps"),
     )
-
-
-@dataclass
-class FleetSizingResult:
-    """The executed fleet-sizing grid plus its Pareto views."""
-
-    result: StudyResult
-    chat_slo_s: float
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(FLEET_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            f"Fleet sizing on the chat+agent mixture (chat p95 SLO {self.chat_slo_s:g}s)",
-            FLEET_METRICS,
-        )
-
-    def frontier(self, traffic: Optional[str] = None) -> List[ParetoPoint]:
-        """Replica-seconds vs chat-p95 Pareto frontier (optionally per shape)."""
-        view = self.result if traffic is None else self.result.slice(traffic=traffic)
-        return view.pareto_frontier(cost="replica_seconds", quality="class_p95:chat")
-
-    def format_frontier(self, traffic: str) -> str:
-        rows = [
-            {
-                "fleet": entry.point.labels.get("fleet", "?"),
-                "replica_seconds": entry.cost,
-                "chat_p95_s": entry.quality,
-                "agent_p95_s": entry.point.metric("class_p95:agent"),
-            }
-            for entry in self.frontier(traffic)
-        ]
-        return format_table(
-            rows, f"Pareto frontier under {traffic} traffic (cost vs chat p95)"
-        )
-
-    def frontier_fleets(self, traffic: str) -> List[str]:
-        """The fleet labels on the frontier, cheapest first."""
-        return [entry.point.labels.get("fleet", "?") for entry in self.frontier(traffic)]
+    COST, QUALITY = "replica_seconds", "chat_p95_s"
+    FRONTIER_AXES = ("fleet",)
+    FRONTIER_EXTRAS = ("agent_p95_s",)
+    FRONTIER_TITLE = "Pareto frontier under {traffic} traffic (cost vs chat p95)"
 
 
 def fleet_sizing_study(
@@ -137,16 +78,10 @@ def fleet_sizing_study(
             base_level=0.5, burst_level=3.0, period_s=24.0, burst_start_s=8.0,
             burst_s=8.0,
         )
+    layouts = tuple(chat_agent_pools(chat, agent) for chat, agent in fleets)
     base = ExperimentSpec(
-        pools=_pool_layout(*fleets[0]),
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        pools=layouts[0],
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         agent_config=AgentConfig(max_iterations=5),
         arrival=ArrivalSpec(
             process="poisson",
@@ -169,10 +104,13 @@ def fleet_sizing_study(
             StudyAxis(
                 name="fleet",
                 field="pools",
-                values=tuple(_pool_layout(chat, agent) for chat, agent in fleets),
+                values=layouts,
                 labels=tuple(f"chat{chat}+agent{agent}" for chat, agent in fleets),
             ),
         ),
         name="fleet-sizing",
     )
-    return FleetSizingResult(result=run_study(study), chat_slo_s=chat_slo_s)
+    return FleetSizingResult(
+        result=run_study(study),
+        title=f"Fleet sizing on the chat+agent mixture (chat p95 SLO {chat_slo_s:g}s)",
+    )

@@ -19,37 +19,21 @@ frontier, and the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
-from repro.analysis.reporting import format_table
+from repro.analysis.study_view import FrontierView, chat_agent_mixture, chat_agent_pools
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
     FleetPlan,
     FleetPlanner,
-    HardwareSpec,
     MeasurementSpec,
-    ParetoPoint,
-    PoolSpec,
     StudyAxis,
-    StudyResult,
     StudySpec,
-    WeightedWorkload,
     run_study,
 )
 from repro.serving.shapes import ConstantShape, RateShape, SquareWaveShape
-
-#: Metric columns the heterogeneous-fleet tables report.
-HETERO_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("completed", "num_completed"),
-    ("chat_attainment", "class_attainment:chat"),
-    ("chat_p95_s", "class_p95:chat"),
-    ("cost_usd", "cost_usd"),
-    ("usd_per_1k_tok", "cost_per_1k_tokens"),
-    ("energy_wh", "energy_wh"),
-)
 
 #: Fleet candidates: (label, chat GPU, chat replicas, agent GPU, agent
 #: replicas).  The homogeneous A100 pair brackets the mixed fleet -- lean
@@ -62,91 +46,34 @@ DEFAULT_FLEETS: Tuple[Tuple[str, str, int, str, int], ...] = (
 )
 
 
-def _fleet_layout(
-    chat_gpu: str, chat_replicas: int, agent_gpu: str, agent_replicas: int
-) -> Tuple[PoolSpec, ...]:
-    """One hardware candidate: a chat pool + an agent pool, each pinned."""
-    return (
-        PoolSpec(
-            name="chat",
-            model="8b",
-            replicas=chat_replicas,
-            router="least-loaded",
-            traffic_classes=("chat",),
-            hardware=HardwareSpec(gpu=chat_gpu),
-        ),
-        PoolSpec(
-            name="agent",
-            model="8b",
-            replicas=agent_replicas,
-            scheduler="sjf-by-predicted-decode",
-            router="prefix-affinity",
-            traffic_classes=("agent",),
-            hardware=HardwareSpec(gpu=agent_gpu),
-        ),
+class HeteroFleetResult(FrontierView):
+    """The executed hardware-layout grid: $/1k tokens vs chat attainment."""
+
+    METRICS = (
+        ("completed", "num_completed"),
+        ("chat_attainment", "class_attainment:chat"),
+        ("chat_p95_s", "class_p95:chat"),
+        ("cost_usd", "cost_usd"),
+        ("usd_per_1k_tok", "cost_per_1k_tokens"),
+        ("energy_wh", "energy_wh"),
+    )
+    COST, QUALITY, MINIMIZE_QUALITY = "usd_per_1k_tok", "chat_attainment", False
+    FRONTIER_AXES = ("fleet",)
+    FRONTIER_EXTRAS = ("cost_usd",)
+    FRONTIER_TITLE = (
+        "Pareto frontier under {traffic} traffic ($/1k tokens vs chat attainment)"
     )
 
-
-@dataclass
-class HeteroFleetResult:
-    """The executed hardware-layout grid plus its planner views."""
-
-    result: StudyResult
-    chat_slo_s: float
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(HETERO_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            f"Hardware layouts on the chat+agent mixture "
-            f"(chat p95 SLO {self.chat_slo_s:g}s)",
-            HETERO_METRICS,
+    def plan(self, cost_budget: float, **coords: Any) -> FleetPlan:
+        """The best-attainment layout of the slice within a $/1k-tokens budget."""
+        metrics = dict(self.METRICS)
+        planner = FleetPlanner(
+            self.result.slice(**coords),
+            cost=metrics[self.COST],
+            quality=metrics[self.QUALITY],
+            minimize_quality=self.MINIMIZE_QUALITY,
         )
-
-    def frontier(self, traffic: Optional[str] = None) -> List[ParetoPoint]:
-        """$/1k-tokens vs chat-attainment frontier (optionally per shape)."""
-        return self.planner(traffic).frontier
-
-    def planner(self, traffic: Optional[str] = None) -> FleetPlanner:
-        """A planner over this study (optionally one traffic slice)."""
-        view = self.result if traffic is None else self.result.slice(traffic=traffic)
-        return FleetPlanner(
-            view,
-            cost="cost_per_1k_tokens",
-            quality="class_attainment:chat",
-            minimize_quality=False,
-        )
-
-    def plan(self, cost_budget: float, traffic: Optional[str] = None) -> FleetPlan:
-        """The best-attainment layout within a $/1k-tokens budget."""
-        return self.planner(traffic).plan_for_budget(cost_budget)
-
-    def format_frontier(self, traffic: str) -> str:
-        rows = [
-            {
-                "fleet": entry.point.labels.get("fleet", "?"),
-                "usd_per_1k_tok": entry.cost,
-                "chat_attainment": entry.quality,
-                "cost_usd": entry.point.metric("cost_usd"),
-            }
-            for entry in self.frontier(traffic)
-        ]
-        return format_table(
-            rows,
-            f"Pareto frontier under {traffic} traffic ($/1k tokens vs chat attainment)",
-        )
-
-    def frontier_fleets(self, traffic: str) -> List[str]:
-        """The fleet labels on the frontier, cheapest first."""
-        return [entry.point.labels.get("fleet", "?") for entry in self.frontier(traffic)]
-
-    def fleet_metric(self, traffic: str, fleet: str, metric: object) -> float:
-        """One metric of one (traffic, fleet) grid point."""
-        view = self.result.slice(traffic=traffic, fleet=fleet)
-        if not view.points:
-            raise ValueError(f"no grid point traffic={traffic!r} fleet={fleet!r}")
-        return view.points[0].metric(metric)
+        return planner.plan_for_budget(cost_budget)
 
     def mixed_dominates(
         self, traffic: str, mixed: str = "mixed-h100-l4", homogeneous: str = "a100-heavy"
@@ -158,10 +85,12 @@ class HeteroFleetResult:
         least one) -- i.e. the homogeneous layout cannot sit on the
         frontier while the mixed one can.
         """
-        mixed_cost = self.fleet_metric(traffic, mixed, "cost_per_1k_tokens")
-        mixed_quality = self.fleet_metric(traffic, mixed, "class_attainment:chat")
-        homog_cost = self.fleet_metric(traffic, homogeneous, "cost_per_1k_tokens")
-        homog_quality = self.fleet_metric(traffic, homogeneous, "class_attainment:chat")
+        mixed_point = self.result.at(traffic=traffic, fleet=mixed)
+        homog_point = self.result.at(traffic=traffic, fleet=homogeneous)
+        mixed_cost = mixed_point.metric("cost_per_1k_tokens")
+        mixed_quality = mixed_point.metric("class_attainment:chat")
+        homog_cost = homog_point.metric("cost_per_1k_tokens")
+        homog_quality = homog_point.metric("class_attainment:chat")
         return (
             mixed_cost <= homog_cost
             and mixed_quality >= homog_quality
@@ -195,16 +124,13 @@ def hetero_fleet_study(
             base_level=0.5, burst_level=2.5, period_s=24.0, burst_start_s=8.0,
             burst_s=8.0,
         )
+    layouts = tuple(
+        chat_agent_pools(chat_replicas, agent_replicas, chat_gpu, agent_gpu)
+        for _, chat_gpu, chat_replicas, agent_gpu, agent_replicas in fleets
+    )
     base = ExperimentSpec(
-        pools=_fleet_layout(*fleets[0][1:]),
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        pools=layouts[0],
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         agent_config=AgentConfig(max_iterations=5),
         arrival=ArrivalSpec(
             process="poisson",
@@ -227,12 +153,16 @@ def hetero_fleet_study(
             StudyAxis(
                 name="fleet",
                 field="pools",
-                values=tuple(_fleet_layout(*fleet[1:]) for fleet in fleets),
+                values=layouts,
                 labels=tuple(fleet[0] for fleet in fleets),
             ),
         ),
         name="hetero-fleet",
     )
     return HeteroFleetResult(
-        result=run_study(study, parallel=parallel), chat_slo_s=chat_slo_s
+        result=run_study(study, parallel=parallel),
+        title=(
+            f"Hardware layouts on the chat+agent mixture "
+            f"(chat p95 SLO {chat_slo_s:g}s)"
+        ),
     )

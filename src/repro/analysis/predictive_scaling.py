@@ -30,10 +30,11 @@ trigger).  ``examples/predictive_scaling.py`` prints the table;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
+from repro.analysis.study_view import chat_agent_mixture
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
@@ -41,7 +42,6 @@ from repro.api import (
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
-    WeightedWorkload,
     run_experiment,
 )
 
@@ -193,14 +193,7 @@ def predictive_scaling_study(
     attainment are attributable to the controllers alone.
     """
     base = ExperimentSpec(
-        workloads=(
-            WeightedWorkload(
-                agent="chatbot", workload="sharegpt", weight=chat_weight, name="chat"
-            ),
-            WeightedWorkload(
-                agent="react", workload="hotpotqa", weight=agent_weight, name="agent"
-            ),
-        ),
+        workloads=chat_agent_mixture(chat_weight, agent_weight),
         replicas=min_replicas,
         router="least-loaded",
         scheduler="sjf-by-predicted-decode",

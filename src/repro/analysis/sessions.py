@@ -31,29 +31,16 @@ prints the grid and the frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.analysis.reporting import format_table
+from repro.analysis.study_view import FrontierView
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
-    ParetoPoint,
     SessionSpec,
     StudyAxis,
-    StudyResult,
     StudySpec,
     run_study,
-)
-
-#: Metric columns the session tables report.
-SESSION_METRICS: Tuple[Tuple[str, object], ...] = (
-    ("turns_served", "total_turns"),
-    ("sessions", "completed_sessions"),
-    ("hit_rate", "cross_turn_hit_rate"),
-    ("p95_s", "p95_latency"),
-    ("invalidations", "affinity_invalidations"),
-    ("replica_s", "replica_seconds"),
 )
 
 #: The router policies the study compares.
@@ -64,56 +51,21 @@ SESSION_ROUTERS: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class SessionStudyResult:
-    """The executed session grid plus its Pareto views."""
+class SessionStudyResult(FrontierView):
+    """The executed session grid: tail latency vs cross-turn reuse."""
 
-    result: StudyResult
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.result.tabulate(SESSION_METRICS)
-
-    def format(self) -> str:
-        return self.result.format(
-            "Cross-turn KV reuse: router x session length x cache capacity",
-            SESSION_METRICS,
-        )
-
-    def frontier(self, **labels: str) -> List[ParetoPoint]:
-        """Chat p95 vs cross-turn hit rate (optionally sliced by axis label)."""
-        view = self.result if not labels else self.result.slice(**labels)
-        return view.pareto_frontier(
-            cost="p95_latency",
-            quality="cross_turn_hit_rate",
-            minimize_quality=False,
-        )
-
-    def format_frontier(self, **labels: str) -> str:
-        rows = [
-            {
-                "router": entry.point.labels.get("router", "?"),
-                "turns": entry.point.labels.get("turns", "?"),
-                "kv": entry.point.labels.get("kv", "?"),
-                "p95_s": entry.cost,
-                "hit_rate": entry.quality,
-                "invalidations": entry.point.metric("affinity_invalidations"),
-            }
-            for entry in self.frontier(**labels)
-        ]
-        return format_table(
-            rows, "Pareto frontier (tail latency vs cross-turn reuse)"
-        )
-
-    def hit_rate(self, router: str, turns: str, kv: str) -> float:
-        """The cross-turn hit rate of one grid cell."""
-        (point,) = self.result.slice(router=router, turns=turns, kv=kv).points
-        return point.metric("cross_turn_hit_rate")
-
-    def frontier_routers(self, **labels: str) -> List[str]:
-        """Router labels on the frontier, fastest first."""
-        return [
-            entry.point.labels.get("router", "?") for entry in self.frontier(**labels)
-        ]
+    METRICS = (
+        ("turns_served", "total_turns"),
+        ("sessions", "completed_sessions"),
+        ("hit_rate", "cross_turn_hit_rate"),
+        ("p95_s", "p95_latency"),
+        ("invalidations", "affinity_invalidations"),
+        ("replica_s", "replica_seconds"),
+    )
+    COST, QUALITY, MINIMIZE_QUALITY = "p95_s", "hit_rate", False
+    FRONTIER_AXES = ("router", "turns", "kv")
+    FRONTIER_EXTRAS = ("invalidations",)
+    FRONTIER_TITLE = "Pareto frontier (tail latency vs cross-turn reuse)"
 
     def affinity_advantage(self, turns: str, kv: str) -> Dict[str, float]:
         """Session-affinity minus prefix-affinity, same cell, same replica-seconds.
@@ -122,19 +74,14 @@ class SessionStudyResult:
         routing strictly beats prefix hashing for that session length and
         cache capacity.
         """
-        session = self.result.slice(router="session-affinity", turns=turns, kv=kv)
-        prefix = self.result.slice(router="prefix-affinity", turns=turns, kv=kv)
-        (session_point,) = session.points
-        (prefix_point,) = prefix.points
+        session = self.result.at(router="session-affinity", turns=turns, kv=kv)
+        prefix = self.result.at(router="prefix-affinity", turns=turns, kv=kv)
         return {
             "hit_rate": (
-                session_point.metric("cross_turn_hit_rate")
-                - prefix_point.metric("cross_turn_hit_rate")
+                session.metric("cross_turn_hit_rate")
+                - prefix.metric("cross_turn_hit_rate")
             ),
-            "p95_s": (
-                session_point.metric("p95_latency")
-                - prefix_point.metric("p95_latency")
-            ),
+            "p95_s": session.metric("p95_latency") - prefix.metric("p95_latency"),
         }
 
 
@@ -211,4 +158,7 @@ def sessions_study(
         ),
         name="session-reuse",
     )
-    return SessionStudyResult(result=run_study(study, parallel=parallel))
+    return SessionStudyResult(
+        result=run_study(study, parallel=parallel),
+        title="Cross-turn KV reuse: router x session length x cache capacity",
+    )

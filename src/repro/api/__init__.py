@@ -74,7 +74,7 @@ functions, and an offered-load sweep is a one-axis study over ``qps``.
 """
 
 from repro.api.builder import System, SystemBuilder
-from repro.api.results import ResultSet
+from repro.api.results import ResultSet, resolve_metric
 from repro.api.runners import ServingDriver, run_experiment
 from repro.api.spec import (
     ARRIVAL_PROCESSES,
@@ -93,7 +93,6 @@ from repro.api.study import (
     StudyResult,
     StudySpec,
     apply_axis_value,
-    resolve_metric,
     run_study,
 )
 from repro.llm.hardware import HardwareSpec

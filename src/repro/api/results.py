@@ -10,13 +10,14 @@ experiment produced and is the only place a metric is defined: request
 counts, latency distribution, accuracy, per-request calls and tokens,
 throughput, energy, cost, admission, fairness and sessions.  Each metric
 is computed once from the records, over the measured agent runs
-(:attr:`ResultSet.runs`) of either kind.
+(:attr:`ResultSet.runs`) of either kind, and :func:`resolve_metric` names
+them for studies, tables and Pareto queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.agents import AgentRunResult
 from repro.api.spec import ExperimentSpec
@@ -437,9 +438,6 @@ class ResultSet:
         use, so a metric proven interactively drops straight into a study
         query.
         """
-        # Local import: study imports this module at load time.
-        from repro.api.study import resolve_metric
-
         return resolve_metric(self, name)
 
     # -- reporting -------------------------------------------------------------
@@ -485,3 +483,93 @@ class ResultSet:
                 summary["mean_accepted_per_step"] = self.mean_accepted_per_step
                 summary["draft_energy_j"] = self.draft_energy_j
         return summary
+
+
+#: A metric: a ResultSet attribute name / class_<stat>:<label> string, or a
+#: callable extracting a float from a ResultSet.
+Metric = Union[str, Callable[[Any], float]]
+
+_CLASS_METRIC_ATTRS: Dict[str, str] = {
+    "class_p95": "p95_latency_s",
+    "class_mean": "mean_latency_s",
+    "class_throughput": "throughput_qps",
+    "class_attainment": "slo_attainment",
+    "class_rejection": "rejection_rate",
+    "class_completed": "num_completed",
+}
+
+
+def resolve_metric(
+    outcome: Any, metric: Metric, missing_ok: bool = False
+) -> Optional[float]:
+    """Evaluate ``metric`` on one outcome (a :class:`ResultSet`).
+
+    ``metric`` is a callable on the outcome or a name: any ``ResultSet``
+    attribute (``replica_seconds``, ``p95_latency``, ``energy_wh``,
+    ``rejection_rate``, ``served_token_ratio``, ``jain_fairness``, ...), a
+    per-class form ``class_<stat>:<label>`` (``class_p95:chat``,
+    ``class_attainment:chat``, ``class_rejection:agent``,
+    ``class_mean:...``, ``class_throughput:...``), or the per-decile form
+    ``tenant_throttle_decile:<0-9>`` (throttle rate of one tenant
+    population decile; decile 0 holds the hottest users).
+
+    Unknown metric names always raise (a typo must fail loudly, not render
+    as an empty column); ``missing_ok=True`` additionally tolerates metrics
+    that are legitimately absent on *this* outcome -- a traffic class the
+    point never served, or a ``None``-valued telemetry field such as
+    ``forecast_mae`` on a forecaster-less run -- returning ``None``.
+    """
+    if callable(metric):
+        value = metric(outcome)
+    elif isinstance(metric, str):
+        if metric.startswith("tenant_throttle_decile:"):
+            _, _, decile_text = metric.partition(":")
+            try:
+                decile = int(decile_text)
+            except ValueError:
+                decile = -1
+            if not 0 <= decile <= 9:
+                raise ValueError(
+                    f"metric {metric!r}: decile must be an integer in 0..9"
+                )
+            stats = outcome.tenant_stats
+            if stats is None:
+                if missing_ok:
+                    return None
+                raise ValueError(f"metric {metric!r}: outcome has no tenant stats")
+            value = stats.decile_throttle_rates()[decile]
+            if value is None:
+                if missing_ok:
+                    return None
+                raise ValueError(
+                    f"metric {metric!r}: no offers landed in decile {decile}"
+                )
+            return float(value)
+        if ":" in metric:
+            name, label = metric.split(":", 1)
+            attr = _CLASS_METRIC_ATTRS.get(name)
+            if attr is None:
+                raise ValueError(
+                    f"unknown per-class metric {name!r}; "
+                    f"known: {sorted(_CLASS_METRIC_ATTRS)}"
+                )
+            stats = outcome.class_stats.get(label)
+            if stats is None:
+                if missing_ok:
+                    return None
+                raise ValueError(
+                    f"metric {metric!r}: outcome has no traffic class {label!r} "
+                    f"(classes: {sorted(outcome.class_stats)})"
+                )
+            value = getattr(stats, attr)
+        else:
+            if not hasattr(outcome, metric):
+                raise ValueError(f"outcome has no metric {metric!r}")
+            value = getattr(outcome, metric)
+    else:
+        raise ValueError(f"metric must be a name or callable, got {metric!r}")
+    if value is None:
+        if missing_ok:
+            return None
+        raise ValueError(f"metric {metric!r} is None on this outcome")
+    return float(value)

@@ -17,25 +17,19 @@ axis is shorthand for :meth:`ExperimentSpec.at_qps`, and
 :func:`repro.analysis.peak_throughput` reads the knee off its serving
 outcomes.
 
-Metrics (for tabulation and Pareto queries) are either callables on the
-point's :class:`~repro.api.results.ResultSet` or metric-name strings:
-any ``ResultSet`` attribute (``replica_seconds``, ``p95_latency``,
-``energy_wh``, ``rejection_rate``, ``served_token_ratio``,
-``jain_fairness``, ...), a per-class form ``class_<stat>:<label>``
-(``class_p95:chat``, ``class_attainment:chat``, ``class_rejection:agent``,
-``class_mean:...``, ``class_throughput:...``), or the per-decile form
-``tenant_throttle_decile:<0-9>`` (throttle rate of one tenant population
-decile; decile 0 holds the hottest users).
+Metrics (for tabulation, cell lookups and Pareto queries) are either
+callables on the point's :class:`~repro.api.results.ResultSet` or names in
+the metric vocabulary :func:`~repro.api.results.resolve_metric` defines.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
-from repro.api.results import ResultSet
+from repro.api.results import Metric, ResultSet, resolve_metric
 from repro.api.spec import (
     AdmissionSpec,
     ArrivalSpec,
@@ -45,92 +39,12 @@ from repro.api.spec import (
     PoolSpec,
     WeightedWorkload,
 )
+from repro.core.pareto import pareto_frontier
 from repro.llm.hardware import HardwareSpec
 from repro.llm.speculative import SpeculativeSpec
 from repro.serving.sessions import SessionSpec
 from repro.serving.shapes import RateShape, shape_from_dict
 from repro.serving.tenants import TenantSpec
-
-#: A metric: a ResultSet attribute name / class_<stat>:<label> string, or a
-#: callable extracting a float from the point's ResultSet.
-Metric = Union[str, Callable[[Any], float]]
-
-_CLASS_METRIC_ATTRS: Dict[str, str] = {
-    "class_p95": "p95_latency_s",
-    "class_mean": "mean_latency_s",
-    "class_throughput": "throughput_qps",
-    "class_attainment": "slo_attainment",
-    "class_rejection": "rejection_rate",
-    "class_completed": "num_completed",
-}
-
-
-def resolve_metric(
-    outcome: Any, metric: Metric, missing_ok: bool = False
-) -> Optional[float]:
-    """Evaluate ``metric`` on one study point's outcome (see module docs).
-
-    Unknown metric names always raise (a typo must fail loudly, not render
-    as an empty column); ``missing_ok=True`` additionally tolerates metrics
-    that are legitimately absent on *this* outcome -- a traffic class the
-    point never served, or a ``None``-valued telemetry field such as
-    ``forecast_mae`` on a forecaster-less run -- returning ``None``.
-    """
-    if callable(metric):
-        value = metric(outcome)
-    elif isinstance(metric, str):
-        if metric.startswith("tenant_throttle_decile:"):
-            _, _, decile_text = metric.partition(":")
-            try:
-                decile = int(decile_text)
-            except ValueError:
-                decile = -1
-            if not 0 <= decile <= 9:
-                raise ValueError(
-                    f"metric {metric!r}: decile must be an integer in 0..9"
-                )
-            stats = outcome.tenant_stats
-            if stats is None:
-                if missing_ok:
-                    return None
-                raise ValueError(f"metric {metric!r}: outcome has no tenant stats")
-            value = stats.decile_throttle_rates()[decile]
-            if value is None:
-                if missing_ok:
-                    return None
-                raise ValueError(
-                    f"metric {metric!r}: no offers landed in decile {decile}"
-                )
-            return float(value)
-        if ":" in metric:
-            name, label = metric.split(":", 1)
-            attr = _CLASS_METRIC_ATTRS.get(name)
-            if attr is None:
-                raise ValueError(
-                    f"unknown per-class metric {name!r}; "
-                    f"known: {sorted(_CLASS_METRIC_ATTRS)}"
-                )
-            stats = outcome.class_stats.get(label)
-            if stats is None:
-                if missing_ok:
-                    return None
-                raise ValueError(
-                    f"metric {metric!r}: outcome has no traffic class {label!r} "
-                    f"(classes: {sorted(outcome.class_stats)})"
-                )
-            value = getattr(stats, attr)
-        else:
-            if not hasattr(outcome, metric):
-                raise ValueError(f"outcome has no metric {metric!r}")
-            value = getattr(outcome, metric)
-    else:
-        raise ValueError(f"metric must be a name or callable, got {metric!r}")
-    if value is None:
-        if missing_ok:
-            return None
-        raise ValueError(f"metric {metric!r} is None on this outcome")
-    return float(value)
-
 
 def _default_label(value: Any) -> str:
     """Short human label for an axis value (shapes, pool tuples, scalars)."""
@@ -466,8 +380,8 @@ class StudyResult:
         if self.study.axes:
             return [axis.name for axis in self.study.axes]
         names: List[str] = []
-        for point in self.points:
-            for name in point.coords:
+        for point in self.study.points:
+            for name in point:
                 if name not in names:
                     names.append(name)
         return names
@@ -478,16 +392,25 @@ class StudyResult:
             if axis.name == name:
                 return list(axis.values)
         values: List[Any] = []
-        for point in self.points:
-            if name in point.coords and point.coords[name] not in values:
-                values.append(point.coords[name])
+        for point in self.study.points:
+            if name in point and point[name] not in values:
+                values.append(point[name])
         if not values:
             raise ValueError(f"study has no axis {name!r}; known: {self.axis_names}")
         return values
 
     # -- slicing ---------------------------------------------------------------
     def slice(self, **coords: Any) -> "StudyResult":
-        """The sub-study matching every given coordinate (value or label)."""
+        """The sub-study matching every given coordinate (value or label).
+
+        Raises ``ValueError`` for a name that is not an axis of the study,
+        so a misspelt axis cannot silently match nothing.
+        """
+        unknown = [name for name in coords if name not in self.axis_names]
+        if unknown:
+            raise ValueError(
+                f"study has no axis {unknown[0]!r}; known: {self.axis_names}"
+            )
         kept = [
             point
             for point in self.points
@@ -497,6 +420,18 @@ class StudyResult:
             )
         ]
         return StudyResult(study=self.study, points=kept)
+
+    def at(self, **coords: Any) -> StudyPoint:
+        """The one point matching every given coordinate (value or label).
+
+        Raises ``ValueError`` unless exactly one point matches.
+        """
+        matches = self.slice(**coords).points
+        if len(matches) != 1:
+            raise ValueError(
+                f"{len(matches)} study points match {coords}; expected exactly one"
+            )
+        return matches[0]
 
     # -- tabulation ------------------------------------------------------------
     DEFAULT_METRICS: Tuple[Tuple[str, Metric], ...] = (
@@ -562,24 +497,13 @@ class StudyResult:
             )
             for point in self.points
         ]
-        cost_sign = 1.0 if minimize_cost else -1.0
-        quality_sign = 1.0 if minimize_quality else -1.0
-
-        def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-            better_cost = cost_sign * a.cost <= cost_sign * b.cost
-            better_quality = quality_sign * a.quality <= quality_sign * b.quality
-            strictly = (
-                cost_sign * a.cost < cost_sign * b.cost
-                or quality_sign * a.quality < quality_sign * b.quality
-            )
-            return better_cost and better_quality and strictly
-
-        frontier = [
-            candidate
-            for candidate in evaluated
-            if not any(dominates(other, candidate) for other in evaluated)
-        ]
-        return sorted(frontier, key=lambda entry: (cost_sign * entry.cost, entry.quality))
+        return pareto_frontier(
+            evaluated,
+            cost=lambda entry: entry.cost,
+            quality=lambda entry: entry.quality,
+            minimize_cost=minimize_cost,
+            minimize_quality=minimize_quality,
+        )
 
 
 def _run_study_point(payload: Tuple[StudySpec, int]) -> ResultSet:

@@ -20,7 +20,6 @@ from repro.core.pareto import (
     best_accuracy_point,
     best_efficiency_point,
     diminishing_returns,
-    is_dominated,
     normalized_efficiency,
     pareto_frontier,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "format_power",
     "gigawatt_threshold_energy_wh",
     "intersect",
-    "is_dominated",
     "mean",
     "merge_intervals",
     "normalized_efficiency",

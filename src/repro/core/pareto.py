@@ -10,7 +10,9 @@ the best-accuracy and best-efficiency points the paper marks in its figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -58,30 +60,36 @@ def normalized_efficiency(points: Sequence[DesignPoint]) -> Dict[str, float]:
     return {label: value / best for label, value in efficiencies.items()}
 
 
-def pareto_frontier(points: Iterable[DesignPoint]) -> List[DesignPoint]:
-    """Points not dominated in (higher accuracy, lower latency)."""
-    candidates = sorted(points, key=lambda p: (p.latency_s, -p.accuracy))
-    frontier: List[DesignPoint] = []
-    best_accuracy = -1.0
-    for point in candidates:
-        if point.accuracy > best_accuracy:
-            frontier.append(point)
-            best_accuracy = point.accuracy
-    return frontier
+def pareto_frontier(
+    items: Iterable[T],
+    cost: Callable[[T], float],
+    quality: Callable[[T], float],
+    minimize_cost: bool = True,
+    minimize_quality: bool = True,
+) -> List[T]:
+    """The items no other item dominates on the (cost, quality) plane, by cost.
 
-
-def is_dominated(point: DesignPoint, others: Iterable[DesignPoint]) -> bool:
-    """Whether another point has >= accuracy and <= latency (strictly better in one)."""
-    for other in others:
-        if other is point:
-            continue
-        if (
-            other.accuracy >= point.accuracy
-            and other.latency_s <= point.latency_s
-            and (other.accuracy > point.accuracy or other.latency_s < point.latency_s)
-        ):
-            return True
-    return False
+    ``cost`` and ``quality`` are key functions; the defaults minimise both,
+    and ``minimize_quality=False`` suits maximised qualities such as
+    accuracy.  An item is dominated when another is at least as good on
+    both keys and strictly better on one, so exact duplicates all survive,
+    in input order.
+    """
+    cost_sign = 1.0 if minimize_cost else -1.0
+    quality_sign = 1.0 if minimize_quality else -1.0
+    keyed = [
+        ((cost_sign * cost(item), quality_sign * quality(item)), item) for item in items
+    ]
+    frontier = [
+        (key, item)
+        for key, item in keyed
+        if not any(
+            other[0] <= key[0] and other[1] <= key[1] and other != key
+            for other, _ in keyed
+        )
+    ]
+    frontier.sort(key=lambda entry: entry[0])
+    return [item for _, item in frontier]
 
 
 def best_accuracy_point(points: Sequence[DesignPoint]) -> Optional[DesignPoint]:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # repro.api imports repro.serving; avoid the cycle at runtime
-    from repro.api.study import Metric, ParetoPoint, StudyPoint, StudyResult
+    from repro.api.results import Metric
+    from repro.api.study import ParetoPoint, StudyPoint, StudyResult
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class FleetPlanner:
     """Select fleet operating points from a study's Pareto frontier.
 
     ``cost`` and ``quality`` are study metric names (see
-    :func:`repro.api.study.resolve_metric`); ``minimize_cost`` /
+    :func:`repro.api.results.resolve_metric`); ``minimize_cost`` /
     ``minimize_quality`` carry the same meaning as in
     :meth:`StudyResult.pareto_frontier`.  The frontier is evaluated once
     and cached; planners are cheap to query repeatedly.

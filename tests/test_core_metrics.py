@@ -19,7 +19,6 @@ from repro.core import (
     format_power,
     gigawatt_threshold_energy_wh,
     intersect,
-    is_dominated,
     merge_intervals,
     normalized_efficiency,
     pareto_frontier,
@@ -148,6 +147,30 @@ class TestBreakdownAggregation:
         assert GpuRuntimeBreakdown.average([]).total == 0.0
 
 
+def design_frontier(points):
+    """Fig. 13's frontier: lower latency and higher accuracy win."""
+    return pareto_frontier(
+        points,
+        cost=lambda point: point.latency_s,
+        quality=lambda point: point.accuracy,
+        minimize_quality=False,
+    )
+
+
+def reference_sweep(points):
+    """The accuracy/latency sweep the shared frontier replaced, kept as the
+    reference: identical except that it keeps only the first of exact
+    duplicates."""
+    candidates = sorted(points, key=lambda p: (p.latency_s, -p.accuracy))
+    frontier = []
+    best_accuracy = -1.0
+    for point in candidates:
+        if point.accuracy > best_accuracy:
+            frontier.append(point)
+            best_accuracy = point.accuracy
+    return frontier
+
+
 class TestPareto:
     def _points(self):
         return [
@@ -169,14 +192,27 @@ class TestPareto:
         assert point.efficiency_against(100) == pytest.approx(0.005)
 
     def test_pareto_frontier_excludes_dominated(self):
-        frontier = pareto_frontier(self._points())
+        frontier = design_frontier(self._points())
         labels = [point.label for point in frontier]
-        assert labels == ["a", "b", "c"]
+        assert labels == ["a", "b", "c"]  # d is dominated by c
 
-    def test_is_dominated(self):
-        points = self._points()
-        assert is_dominated(points[3], points)       # d dominated by c
-        assert not is_dominated(points[0], points)   # a is cheapest
+    def test_exact_duplicates_all_survive_in_input_order(self):
+        points = self._points() + [
+            DesignPoint("c2", "lats", "hotpotqa", accuracy=0.8, latency_s=60),
+        ]
+        assert [point.label for point in design_frontier(points)] == [
+            "a", "b", "c", "c2"
+        ]
+        assert [point.label for point in reference_sweep(points)] == ["a", "b", "c"]
+
+    def test_directions_flip_dominance(self):
+        items = [(1.0, 1.0), (2.0, 2.0)]
+        first, second = (lambda item: item[0]), (lambda item: item[1])
+        assert pareto_frontier(items, first, second) == [(1.0, 1.0)]
+        assert pareto_frontier(items, first, second, minimize_quality=False) == items
+        assert pareto_frontier(
+            items, first, second, minimize_cost=False, minimize_quality=False
+        ) == [(2.0, 2.0)]
 
     def test_best_accuracy_and_efficiency_points(self):
         points = self._points()
@@ -209,10 +245,22 @@ class TestPareto:
             DesignPoint(f"p{i}", "react", "hotpotqa", accuracy=a, latency_s=l)
             for i, (a, l) in enumerate(raw)
         ]
-        frontier = pareto_frontier(points)
-        assert set(p.label for p in frontier) <= set(p.label for p in points)
+        frontier = design_frontier(points)
         for point in frontier:
-            assert not is_dominated(point, points)
+            assert point in points
+            assert not any(
+                other.accuracy >= point.accuracy
+                and other.latency_s <= point.latency_s
+                and (other.accuracy > point.accuracy or other.latency_s < point.latency_s)
+                for other in points
+            )
+        # Dropping exact duplicates (after the first) gives the old sweep.
+        deduplicated, seen = [], set()
+        for point in frontier:
+            if (point.latency_s, point.accuracy) not in seen:
+                seen.add((point.latency_s, point.accuracy))
+                deduplicated.append(point)
+        assert deduplicated == reference_sweep(points)
 
 
 class TestDatacenter:

@@ -139,3 +139,14 @@ class TestHandWrittenDocs:
         assert len(scalar) > 30  # the scan sees the real properties
         undocumented = sorted(scalar - documented)
         assert not undocumented, f"docs/METRICS.md lacks rows for {undocumented}"
+
+    def test_architecture_doc_names_every_study(self):
+        # Every study repro.analysis exports appears in the architecture
+        # map, so a new study cannot ship undocumented.
+        import repro.analysis
+
+        text = (DOCS / "ARCHITECTURE.md").read_text()
+        studies = [name for name in repro.analysis.__all__ if name.endswith("_study")]
+        assert len(studies) >= 9, studies
+        missing = [name for name in studies if f"`{name}`" not in text]
+        assert not missing, f"docs/ARCHITECTURE.md does not name {missing}"

@@ -312,7 +312,7 @@ class TestEngineFidelityStudy:
 
         # Chunking zeroes head-of-line blocking; speculation books draft
         # energy and accepts at least some draft tokens.
-        assert study.hol_block_s("128", "off") == 0.0
+        assert study.metric("prefill_hol_block_s", chunk="128", spec="off") == 0.0
         trade = study.speculation_tradeoff()
         assert trade["draft_j"] > 0
         assert trade["accepted"] > 0

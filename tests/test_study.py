@@ -12,6 +12,7 @@ from typing import List
 
 import pytest
 
+from repro.analysis.study_view import FrontierView
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
@@ -282,12 +283,84 @@ class TestPareto:
             resolve_metric(outcome, "class_nope:chat")
 
 
+class FakeFleetView(FrontierView):
+    """A shared study view declared over the hand-built fakes."""
+
+    METRICS = (("replica_s", "replica_seconds"), ("p95_s", "p95_latency"))
+    COST, QUALITY = "replica_s", "p95_s"
+    FRONTIER_AXES = ("fleet",)
+    FRONTIER_TITLE = "Frontier of {fleet}"
+
+
+class TestStudyView:
+    def view(self) -> FakeFleetView:
+        return FakeFleetView(
+            result=hand_built(
+                [
+                    ("lean", 10.0, 8.0),
+                    ("dominated", 12.0, 9.0),
+                    ("mid", 12.0, 6.0),
+                    ("heavy", 20.0, 5.0),
+                ]
+            ),
+            title="Fake fleets",
+        )
+
+    def test_frontier_matches_study_frontier(self):
+        view = self.view()
+        assert view.frontier() == view.result.pareto_frontier(
+            cost="replica_seconds", quality="p95_latency"
+        )
+        assert view.frontier_labels("fleet") == ["lean", "mid", "heavy"]
+        assert view.frontier_labels("fleet", fleet="dominated") == ["dominated"]
+
+    def test_format_frontier_prints_axes_cost_and_quality(self):
+        assert self.view().format_frontier(fleet="mid") == (
+            "Frontier of mid\n"
+            "fleet | replica_s | p95_s\n"
+            "------+-----------+------\n"
+            "mid   | 12.0      | 6.000"
+        )
+
+    def test_rows_format_and_metric(self):
+        view = self.view()
+        assert view.rows()[0] == {"fleet": "lean", "replica_s": 10.0, "p95_s": 8.0}
+        assert view.format().startswith("Fake fleets\nfleet ")
+        assert view.metric("replica_seconds", fleet="heavy") == 20.0
+        with pytest.raises(ValueError, match="0 study points match"):
+            view.metric("replica_seconds", fleet="ghost")
+
+
 class TestSlicing:
     def test_slice_by_label_and_value(self):
         result = hand_built([("lean", 1.0, 1.0), ("heavy", 2.0, 2.0)])
         assert len(result.slice(fleet="lean")) == 1
         assert len(result.slice(fleet=1)) == 1  # coordinate value
         assert len(result.slice(fleet="nope")) == 0
+
+    def test_slice_rejects_a_name_that_is_not_an_axis(self):
+        result = hand_built([("lean", 1.0, 1.0)])
+        with pytest.raises(ValueError, match="no axis 'flete'; known: \\['fleet'\\]"):
+            result.slice(flete="lean")
+        # An explicit-points study declares its axes as the point keys.
+        points_study = StudyResult(
+            study=StudySpec(base=tiny_spec(), points=({"scheduler": "priority"},))
+        )
+        assert len(points_study.slice(scheduler="priority")) == 0
+        assert points_study.axis_values("scheduler") == ["priority"]
+        with pytest.raises(ValueError, match="no axis 'schedular'"):
+            points_study.slice(schedular="priority")
+
+    def test_at_needs_exactly_one_match(self):
+        result = hand_built([("lean", 1.0, 1.0), ("twin", 2.0, 2.0), ("twin", 3.0, 3.0)])
+        assert result.at(fleet="lean") is result.points[0]
+        assert result.at(fleet=2) is result.points[2]  # coordinate value
+        with pytest.raises(ValueError, match="0 study points match"):
+            result.at(fleet="ghost")
+        with pytest.raises(ValueError, match="2 study points match"):
+            result.at(fleet="twin")
+        with pytest.raises(ValueError, match="no axis"):
+            result.at(flete="lean")
 
     def test_axis_values_and_names(self):
         result = hand_built([("lean", 1.0, 1.0), ("heavy", 2.0, 2.0)])
