@@ -17,8 +17,8 @@ def test_slo_shed_protects_chat_under_agent_burst(run_once):
     print()
     print(study.format())
 
-    unlimited = study.outcomes["unlimited"]
-    shed = study.outcomes["slo-shed"]
+    unlimited = study.result.at(policy="unlimited").outcome
+    shed = study.result.at(policy="slo-shed").outcome
 
     # The open door: the agent burst drags chat past its SLO, nothing is shed.
     assert not study.chat_slo_held("unlimited")
@@ -33,7 +33,7 @@ def test_slo_shed_protects_chat_under_agent_burst(run_once):
     assert 0.0 < agent_door.rejection_rate <= 1.0
     assert agent_door.shed_tokens > 0.0
     assert shed.admission_stats["chat"].rejected == 0
-    chat = shed.class_stats["chat"]
+    chat = shed.classes["chat"]
     assert chat.slo_attainment == 1.0
     # Shedding saves energy relative to serving the full burst.
     assert shed.energy_wh < unlimited.energy_wh

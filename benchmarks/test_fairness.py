@@ -58,9 +58,9 @@ def test_vtc_beats_fcfs_under_heavy_skew(run_once):
     heavy = study.result.slice(skew="heavy")
     for point in heavy.slice(scheduler="vtc").points:
         qps = point.labels["qps"]
-        assert point.metric("class_attainment:chat") >= heavy.at(
+        assert point.metric("slo_attainment:chat") >= heavy.at(
             scheduler="fcfs", qps=qps
-        ).metric("class_attainment:chat")
+        ).metric("slo_attainment:chat")
 
     # The fairness frontier is queryable and vtc sits on it.
     assert "vtc" in study.frontier_labels("scheduler", skew="heavy")

@@ -38,7 +38,7 @@ def test_hetero_fleet_cost_frontier(run_once):
     assert plan.labels.get("fleet") == "mixed-h100-l4"
     assert plan.cost <= 0.003
     assert plan.quality >= study.metric(
-        "class_attainment:chat", traffic="burst", fleet="a100-heavy"
+        "slo_attainment:chat", traffic="burst", fleet="a100-heavy"
     )
 
 

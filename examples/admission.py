@@ -34,10 +34,12 @@ def main() -> None:
 
     held = study.chat_slo_held("slo-shed")
     open_door = study.chat_slo_held("unlimited")
-    shed_stats = study.outcomes["slo-shed"].admission_stats["agent"]
-    print(f"chat SLO ({study.chat_slo_s:.0f}s p95) with the open door:  "
+    shed = study.result.at(policy="slo-shed").outcome
+    shed_stats = shed.admission_stats["agent"]
+    chat_slo_s = shed.spec.measurement.slo_for("chat")
+    print(f"chat SLO ({chat_slo_s:.0f}s p95) with the open door:  "
           f"{'HELD' if open_door else 'VIOLATED'}")
-    print(f"chat SLO ({study.chat_slo_s:.0f}s p95) under slo-shed:      "
+    print(f"chat SLO ({chat_slo_s:.0f}s p95) under slo-shed:      "
           f"{'HELD' if held else 'VIOLATED'}")
     print(f"agent requests shed by slo-shed:        "
           f"{shed_stats.rejected}/{shed_stats.offered} "

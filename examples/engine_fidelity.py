@@ -19,7 +19,7 @@ replica (equal replica-seconds), so any movement in chat tail latency,
 head-of-line blocking (``prefill_hol_block_s``), or energy is
 attributable to the engine knob alone.  The
 :class:`~repro.api.StudyResult` answers the operator's question directly:
-``pareto_frontier(cost="energy_wh_per_query", quality="class_p95:chat")``
+``pareto_frontier(cost="energy_wh_per_query", quality="p95_latency:chat")``
 -- which engine features are worth their cost?
 
 Expected read: chunked prefill zeroes out head-of-line blocking and cuts

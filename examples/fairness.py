@@ -16,7 +16,7 @@ Every grid point runs the same mixture at the same seed with the engine
 batch capped (``max_num_seqs=2``) so requests genuinely contend at the
 scheduler's door, and the :class:`~repro.api.StudyResult` answers the
 operator's question directly: ``pareto_frontier(
-cost="served_token_ratio", quality="class_attainment:chat",
+cost="served_token_ratio", quality="slo_attainment:chat",
 minimize_quality=False)`` -- which scheduler buys fairness, and what does
 it pay in chat SLO attainment?
 

@@ -14,7 +14,7 @@ two non-qps axes around one base spec:
 
 Every grid point runs the same weighted mixture at the same seed, and the
 :class:`~repro.api.StudyResult` answers the planning question directly:
-``pareto_frontier(cost="replica_seconds", quality="class_p95:chat")`` --
+``pareto_frontier(cost="replica_seconds", quality="p95_latency:chat")`` --
 what does each extra replica-second buy in interactive-class latency?
 
 Expected read: under steady traffic the misbalanced fleet clings to the

@@ -19,19 +19,20 @@ the resulting table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
-from repro.analysis.study_view import chat_agent_mixture
+from repro.analysis.study_view import StudyView, chat_agent_mixture
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
-    run_experiment,
+    StudyAxis,
+    StudySpec,
+    run_study,
 )
 
 #: Policies the study sweeps by default, in presentation order.
@@ -43,56 +44,38 @@ DEFAULT_POLICIES: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class AdmissionStudyResult:
+def _chat_slo_met(outcome: ResultSet) -> bool:
+    """Did the measured chat p95 stay within the chat class's declared SLO?"""
+    chat = outcome.classes.get("chat")
+    slo = outcome.spec.measurement.slo_for("chat")
+    return chat is not None and chat.p95_latency <= slo
+
+
+class AdmissionStudyResult(StudyView):
     """Per-policy outcomes of the admission sweep (chat SLO vs agent shed)."""
 
-    outcomes: Dict[str, ResultSet]
-    chat_slo_s: float
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows: List[Dict[str, object]] = []
-        for policy, outcome in self.outcomes.items():
-            chat = outcome.class_stats.get("chat")
-            agent = outcome.class_stats.get("agent")
-            rows.append(
-                {
-                    "policy": policy,
-                    "chat_p95_s": chat.p95_latency_s if chat else 0.0,
-                    "chat_slo_met": bool(
-                        chat and chat.p95_latency_s <= self.chat_slo_s
-                    ),
-                    "chat_attainment": (
-                        chat.slo_attainment if chat and chat.slo_attainment is not None else 0.0
-                    ),
-                    "agent_p95_s": agent.p95_latency_s if agent else 0.0,
-                    "agent_rejected": agent.rejected if agent else 0,
-                    "agent_rejection_rate": agent.rejection_rate if agent else 0.0,
-                    "shed_tokens": outcome.shed_tokens,
-                    "completed": outcome.num_completed,
-                    "energy_wh": outcome.energy_wh,
-                }
-            )
-        return rows
+    METRICS = (
+        ("chat_p95_s", "p95_latency:chat"),
+        ("chat_slo_met", _chat_slo_met),
+        ("chat_attainment", "slo_attainment:chat"),
+        ("agent_p95_s", "p95_latency:agent"),
+        ("agent_rejected", "num_rejected:agent"),
+        ("agent_rejection_rate", "rejection_rate:agent"),
+        ("shed_tokens", "shed_tokens"),
+        ("completed", "num_completed"),
+        ("energy_wh", "energy_wh"),
+    )
 
     def chat_slo_held(self, policy: str) -> bool:
         """Did ``policy`` keep the measured chat p95 within the declared SLO?"""
-        chat = self.outcomes[policy].class_stats.get("chat")
-        return bool(chat and chat.p95_latency_s <= self.chat_slo_s)
+        return self.metric(_chat_slo_met, policy=policy)
 
     def format(self) -> str:
-        parts = [
-            format_table(
-                self.rows(),
-                f"Admission policies under the chat+agent burst "
-                f"(chat p95 SLO {self.chat_slo_s:.0f}s)",
-            )
-        ]
-        shed = self.outcomes.get("slo-shed")
-        if shed is not None:
+        parts = [super().format()]
+        for point in self.result.slice(policy="slo-shed").points:
             parts.append(
                 format_table(
-                    shed.per_class_admission(),
+                    point.outcome.per_class_admission(),
                     "slo-shed door accounting (per traffic class)",
                 )
             )
@@ -180,12 +163,27 @@ def admission_study(
         ),
         seed=seed,
     )
-    outcomes: Dict[str, ResultSet] = {}
-    for policy in policies:
-        spec = base.with_overrides(
-            admission=_admission_for(
-                policy, max_concurrency, agent_rate_qps, shed_window_s
-            )
-        )
-        outcomes[policy] = run_experiment(spec)
-    return AdmissionStudyResult(outcomes=outcomes, chat_slo_s=chat_slo_s)
+    study = StudySpec(
+        base=base,
+        axes=(
+            StudyAxis(
+                name="policy",
+                field="admission",
+                values=tuple(
+                    _admission_for(
+                        policy, max_concurrency, agent_rate_qps, shed_window_s
+                    )
+                    for policy in policies
+                ),
+                labels=tuple(policies),
+            ),
+        ),
+        name="admission",
+    )
+    return AdmissionStudyResult(
+        result=run_study(study),
+        title=(
+            f"Admission policies under the chat+agent burst "
+            f"(chat p95 SLO {chat_slo_s:.0f}s)"
+        ),
+    )

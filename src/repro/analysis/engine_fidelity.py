@@ -16,14 +16,14 @@ This study sweeps :attr:`~repro.api.ExperimentSpec.prefill_chunk_tokens`
 Table IV-style chat+agent mixture used by the fairness studies.  Every grid
 point serves the same arrivals on the same single replica at the same seed,
 so replica-seconds are equal across the grid and any movement in
-``class_p95:chat`` or energy is attributable to the engine knob.
+``p95_latency:chat`` or energy is attributable to the engine knob.
 
 The headline read: chunked prefill removes head-of-line blocking --
 ``prefill_hol_block_s`` (seconds decodes spent parked behind atomic prefill
 steps) drops to zero and chat p95 falls at equal replica-seconds -- while
 speculation trades draft energy (``draft_energy_j``) for decode latency.
 The frontier query ``pareto_frontier(cost="energy_wh_per_query",
-quality="class_p95:chat")`` shows which combinations are worth paying for.
+quality="p95_latency:chat")`` shows which combinations are worth paying for.
 ``examples/engine_fidelity.py`` prints the grid and the frontier.
 """
 
@@ -47,8 +47,8 @@ class EngineFidelityStudyResult(FrontierView):
     """The executed chunk-budget x speculation grid: energy vs chat p95."""
 
     METRICS = (
-        ("chat_p95_s", "class_p95:chat"),
-        ("agent_p95_s", "class_p95:agent"),
+        ("chat_p95_s", "p95_latency:chat"),
+        ("agent_p95_s", "p95_latency:agent"),
         ("qps", "throughput_qps"),
         ("hol_s", "prefill_hol_block_s"),
         ("accepted", "mean_accepted_per_step"),
@@ -74,7 +74,7 @@ class EngineFidelityStudyResult(FrontierView):
         return {
             column: chunked.metric(name) - atomic.metric(name)
             for column, name in (
-                ("chat_p95_s", "class_p95:chat"),
+                ("chat_p95_s", "p95_latency:chat"),
                 ("hol_s", "prefill_hol_block_s"),
                 ("replica_s", "replica_seconds"),
             )
@@ -90,7 +90,7 @@ class EngineFidelityStudyResult(FrontierView):
         on = self.result.at(chunk=chunk, spec="on")
         off = self.result.at(chunk=chunk, spec="off")
         return {
-            "chat_p95_s": on.metric("class_p95:chat") - off.metric("class_p95:chat"),
+            "chat_p95_s": on.metric("p95_latency:chat") - off.metric("p95_latency:chat"),
             "p95_s": on.metric("p95_latency") - off.metric("p95_latency"),
             "draft_j": on.metric("draft_energy_j"),
             "accepted": on.metric("mean_accepted_per_step"),

@@ -16,7 +16,7 @@ Fairness is read off :attr:`~repro.api.ResultSet.served_token_ratio`
 (served-token max/min across contending tenants over the contended
 window; 1.0 = perfectly fair) and :attr:`~repro.api.ResultSet.jain_fairness`,
 and the frontier query ``pareto_frontier(cost="served_token_ratio",
-quality="class_attainment:chat", minimize_quality=False)`` answers the
+quality="slo_attainment:chat", minimize_quality=False)`` answers the
 operator's question directly: which scheduler buys fairness without
 paying for it in interactive SLO attainment?
 
@@ -68,8 +68,8 @@ class FairnessStudyResult(FrontierView):
         ("completed", "num_completed"),
         ("served_ratio", "served_token_ratio"),
         ("jain", "jain_fairness"),
-        ("chat_p95_s", "class_p95:chat"),
-        ("chat_slo", "class_attainment:chat"),
+        ("chat_p95_s", "p95_latency:chat"),
+        ("chat_slo", "slo_attainment:chat"),
     )
     COST, QUALITY, MINIMIZE_QUALITY = "served_ratio", "chat_slo", False
     FRONTIER_AXES = ("scheduler", "qps")
@@ -90,7 +90,7 @@ class PredictorErrorStudyResult(StudyView):
         ("completed", "num_completed"),
         ("mean_s", "mean_latency"),
         ("p95_s", "p95_latency"),
-        ("chat_p95_s", "class_p95:chat"),
+        ("chat_p95_s", "p95_latency:chat"),
     )
 
     def sjf_advantage(self, error: str) -> float:

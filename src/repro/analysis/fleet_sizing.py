@@ -40,8 +40,8 @@ class FleetSizingResult(FrontierView):
 
     METRICS = (
         ("completed", "num_completed"),
-        ("chat_p95_s", "class_p95:chat"),
-        ("agent_p95_s", "class_p95:agent"),
+        ("chat_p95_s", "p95_latency:chat"),
+        ("agent_p95_s", "p95_latency:agent"),
         ("replica_seconds", "replica_seconds"),
         ("energy_wh", "energy_wh"),
         ("throughput_qps", "throughput_qps"),

@@ -51,8 +51,8 @@ class HeteroFleetResult(FrontierView):
 
     METRICS = (
         ("completed", "num_completed"),
-        ("chat_attainment", "class_attainment:chat"),
-        ("chat_p95_s", "class_p95:chat"),
+        ("chat_attainment", "slo_attainment:chat"),
+        ("chat_p95_s", "p95_latency:chat"),
         ("cost_usd", "cost_usd"),
         ("usd_per_1k_tok", "cost_per_1k_tokens"),
         ("energy_wh", "energy_wh"),
@@ -88,9 +88,9 @@ class HeteroFleetResult(FrontierView):
         mixed_point = self.result.at(traffic=traffic, fleet=mixed)
         homog_point = self.result.at(traffic=traffic, fleet=homogeneous)
         mixed_cost = mixed_point.metric("cost_per_1k_tokens")
-        mixed_quality = mixed_point.metric("class_attainment:chat")
+        mixed_quality = mixed_point.metric("slo_attainment:chat")
         homog_cost = homog_point.metric("cost_per_1k_tokens")
-        homog_quality = homog_point.metric("class_attainment:chat")
+        homog_quality = homog_point.metric("slo_attainment:chat")
         return (
             mixed_cost <= homog_cost
             and mixed_quality >= homog_quality

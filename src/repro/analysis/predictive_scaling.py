@@ -59,19 +59,19 @@ class PredictiveScalingResult:
     def rows(self) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = []
         for mode, outcome in self.outcomes.items():
-            chat = outcome.class_stats.get("chat")
-            agent = outcome.class_stats.get("agent")
+            chat = outcome.classes.get("chat")
+            agent = outcome.classes.get("agent")
             rows.append(
                 {
                     "mode": mode,
-                    "chat_p95_s": chat.p95_latency_s if chat else 0.0,
+                    "chat_p95_s": chat.p95_latency if chat else 0.0,
                     "chat_attainment": (
                         chat.slo_attainment
                         if chat and chat.slo_attainment is not None
                         else 0.0
                     ),
                     "agent_rejection_rate": agent.rejection_rate if agent else 0.0,
-                    "agent_rejected": agent.rejected if agent else 0,
+                    "agent_rejected": agent.num_rejected if agent else 0,
                     "replica_seconds": outcome.replica_seconds,
                     "forecast_mae": outcome.forecast_mae,
                     "scale_ahead_lead_s": outcome.scale_ahead_lead_s,
@@ -83,13 +83,13 @@ class PredictiveScalingResult:
 
     # -- comparisons ---------------------------------------------------------
     def chat_attainment(self, mode: str) -> float:
-        chat = self.outcomes[mode].class_stats.get("chat")
+        chat = self.outcomes[mode].classes.get("chat")
         if chat is None or chat.slo_attainment is None:
             return 0.0
         return chat.slo_attainment
 
     def agent_rejection_rate(self, mode: str) -> float:
-        agent = self.outcomes[mode].class_stats.get("agent")
+        agent = self.outcomes[mode].classes.get("agent")
         return agent.rejection_rate if agent is not None else 0.0
 
     def replica_seconds(self, mode: str) -> float:

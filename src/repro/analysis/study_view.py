@@ -38,7 +38,7 @@ class StudyView:
     def format(self) -> str:
         return self.result.format(self.title, self.METRICS)
 
-    def metric(self, name: Metric, **coords: Any) -> float:
+    def metric(self, name: Metric, **coords: Any) -> Any:
         """``name`` on the one grid cell at ``coords`` (axis labels or values)."""
         return self.result.at(**coords).metric(name)
 

@@ -9,15 +9,18 @@ hold only what a run measured.  :class:`ResultSet` wraps whichever one an
 experiment produced and is the only place a metric is defined: request
 counts, latency distribution, accuracy, per-request calls and tokens,
 throughput, energy, cost, admission, fairness and sessions.  Each metric
-is computed once from the records, over the measured agent runs
-(:attr:`ResultSet.runs`) of either kind, and :func:`resolve_metric` names
-them for studies, tables and Pareto queries.
+is declared once, with its unit and scope, in :data:`METRICS`; it is
+computed from the records over the measured agent runs
+(:attr:`ResultSet.runs`) of either kind, a traffic class's metrics are the
+same metrics over that class's runs (:attr:`ResultSet.classes`), and
+:func:`resolve_metric` names them for studies, tables and Pareto queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+import functools
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.agents import AgentRunResult
 from repro.api.spec import ExperimentSpec
@@ -32,14 +35,49 @@ from repro.core.metrics import (
 from repro.core.runner import CharacterizationResult
 from repro.serving.server import ServingResult
 
+#: Every scalar metric of :class:`ResultSet`: name -> (unit, scope).  A
+#: ``run`` metric is computed from :attr:`ResultSet.runs` and the measured
+#: window, a ``door`` metric from the door accounting, and a ``fleet``
+#: metric from whole-run telemetry that no traffic class owns a share of.
+METRICS: Dict[str, Tuple[str, str]] = {}
+
+
+def _declare(unit: str, scope: str) -> Callable[[Callable[..., Any]], property]:
+    """Declare a :class:`ResultSet` property as a metric in :data:`METRICS`.
+
+    Reading a ``fleet`` metric on a traffic-class slice raises ``ValueError``.
+    """
+
+    def declare(fget: Callable[..., Any]) -> property:
+        METRICS[fget.__name__] = (unit, scope)
+        if scope != "fleet":
+            return property(fget)
+
+        @functools.wraps(fget)
+        def whole_run_only(self: "ResultSet") -> Any:
+            if self.traffic_class is not None:
+                raise ValueError(
+                    f"metric {fget.__name__!r} is fleet-wide; traffic class "
+                    f"{self.traffic_class!r} owns no share of it"
+                )
+            return fget(self)
+
+        return property(whole_run_only)
+
+    return declare
+
 
 @dataclass
 class ResultSet:
-    """Outcome of one :func:`~repro.api.run_experiment` call."""
+    """Outcome of one :func:`~repro.api.run_experiment` call.
+
+    With ``traffic_class`` set it is one class's slice (see :attr:`classes`).
+    """
 
     spec: ExperimentSpec
     characterization: Optional[CharacterizationResult] = None
     serving: Optional[ServingResult] = None
+    traffic_class: Optional[str] = None
 
     def __post_init__(self) -> None:
         if (self.characterization is None) == (self.serving is None):
@@ -55,20 +93,43 @@ class ResultSet:
 
     @property
     def runs(self) -> List[AgentRunResult]:
-        """The measured agent runs, in completion order (one per request or turn)."""
+        """The measured agent runs, in completion order (one per request or turn).
+
+        On a class slice, only that class's runs.
+        """
         if self.characterization is not None:
-            return [obs.result for obs in self.characterization.observations]
-        return self.serving.results
+            runs = [obs.result for obs in self.characterization.observations]
+        else:
+            runs = self.serving.results
+        if self.traffic_class is None:
+            return runs
+        return [
+            run for run in runs if run.metadata.get("traffic_class") == self.traffic_class
+        ]
+
+    @property
+    def classes(self) -> Dict[str, "ResultSet"]:
+        """One slice per traffic class: its runs and its door row.
+
+        Classes come in the order of their first measured completion, then
+        the door's labelled rows no run completed (a class whose every
+        request was shed keeps its 100% rejection rate).  Empty for a flat
+        spec, whose one class is unlabelled.
+        """
+        labels = dict.fromkeys(run.metadata.get("traffic_class") for run in self.runs)
+        labels.update(dict.fromkeys(label for label in self.admission_stats if label))
+        labels.pop(None, None)
+        return {label: replace(self, traffic_class=label) for label in labels}
 
     # -- unified metrics -------------------------------------------------------
-    @property
+    @_declare("requests", "fleet")
     def num_requests(self) -> int:
         """Requests in the measured window (sessionful runs count turns)."""
         if self.characterization is not None:
             return len(self.characterization.observations)
         return self.serving.num_requests
 
-    @property
+    @_declare("requests", "run")
     def num_completed(self) -> int:
         """Requests that ran to completion inside the measured window."""
         return len(self.runs)
@@ -83,53 +144,53 @@ class ResultSet:
         """Percentile summary (p50/p95/p99/mean) of :attr:`latencies`."""
         return LatencyStats.from_values(self.latencies)
 
-    @property
+    @_declare("s", "run")
     def mean_latency(self) -> float:
         """Mean end-to-end request latency (seconds)."""
         return mean(self.latencies)
 
-    @property
+    @_declare("s", "run")
     def p95_latency(self) -> float:
         """95th-percentile end-to-end request latency (seconds)."""
         return self.latency_stats.p95
 
-    @property
+    @_declare("fraction", "run")
     def accuracy(self) -> float:
         """Task accuracy over completed requests (oracle-graded)."""
         return mean([1.0 if run.answer_correct else 0.0 for run in self.runs])
 
     # -- per-request agent work (paper Figs. 4, 8, 9, 13-17) ---------------------
-    @property
+    @_declare("score", "run")
     def mean_score(self) -> float:
         """Mean graded task score (partial credit; WebShop's accuracy metric)."""
         return mean([run.score for run in self.runs])
 
-    @property
+    @_declare("calls/request", "run")
     def mean_llm_calls(self) -> float:
         """Mean LLM invocations per request."""
         return mean([run.num_llm_calls for run in self.runs])
 
-    @property
+    @_declare("calls/request", "run")
     def mean_tool_calls(self) -> float:
         """Mean tool invocations per request."""
         return mean([run.num_tool_calls for run in self.runs])
 
-    @property
+    @_declare("tokens/request", "run")
     def mean_total_tokens(self) -> float:
         """Mean prompt + output tokens per request, summed over its LLM calls."""
         return mean([run.total_tokens for run in self.runs])
 
-    @property
+    @_declare("s", "run")
     def mean_prefill_time(self) -> float:
         """Mean summed prefill seconds per request."""
         return mean([sum(call.prefill_time for call in run.llm_calls) for run in self.runs])
 
-    @property
+    @_declare("s", "run")
     def mean_decode_time(self) -> float:
         """Mean summed decode seconds per request."""
         return mean([sum(call.decode_time for call in run.llm_calls) for run in self.runs])
 
-    @property
+    @_declare("s", "run")
     def mean_llm_inference_latency(self) -> float:
         """Mean summed LLM-call latency per request (paper Fig. 9's metric)."""
         return mean([sum(call.e2e_latency for call in run.llm_calls) for run in self.runs])
@@ -155,14 +216,14 @@ class ResultSet:
         return self.serving.gpu
 
     # -- throughput & energy -------------------------------------------------------
-    @property
+    @_declare("s", "run")
     def duration(self) -> float:
         """Wall-clock (simulated) span of the measured window."""
         if self.characterization is not None:
             return sum(self.latencies)
         return self.serving.duration
 
-    @property
+    @_declare("req/s", "run")
     def throughput_qps(self) -> float:
         """Completed requests per simulated second of the measured window."""
         duration = self.duration
@@ -170,14 +231,14 @@ class ResultSet:
             return 0.0
         return self.num_completed / duration
 
-    @property
+    @_declare("Wh", "fleet")
     def energy_wh(self) -> float:
         """Engine energy (watt-hours) consumed over the measured window."""
         if self.characterization is not None:
             return sum(obs.energy_wh for obs in self.characterization.observations)
         return self.serving.energy_wh
 
-    @property
+    @_declare("Wh/request", "fleet")
     def energy_wh_per_query(self) -> float:
         """Energy per completed request (watt-hours)."""
         if self.num_completed == 0:
@@ -185,7 +246,7 @@ class ResultSet:
         return self.energy_wh / self.num_completed
 
     # -- fleet metrics ---------------------------------------------------------
-    @property
+    @_declare("replica-s", "fleet")
     def replica_seconds(self) -> float:
         """Replica-seconds paid for across every pool (serving runs only)."""
         if self.serving is None:
@@ -193,28 +254,28 @@ class ResultSet:
         return self.serving.replica_seconds
 
     # -- hardware cost & energy --------------------------------------------------
-    @property
+    @_declare("USD", "fleet")
     def cost_usd(self) -> float:
         """USD of replica-seconds, priced per pool's hardware (serving only)."""
         if self.serving is None:
             return 0.0
         return self.serving.cost_usd
 
-    @property
+    @_declare("tokens", "fleet")
     def served_tokens(self) -> float:
         """Prompt + output tokens of the measured requests (serving only)."""
         if self.serving is None:
             return 0.0
         return self.serving.served_tokens
 
-    @property
+    @_declare("USD/1k tokens", "fleet")
     def cost_per_1k_tokens(self) -> float:
         """USD per 1000 served tokens (0.0 when nothing was served)."""
         if self.served_tokens <= 0:
             return 0.0
         return self.cost_usd / (self.served_tokens / 1000.0)
 
-    @property
+    @_declare("J", "fleet")
     def energy_j(self) -> float:
         """Measured-window energy in joules (:attr:`energy_wh` in SI units)."""
         return self.energy_wh * 3600.0
@@ -226,28 +287,54 @@ class ResultSet:
             return {}
         return self.serving.pool_stats
 
-    @property
-    def class_stats(self) -> Dict[str, Any]:
-        """Per-traffic-class request metrics (empty without a workload mixture)."""
-        if self.serving is None:
-            return {}
-        return self.serving.class_stats
-
     def per_pool_summary(self) -> List[Dict[str, Any]]:
         """One flat row per replica pool (throughput, p95, energy, cost)."""
         return [stats.as_dict() for stats in self.pool_stats.values()]
 
     def per_class_summary(self) -> List[Dict[str, Any]]:
-        """One flat row per traffic class of the workload mixture."""
-        return [stats.as_dict() for stats in self.class_stats.values()]
+        """One flat row per traffic class (see :attr:`classes`).
+
+        Door counts cover the whole run while completions cover the
+        measured window, so with a warm-up ``offered - rejected`` exceeds
+        ``completed`` by the warm-up count.  ``offered`` falls back to the
+        completed count for a class without a door row.
+        """
+        rows: List[Dict[str, Any]] = []
+        for label, view in self.classes.items():
+            door = view.admission_stats.get(label)
+            row: Dict[str, Any] = {
+                "class": label,
+                "completed": view.num_completed,
+                "mean_latency_s": view.mean_latency,
+                "p95_latency_s": view.p95_latency,
+                "throughput_qps": view.throughput_qps,
+                "accuracy": view.accuracy,
+                "offered": door.offered if door is not None else view.num_completed,
+                "rejected": view.num_rejected,
+                "rejection_rate": view.rejection_rate,
+            }
+            slo = self.spec.measurement.slo_for(label)
+            if slo is not None:
+                row["slo_p95_s"] = slo
+                row["slo_attainment"] = view.slo_attainment
+            rows.append(row)
+        return rows
 
     # -- admission control ------------------------------------------------------
     @property
     def admission_stats(self) -> Dict[str, Any]:
-        """Per-class door accounting (name -> ClassAdmissionStats; serving only)."""
+        """Per-class door accounting (name -> ClassAdmissionStats; serving only).
+
+        On a class slice, only that class's row.
+        """
         if self.serving is None:
             return {}
-        return self.serving.admission_stats
+        stats = self.serving.admission_stats
+        if self.traffic_class is None:
+            return stats
+        return {
+            label: row for label, row in stats.items() if label == self.traffic_class
+        }
 
     @property
     def admission_delays(self) -> List[float]:
@@ -256,27 +343,27 @@ class ResultSet:
             return []
         return self.serving.admission_delays
 
-    @property
+    @_declare("requests", "fleet")
     def num_queued(self) -> int:
         """Requests that waited at the door before a worker slot opened."""
         return sum(1 for delay in self.admission_delays if delay > 0)
 
-    @property
+    @_declare("s", "fleet")
     def mean_admission_delay(self) -> float:
         """Mean wait at the door (seconds)."""
         return mean(self.admission_delays)
 
-    @property
+    @_declare("s", "fleet")
     def p95_admission_delay(self) -> float:
         """95th-percentile wait at the door (seconds)."""
         return percentile(self.admission_delays, 95.0)
 
-    @property
+    @_declare("requests", "door")
     def num_rejected(self) -> int:
         """Requests the admission policy shed instead of serving."""
         return sum(stats.rejected for stats in self.admission_stats.values())
 
-    @property
+    @_declare("fraction", "door")
     def rejection_rate(self) -> float:
         """Shed fraction of the offered load (0.0 with an open door)."""
         offered = sum(stats.offered for stats in self.admission_stats.values())
@@ -284,36 +371,38 @@ class ResultSet:
             return 0.0
         return self.num_rejected / offered
 
-    @property
+    @_declare("tokens", "door")
     def shed_tokens(self) -> float:
         """Estimated decode tokens the fleet avoided by shedding requests."""
         return sum(stats.shed_tokens for stats in self.admission_stats.values())
 
-    @property
+    @_declare("fraction", "run")
     def slo_attainment(self) -> Optional[float]:
-        """Fraction of measured requests meeting the experiment-wide p95 SLO.
+        """Fraction of measured requests meeting the p95 SLO that governs them.
 
-        ``None`` when the spec declares no experiment-wide SLO; per-class
-        SLOs live in :attr:`class_stats`.
+        The experiment-wide SLO, or on a class slice the class's own SLO
+        (falling back to the experiment-wide one).  ``None`` without an SLO
+        or when nothing completed.
         """
-        slo = self.spec.measurement.slo_p95_s
-        if slo is None:
+        slo = self.spec.measurement.slo_for(self.traffic_class)
+        latencies = self.latencies
+        if slo is None or not latencies:
             return None
-        return mean([1.0 if latency <= slo else 0.0 for latency in self.latencies])
+        return mean([1.0 if latency <= slo else 0.0 for latency in latencies])
 
     def per_class_admission(self) -> List[Dict[str, Any]]:
         """One flat row per traffic class of the door accounting."""
         return [stats.as_dict() for stats in self.admission_stats.values()]
 
     # -- predictive autoscaling -------------------------------------------------
-    @property
+    @_declare("req/s", "fleet")
     def forecast_mae(self) -> Optional[float]:
         """Mean absolute arrival-rate forecast error (predictive runs only)."""
         if self.serving is None:
             return None
         return self.serving.forecast_mae
 
-    @property
+    @_declare("s", "fleet")
     def scale_ahead_lead_s(self) -> Optional[float]:
         """Mean head start of forecast-triggered grows over the reactive trigger."""
         if self.serving is None or not self.serving.scale_ahead_leads:
@@ -328,7 +417,7 @@ class ResultSet:
             return None
         return self.serving.tenant_stats
 
-    @property
+    @_declare("ratio", "fleet")
     def served_token_ratio(self) -> Optional[float]:
         """Served-token max/min ratio across contending tenants (1.0 = fair).
 
@@ -338,13 +427,13 @@ class ResultSet:
         stats = self.tenant_stats
         return None if stats is None else stats.max_min_ratio
 
-    @property
+    @_declare("index", "fleet")
     def jain_fairness(self) -> Optional[float]:
         """Jain's fairness index over per-tenant served tokens."""
         stats = self.tenant_stats
         return None if stats is None else stats.jain
 
-    @property
+    @_declare("fraction", "fleet")
     def tenant_throttle_rate(self) -> Optional[float]:
         """Door rejection fraction of tenanted offers."""
         stats = self.tenant_stats
@@ -358,7 +447,7 @@ class ResultSet:
             return None
         return self.serving.session_stats
 
-    @property
+    @_declare("fraction", "fleet")
     def cross_turn_hit_rate(self) -> Optional[float]:
         """Prefix-cache hit rate over later-turn prompt tokens.
 
@@ -369,52 +458,52 @@ class ResultSet:
         stats = self.session_stats
         return None if stats is None else stats.cross_turn_hit_rate
 
-    @property
+    @_declare("sessions", "fleet")
     def num_sessions(self) -> Optional[int]:
         """Interactions started during the run."""
         stats = self.session_stats
         return None if stats is None else stats.num_sessions
 
-    @property
+    @_declare("sessions", "fleet")
     def completed_sessions(self) -> Optional[int]:
         """Interactions that finished their final turn."""
         stats = self.session_stats
         return None if stats is None else stats.completed_sessions
 
-    @property
+    @_declare("turns", "fleet")
     def total_turns(self) -> Optional[int]:
         """Turns served across every session."""
         stats = self.session_stats
         return None if stats is None else stats.total_turns
 
-    @property
+    @_declare("turns/session", "fleet")
     def mean_turns_per_session(self) -> Optional[float]:
         """Mean turns served per started session."""
         stats = self.session_stats
         return None if stats is None else stats.mean_turns_per_session
 
-    @property
+    @_declare("re-pins", "fleet")
     def affinity_invalidations(self) -> Optional[int]:
         """Sticky-routing re-pins (spills plus homes lost to replica churn)."""
         stats = self.session_stats
         return None if stats is None else stats.affinity_invalidations
 
     # -- engine fidelity ----------------------------------------------------------
-    @property
+    @_declare("s", "fleet")
     def prefill_hol_block_s(self) -> float:
         """Seconds decodes spent blocked behind atomic prefill steps."""
         if self.serving is None:
             return 0.0
         return self.serving.prefill_hol_block_s
 
-    @property
+    @_declare("tokens/step", "fleet")
     def mean_accepted_per_step(self) -> Optional[float]:
         """Mean draft tokens accepted per speculative verify (``None`` = off)."""
         if self.serving is None or self.serving.spec_sequence_steps == 0:
             return None
         return self.serving.spec_accepted_tokens / self.serving.spec_sequence_steps
 
-    @property
+    @_declare("J", "fleet")
     def draft_energy_j(self) -> float:
         """Joules spent in speculative draft passes (0.0 without speculation)."""
         if self.serving is None:
@@ -422,21 +511,12 @@ class ResultSet:
         return self.serving.draft_energy_j
 
     # -- metric vocabulary ------------------------------------------------------
-    def metric(self, name: str) -> float:
-        """Resolve a study-metric name on this result.
+    def metric(self, name: str) -> Any:
+        """Resolve a study-metric name on this result (see :func:`resolve_metric`).
 
-        Accepts any :class:`ResultSet` attribute name (``replica_seconds``,
-        ``p95_latency``, ``energy_wh``, ``energy_j``, ``cost_usd``,
-        ``cost_per_1k_tokens``, ``rejection_rate``,
-        ``served_token_ratio``, ``jain_fairness``, ...), the per-class form
-        ``class_<stat>:<label>`` (``class_p95:chat``,
-        ``class_attainment:chat``, ``class_rejection:agent``), or the
-        per-decile form ``tenant_throttle_decile:<0-9>`` (throttle rate of
-        one tenant population decile; decile 0 is the hottest 10% of users)
-        -- the same vocabulary
-        :meth:`repro.api.study.StudyResult.pareto_frontier` and tabulation
-        use, so a metric proven interactively drops straight into a study
-        query.
+        The same vocabulary :meth:`repro.api.study.StudyResult.pareto_frontier`
+        and tabulation use, so a metric proven interactively drops straight
+        into a study query.
         """
         return resolve_metric(self, name)
 
@@ -485,33 +565,23 @@ class ResultSet:
         return summary
 
 
-#: A metric: a ResultSet attribute name / class_<stat>:<label> string, or a
-#: callable extracting a float from a ResultSet.
-Metric = Union[str, Callable[[Any], float]]
-
-_CLASS_METRIC_ATTRS: Dict[str, str] = {
-    "class_p95": "p95_latency_s",
-    "class_mean": "mean_latency_s",
-    "class_throughput": "throughput_qps",
-    "class_attainment": "slo_attainment",
-    "class_rejection": "rejection_rate",
-    "class_completed": "num_completed",
-}
+#: A metric: a :data:`METRICS` name (optionally ``<metric>:<label>``), or a
+#: callable extracting a value from a ResultSet.
+Metric = Union[str, Callable[[Any], Any]]
 
 
-def resolve_metric(
-    outcome: Any, metric: Metric, missing_ok: bool = False
-) -> Optional[float]:
+def resolve_metric(outcome: Any, metric: Metric, missing_ok: bool = False) -> Any:
     """Evaluate ``metric`` on one outcome (a :class:`ResultSet`).
 
-    ``metric`` is a callable on the outcome or a name: any ``ResultSet``
-    attribute (``replica_seconds``, ``p95_latency``, ``energy_wh``,
-    ``rejection_rate``, ``served_token_ratio``, ``jain_fairness``, ...), a
-    per-class form ``class_<stat>:<label>`` (``class_p95:chat``,
-    ``class_attainment:chat``, ``class_rejection:agent``,
-    ``class_mean:...``, ``class_throughput:...``), or the per-decile form
+    ``metric`` is a callable on the outcome or a name: a :data:`METRICS`
+    name (``replica_seconds``, ``p95_latency``, ``energy_wh``,
+    ``rejection_rate``, ``served_token_ratio``, ...), a run or door metric
+    of one traffic class as ``<metric>:<label>`` (``p95_latency:chat``,
+    ``slo_attainment:chat``, ``rejection_rate:agent``; read on
+    ``outcome.classes[label]``), or the per-decile form
     ``tenant_throttle_decile:<0-9>`` (throttle rate of one tenant
-    population decile; decile 0 holds the hottest users).
+    population decile; decile 0 holds the hottest users).  Values come
+    back with their own type, so counts stay ints.
 
     Unknown metric names always raise (a typo must fail loudly, not render
     as an empty column); ``missing_ok=True`` additionally tolerates metrics
@@ -521,11 +591,13 @@ def resolve_metric(
     """
     if callable(metric):
         value = metric(outcome)
-    elif isinstance(metric, str):
-        if metric.startswith("tenant_throttle_decile:"):
-            _, _, decile_text = metric.partition(":")
+    elif not isinstance(metric, str):
+        raise ValueError(f"metric must be a name or callable, got {metric!r}")
+    else:
+        name, per_class, label = metric.partition(":")
+        if per_class and name == "tenant_throttle_decile":
             try:
-                decile = int(decile_text)
+                decile = int(label)
             except ValueError:
                 decile = -1
             if not 0 <= decile <= 9:
@@ -538,38 +610,32 @@ def resolve_metric(
                     return None
                 raise ValueError(f"metric {metric!r}: outcome has no tenant stats")
             value = stats.decile_throttle_rates()[decile]
-            if value is None:
-                if missing_ok:
-                    return None
+            if value is None and not missing_ok:
                 raise ValueError(
                     f"metric {metric!r}: no offers landed in decile {decile}"
                 )
-            return float(value)
-        if ":" in metric:
-            name, label = metric.split(":", 1)
-            attr = _CLASS_METRIC_ATTRS.get(name)
-            if attr is None:
+            return value
+        if name not in METRICS:
+            raise ValueError(f"outcome has no metric {metric!r}")
+        if not per_class:
+            value = getattr(outcome, name)
+        else:
+            if METRICS[name][1] == "fleet":
                 raise ValueError(
-                    f"unknown per-class metric {name!r}; "
-                    f"known: {sorted(_CLASS_METRIC_ATTRS)}"
+                    f"metric {metric!r}: {name!r} is fleet-wide and has no "
+                    "per-class form"
                 )
-            stats = outcome.class_stats.get(label)
-            if stats is None:
+            view = outcome.classes.get(label)
+            if view is None:
                 if missing_ok:
                     return None
                 raise ValueError(
                     f"metric {metric!r}: outcome has no traffic class {label!r} "
-                    f"(classes: {sorted(outcome.class_stats)})"
+                    f"(classes: {sorted(outcome.classes)})"
                 )
-            value = getattr(stats, attr)
-        else:
-            if not hasattr(outcome, metric):
-                raise ValueError(f"outcome has no metric {metric!r}")
-            value = getattr(outcome, metric)
-    else:
-        raise ValueError(f"metric must be a name or callable, got {metric!r}")
+            value = getattr(view, name)
     if value is None:
         if missing_ok:
             return None
         raise ValueError(f"metric {metric!r} is None on this outcome")
-    return float(value)
+    return value

@@ -29,13 +29,7 @@ from repro.agents import AgentRunResult
 from repro.api.builder import System, SystemBuilder
 from repro.api.results import ResultSet
 from repro.api.spec import ExperimentSpec
-from repro.core.metrics import (
-    GpuRuntimeBreakdown,
-    PoolStats,
-    TrafficClassStats,
-    mean,
-    percentile,
-)
+from repro.core.metrics import GpuRuntimeBreakdown, PoolStats, percentile
 from repro.core.runner import CharacterizationResult, RequestObservation
 from repro.llm.energy import PowerState
 from repro.llm.tokenizer import SegmentKind
@@ -647,7 +641,6 @@ class ServingDriver:
                 )
                 for pool in system.cluster.pools.values()
             },
-            class_stats=self._class_stats(measured, duration),
             replica_seconds=system.cluster.replica_seconds_until(end_time),
             cost_usd=cost_usd,
             served_tokens=served_tokens,
@@ -735,48 +728,6 @@ class ServingDriver:
             rejected_requests=pool.rejected_requests,
             shed_tokens=pool.shed_tokens,
         )
-
-    def _class_stats(
-        self, measured: List[AgentRunResult], duration: float
-    ) -> Dict[str, TrafficClassStats]:
-        """Request-level metrics per traffic class (empty without a mixture)."""
-        admission = self.admission.class_stats()
-        groups: Dict[str, List[AgentRunResult]] = {}
-        for result in measured:
-            label = result.metadata.get("traffic_class")
-            if label is not None:
-                groups.setdefault(label, []).append(result)
-        # Classes whose every request was shed still get a row: a 100%
-        # rejection rate must not disappear from the per-class report.
-        for label in admission:
-            if label and label not in groups:
-                groups.setdefault(label, [])
-        stats: Dict[str, TrafficClassStats] = {}
-        for label, results in groups.items():
-            latencies = [result.e2e_latency for result in results]
-            door = admission.get(label)
-            slo = self.spec.measurement.slo_for(label)
-            attainment = None
-            if slo is not None and latencies:
-                attainment = mean(
-                    [1.0 if latency <= slo else 0.0 for latency in latencies]
-                )
-            stats[label] = TrafficClassStats(
-                label=label,
-                num_completed=len(results),
-                mean_latency_s=mean(latencies),
-                p95_latency_s=percentile(latencies, 95.0),
-                throughput_qps=len(results) / duration,
-                accuracy=mean(
-                    [1.0 if result.answer_correct else 0.0 for result in results]
-                ),
-                offered=door.offered if door is not None else len(results),
-                rejected=door.rejected if door is not None else 0,
-                shed_tokens=door.shed_tokens if door is not None else 0.0,
-                slo_p95_s=slo,
-                slo_attainment=attainment,
-            )
-        return stats
 
 
 def _build_plan(system: System) -> ArrivalPlan:

@@ -350,7 +350,7 @@ class StudyPoint:
     spec: ExperimentSpec
     outcome: ResultSet
 
-    def metric(self, metric: Metric, missing_ok: bool = False) -> Optional[float]:
+    def metric(self, metric: Metric, missing_ok: bool = False) -> Any:
         """Evaluate a study metric on this point's outcome (see module docs)."""
         return resolve_metric(self.outcome, metric, missing_ok=missing_ok)
 
@@ -484,9 +484,9 @@ class StudyResult:
         """The non-dominated points of the cost/quality plane.
 
         Defaults minimise both (e.g. ``cost="replica_seconds"``,
-        ``quality="class_p95:chat"`` -- pay less, respond faster); flip
+        ``quality="p95_latency:chat"`` -- pay less, respond faster); flip
         ``minimize_quality=False`` for maximised qualities such as
-        ``class_attainment:chat``.  Returns frontier members sorted by
+        ``slo_attainment:chat``.  Returns frontier members sorted by
         cost, each with its evaluated coordinates.
         """
         evaluated = [

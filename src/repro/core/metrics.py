@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.agents.base import AgentRunResult
 from repro.core.intervals import intersect, merge_intervals, total_length
@@ -254,57 +254,6 @@ class PoolStats:
             "rejected": self.rejected_requests,
             "shed_tokens": self.shed_tokens,
         }
-
-
-@dataclass(frozen=True)
-class TrafficClassStats:
-    """Request-level metrics for one traffic class in a workload mixture.
-
-    ``offered`` / ``rejected`` / ``shed_tokens`` carry the door-level
-    admission accounting.  Door counts cover the *whole run* (arrivals are
-    counted when they reach the door, before the warm-up boundary is even
-    known), while ``num_completed`` and the latency/SLO metrics cover only
-    the measured (post-warm-up) window -- so with a warm-up configured,
-    ``offered - rejected`` exceeds ``num_completed`` by the warm-up count.
-    ``slo_attainment`` is the fraction of measured completions whose
-    end-to-end latency met the class's declared p95 SLO (``None`` when the
-    class completed nothing or declares no SLO).
-    """
-
-    label: str
-    num_completed: int
-    mean_latency_s: float
-    p95_latency_s: float
-    throughput_qps: float
-    accuracy: float
-    offered: int = 0
-    rejected: int = 0
-    shed_tokens: float = 0.0
-    slo_p95_s: Optional[float] = None
-    slo_attainment: Optional[float] = None
-
-    @property
-    def rejection_rate(self) -> float:
-        if self.offered == 0:
-            return 0.0
-        return self.rejected / self.offered
-
-    def as_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "class": self.label,
-            "completed": self.num_completed,
-            "mean_latency_s": self.mean_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "throughput_qps": self.throughput_qps,
-            "accuracy": self.accuracy,
-            "offered": self.offered,
-            "rejected": self.rejected,
-            "rejection_rate": self.rejection_rate,
-        }
-        if self.slo_p95_s is not None:
-            row["slo_p95_s"] = self.slo_p95_s
-            row["slo_attainment"] = self.slo_attainment
-        return row
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class FleetPlanner:
         self,
         result: StudyResult,
         cost: Metric = "cost_per_1k_tokens",
-        quality: Metric = "class_attainment:chat",
+        quality: Metric = "slo_attainment:chat",
         minimize_cost: bool = True,
         minimize_quality: bool = False,
     ) -> None:

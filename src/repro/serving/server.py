@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.agents import AgentRunResult
-from repro.core.metrics import GpuRuntimeBreakdown, PoolStats, TrafficClassStats
+from repro.core.metrics import GpuRuntimeBreakdown, PoolStats
 from repro.serving.admission import ClassAdmissionStats
 from repro.serving.cluster import ScalingEvent
 from repro.serving.sessions import SessionStats
@@ -44,8 +44,6 @@ class ServingResult:
     # -- fleet reporting (single-pool runs have one "default" entry) ---------
     # Engine-level metrics per replica pool over the measured window.
     pool_stats: Dict[str, PoolStats] = field(default_factory=dict)
-    # Request-level metrics per traffic class (empty without a mixture).
-    class_stats: Dict[str, TrafficClassStats] = field(default_factory=dict)
     # Replica-seconds paid for across every pool (cost accounting).
     replica_seconds: float = 0.0
     # USD cost of those replica-seconds, priced per pool's hardware (GPU

@@ -109,35 +109,32 @@ class TestHandWrittenDocs:
             checked.append(title)
         assert len(checked) >= 10, checked
 
-    def test_metrics_doc_matches_resolvable_names(self):
-        # Every plain metric name documented must actually resolve on a
-        # ResultSet (the doc is a contract, not a wish list).
-        from repro.api import ResultSet
-
+    @staticmethod
+    def _metric_rows():
         text = (DOCS / "METRICS.md").read_text()
-        names = re.findall(r"^\| `([a-z_0-9]+)` \|", text, flags=re.MULTILINE)
-        assert len(names) > 20
-        for name in names:
-            assert hasattr(ResultSet, name), f"documented metric {name!r} unknown"
+        rows = re.findall(
+            r"^\| `([a-z_0-9]+)` \| ([^|]+?) \| ([a-z]+) \|", text, flags=re.MULTILINE
+        )
+        assert len(rows) == len(set(rows)), "a metric row is repeated"
+        return set(rows)
+
+    def test_metrics_doc_matches_resolvable_names(self):
+        # Every documented (name, unit, scope) row is a declared metric
+        # (the doc is a contract, not a wish list).
+        from repro.api.results import METRICS
+
+        declared = {(name, unit, scope) for name, (unit, scope) in METRICS.items()}
+        documented = self._metric_rows()
+        assert len(documented) > 20
+        assert not documented - declared, "documented rows METRICS does not declare"
 
     def test_every_scalar_metric_is_documented(self):
-        # The other direction: every scalar ResultSet property (the names
-        # metric() and studies resolve) has a row in the doc.
-        from typing import Optional, get_type_hints
+        # The other direction: every declared metric (the names metric()
+        # and studies resolve) has a row with its unit and scope.
+        from repro.api.results import METRICS
 
-        from repro.api import ResultSet
-
-        text = (DOCS / "METRICS.md").read_text()
-        documented = set(re.findall(r"^\| `([a-z_0-9]+)` \|", text, flags=re.MULTILINE))
-        scalar_types = (int, float, Optional[int], Optional[float])
-        scalar = {
-            name
-            for name, member in vars(ResultSet).items()
-            if isinstance(member, property)
-            and get_type_hints(member.fget)["return"] in scalar_types
-        }
-        assert len(scalar) > 30  # the scan sees the real properties
-        undocumented = sorted(scalar - documented)
+        declared = {(name, unit, scope) for name, (unit, scope) in METRICS.items()}
+        undocumented = sorted(declared - self._metric_rows())
         assert not undocumented, f"docs/METRICS.md lacks rows for {undocumented}"
 
     def test_architecture_doc_names_every_study(self):

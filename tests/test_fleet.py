@@ -190,12 +190,12 @@ class TestMixedFleetServing:
             assert stats.replica_seconds > 0
 
     def test_per_class_metrics_reported(self, outcome):
-        classes = outcome.class_stats
+        classes = outcome.classes
         assert set(classes) == {"chat", "agent"}
         total = sum(stats.num_completed for stats in classes.values())
         assert total == outcome.num_completed
         for stats in classes.values():
-            assert stats.p95_latency_s >= stats.mean_latency_s * 0.5
+            assert stats.p95_latency >= stats.mean_latency * 0.5
             assert stats.throughput_qps > 0
 
     def test_traffic_lands_in_its_pool(self, outcome):

@@ -202,7 +202,7 @@ class FakeOutcome:
     def __init__(self, cost: float, p95: float):
         self.replica_seconds = cost
         self.p95_latency = p95
-        self.class_stats = {}
+        self.classes = {}
 
 
 def hand_built(points: List[tuple]) -> StudyResult:
@@ -278,9 +278,7 @@ class TestPareto:
         with pytest.raises(ValueError, match="no metric"):
             resolve_metric(outcome, "nope")
         with pytest.raises(ValueError, match="no traffic class"):
-            resolve_metric(outcome, "class_p95:chat")
-        with pytest.raises(ValueError, match="unknown per-class metric"):
-            resolve_metric(outcome, "class_nope:chat")
+            resolve_metric(outcome, "p95_latency:chat")
 
 
 class FakeFleetView(FrontierView):
@@ -488,7 +486,7 @@ class TestRunStudy:
         table = result.format("tiny study")
         assert "tiny study" in table and "completed" in table
         # Legitimately absent metrics render as empty cells...
-        rows = result.tabulate([("chat_p95", "class_p95:chat")])
+        rows = result.tabulate([("chat_p95", "p95_latency:chat")])
         assert rows[0]["chat_p95"] is None
         # ...but a misspelled metric name fails loudly.
         with pytest.raises(ValueError, match="no metric"):

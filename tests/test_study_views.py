@@ -44,11 +44,11 @@ class TestSessionsStudy:
             "| p95_s | invalidations | replica_s\n"
             "-----------------+-------+------+--------------+----------+----------"
             "+-------+---------------+----------\n"
-            "least-loaded     | 2     | 0.05 | 12.0         | 6.000    | 0.495    "
+            "least-loaded     | 2     | 0.05 | 12           | 6        | 0.495    "
             "| 8.518 | 0             | 38.4     \n"
-            "prefix-affinity  | 2     | 0.05 | 12.0         | 6.000    | 0.891    "
+            "prefix-affinity  | 2     | 0.05 | 12           | 6        | 0.891    "
             "| 9.165 | 0             | 40.2     \n"
-            "session-affinity | 2     | 0.05 | 12.0         | 6.000    | 0.891    "
+            "session-affinity | 2     | 0.05 | 12           | 6        | 0.891    "
             "| 8.293 | 0             | 30.3     "
         )
 
@@ -92,9 +92,9 @@ class TestBurstProfileStudy:
             "| scale_ahead_lead_s | replica_seconds\n"
             "--------+------------+-----------+-------+--------------"
             "+--------------------+----------------\n"
-            "burst   | none       | 20.0      | 6.229 | 0.417        "
+            "burst   | none       | 20        | 6.229 | 0.417        "
             "| None               | 51.6           \n"
-            "burst   | holt       | 20.0      | 6.229 | 1.979        "
+            "burst   | holt       | 20        | 6.229 | 1.979        "
             "| 1.000              | 59.6           "
         )
 
@@ -110,10 +110,10 @@ class TestPredictorErrorStudy:
             "sjf-by-predicted-decode vs fcfs under a noisy decode predictor\n"
             "scheduler               | error | completed | mean_s | p95_s | chat_p95_s\n"
             "------------------------+-------+-----------+--------+-------+-----------\n"
-            "fcfs                    | 0     | 16.0      | 24.3   | 51.1  | 41.0      \n"
-            "fcfs                    | 4     | 16.0      | 24.3   | 51.1  | 41.0      \n"
-            "sjf-by-predicted-decode | 0     | 16.0      | 21.9   | 44.7  | 46.2      \n"
-            "sjf-by-predicted-decode | 4     | 16.0      | 27.6   | 47.5  | 43.7      "
+            "fcfs                    | 0     | 16        | 24.3   | 51.1  | 41.0      \n"
+            "fcfs                    | 4     | 16        | 24.3   | 51.1  | 41.0      \n"
+            "sjf-by-predicted-decode | 0     | 16        | 21.9   | 44.7  | 46.2      \n"
+            "sjf-by-predicted-decode | 4     | 16        | 27.6   | 47.5  | 43.7      "
         )
 
     def test_headlines(self, noise):
