@@ -7,8 +7,12 @@ goes first so that drift in host speed lands on both sides alike.  Prints,
 for every end-to-end metric in ``BENCHMARK.json``, each side's median and
 quartiles over the pairs, the change/base ratio of the medians, and how
 many pairs the change won; the last line of standard output is the same
-report as one JSON object.  Exits 1 when any run is not ``correct`` or
-has failed operations.
+report as one JSON object.  Before the timed pairs, each tree computes the
+digest of its simulated outputs for the first seed once, untimed
+(``perfbench.measure.run_pass(...).digest``), and the report states whether
+the two agree (``outputs_identical``), so a speed-only change shows its
+bit-for-bit claim beside its timings.  Exits 1 when any run is not
+``correct`` or has failed operations.
 
 Usage, from the repository root::
 
@@ -35,6 +39,14 @@ from typing import Dict, Iterator, List
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+#: One untimed pass in the working directory's tree; prints its digest.
+DIGEST_PASS = """
+import sys
+sys.path[:0] = ["src", "."]
+from perfbench.measure import run_pass
+from perfbench.workloads import WORKLOADS
+print(run_pass(WORKLOADS[sys.argv[1]], int(sys.argv[2]), float(sys.argv[3])).digest)
+"""
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -89,6 +101,19 @@ def run_benchmark(tree: Path, args: argparse.Namespace, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def output_digest(tree: Path, args: argparse.Namespace) -> str:
+    """Digest of ``tree``'s simulated outputs at the first seed ("" on error)."""
+    command = [
+        sys.executable, "-c", DIGEST_PASS, args.workload, str(args.first_seed),
+        str(args.scale),
+    ]
+    completed = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if completed.returncode != 0:
+        sys.stderr.write(completed.stderr)
+        return ""
+    return completed.stdout.strip()
+
+
 def quartiles(values: List[float]) -> List[float]:
     """``[q1, median, q3]``, interpolated between the sorted values."""
     if len(values) == 1:
@@ -103,6 +128,11 @@ def main(argv=None) -> int:
     healthy = True
     with base_tree(args.base) as base:
         trees = {"base": base, "change": ROOT}
+        digests = {side: output_digest(trees[side], args) for side in SIDES}
+        identical = bool(digests["base"]) and digests["base"] == digests["change"]
+        for side in SIDES:
+            print(f"{side:6s} outputs at seed {args.first_seed}: {digests[side] or 'FAILED'}")
+        print(f"outputs identical: {identical}", flush=True)
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -147,7 +177,8 @@ def main(argv=None) -> int:
     if not healthy:
         print("FAIL: a run was not correct or had failed operations")
     print(json.dumps({"workload": args.workload, "pairs": args.pairs,
-                      "healthy": healthy, "metrics": summary}))
+                      "healthy": healthy, "outputs_identical": identical,
+                      "metrics": summary}))
     return 0 if healthy else 1
 
 

@@ -456,8 +456,8 @@ class StudyResult:
                 row["seed"] = point.seed
             for column, metric in chosen:
                 # missing_ok: a class the point never served or a None-valued
-                # telemetry field renders as an empty cell; unknown metric
-                # names still raise.
+                # telemetry field gives None, which format_value prints as
+                # the text "None"; unknown metric names still raise.
                 row[column] = point.metric(metric, missing_ok=True)
             rows.append(row)
         return rows

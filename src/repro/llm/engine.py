@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.llm.energy import EnergyMeter, EnergySnapshot, PowerState
@@ -202,6 +204,7 @@ class LLMEngine:
         request.timings.arrival = self.env.now
         completion = self.env.event()
         request.completion_event = completion
+        request.tokenizer = self.tokenizer
         self.scheduler.add_request(request)
         self._wake()
         return completion
@@ -289,7 +292,7 @@ class LLMEngine:
             share = item.new_tokens / max(new_tokens, 1)
             request.timings.prefill_time += duration * share
             # Prefill produces the first output token.
-            self._append_output_token(request)
+            request.num_output_tokens += 1
             generated += 1
             if request.timings.first_token is None:
                 request.timings.first_token = self.env.now
@@ -338,13 +341,13 @@ class LLMEngine:
             share = item.new_tokens / max(new_tokens, 1)
             request.timings.prefill_time += duration * share
             if item.last_chunk:
-                self._append_output_token(request)
+                request.num_output_tokens += 1
                 generated += 1
                 if request.timings.first_token is None:
                     request.timings.first_token = now
         for request in step.decodes:
             request.timings.decode_time += duration
-            self._append_output_token(request)
+            request.num_output_tokens += 1
             generated += 1
         self.scheduler.on_chunks_complete(step.prefills)
         self.total_prefill_tokens += new_tokens
@@ -423,9 +426,9 @@ class LLMEngine:
                 emit -= 1
             self.spec_accepted_tokens += emit - 1
             request.timings.decode_time += duration
-            for _ in range(max(emit, 1)):
-                self._append_output_token(request)
-                generated += 1
+            emitted = max(emit, 1)
+            request.num_output_tokens += emitted
+            generated += emitted
         self.total_generated_tokens += generated
         self._finish_completed(decodes)
         for request in decodes:
@@ -460,11 +463,7 @@ class LLMEngine:
         """
         start = self.env.now
         decodes = step.decodes
-        context_lengths = [request.context_length for request in decodes]
-        first_duration = self.perf.decode_step_time(context_lengths)
-        durations = [first_duration]
-        ends = [start + first_duration]
-        alloc_plan: Dict[int, List[int]] = {}
+        k_limit = 1
         if (
             self.config.decode_fast_forward
             and not preempted
@@ -472,11 +471,17 @@ class LLMEngine:
             # so no decode run is unobservable (always empty in atomic mode).
             and not self.scheduler.prefilling
         ):
-            k_limit = min(request.remaining_output_tokens for request in decodes)
-            if k_limit > 1:
-                durations, ends, alloc_plan = self._plan_decode_chunk(
-                    start, first_duration, context_lengths, decodes, k_limit
-                )
+            k_limit = max(1, min(request.remaining_output_tokens for request in decodes))
+        # Every step up to the earliest completion, priced in one call; the
+        # plan keeps them all unless the horizon or the KV budget ends the
+        # run sooner, which is rare.
+        step_times = self.perf.decode_run_step_times(
+            [request.context_length for request in decodes], k_limit
+        )
+        if k_limit > 1:
+            durations, ends, alloc_plan = self._plan_decode_chunk(start, step_times, decodes)
+        else:
+            durations, ends, alloc_plan = step_times, [start + step_times[0]], {}
         run = _DecodeRun(decodes, start, durations, ends, alloc_plan)
         self._decode_run = run
         yield self.env.timeout_at(ends[-1])
@@ -488,12 +493,16 @@ class LLMEngine:
 
         Replays the per-token effects in the order the per-token loop
         produces them: for each virtual step i at [s_i, e_i] -- energy,
-        per-request decode time + output token, completions (the run's last
-        step only; earlier steps cannot complete by construction), the step
-        record (sampling KV state before the next step's reservations), then
-        the KV appends for step i+1.  Only requests the plan proved need a
-        block at this boundary hit the allocator: the per-token path's other
-        append_token calls are no-ops with no side effects.
+        completions (the run's last step only; earlier steps cannot complete
+        by construction), the step record (sampling KV state before the next
+        step's reservations), then the KV appends for step i+1.  Nothing
+        between two completions reads a request's own decode progress, so
+        each request's output count and decode time advance once for the
+        whole chunk: folding the durations left to right is the per-step
+        ``+=`` sequence.  Only requests the plan proved need a block at this
+        boundary hit the allocator, and each gets exactly one block without
+        re-deriving its context: the per-token path's other append_token
+        calls are no-ops with no side effects.
         """
         first = run.applied
         run.applied = stop
@@ -502,19 +511,13 @@ class LLMEngine:
         count = stop - first
         last = len(run.durations) - 1
         batch = len(decodes)
-        tokens_per_request = [
-            self.tokenizer.synthetic_tokens(
-                f"output:{request.request_id}",
-                request.num_output_tokens + count,
-                start=request.num_output_tokens,
-            )
-            for request in decodes
-        ]
+        for request in decodes:
+            request.num_output_tokens += count
+            timings = request.timings
+            timings.decode_time = reduce(add, durations, timings.decode_time)
         joules_series = self.energy.record_series(PowerState.DECODE, durations)
-        append_kv = self.kv_cache.append_token
+        append_block = self.kv_cache.append_block
         alloc_plan = run.alloc_plan
-        timings = [request.timings for request in decodes]
-        outputs = [request.output_token_ids for request in decodes]
         # Inlined _record_step: inside a run nothing but the run itself
         # changes this engine's state (an arrival cuts the run, so only the
         # last step can see it), so the batch size, waiting count, and
@@ -539,9 +542,6 @@ class LLMEngine:
             index = first + offset
             step_end = step_start + duration
             joules = joules_series[offset]
-            for pos, tokens in enumerate(tokens_per_request):
-                timings[pos].decode_time += duration
-                outputs[pos].append(tokens[offset])
             if index == last:
                 self._finish_completed(decodes)
                 kv_blocks = allocator.num_active_blocks
@@ -575,7 +575,7 @@ class LLMEngine:
                 grown = alloc_plan.get(index)
                 if grown:
                     for pos in grown:
-                        append_kv(decodes[pos], now=step_end)
+                        append_block(decodes[pos], now=step_end)
                     kv_blocks += len(grown)
             step_start = step_end
         self._full_breakdown["decode"] = breakdown_decode
@@ -601,21 +601,19 @@ class LLMEngine:
     def _plan_decode_chunk(
         self,
         start: float,
-        first_duration: float,
-        context_lengths: List[int],
+        step_times: List[float],
         decodes: List[LLMRequest],
-        k_limit: int,
     ) -> Tuple[List[float], List[float], Dict[int, List[int]]]:
         """Durations of the longest run of decode steps this engine can own.
 
-        Extends the run one virtual step at a time, up to ``k_limit`` (the
-        earliest completion), while (a) the final wake stays within the
-        active numeric run horizon, so a paused run never leaves the run
-        half-applied, and (b) the KV block allocations the per-token path
-        would perform at each intermediate boundary all fit in the free
-        pool, so no step would have preempted.  Events elsewhere in the
-        simulation do not bound the run: an arrival at this engine cuts it
-        (:meth:`submit`), and reads of its state catch it up first.
+        Extends the run one virtual step of ``step_times`` at a time (one
+        per step up to the earliest completion), while (a) the final wake
+        stays within the active numeric run horizon, so a paused run never
+        leaves the run half-applied, and (b) the KV block allocations the
+        per-token path would perform at each intermediate boundary all fit
+        in the free pool, so no step would have preempted.  Events elsewhere
+        in the simulation do not bound the run: an arrival at this engine
+        cuts it (:meth:`submit`), and reads of its state catch it up first.
 
         Returns the durations, each step's absolute end time, and the
         allocation plan: replay loop index -> positions (into ``decodes``,
@@ -625,7 +623,6 @@ class LLMEngine:
         horizon = self.env.run_horizon
         block_size = self.kv_cache.block_size
         free_budget = self.kv_cache.num_free_blocks()
-        decode_step_time = self.perf.decode_step_time
         allocated = 0
         # Min-heap of (due_step, position, room) per sequence: the boundary
         # append of step j allocates a block exactly when j > room (room =
@@ -638,41 +635,14 @@ class LLMEngine:
         # up, which this cadence reproduces exactly.
         due: List[Tuple[int, int, int]] = []
         for pos, request in enumerate(decodes):
-            room = len(request.block_ids) * block_size - request.context_length
+            room = self.kv_cache.spare_tokens(request)
             due.append((max(2, room + 1), pos, room))
         heapq.heapify(due)
         alloc_plan: Dict[int, List[int]] = {}
-        durations = [first_duration]
-        lengths = list(context_lengths)
-        end = start + first_duration
+        durations = step_times[:1]
+        end = start + durations[0]
         ends = [end]
-        single = len(lengths) == 1
-        if single:
-            # Inline the scalar decode roofline (PerformanceModel
-            # .decode_step_time's batch-of-one branch, same expressions in the
-            # same order) so the per-virtual-step planning cost is arithmetic
-            # only: the planner prices every simulated token.
-            perf = self.perf
-            kv_per_token = perf._kv_bytes_per_token
-            weight_bytes = perf._weight_bytes
-            bandwidth = perf._decode_bandwidth
-            flops_dense = perf._flops_dense
-            flops_attn = perf._flops_attn_per_ctx
-            peak = perf._peak_compute
-            overhead = perf._step_overhead
-        while len(durations) < k_limit:
-            index = len(durations) + 1
-            if single:
-                ctx = lengths[0] + 1
-                lengths[0] = ctx
-                kv_bytes = kv_per_token * float(ctx)
-                memory_time = (weight_bytes + kv_bytes) / bandwidth
-                compute_time = (flops_dense + flops_attn * max(ctx, 0.0)) / peak
-                next_duration = max(memory_time, compute_time) + overhead
-            else:
-                for pos in range(len(lengths)):
-                    lengths[pos] += 1
-                next_duration = decode_step_time(lengths)
+        for index, next_duration in enumerate(step_times[1:], 2):
             next_end = end + next_duration
             if next_end > horizon:
                 break
@@ -697,13 +667,6 @@ class LLMEngine:
         return durations, ends, alloc_plan
 
     # -- helpers -------------------------------------------------------------
-    def _append_output_token(self, request: LLMRequest) -> None:
-        position = request.num_output_tokens
-        token = self.tokenizer.synthetic_tokens(
-            f"output:{request.request_id}", position + 1, start=position
-        )[0]
-        request.output_token_ids.append(token)
-
     def _finish_completed(self, requests: List[LLMRequest]) -> None:
         for request in requests:
             if request.num_output_tokens < request.target_output_tokens:
@@ -715,6 +678,8 @@ class LLMEngine:
             self.completed_requests.append(request)
             if request.completion_event is not None:
                 request.completion_event.succeed(request.to_result())
+            # The result holds the ids now; nothing reads the stream again.
+            self.tokenizer.forget_stream(request.output_stream)
 
     def _record_step(
         self,

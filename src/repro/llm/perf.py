@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import List, Sequence
 
 from repro.llm.hardware import ClusterSpec
 from repro.llm.models import ModelSpec
+
+#: Relative slack of the decode roofline's upper bound on its FLOP sum.
+_FLOP_BOUND_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,28 +94,53 @@ class PerformanceModel:
         ``context_lengths`` holds the current context length (prompt +
         generated so far) of each sequence in the running batch.
         """
-        batch_size = len(context_lengths)
-        if batch_size == 0:
-            return 0.0
-        if batch_size == 1:
-            # Scalar fast path: sum() over one element is exact, so this is
-            # the general expression below evaluated bit-identically.
-            ctx = context_lengths[0]
-            kv_bytes = self._kv_bytes_per_token * float(ctx)
-            memory_time = (self._weight_bytes + kv_bytes) / self._decode_bandwidth
-            flops = self._flops_dense + self._flops_attn_per_ctx * max(ctx, 0.0)
-            compute_time = flops / self._peak_compute
-            return max(memory_time, compute_time) + self._step_overhead
-        kv_bytes = self._kv_bytes_per_token * float(sum(context_lengths))
-        memory_time = (self._weight_bytes + kv_bytes) / self._decode_bandwidth
-        # Dense FLOPs for the batch; only matters for very large batches.
-        # Same per-element expression and summation order as calling
-        # ModelSpec.flops_per_token per sequence.
+        return self.decode_run_step_times(context_lengths, 1)[0]
+
+    def decode_run_step_times(
+        self, context_lengths: Sequence[int], steps: int
+    ) -> List[float]:
+        """Durations of ``steps`` consecutive decode steps of one batch.
+
+        Step ``j`` (from 0) is :meth:`decode_step_time` of the lengths
+        ``ctx + j``: every sequence gains one token per step.  A step costs
+        O(1) until its compute term could matter: the memory term reads only
+        the integer sum of the lengths, and the per-sequence FLOP sum is
+        evaluated only when a certified upper bound on it reaches the memory
+        term.  Below that, ``max()`` returns the memory term whatever the
+        exact sum is, so every duration is bit-identical either way.
+        """
+        batch = len(context_lengths)
+        if batch == 0:
+            return [0.0] * steps
+        kv_per_token = self._kv_bytes_per_token
+        weight_bytes = self._weight_bytes
+        bandwidth = self._decode_bandwidth
         dense = self._flops_dense
         attn = self._flops_attn_per_ctx
-        flops = sum(dense + attn * max(ctx, 0.0) for ctx in context_lengths)
-        compute_time = flops / self._peak_compute
-        return max(memory_time, compute_time) + self._step_overhead
+        peak = self._peak_compute
+        overhead = self._step_overhead
+        batch_dense = batch * dense
+        total_context = sum(context_lengths)
+        times: List[float] = []
+        for step in range(steps):
+            kv_bytes = kv_per_token * float(total_context)
+            memory_time = (weight_bytes + kv_bytes) / bandwidth
+            # Context lengths are non-negative, so the exact sum below is
+            # the real ``batch * dense + attn * total`` with a relative
+            # rounding error of at most (batch + 2) * 2**-53; evaluating
+            # this bound adds five more roundings.  The 1e-9 margin covers
+            # both for any batch below 9e6, so the bound is at least the
+            # exact compute term.
+            bound = (batch_dense + attn * total_context) * _FLOP_BOUND_MARGIN / peak
+            if bound < memory_time:
+                times.append(memory_time + overhead)
+            else:
+                # Same per-element expression and summation order as
+                # calling ModelSpec.flops_per_token per sequence.
+                flops = sum([dense + attn * max(ctx + step, 0.0) for ctx in context_lengths])
+                times.append(max(memory_time, flops / peak) + overhead)
+            total_context += batch
+        return times
 
     # -- mixed (chunked prefill) ------------------------------------------
     def mixed_step_time(

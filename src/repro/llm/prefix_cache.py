@@ -43,6 +43,7 @@ class PrefixCache:
 
     def __init__(self, config: KVCacheConfig):
         self.config = config
+        self.block_size: int = config.block_size
         self.allocator = BlockAllocator(config)
         self._allocations: Dict[int, SequenceAllocation] = {}
         # Cumulative counters for cache-efficiency reporting.
@@ -50,10 +51,6 @@ class PrefixCache:
         self.prompt_tokens_seen: int = 0
 
     # -- inspection -------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        return self.config.block_size
-
     @property
     def enabled(self) -> bool:
         return self.config.enable_prefix_caching
@@ -213,21 +210,40 @@ class PrefixCache:
         allocation.num_registered_blocks = computed_blocks
 
     # -- decode -------------------------------------------------------------
+    def spare_tokens(self, request: LLMRequest) -> int:
+        """Tokens ``request``'s block table still covers beyond its context.
+
+        Negative while a sequence re-admitted after recompute preemption is
+        still re-growing its table (it was allocated its prompt's blocks
+        only).  The next token needs a block exactly when this is ``<= 0``.
+        """
+        return (
+            len(request.block_ids) * self.block_size
+            - request.num_prompt_tokens
+            - request.num_output_tokens
+        )
+
     def append_token(self, request: LLMRequest, now: float = 0.0) -> bool:
         """Reserve KV space for one generated token; False if out of memory."""
-        allocation = self._allocations.get(request.request_id)
-        if allocation is None:
+        if request.request_id not in self._allocations:
             raise KeyError(f"request {request.request_id} has no allocation")
-        new_context = request.context_length + 1
-        blocks_needed = -(-new_context // self.block_size)
-        if blocks_needed <= len(allocation.block_ids):
+        if self.spare_tokens(request) > 0:
             return True
         if not self.allocator.can_allocate(1):
             return False
-        new_block = self.allocator.allocate(1, now=now)[0]
-        allocation.block_ids.append(new_block)
-        request.block_ids = allocation.block_ids
+        self.append_block(request, now=now)
         return True
+
+    def append_block(self, request: LLMRequest, now: float = 0.0) -> None:
+        """Grow ``request``'s block table by one block.
+
+        For callers that already know the next token needs exactly one
+        block and that the free pool holds it (:meth:`append_token` checks
+        both; the engine's decode-run plan proves them ahead of time).
+        """
+        allocation = self._allocations[request.request_id]
+        allocation.block_ids.append(self.allocator.allocate(1, now=now)[0])
+        request.block_ids = allocation.block_ids
 
     def reserve_tokens(self, request: LLMRequest, num_tokens: int, now: float = 0.0) -> bool:
         """Reserve KV space for ``num_tokens`` upcoming tokens in one call.

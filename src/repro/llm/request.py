@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.llm.tokenizer import Prompt, SegmentKind, TokenSpan, block_hashes
+from repro.llm.tokenizer import (
+    Prompt,
+    SegmentKind,
+    SyntheticTokenizer,
+    TokenSpan,
+    block_hashes,
+)
 
 _request_counter = itertools.count()
 
@@ -75,7 +81,13 @@ class RequestTimings:
 
 
 class LLMRequest:
-    """A single LLM inference call tracked by the engine."""
+    """A single LLM inference call tracked by the engine.
+
+    Its sizes are plain counters: the engine advances
+    ``num_output_tokens`` by a step's tokens, or by a replayed chunk of a
+    decode run at once, and the generated ids are produced from the count
+    only where they are read (:attr:`output_token_ids`).
+    """
 
     __slots__ = (
         "request_id",
@@ -85,11 +97,14 @@ class LLMRequest:
         "metadata",
         "state",
         "timings",
-        "output_token_ids",
+        "num_prompt_tokens",
+        "num_output_tokens",
+        "target_output_tokens",
         "num_cached_tokens",
         "num_computed_tokens",
         "block_ids",
         "completion_event",
+        "tokenizer",
         "_prompt_hashes",
     )
 
@@ -108,7 +123,9 @@ class LLMRequest:
         self.state = RequestState.WAITING
         self.timings = RequestTimings(arrival=arrival_time)
 
-        self.output_token_ids: List[int] = []
+        self.num_prompt_tokens: int = len(self.prompt_token_ids)
+        self.num_output_tokens: int = 0
+        self.target_output_tokens: int = sampling.effective_output_tokens
         self.num_cached_tokens: int = 0
         # Prompt tokens whose KV entries exist (cached prefix + chunks
         # computed so far).  Only chunked prefill advances this in stages;
@@ -116,24 +133,15 @@ class LLMRequest:
         self.num_computed_tokens: int = 0
         self.block_ids: List[int] = []
         self.completion_event: Any = None  # set by the client/engine
+        # The tokenizer the output ids are drawn from; set by the engine the
+        # request is submitted to.
+        self.tokenizer: Optional[SyntheticTokenizer] = None
         # Memoized chained block hashes of the (immutable) prompt, keyed by
         # block size.  The scheduler re-hashes waiting prompts on every
         # admission attempt otherwise, which dominates contended runs.
         self._prompt_hashes: Optional[Tuple[int, List[int]]] = None
 
     # -- sizes --------------------------------------------------------------
-    @property
-    def num_prompt_tokens(self) -> int:
-        return len(self.prompt_token_ids)
-
-    @property
-    def num_output_tokens(self) -> int:
-        return len(self.output_token_ids)
-
-    @property
-    def target_output_tokens(self) -> int:
-        return self.sampling.effective_output_tokens
-
     @property
     def context_length(self) -> int:
         return self.num_prompt_tokens + self.num_output_tokens
@@ -142,8 +150,21 @@ class LLMRequest:
     def remaining_output_tokens(self) -> int:
         return max(0, self.target_output_tokens - self.num_output_tokens)
 
+    # -- generated ids --------------------------------------------------------
+    @property
+    def output_stream(self) -> str:
+        """The tokenizer stream the generated ids are the prefix of."""
+        return f"output:{self.request_id}"
+
+    @property
+    def output_token_ids(self) -> Tuple[int, ...]:
+        """The ``num_output_tokens`` ids generated so far, produced on read."""
+        if not self.num_output_tokens:
+            return ()
+        return self.tokenizer.synthetic_tokens(self.output_stream, self.num_output_tokens)
+
     def all_token_ids(self) -> Tuple[int, ...]:
-        return self.prompt_token_ids + tuple(self.output_token_ids)
+        return self.prompt_token_ids + self.output_token_ids
 
     def prompt_block_hashes(self, block_size: int) -> List[int]:
         """Chained block hashes of the prompt, computed once per request."""
@@ -161,7 +182,7 @@ class LLMRequest:
             prompt_tokens=self.num_prompt_tokens,
             cached_prompt_tokens=self.num_cached_tokens,
             output_tokens=self.num_output_tokens,
-            output_token_ids=tuple(self.output_token_ids),
+            output_token_ids=self.output_token_ids,
             prompt_tokens_by_kind={k: v for k, v in counts.items() if v},
             queue_time=self.timings.queue_time,
             prefill_time=self.timings.prefill_time,

@@ -585,17 +585,25 @@ class Scheduler:
 
     def _schedule_decode(self, now: float) -> ScheduledStep:
         # Reserve KV space for the next token of every running sequence,
-        # preempting the newest sequences if the cache is exhausted.  Victim
-        # and protection checks use sets (requests hash by identity), keeping
-        # this pass O(n) in the common (no-preemption) case instead of O(n^2).
+        # preempting the newest sequences if the cache is exhausted.  A
+        # sequence whose block table already covers its next token needs no
+        # KV call; only one at a block boundary allocates (in running order,
+        # so allocation and LRU order are the per-sequence ones), and only
+        # those can preempt.  Victim and protection checks use sets (requests
+        # hash by identity), keeping this pass O(n) in the common
+        # (no-preemption) case instead of O(n^2).
         scheduled: List[LLMRequest] = []
         protected: Set[LLMRequest] = set()
         preempted: Set[LLMRequest] = set()
+        spare_tokens = self.kv_cache.spare_tokens
         for request in list(self.running):
             if request in preempted:
                 # Already preempted as a victim earlier in this pass.
                 continue
             protected.add(request)
+            if spare_tokens(request) > 0:
+                scheduled.append(request)
+                continue
             reserved = self.kv_cache.append_token(request, now=now)
             while not reserved:
                 victim = self._pick_preemption_victim(protected=protected)

@@ -15,9 +15,14 @@ so identical content always maps to identical ids.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+
+#: One 32-byte stream digest as its eight little-endian 32-bit words.
+_EIGHT_WORDS = struct.Struct("<8I")
 
 
 class SegmentKind(str, Enum):
@@ -129,41 +134,36 @@ class SyntheticTokenizer:
         """Token count of ``text`` without materialising ids."""
         return len(self.encode(text))
 
-    def synthetic_tokens(self, stream: str, count: int, start: int = 0) -> Tuple[int, ...]:
-        """Deterministic token ids ``[start, count)`` of a named content stream.
+    def synthetic_tokens(self, stream: str, count: int) -> Tuple[int, ...]:
+        """The first ``count`` deterministic token ids of a named content stream.
 
         Ids come in independent 8-id blocks -- one 32-byte digest of
-        ``"{stream}:{block_index}"`` each -- so a suffix can be produced
-        without materialising the prefix: ``synthetic_tokens(s, n, start=k)``
-        equals ``synthetic_tokens(s, n)[k:]`` by construction.  The engine's
-        decode replay uses this to extend a request's output stream in
-        amortised constant time per token.
+        ``"{stream}:{block_index}"`` each, read as eight little-endian
+        32-bit words -- so a memoized stream grows by whole blocks without
+        re-hashing its prefix.
         """
-        if count <= start or count <= 0:
+        if count <= 0:
             return ()
         cached = self._stream_cache.get(stream, ())
         if len(cached) < count:
             # Grow the memoized stream by whole blocks (the cache length is
             # always a multiple of 8, so the next digest index is exact).
-            vocab = self.vocab_size
-            ids = list(cached)
-            append = ids.append
-            block_index = len(ids) // 8
-            while len(ids) < count:
+            words: List[int] = []
+            for block_index in range(len(cached) // 8, -(-count // 8)):
                 digest = hashlib.blake2b(
                     f"{stream}:{block_index}".encode("utf-8"), digest_size=32
                 ).digest()
-                for offset in range(0, len(digest), 4):
-                    append(
-                        int.from_bytes(digest[offset : offset + 4], "little")
-                        % vocab
-                    )
-                block_index += 1
-            cached = tuple(ids)
+                words += _EIGHT_WORDS.unpack(digest)
+            vocab = self.vocab_size
+            cached += tuple([word % vocab for word in words])
             self._stream_cache[stream] = cached
-        if start == 0 and count == len(cached):
+        if count == len(cached):
             return cached
-        return cached[start:count]
+        return cached[:count]
+
+    def forget_stream(self, stream: str) -> None:
+        """Drop ``stream`` from the memo (it is rebuilt, identically, on demand)."""
+        self._stream_cache.pop(stream, None)
 
     def span(self, kind: SegmentKind, stream: str, count: int) -> TokenSpan:
         """Convenience constructor for a synthetic span."""

@@ -21,6 +21,7 @@ def test_a_against_a_reports_every_end_to_end_metric():
     report = json.loads(completed.stdout.strip().splitlines()[-1])
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert report["healthy"] is True and report["pairs"] == 1
+    assert report["outputs_identical"] is True
     assert set(report["metrics"]) == {metric["name"] for metric in config["end_to_end"]}
     for entry in report["metrics"].values():
         assert entry["base"]["median"] > 0 and entry["change"]["median"] > 0

@@ -16,6 +16,7 @@ boundary.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from unittest import mock
@@ -38,9 +39,9 @@ from repro.api import (
     run_experiment,
 )
 from repro.api.runners import _build_plan
-from repro.llm import EngineConfig, LLMClient, LLMEngine
+from repro.llm import EngineConfig, LLMClient, LLMEngine, PerformanceModel, PrefixCache
 from repro.llm.request import reset_request_ids
-from repro.llm.tokenizer import Prompt, SegmentKind
+from repro.llm.tokenizer import Prompt, SegmentKind, SyntheticTokenizer
 from repro.sim import Environment
 
 from tests.test_cluster_and_policies import tiny_kv_engine_config
@@ -463,9 +464,15 @@ class TestFleetEquivalence:
 class TestPinnedCounters:
     """Exact work counters of one tiny fleet.
 
-    Both counters are pure functions of the spec, so a change that makes
+    Every counter is a pure function of the spec, so a change that makes
     decode runs stop at other engines' events again (over 2,500 events
-    with fast-forward on) fails here exactly, not by timing noise.
+    with fast-forward on) fails here exactly, not by timing noise.  So does
+    a return to per-token or per-request work inside a run: a roofline
+    call per virtual step rather than one per run
+    (``decode_run_step_times``, which ``decode_step_time`` also goes
+    through), a KV call for every running sequence rather than for those at
+    a block boundary (``append_token``), or materialising output ids per
+    token (``synthetic_tokens``).
     """
 
     SPEC = ExperimentSpec(
@@ -479,24 +486,55 @@ class TestPinnedCounters:
         seed=11,
     )
     ENGINE_STEPS = 2693
+    COUNTED = (
+        (PerformanceModel, "decode_run_step_times"),
+        (PrefixCache, "append_token"),
+        (SyntheticTokenizer, "synthetic_tokens"),
+    )
 
     def counters(self, fast_forward: bool):
-        """(events processed, non-idle engine steps) of one served run."""
+        """(events processed, non-idle engine steps, calls of each COUNTED
+        method) of one served run."""
         reset_request_ids()
-        system = SystemBuilder(
-            self.SPEC.with_overrides(decode_fast_forward=fast_forward)
-        ).build()
-        ServingDriver(system).serve(_build_plan(system))
+        calls = {name: 0 for _, name in self.COUNTED}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        with contextlib.ExitStack() as stack:
+            for owner, name in self.COUNTED:
+                stack.enter_context(
+                    mock.patch.object(
+                        owner, name, counting(name, getattr(owner, name))
+                    )
+                )
+            system = SystemBuilder(
+                self.SPEC.with_overrides(decode_fast_forward=fast_forward)
+            ).build()
+            ServingDriver(system).serve(_build_plan(system))
         steps = sum(
             1
             for engine in system.cluster.engines
             for record in engine.step_records
             if record.kind != "idle"
         )
-        return system.env.events_processed, steps
+        return (
+            system.env.events_processed,
+            steps,
+            *(calls[name] for _, name in self.COUNTED),
+        )
 
     def test_fast_forward_on(self):
-        assert self.counters(True) == (156, self.ENGINE_STEPS)
+        # One roofline evaluation per run start, a KV call only for a
+        # sequence at a block boundary when a run starts, and token ids
+        # produced once per prompt and twice per finished request (for its
+        # prefix-cache hash and for its result).
+        assert self.counters(True) == (156, self.ENGINE_STEPS, 25, 1, 48)
 
     def test_fast_forward_off(self):
-        assert self.counters(False) == (2798, self.ENGINE_STEPS)
+        # Every step is a real step here: one roofline evaluation each.
+        assert self.counters(False) == (2798, self.ENGINE_STEPS, 2677, 322, 48)

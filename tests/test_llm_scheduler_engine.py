@@ -27,7 +27,11 @@ TOKENIZER = SyntheticTokenizer()
 def make_request(prompt_tokens: int, output_tokens: int = 16, stream: str = "req") -> LLMRequest:
     prompt = Prompt()
     prompt.append(TOKENIZER.span(SegmentKind.USER, stream, prompt_tokens))
-    return LLMRequest(prompt=prompt, sampling=SamplingParams(output_tokens=output_tokens))
+    request = LLMRequest(prompt=prompt, sampling=SamplingParams(output_tokens=output_tokens))
+    # What an engine stamps at submit: a request's output ids are drawn from
+    # it when a preemption or a finish frees and hashes the request.
+    request.tokenizer = TOKENIZER
+    return request
 
 
 def make_scheduler(num_blocks: int = 256, **scheduler_kwargs) -> Scheduler:
@@ -122,7 +126,7 @@ class TestScheduler:
         scheduler.on_prefill_complete(step.prefills)
         # Simulate decoding until block boundaries force new allocations.
         for request in (first, second):
-            request.output_token_ids.extend(range(16))
+            request.num_output_tokens += 16
         decode = scheduler.schedule()
         assert decode.kind is StepKind.DECODE
         assert scheduler.preemption_count >= 1

@@ -233,7 +233,7 @@ class TestIndexMatchesScan:
                     reference.on_scheduled(request)
                     policy.on_scheduled(request, 0.0)
                 else:
-                    request.output_token_ids.extend(range(draw % 5))
+                    request.num_output_tokens += draw % 5
                     reference.on_complete(request)
                     policy.on_complete(request, 0.0)
         while waiting:
@@ -314,7 +314,7 @@ class TestVirtualTokenCounter:
         request = make_request(prompt_tokens=10, stream="x", metadata={"tenant": "u1"})
         policy.on_scheduled(request, 0.0)
         assert policy.counters["u1"] == pytest.approx(10.0)
-        request.output_token_ids.extend([1, 2, 3])
+        request.num_output_tokens += 3
         policy.on_complete(request, 1.0)
         assert policy.counters["u1"] == pytest.approx(10.0 + 2.0 * 3)
 
@@ -341,7 +341,7 @@ class TestVirtualTokenCounter:
         served = make_request(prompt_tokens=10, stream="s", metadata={"tenant": "a"})
         policy.on_scheduled(served, 0.0)
         policy.push(make_request(stream="n", metadata={"tenant": "new"}))
-        served.output_token_ids.extend([1, 2, 3, 4, 5])
+        served.num_output_tokens += 5
         policy.on_complete(served, 1.0)  # the minimum moves 10 -> 20
         assert "new" not in policy.counters
         policy.peek()

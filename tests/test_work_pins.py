@@ -32,23 +32,23 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 PINS = {
     ("characterization", 0.1): (
         "1c7b1d590db77f579d078beec0293f59bd27c2460670ef9396cd92f0524a2944",
-        3983, 33382, 0, 744, 6937, 3464,
+        3983, 33382, 0, 744, 6937, 1700,
     ),
     ("fleet16", 0.1): (
         "e446bf36923040434fd648bfc16470e50a83c77fd6267a04c195968cb58e7da2",
-        839, 17578, 0, 90, 1948, 333,
+        839, 17578, 0, 90, 1948, 270,
     ),
     ("hetero_sessions", 0.1): (
         "03fead79ec8fb588a9ec1af74d6ffdabfac529998d67169fe4f8e0e866cb239d",
-        2161, 16205, 0, 205, 3570, 2623,
+        2161, 16205, 0, 205, 3570, 597,
     ),
     ("kv1k", 0.1): (
         "baa98aaf619a58b98e39c168c5d36278d2898ff6951a1540cd5e1ac403dfcba4",
-        2006, 1326, 0, 364, 4275, 24327,
+        2006, 1326, 0, 364, 4275, 1063,
     ),
     ("kv1k", 0.5): (
         "396454bfd50733700a02eeb584a5fb420529d9e45a8c43d32df00f25cd5a54d1",
-        8384, 1500, 545, 1732, 22417, 157141,
+        8384, 1500, 545, 1732, 22417, 5585,
     ),
 }
 
