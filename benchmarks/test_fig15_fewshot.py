@@ -16,18 +16,22 @@ def test_fig15_few_shot_sweep(run_once):
     print()
     print(result.format())
 
-    for benchmark, sweep in result.sweeps.items():
-        points = {p.config["num_few_shot"]: p for p in sweep.points}
+    for benchmark in ("hotpotqa", "webshop"):
+        points = {
+            row["num_few_shot"]: row
+            for row in result.rows()
+            if row["benchmark"] == benchmark
+        }
 
         # A few examples improve accuracy over zero-shot ...
-        assert points[2].accuracy >= points[0].accuracy
+        assert points[2]["accuracy"] >= points[0]["accuracy"]
         # ... with diminishing (or negative) returns beyond that.
-        assert points[5].accuracy <= points[2].accuracy + 0.15
+        assert points[5]["accuracy"] <= points[2]["accuracy"] + 0.15
 
         # Average latency does not grow with more examples: better-guided
         # agents need fewer reasoning steps (the paper's counterintuitive
         # finding), even though each prompt is longer.
-        assert points[3].latency_s <= points[0].latency_s * 1.25
+        assert points[3]["avg_latency_s"] <= points[0]["avg_latency_s"] * 1.25
 
         # Efficiency-optimal prompt uses at least one example.
-        assert sweep.best_efficiency().config["num_few_shot"] >= 1
+        assert result.best_efficiency(workload=benchmark)["num_few_shot"] >= 1

@@ -3,7 +3,6 @@
 from bench_utils import scaled
 
 from repro.analysis import figure16
-from repro.core import diminishing_returns
 
 
 def test_fig16_sequential_vs_parallel_scaling(run_once):
@@ -18,21 +17,25 @@ def test_fig16_sequential_vs_parallel_scaling(run_once):
     print()
     print(result.format())
 
+    def sweep(scaling, parameter):
+        rows = (row for row in result.rows() if row["scaling"] == scaling)
+        return sorted(rows, key=lambda row: row[parameter])
+
     # Sequential scaling (Reflexion): more reflection trials -> more latency,
     # accuracy improves with diminishing returns.
-    reflexion = sorted(result.reflexion_sequential.points, key=lambda p: p.config["max_trials"])
-    assert reflexion[-1].latency_s > reflexion[0].latency_s
-    assert reflexion[-1].accuracy >= reflexion[0].accuracy
-    marginals = diminishing_returns(reflexion)
+    reflexion = sweep("reflexion_sequential", "max_trials")
+    assert reflexion[-1]["avg_latency_s"] > reflexion[0]["avg_latency_s"]
+    assert reflexion[-1]["accuracy"] >= reflexion[0]["accuracy"]
+    marginals = result.diminishing_returns(agent="reflexion")
     assert marginals[-1] <= max(marginals[0], 0.02)
 
     # Sequential scaling (LATS): larger expansion budgets never reduce accuracy.
-    lats_seq = sorted(result.lats_sequential.points, key=lambda p: p.config["max_expansions"])
-    assert lats_seq[-1].accuracy >= lats_seq[0].accuracy - 0.05
-    assert lats_seq[-1].latency_s >= lats_seq[0].latency_s * 0.8
+    lats_seq = sweep("lats_sequential", "max_expansions")
+    assert lats_seq[-1]["accuracy"] >= lats_seq[0]["accuracy"] - 0.05
+    assert lats_seq[-1]["avg_latency_s"] >= lats_seq[0]["avg_latency_s"] * 0.8
 
     # Parallel scaling (LATS children 1 -> 16): accuracy improves while the
     # end-to-end latency does not grow (the paper observes it *drops*).
-    parallel = sorted(result.lats_parallel.points, key=lambda p: p.config["num_children"])
-    assert parallel[-1].accuracy >= parallel[0].accuracy
-    assert parallel[-1].latency_s <= parallel[0].latency_s * 1.1
+    parallel = sweep("lats_parallel", "num_children")
+    assert parallel[-1]["accuracy"] >= parallel[0]["accuracy"]
+    assert parallel[-1]["avg_latency_s"] <= parallel[0]["avg_latency_s"] * 1.1

@@ -17,11 +17,14 @@ def test_fig17_model_size_effects(run_once):
     print()
     print(result.format())
 
+    def sweep(agent, model):
+        return [row for row in result.rows() if (row["agent"], row["model"]) == (agent, model)]
+
     def best(agent, model, metric):
-        return max(getattr(p, metric) for p in result.sweeps[(agent, model)].points)
+        return max(row[metric] for row in sweep(agent, model))
 
     def best_accuracy(agent, model):
-        return max(p.accuracy for p in result.sweeps[(agent, model)].points)
+        return max(row["accuracy"] for row in sweep(agent, model))
 
     # The 70B model reaches higher accuracy than 8B for the sequential-scaling
     # agent (Reflexion), and at least matches it for LATS.
@@ -37,11 +40,12 @@ def test_fig17_model_size_effects(run_once):
     # The 8B deployment is far cheaper in energy per request at comparable
     # scaling levels (1 GPU vs 8 GPUs).
     for agent in ("reflexion", "lats"):
-        energy_8b = max(p.energy_wh for p in result.sweeps[(agent, "8b")].points)
-        energy_70b = max(p.energy_wh for p in result.sweeps[(agent, "70b")].points)
+        energy_8b = max(row["energy_wh"] for row in sweep(agent, "8b"))
+        energy_70b = max(row["energy_wh"] for row in sweep(agent, "70b"))
         assert energy_70b > energy_8b
 
     # Token usage grows with deeper scaling for both model sizes.
-    for (agent, model), sweep in result.sweeps.items():
-        ordered = sorted(sweep.points, key=lambda p: list(p.config.values())[0])
-        assert ordered[-1].total_tokens >= ordered[0].total_tokens * 0.8
+    for agent in ("reflexion", "lats"):
+        for model in ("8b", "70b"):
+            ordered = sorted(sweep(agent, model), key=lambda row: row["scaling_level"])
+            assert ordered[-1]["total_tokens"] >= ordered[0]["total_tokens"] * 0.8

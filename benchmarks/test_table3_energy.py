@@ -10,26 +10,30 @@ def test_table3_per_request_energy(run_once):
     print()
     print(result.format())
 
-    rows = {(row.model, row.workload): row for row in result.rows_data}
+    rows = {(row["model"], row["workload"]): row for row in result.rows()}
+
+    def accuracy(model, agent):
+        return result.metric("accuracy", model=model, agent=agent)
 
     for model in ("8b", "70b"):
         baseline = rows[(model, "sharegpt")]
         # Single-turn inference is cheap: a fraction of a Wh (8B) to a few Wh (70B).
-        assert baseline.energy_wh < 5.0
+        assert baseline["energy_wh_per_query"] < 5.0
         for agent in ("reflexion", "lats"):
             row = rows[(model, agent)]
             # Agentic test-time scaling costs at least an order of magnitude
             # more latency and energy per query than single-turn inference
             # (paper: 48x-154x latency, 62x-136x energy).
-            assert row.latency_vs_sharegpt > 5.0
-            assert row.energy_vs_sharegpt > 5.0
-            assert row.accuracy is not None
+            assert row["latency_x_sharegpt"] > 5.0
+            assert row["energy_x_sharegpt"] > 5.0
+            assert accuracy(model, agent) is not None
 
     # The 70B deployment consumes far more energy per query than 8B.
-    assert rows[("70b", "sharegpt")].energy_wh > rows[("8b", "sharegpt")].energy_wh
-    assert rows[("70b", "reflexion")].energy_wh > rows[("8b", "reflexion")].energy_wh
+    energy = {key: row["energy_wh_per_query"] for key, row in rows.items()}
+    assert energy[("70b", "sharegpt")] > energy[("8b", "sharegpt")]
+    assert energy[("70b", "reflexion")] > energy[("8b", "reflexion")]
 
     # LATS (parallel scaling) reaches higher accuracy than Reflexion
     # (sequential scaling) on HotpotQA for both model sizes.
     for model in ("8b", "70b"):
-        assert rows[(model, "lats")].accuracy >= rows[(model, "reflexion")].accuracy
+        assert accuracy(model, "lats") >= accuracy(model, "reflexion")

@@ -15,9 +15,24 @@ import argparse
 
 from repro.agents import PAPER_AGENTS
 from repro.analysis import default_config, format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
-from repro.core import DesignPoint, normalized_efficiency, pareto_frontier
+from repro.analysis.figures import design_accuracy
+from repro.analysis.study_view import DesignSpaceView
+from repro.api import ArrivalSpec, ExperimentSpec, StudySpec, run_study
 from repro.workloads import create_workload
+
+
+class AgentDesignSpace(DesignSpaceView):
+    """One point per agent: accuracy against mean latency, plus its costs."""
+
+    LABELS = (("agent", "agent"),)
+    METRICS = (
+        ("accuracy", design_accuracy),
+        ("latency_s", "mean_latency"),
+        ("p95_s", "p95_latency"),
+        ("tokens", "mean_total_tokens"),
+        ("energy_wh", "energy_wh_per_query"),
+    )
+    COST, QUALITY = "latency_s", "accuracy"
 
 
 def main() -> None:
@@ -28,55 +43,27 @@ def main() -> None:
     args = parser.parse_args()
 
     workload = create_workload(args.benchmark)
-
-    points: list[DesignPoint] = []
-    for agent in PAPER_AGENTS:
-        if not workload.supports_agent(agent):
-            continue
-        spec = ExperimentSpec(
-            agent=agent,
+    study = StudySpec(
+        base=ExperimentSpec(
             workload=args.benchmark,
             model=args.model,
             agent_config=default_config(args.benchmark),
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
-        )
-        result = run_experiment(spec)
-        points.append(
-            DesignPoint(
-                label=agent,
-                agent=agent,
-                benchmark=args.benchmark,
-                accuracy=result.mean_score if args.benchmark == "webshop" else result.accuracy,
-                latency_s=result.mean_latency,
-                total_tokens=result.mean_total_tokens,
-                energy_wh=result.energy_wh_per_query,
-                p95_latency_s=result.latency_stats.p95,
-            )
-        )
-
-    efficiency = normalized_efficiency(points)
-    frontier = pareto_frontier(
-        points,
-        cost=lambda point: point.latency_s,
-        quality=lambda point: point.accuracy,
-        minimize_quality=False,
+        ),
+        points=tuple({"agent": agent} for agent in PAPER_AGENTS if workload.supports_agent(agent)),
+        name="agent-design-space",
     )
-    frontier_labels = {point.label for point in frontier}
+    view = AgentDesignSpace(
+        result=run_study(study), title=f"Agent design space on {args.benchmark} ({args.model})"
+    )
+
+    frontier = set(view.frontier_labels("agent"))
     rows = [
-        {
-            "agent": point.agent,
-            "accuracy": point.accuracy,
-            "latency_s": point.latency_s,
-            "p95_s": point.p95_latency_s,
-            "tokens": point.total_tokens,
-            "energy_wh": point.energy_wh,
-            "efficiency_norm": efficiency[point.label],
-            "pareto": "*" if point.label in frontier_labels else "",
-        }
-        for point in sorted(points, key=lambda p: p.latency_s)
+        {**row, "efficiency_norm": norm, "pareto": "*" if row["agent"] in frontier else ""}
+        for row, norm in zip(view.rows(), view.normalized_efficiency())
     ]
-    print(format_table(rows, f"Agent design space on {args.benchmark} ({args.model})"))
+    print(format_table(sorted(rows, key=lambda row: row["latency_s"]), view.title))
     print("\n'*' marks the accuracy/latency Pareto frontier.")
     print("As in the paper, accuracy rises with compute but with rapidly diminishing returns.")
 

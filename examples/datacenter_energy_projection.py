@@ -36,15 +36,18 @@ def main() -> None:
     print()
 
     rows = []
-    for row in measured.rows_data:
+    for row in measured.rows():
+        workload, model = row["workload"], row["model"]
         for label, traffic in (
             ("ChatGPT today (71.4M q/day)", CHATGPT_QUERIES_PER_DAY),
             ("Google scale (13.7B q/day)", GOOGLE_QUERIES_PER_DAY),
         ):
-            projection = project_power(f"{row.workload}-{row.model}", row.energy_wh, traffic)
+            projection = project_power(
+                f"{workload}-{model}", row["energy_wh_per_query"], traffic
+            )
             rows.append(
                 {
-                    "workload": f"{row.workload} ({row.model})",
+                    "workload": f"{workload} ({model})",
                     "traffic": label,
                     "power": format_power(projection.power_watts),
                     "daily_energy_gwh": projection.daily_energy_gwh,

@@ -14,8 +14,36 @@ from __future__ import annotations
 import argparse
 
 from repro.agents import AgentConfig
-from repro.analysis import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.analysis.study_view import StudyView
+from repro.api import ArrivalSpec, ExperimentSpec, StudySpec, run_study
+
+#: Each agent's scaling knob, the levels it takes, and its base configuration.
+SCALING = {
+    "reflexion": ("sequential trials", "max_trials", (1, 2, 4, 8), AgentConfig(max_iterations=7)),
+    "lats": (
+        "parallel children",
+        "num_children",
+        (1, 4, 8, 16),
+        AgentConfig(max_iterations=7, max_expansions=16),
+    ),
+}
+
+
+def scaling_level(point) -> str:
+    kind, knob, _, _ = SCALING[point.coords["agent"]]
+    return f"{kind}={point.coords[f'agent_config.{knob}']}"
+
+
+class ScalingLevels(StudyView):
+    """One row per (model, agent, scaling level)."""
+
+    LABELS = (("model", "model"), ("agent", "agent"), ("scaling", scaling_level))
+    METRICS = (
+        ("accuracy", "accuracy"),
+        ("latency_s", "mean_latency"),
+        ("tokens", "mean_total_tokens"),
+        ("energy_wh", "energy_wh_per_query"),
+    )
 
 
 def main() -> None:
@@ -24,50 +52,21 @@ def main() -> None:
     parser.add_argument("--models", nargs="+", default=["8b", "70b"])
     args = parser.parse_args()
 
-    def characterize(agent: str, config: AgentConfig, model: str):
-        spec = ExperimentSpec(
-            agent=agent,
+    study = StudySpec(
+        base=ExperimentSpec(
             workload="hotpotqa",
-            model=model,
-            agent_config=config,
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
-        )
-        return run_experiment(spec)
-
-    rows = []
-    for model in args.models:
-        for trials in (1, 2, 4, 8):
-            config = AgentConfig(max_iterations=7, max_trials=trials)
-            result = characterize("reflexion", config, model)
-            rows.append(
-                {
-                    "model": model,
-                    "agent": "reflexion",
-                    "scaling": f"sequential trials={trials}",
-                    "accuracy": result.accuracy,
-                    "latency_s": result.mean_latency,
-                    "tokens": result.mean_total_tokens,
-                    "energy_wh": result.energy_wh_per_query,
-                }
-            )
-
-        for children in (1, 4, 8, 16):
-            config = AgentConfig(max_iterations=7, num_children=children, max_expansions=16)
-            result = characterize("lats", config, model)
-            rows.append(
-                {
-                    "model": model,
-                    "agent": "lats",
-                    "scaling": f"parallel children={children}",
-                    "accuracy": result.accuracy,
-                    "latency_s": result.mean_latency,
-                    "tokens": result.mean_total_tokens,
-                    "energy_wh": result.energy_wh_per_query,
-                }
-            )
-
-    print(format_table(rows, "Test-time scaling on HotpotQA"))
+        ),
+        points=tuple(
+            {"model": model, "agent": agent, "agent_config": config, f"agent_config.{knob}": level}
+            for model in args.models
+            for agent, (_, knob, levels, config) in SCALING.items()
+            for level in levels
+        ),
+        name="test-time-scaling",
+    )
+    print(ScalingLevels(result=run_study(study), title="Test-time scaling on HotpotQA").format())
     print()
     print("Expected shapes (as in the paper):")
     print(" * sequential scaling buys accuracy at steeply growing latency/energy,")

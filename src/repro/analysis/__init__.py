@@ -37,11 +37,8 @@ from repro.analysis.sessions import (
     sessions_study,
 )
 from repro.analysis.figures import (
-    CharacterizationMatrix,
-    MixedFleetResult,
-    characterization_matrix,
+    characterization_study,
     default_config,
-    mixed_fleet,
     figure4,
     figure5,
     figure6,
@@ -62,12 +59,10 @@ from repro.analysis.tables import table1, table2, table3, table4
 __all__ = [
     "AdmissionStudyResult",
     "BurstProfileResult",
-    "CharacterizationMatrix",
     "EngineFidelityStudyResult",
     "FairnessStudyResult",
     "FleetSizingResult",
     "HeteroFleetResult",
-    "MixedFleetResult",
     "PredictiveScalingResult",
     "PredictorErrorStudyResult",
     "SessionStudyResult",
@@ -81,9 +76,8 @@ __all__ = [
     "predictive_scaling_study",
     "predictor_error_study",
     "sessions_study",
-    "characterization_matrix",
+    "characterization_study",
     "default_config",
-    "mixed_fleet",
     "figure11",
     "figure12",
     "figure13",

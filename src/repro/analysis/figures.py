@@ -1,39 +1,32 @@
 """Regeneration of every figure in the paper's evaluation (Figs. 4-9, 11-17).
 
-Each ``figureN`` function configures the corresponding experiment, runs it on
-the serving simulator, and returns a result object whose ``rows()`` method
-yields the same rows/series the paper plots.  Sample counts default to small
-values so the full suite runs in minutes; pass larger ``num_tasks`` /
-``num_requests`` for tighter estimates (the paper uses 50 tasks per design
-point).
+Each ``figureN`` function declares the figure's experiments as a
+:class:`~repro.api.StudySpec`, runs it with :func:`~repro.api.run_study`,
+and returns a view (:mod:`repro.analysis.study_view`) whose ``rows()``
+yield the rows/series the paper plots and whose methods are the figure's
+headline reads.  Figs. 4, 5, 6 and 8 read one characterization study
+(:func:`characterization_study`); pass it as ``study=`` to draw all four
+from one set of runs.  Sample counts default to small values so the full
+suite runs in minutes; pass larger ``num_tasks`` / ``num_requests`` for
+tighter estimates (the paper uses 50 tasks per design point).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig, PAPER_AGENTS
-from repro.analysis.reporting import format_table
-from repro.analysis.study_view import chat_agent_mixture, chat_agent_pools
+from repro.analysis.study_view import DesignSpaceView, StudyView, accuracy_per_second
 from repro.api import (
     ArrivalSpec,
-    AutoscalerSpec,
     ExperimentSpec,
     ResultSet,
-    StudyAxis,
+    StudyPoint,
     StudyResult,
     StudySpec,
-    run_experiment,
     run_study,
 )
-from repro.core import (
-    DesignPoint,
-    best_accuracy_point,
-    best_efficiency_point,
-    mean,
-    percentile,
-)
+from repro.core import mean
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
 
 #: default design-space defaults per benchmark (iteration budget the paper uses).
@@ -57,294 +50,222 @@ def default_config(benchmark: str, **overrides) -> AgentConfig:
     return base.with_overrides(**overrides) if overrides else base
 
 
+def _characterize(
+    points: Sequence[Dict[str, object]],
+    num_tasks: int,
+    model: str,
+    seed: int,
+    name: str,
+    **fields: object,
+) -> StudyResult:
+    """Run each point on ``num_tasks`` requests sent one at a time (a ``qps``
+    coordinate switches a point to open-loop Poisson arrivals)."""
+    base = ExperimentSpec(
+        model=model,
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
+        **fields,
+    )
+    return run_study(StudySpec(base=base, points=tuple(points), name=name))
+
+
 # ---------------------------------------------------------------------------
-# Shared characterization matrix (Figs. 4, 5, 6, 8, 9 reuse these runs).
+# Figs. 4-9 -- single-request characterization.  Figs. 4, 5, 6 and 8 read
+# one characterization study; Fig. 9 runs it with prefix caching on and off.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CharacterizationMatrix:
-    """Single-request characterization of every (agent, benchmark) pair."""
+def _characterization_points(
+    benchmarks: Sequence[str], agents: Sequence[str]
+) -> List[Dict[str, object]]:
+    """Each benchmark's supported agents, in ``agents`` order, at the
+    benchmark's default configuration; benchmarks in sorted order."""
+    points: List[Dict[str, object]] = []
+    for benchmark in sorted(benchmarks):
+        workload = create_workload(benchmark)
+        points.extend(
+            {"workload": benchmark, "agent": agent, "agent_config": default_config(benchmark)}
+            for agent in agents
+            if workload.supports_agent(agent)
+        )
+    return points
 
-    results: Dict[Tuple[str, str], ResultSet] = field(default_factory=dict)
 
-    def get(self, agent: str, benchmark: str) -> Optional[ResultSet]:
-        return self.results.get((agent, benchmark))
-
-    def pairs(self) -> List[Tuple[str, str]]:
-        return sorted(self.results, key=lambda pair: (pair[1], pair[0]))
-
-
-def characterization_matrix(
+def characterization_study(
     benchmarks: Sequence[str] = AGENTIC_WORKLOADS,
     agents: Sequence[str] = PAPER_AGENTS,
     num_tasks: int = 8,
     model: str = "8b",
     seed: int = 0,
     enable_prefix_caching: bool = True,
-) -> CharacterizationMatrix:
-    """Run every supported (agent, benchmark) pair one request at a time."""
-    matrix = CharacterizationMatrix()
-    base = ExperimentSpec(
-        model=model,
+) -> StudyResult:
+    """Run every supported (agent, benchmark) pair one request at a time,
+    in the (benchmark, agent) order the figures print."""
+    points = _characterization_points(benchmarks, sorted(agents))
+    return _characterize(
+        points, num_tasks, model, seed, "characterization",
         enable_prefix_caching=enable_prefix_caching,
-        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-        seed=seed,
     )
-    for benchmark in benchmarks:
-        workload = create_workload(benchmark, seed=seed)
-        for agent in agents:
-            if not workload.supports_agent(agent):
-                continue
-            spec = base.with_overrides(
-                agent=agent, workload=benchmark, agent_config=default_config(benchmark)
-            )
-            matrix.results[(agent, benchmark)] = run_experiment(spec)
-    return matrix
 
 
-# ---------------------------------------------------------------------------
-# Figure 4 -- LLM and tool invocations per request.
-# ---------------------------------------------------------------------------
+def _given_or_run(study: Optional[StudyResult], kwargs: Dict) -> StudyResult:
+    """``study``, or a characterization study run with ``kwargs``."""
+    return characterization_study(**kwargs) if study is None else study
 
 
-@dataclass
-class Figure4Result:
-    matrix: CharacterizationMatrix
+#: The label columns of the figures drawn per (benchmark, agent) pair.
+_PAIR = (("benchmark", "workload"), ("agent", "agent"))
 
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for agent, benchmark in self.matrix.pairs():
-            result = self.matrix.get(agent, benchmark)
-            rows.append(
-                {
-                    "benchmark": benchmark,
-                    "agent": agent,
-                    "llm_invocations": result.mean_llm_calls,
-                    "tool_invocations": result.mean_tool_calls,
-                }
-            )
-        return rows
+
+def _fraction(breakdown: str, part: str) -> Callable[[ResultSet], float]:
+    """The ``part`` share of a result's latency or GPU ``breakdown``."""
+    return lambda result: getattr(result, breakdown)().fractions[part]
+
+
+class Figure4(StudyView):
+    """Fig. 4: LLM and tool invocations per request."""
+
+    LABELS = _PAIR
+    METRICS = (
+        ("llm_invocations", "mean_llm_calls"),
+        ("tool_invocations", "mean_tool_calls"),
+    )
 
     def llm_call_ratio_vs_cot(self, benchmark: str) -> Dict[str, float]:
         """How many more LLM calls each agent makes than CoT on a benchmark."""
-        cot = self.matrix.get("cot", benchmark)
-        if cot is None or cot.mean_llm_calls == 0:
+        calls = {
+            point.coords["agent"]: point.outcome.mean_llm_calls
+            for point in self.result.slice(workload=benchmark).points
+        }
+        cot = calls.pop("cot", 0.0)
+        if cot == 0:
             return {}
-        ratios = {}
-        for agent, bench in self.matrix.pairs():
-            if bench != benchmark or agent == "cot":
-                continue
-            ratios[agent] = self.matrix.get(agent, bench).mean_llm_calls / cot.mean_llm_calls
-        return ratios
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 4: LLM and tool invocations per request")
+        return {agent: value / cot for agent, value in calls.items()}
 
 
-def figure4(matrix: Optional[CharacterizationMatrix] = None, **kwargs) -> Figure4Result:
-    return Figure4Result(matrix=matrix or characterization_matrix(**kwargs))
+def figure4(study: Optional[StudyResult] = None, **kwargs) -> Figure4:
+    return Figure4(_given_or_run(study, kwargs), "Figure 4: LLM and tool invocations per request")
 
 
-# ---------------------------------------------------------------------------
-# Figure 5 -- latency breakdown and end-to-end latency.
-# ---------------------------------------------------------------------------
+_LATENCY_PARTS = ("llm", "tool", "overlap", "other")
 
 
-@dataclass
-class Figure5Result:
-    matrix: CharacterizationMatrix
+class Figure5(StudyView):
+    """Fig. 5: latency breakdown and end-to-end latency."""
 
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for agent, benchmark in self.matrix.pairs():
-            result = self.matrix.get(agent, benchmark)
-            breakdown = result.latency_breakdown()
-            fractions = breakdown.fractions
-            rows.append(
-                {
-                    "benchmark": benchmark,
-                    "agent": agent,
-                    "llm_frac": fractions["llm"],
-                    "tool_frac": fractions["tool"],
-                    "overlap_frac": fractions["overlap"],
-                    "other_frac": fractions["other"],
-                    "e2e_latency_s": result.mean_latency,
-                }
-            )
-        return rows
+    LABELS = _PAIR
+    METRICS = tuple(
+        (f"{part}_frac", _fraction("latency_breakdown", part)) for part in _LATENCY_PARTS
+    ) + (("e2e_latency_s", "mean_latency"),)
 
     def average_fractions(self) -> Dict[str, float]:
         rows = self.rows()
-        return {
-            "llm": mean([row["llm_frac"] for row in rows]),
-            "tool": mean([row["tool_frac"] for row in rows]),
-            "overlap": mean([row["overlap_frac"] for row in rows]),
-            "other": mean([row["other_frac"] for row in rows]),
-        }
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 5: latency breakdown per agent")
+        return {part: mean([row[f"{part}_frac"] for row in rows]) for part in _LATENCY_PARTS}
 
 
-def figure5(matrix: Optional[CharacterizationMatrix] = None, **kwargs) -> Figure5Result:
-    return Figure5Result(matrix=matrix or characterization_matrix(**kwargs))
+def figure5(study: Optional[StudyResult] = None, **kwargs) -> Figure5:
+    return Figure5(_given_or_run(study, kwargs), "Figure 5: latency breakdown per agent")
 
 
-# ---------------------------------------------------------------------------
-# Figure 6 -- GPU runtime breakdown and utilization.
-# ---------------------------------------------------------------------------
+class Figure6(StudyView):
+    """Fig. 6: GPU runtime breakdown and utilization."""
+
+    LABELS = _PAIR
+    METRICS = tuple(
+        (f"{part}_frac", _fraction("gpu_breakdown", part))
+        for part in ("prefill", "decode", "idle")
+    ) + (("gpu_utilization", lambda result: result.gpu_breakdown().utilization),)
 
 
-@dataclass
-class Figure6Result:
-    matrix: CharacterizationMatrix
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for agent, benchmark in self.matrix.pairs():
-            result = self.matrix.get(agent, benchmark)
-            gpu = result.gpu_breakdown()
-            fractions = gpu.fractions
-            rows.append(
-                {
-                    "benchmark": benchmark,
-                    "agent": agent,
-                    "prefill_frac": fractions["prefill"],
-                    "decode_frac": fractions["decode"],
-                    "idle_frac": fractions["idle"],
-                    "gpu_utilization": gpu.utilization,
-                }
-            )
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 6: GPU runtime breakdown and utilization")
+def figure6(study: Optional[StudyResult] = None, **kwargs) -> Figure6:
+    return Figure6(
+        _given_or_run(study, kwargs), "Figure 6: GPU runtime breakdown and utilization"
+    )
 
 
-def figure6(matrix: Optional[CharacterizationMatrix] = None, **kwargs) -> Figure6Result:
-    return Figure6Result(matrix=matrix or characterization_matrix(**kwargs))
+class Figure7(StudyView):
+    """Fig. 7: end-to-end latency distribution (chatbot vs ReAct agents)."""
 
-
-# ---------------------------------------------------------------------------
-# Figure 7 -- end-to-end latency distribution (chatbot vs ReAct agents).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Figure7Result:
-    distributions: Dict[str, List[float]]
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for label, latencies in self.distributions.items():
-            rows.append(
-                {
-                    "workload": label,
-                    "mean_s": mean(latencies),
-                    "p50_s": percentile(latencies, 50),
-                    "p95_s": percentile(latencies, 95),
-                    "max_s": max(latencies) if latencies else 0.0,
-                }
-            )
-        return rows
+    LABELS = (
+        ("workload", lambda point: f"{point.coords['workload']}_{point.coords['agent']}"),
+    )
+    METRICS = (
+        ("mean_s", "mean_latency"),
+        ("p50_s", lambda result: result.latency_stats.p50),
+        ("p95_s", "p95_latency"),
+        ("max_s", lambda result: result.latency_stats.maximum),
+    )
 
     def histogram(self, label: str, bin_width: float = 2.0) -> Dict[float, int]:
+        """Request counts per ``bin_width``-second latency bin of one workload."""
+        workload, _, agent = label.partition("_")
         counts: Dict[float, int] = {}
-        for value in self.distributions.get(label, []):
+        for value in self.result.at(workload=workload, agent=agent).outcome.latencies:
             bucket = round(value // bin_width * bin_width, 6)
             counts[bucket] = counts.get(bucket, 0) + 1
         return dict(sorted(counts.items()))
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 7: end-to-end latency distribution")
 
 
 def figure7(
     num_tasks: int = 30,
     model: str = "8b",
     seed: int = 0,
-) -> Figure7Result:
-    base = ExperimentSpec(
-        model=model,
-        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-        seed=seed,
+) -> Figure7:
+    points = [{"workload": "sharegpt", "agent": "chatbot"}] + _characterization_points(
+        ("hotpotqa", "webshop"), ("react",)
     )
-    specs = {
-        "sharegpt_chatbot": base.with_overrides(agent="chatbot", workload="sharegpt"),
-        "hotpotqa_react": base.with_overrides(
-            agent="react", workload="hotpotqa", agent_config=default_config("hotpotqa")
-        ),
-        "webshop_react": base.with_overrides(
-            agent="react", workload="webshop", agent_config=default_config("webshop")
-        ),
-    }
-    return Figure7Result(
-        distributions={label: run_experiment(spec).latencies for label, spec in specs.items()}
+    return Figure7(
+        _characterize(points, num_tasks, model, seed, "latency-distribution"),
+        "Figure 7: end-to-end latency distribution",
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 8 -- token breakdown of LLM inference.
-# ---------------------------------------------------------------------------
+_TOKEN_PARTS = (
+    "instruction", "few_shot", "user", "llm_history", "tool_history", "output", "input_total"
+)
 
 
-@dataclass
-class Figure8Result:
-    matrix: CharacterizationMatrix
+class Figure8(StudyView):
+    """Fig. 8: token breakdown of LLM inference."""
 
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for agent, benchmark in self.matrix.pairs():
-            result = self.matrix.get(agent, benchmark)
-            tokens = result.token_breakdown()
-            row = {"benchmark": benchmark, "agent": agent}
-            row.update(tokens.as_dict())
-            row["input_total"] = tokens.input_total
-            rows.append(row)
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 8: input/output token breakdown")
+    LABELS = _PAIR
+    METRICS = tuple(
+        (part, lambda result, part=part: getattr(result.token_breakdown(), part))
+        for part in _TOKEN_PARTS
+    )
 
 
-def figure8(matrix: Optional[CharacterizationMatrix] = None, **kwargs) -> Figure8Result:
-    return Figure8Result(matrix=matrix or characterization_matrix(**kwargs))
+def figure8(study: Optional[StudyResult] = None, **kwargs) -> Figure8:
+    return Figure8(_given_or_run(study, kwargs), "Figure 8: input/output token breakdown")
 
 
-# ---------------------------------------------------------------------------
-# Figure 9 -- effect of prefix caching on LLM inference latency.
-# ---------------------------------------------------------------------------
+class Figure9(StudyView):
+    """Fig. 9: effect of prefix caching on LLM inference latency, from the
+    characterization study run with prefix caching on and off."""
 
-
-@dataclass
-class Figure9Result:
-    with_caching: CharacterizationMatrix
-    without_caching: CharacterizationMatrix
+    LABELS = _PAIR
+    #: Column stems of the metrics each row prints without and with caching.
+    COMPARED = (
+        ("prefill_s", "mean_prefill_time"),
+        ("decode_s", "mean_decode_time"),
+        ("inference_s", "mean_llm_inference_latency"),
+    )
 
     def rows(self) -> List[Dict[str, object]]:
         rows = []
-        for agent, benchmark in self.with_caching.pairs():
-            cached = self.with_caching.get(agent, benchmark)
-            uncached = self.without_caching.get(agent, benchmark)
-            if uncached is None:
-                continue
-            prefill_reduction = 0.0
-            if uncached.mean_prefill_time > 0:
-                prefill_reduction = 1.0 - cached.mean_prefill_time / uncached.mean_prefill_time
-            rows.append(
-                {
-                    "benchmark": benchmark,
-                    "agent": agent,
-                    "prefill_s_no_cache": uncached.mean_prefill_time,
-                    "prefill_s_cache": cached.mean_prefill_time,
-                    "decode_s_no_cache": uncached.mean_decode_time,
-                    "decode_s_cache": cached.mean_decode_time,
-                    "inference_s_no_cache": uncached.mean_llm_inference_latency,
-                    "inference_s_cache": cached.mean_llm_inference_latency,
-                    "prefill_reduction": prefill_reduction,
-                }
+        for cached in self.result.slice(enable_prefix_caching=True).points:
+            uncached = self.result.at(
+                workload=cached.coords["workload"],
+                agent=cached.coords["agent"],
+                enable_prefix_caching=False,
             )
+            row = self.row(cached)
+            for stem, metric in self.COMPARED:
+                row[f"{stem}_no_cache"] = uncached.metric(metric)
+                row[f"{stem}_cache"] = cached.metric(metric)
+            without, with_cache = row["prefill_s_no_cache"], row["prefill_s_cache"]
+            row["prefill_reduction"] = 1.0 - with_cache / without if without > 0 else 0.0
+            rows.append(row)
         return rows
 
     def mean_prefill_reduction(self, exclude_cot: bool = True) -> float:
@@ -355,9 +276,6 @@ class Figure9Result:
         ]
         return mean(values)
 
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 9: prefix caching effect on inference latency")
-
 
 def figure9(
     benchmarks: Sequence[str] = AGENTIC_WORKLOADS,
@@ -365,18 +283,20 @@ def figure9(
     num_tasks: int = 6,
     model: str = "8b",
     seed: int = 0,
-) -> Figure9Result:
-    with_caching = characterization_matrix(
-        benchmarks, agents, num_tasks=num_tasks, model=model, seed=seed, enable_prefix_caching=True
+) -> Figure9:
+    points = [
+        {**point, "enable_prefix_caching": caching}
+        for point in _characterization_points(benchmarks, sorted(agents))
+        for caching in (True, False)
+    ]
+    return Figure9(
+        _characterize(points, num_tasks, model, seed, "prefix-caching"),
+        "Figure 9: prefix caching effect on inference latency",
     )
-    without_caching = characterization_matrix(
-        benchmarks, agents, num_tasks=num_tasks, model=model, seed=seed, enable_prefix_caching=False
-    )
-    return Figure9Result(with_caching=with_caching, without_caching=without_caching)
 
 
 # ---------------------------------------------------------------------------
-# Figure 11 -- tail latency vs offered QPS, with and without prefix caching.
+# Figs. 11-12 -- serving under load, with and without prefix caching.
 # ---------------------------------------------------------------------------
 
 
@@ -427,28 +347,33 @@ def peak_throughput(
     return peak
 
 
-@dataclass
-class Figure11Result:
-    curves: Dict[Tuple[str, bool], StudyResult]  # (workload label, caching) -> qps study
+class Figure11(StudyView):
+    """Fig. 11: tail latency vs offered QPS, one load curve per (workload,
+    prefix caching) pair."""
+
+    LABELS = (("workload", "workload"), ("prefix_caching", "enable_prefix_caching"))
+    METRICS = (
+        ("offered_qps", lambda result: result.serving.offered_qps),
+        ("p95_latency_s", "p95_latency"),
+        ("throughput_qps", "throughput_qps"),
+    )
+
+    @property
+    def curves(self) -> Dict[Tuple[str, bool], StudyResult]:
+        """Each (workload, caching) pair's load curve, in declared order."""
+        curves: Dict[Tuple[str, bool], StudyResult] = {}
+        for point in self.result.points:
+            key = (point.coords["workload"], point.coords["enable_prefix_caching"])
+            curves.setdefault(key, StudyResult(study=self.result.study)).points.append(point)
+        return curves
 
     def outcomes(self, key: Tuple[str, bool]) -> List[ResultSet]:
         """The outcomes of one curve, one per load point in grid order."""
         return [point.outcome for point in self.curves[key].points]
 
     def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for label, caching in sorted(self.curves):
-            for result in self.outcomes((label, caching)):
-                rows.append(
-                    {
-                        "workload": label,
-                        "prefix_caching": caching,
-                        "offered_qps": result.serving.offered_qps,
-                        "p95_latency_s": result.p95_latency,
-                        "throughput_qps": result.throughput_qps,
-                    }
-                )
-        return rows
+        # By (workload, caching); the stable sort keeps each curve's load order.
+        return sorted(super().rows(), key=lambda row: (row["workload"], row["prefix_caching"]))
 
     def peak_throughputs(self) -> Dict[Tuple[str, bool], float]:
         return {key: peak_throughput(self.outcomes(key)) for key in self.curves}
@@ -461,9 +386,6 @@ class Figure11Result:
             return 0.0
         return with_cache / without
 
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 11: p95 latency vs QPS")
-
 
 def figure11(
     qps_grid: Optional[Dict[str, Sequence[float]]] = None,
@@ -473,126 +395,138 @@ def figure11(
     include_no_caching: bool = True,
     replicas: int = 1,
     router: str = "round-robin",
-) -> Figure11Result:
-    workload_specs = {
-        "sharegpt": ("chatbot", "sharegpt"),
-        "hotpotqa": ("react", "hotpotqa"),
-        "webshop": ("react", "webshop"),
-    }
+) -> Figure11:
     qps_grid = qps_grid or {
         "sharegpt": (1.0, 2.0, 4.0, 6.0, 8.0),
         "hotpotqa": (0.25, 0.5, 1.0, 2.0, 3.0),
         "webshop": (0.25, 0.5, 1.0, 1.5, 2.0),
     }
-    caching_options = (True, False) if include_no_caching else (True,)
-    curves = {}
-    for label, (agent, benchmark) in workload_specs.items():
-        for caching in caching_options:
-            spec = ExperimentSpec(
-                agent=agent,
-                workload=benchmark,
-                model=model,
-                replicas=replicas,
-                router=router,
-                enable_prefix_caching=caching,
-                agent_config=default_config(benchmark) if benchmark != "sharegpt" else AgentConfig(),
-                arrival=ArrivalSpec(process="single", num_requests=num_requests),
-                seed=seed,
-            )
-            study = StudySpec(
-                base=spec, axes=(StudyAxis(name="qps", values=tuple(qps_grid[label])),)
-            )
-            curves[(label, caching)] = run_study(study)
-    return Figure11Result(curves=curves)
+    points = [
+        {
+            "workload": benchmark,
+            "agent": "chatbot" if benchmark == "sharegpt" else "react",
+            "agent_config": AgentConfig() if benchmark == "sharegpt" else default_config(benchmark),
+            "enable_prefix_caching": caching,
+            "qps": qps,
+        }
+        for benchmark in ("sharegpt", "hotpotqa", "webshop")
+        for caching in ((True, False) if include_no_caching else (True,))
+        for qps in qps_grid[benchmark]
+    ]
+    return Figure11(
+        _characterize(
+            points, num_requests, model, seed, "qps-sweep", replicas=replicas, router=router
+        ),
+        "Figure 11: p95 latency vs QPS",
+    )
 
 
-# ---------------------------------------------------------------------------
-# Figure 12 -- KV-cache memory with and without prefix caching.
-# ---------------------------------------------------------------------------
+#: A serving result's KV-cache footprint in bytes, by the name ``reduction`` takes.
+_KV_BYTES: Dict[str, Callable[[ResultSet], float]] = {
+    "avg_bytes": lambda result: result.serving.kv_average_bytes,
+    "max_bytes": lambda result: result.serving.kv_max_bytes,
+}
 
 
-@dataclass
-class Figure12Result:
-    measurements: Dict[Tuple[str, bool], Dict[str, float]]
+class Figure12(StudyView):
+    """Fig. 12: KV-cache memory with and without prefix caching."""
 
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for (benchmark, caching), stats in sorted(self.measurements.items()):
-            rows.append(
-                {
-                    "benchmark": benchmark,
-                    "prefix_caching": caching,
-                    "avg_kv_gb": stats["avg_bytes"] / 1e9,
-                    "max_kv_gb": stats["max_bytes"] / 1e9,
-                }
-            )
-        return rows
+    LABELS = (("benchmark", "workload"), ("prefix_caching", "enable_prefix_caching"))
+    METRICS = (
+        ("avg_kv_gb", lambda result: result.serving.kv_average_bytes / 1e9),
+        ("max_kv_gb", lambda result: result.serving.kv_max_bytes / 1e9),
+    )
 
     def reduction(self, benchmark: str, which: str = "avg_bytes") -> float:
-        without = self.measurements.get((benchmark, False), {}).get(which, 0.0)
-        with_cache = self.measurements.get((benchmark, True), {}).get(which, 0.0)
+        """The share of the ``which`` footprint prefix caching saves."""
+        without, with_cache = (
+            self.metric(_KV_BYTES[which], workload=benchmark, enable_prefix_caching=caching)
+            for caching in (False, True)
+        )
         if without <= 0:
             return 0.0
         return 1.0 - with_cache / without
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 12: KV cache memory usage")
 
 
 def figure12(
     num_requests: int = 30,
     model: str = "8b",
     seed: int = 0,
-) -> Figure12Result:
+) -> Figure12:
     scenarios = {"hotpotqa": 0.2, "webshop": 0.1}
-    measurements = {}
-    for benchmark, qps in scenarios.items():
-        for caching in (True, False):
-            spec = ExperimentSpec(
-                agent="react",
-                workload=benchmark,
-                model=model,
-                enable_prefix_caching=caching,
-                agent_config=default_config(benchmark),
-                arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
-                seed=seed,
-            )
-            result = run_experiment(spec).serving
-            measurements[(benchmark, caching)] = {
-                "avg_bytes": result.kv_average_bytes,
-                "max_bytes": result.kv_max_bytes,
-            }
-    return Figure12Result(measurements=measurements)
+    points = [
+        {**point, "enable_prefix_caching": caching, "qps": scenarios[point["workload"]]}
+        for point in _characterization_points(scenarios, ("react",))
+        for caching in (False, True)
+    ]
+    return Figure12(
+        _characterize(points, num_requests, model, seed, "kv-memory"),
+        "Figure 12: KV cache memory usage",
+    )
 
 
 # ---------------------------------------------------------------------------
-# Figure 13 -- accuracy vs latency Pareto across the agent design space.
+# Figs. 13-17 -- the accuracy/latency design space.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Figure13Result:
-    points: Dict[str, List[DesignPoint]]  # benchmark -> design points
+def design_accuracy(result: ResultSet) -> float:
+    """The accuracy Figs. 13-17 plot: the mean score on WebShop, else accuracy."""
+    return result.mean_score if result.spec.workload == "webshop" else result.accuracy
+
+
+def _swept(point: StudyPoint) -> Dict[str, object]:
+    """The agent-config fields a point sets on top of its ``agent_config``."""
+    return {
+        path.partition(".")[2]: value
+        for path, value in point.coords.items()
+        if path.startswith("agent_config.")
+    }
+
+
+def _sweep(
+    agent: str, benchmark: str, parameter: str, values: Sequence[int], **base: int
+) -> List[Dict[str, object]]:
+    """``agent``'s points along ``agent_config.<parameter>`` on ``benchmark``."""
+    config = default_config(benchmark, **base)
+    return [
+        {"workload": benchmark, "agent": agent, "agent_config": config,
+         f"agent_config.{parameter}": value}
+        for value in values
+    ]
+
+
+#: Fig. 13's design variants: overrides of the benchmark's default config.
+DESIGN_VARIANTS: Dict[str, Tuple[Dict[str, int], ...]] = {
+    "react": ({"max_iterations": 4}, {}, {"max_iterations": 15}),
+    "reflexion": ({"max_trials": 2}, {}, {"max_trials": 6}),
+    "lats": ({"num_children": 3, "max_expansions": 5}, {}, {"num_children": 8}),
+    "llmcompiler": ({"replan_rounds": 2}, {}),
+}
+
+
+def _variant(point: StudyPoint) -> str:
+    """A Fig. 13 label: the agent and the index of its variant (``react-v1``)."""
+    agent = point.coords["agent"]
+    return f"{agent}-v{DESIGN_VARIANTS[agent].index(_swept(point))}"
+
+
+class Figure13(DesignSpaceView):
+    """Fig. 13: accuracy vs latency Pareto across the agent design space."""
+
+    LABELS = _PAIR + (("label", _variant),)
+    METRICS = (("accuracy", design_accuracy), ("latency_s", "mean_latency"))
+    COST, QUALITY = "latency_s", "accuracy"
 
     def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for benchmark, points in sorted(self.points.items()):
-            best = max((p.cost_efficiency for p in points), default=0.0)
-            for point in points:
-                rows.append(
-                    {
-                        "benchmark": benchmark,
-                        "agent": point.agent,
-                        "label": point.label,
-                        "accuracy": point.accuracy,
-                        "latency_s": point.latency_s,
-                        "efficiency_norm": (point.cost_efficiency / best) if best > 0 else 0.0,
-                    }
-                )
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 13: accuracy/latency design space")
+        return [
+            {**row, "efficiency_norm": norm}
+            for benchmark in self.result.axis_values("workload")
+            for row, norm in zip(
+                self._rows(workload=benchmark),
+                self.normalized_efficiency(workload=benchmark),
+            )
+        ]
 
 
 def figure13(
@@ -600,143 +534,36 @@ def figure13(
     num_tasks: int = 8,
     model: str = "8b",
     seed: int = 0,
-) -> Figure13Result:
+) -> Figure13:
     """Evaluate a small design-space sweep per agent and benchmark."""
-    variant_grid = {
-        "react": [{"max_iterations": 4}, {}, {"max_iterations": 15}],
-        "reflexion": [{"max_trials": 2}, {}, {"max_trials": 6}],
-        "lats": [{"num_children": 3, "max_expansions": 5}, {}, {"num_children": 8}],
-        "llmcompiler": [{"replan_rounds": 2}, {}],
-    }
-    base = ExperimentSpec(
-        model=model,
-        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-        seed=seed,
+    points = [
+        {**point, **{f"agent_config.{name}": value for name, value in overrides.items()}}
+        for point in _characterization_points(benchmarks, DESIGN_VARIANTS)
+        for overrides in DESIGN_VARIANTS[point["agent"]]
+    ]
+    return Figure13(
+        _characterize(points, num_tasks, model, seed, "design-space"),
+        "Figure 13: accuracy/latency design space",
     )
-    points: Dict[str, List[DesignPoint]] = {}
-    for benchmark in benchmarks:
-        workload = create_workload(benchmark, seed=seed)
-        bench_points: List[DesignPoint] = []
-        for agent, variants in variant_grid.items():
-            if not workload.supports_agent(agent):
-                continue
-            for index, overrides in enumerate(variants):
-                spec = base.with_overrides(
-                    agent=agent,
-                    workload=benchmark,
-                    agent_config=default_config(benchmark, **overrides),
-                )
-                result = run_experiment(spec)
-                bench_points.append(
-                    DesignPoint(
-                        label=f"{agent}-v{index}",
-                        agent=agent,
-                        benchmark=benchmark,
-                        accuracy=result.mean_score if benchmark == "webshop" else result.accuracy,
-                        latency_s=result.mean_latency,
-                        config=dict(overrides),
-                        total_tokens=result.mean_total_tokens,
-                        energy_wh=result.energy_wh_per_query,
-                        p95_latency_s=result.latency_stats.p95,
-                    )
-                )
-        points[benchmark] = bench_points
-    return Figure13Result(points=points)
 
 
-# ---------------------------------------------------------------------------
-# Figure 14 -- iteration-budget sweep (ReAct).
-# ---------------------------------------------------------------------------
+class ParameterSweep(DesignSpaceView):
+    """Figs. 14-15: one agent-config field swept per agent and benchmark."""
 
-
-@dataclass
-class SweepResult:
-    """Shared result shape for the Fig. 14/15/16 parameter sweeps."""
-
-    parameter: str
-    benchmark: str
-    agent: str
-    points: List[DesignPoint]
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for point in self.points:
-            rows.append(
-                {
-                    "benchmark": self.benchmark,
-                    "agent": self.agent,
-                    self.parameter: point.config.get(self.parameter),
-                    "accuracy": point.accuracy,
-                    "avg_latency_s": point.latency_s,
-                    "p95_latency_s": point.p95_latency_s,
-                    "efficiency": point.cost_efficiency,
-                }
-            )
-        return rows
-
-    def best_accuracy(self) -> Optional[DesignPoint]:
-        return best_accuracy_point(self.points)
-
-    def best_efficiency(self) -> Optional[DesignPoint]:
-        return best_efficiency_point(self.points)
-
-    def format(self) -> str:
-        return format_table(self.rows(), f"{self.agent} {self.parameter} sweep on {self.benchmark}")
-
-
-def _parameter_sweep(
-    agent: str,
-    benchmark: str,
-    parameter: str,
-    values: Sequence[int],
-    num_tasks: int,
-    model: str,
-    seed: int,
-    base_overrides: Optional[Dict[str, int]] = None,
-) -> SweepResult:
-    points: List[DesignPoint] = []
-    for value in values:
-        overrides = dict(base_overrides or {})
-        overrides[parameter] = value
-        config = default_config(benchmark, **overrides)
-        spec = ExperimentSpec(
-            agent=agent,
-            workload=benchmark,
-            model=model,
-            enable_prefix_caching=True,
-            agent_config=config,
-            arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-            seed=seed,
-        )
-        result = run_experiment(spec)
-        points.append(
-            DesignPoint(
-                label=f"{agent}-{parameter}={value}",
-                agent=agent,
-                benchmark=benchmark,
-                accuracy=result.mean_score if benchmark == "webshop" else result.accuracy,
-                latency_s=result.mean_latency,
-                config={parameter: value},
-                total_tokens=result.mean_total_tokens,
-                energy_wh=result.energy_wh_per_query,
-                p95_latency_s=result.latency_stats.p95,
-            )
-        )
-    return SweepResult(parameter=parameter, benchmark=benchmark, agent=agent, points=points)
-
-
-@dataclass
-class Figure14Result:
-    sweeps: Dict[str, SweepResult]
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for sweep in self.sweeps.values():
-            rows.extend(sweep.rows())
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 14: iteration budget sweep (ReAct)")
+    LABELS = _PAIR + tuple(
+        (name, f"agent_config.{name}")
+        for name in ("max_iterations", "num_few_shot", "max_trials", "max_expansions", "num_children")
+    )
+    METRICS = (
+        ("accuracy", design_accuracy),
+        ("avg_latency_s", "mean_latency"),
+        ("p95_latency_s", "p95_latency"),
+        (
+            "efficiency",
+            lambda result: accuracy_per_second(design_accuracy(result), result.mean_latency),
+        ),
+    )
+    COST, QUALITY = "avg_latency_s", "accuracy"
 
 
 def figure14(
@@ -744,37 +571,20 @@ def figure14(
     num_tasks: int = 10,
     model: str = "8b",
     seed: int = 0,
-) -> Figure14Result:
+) -> ParameterSweep:
     budgets = budgets or {
         "hotpotqa": (3, 4, 5, 10, 15, 20, 25),
         "webshop": (5, 10, 15, 20, 25, 30),
     }
-    sweeps = {
-        benchmark: _parameter_sweep(
-            "react", benchmark, "max_iterations", values, num_tasks, model, seed
-        )
+    points = [
+        point
         for benchmark, values in budgets.items()
-    }
-    return Figure14Result(sweeps=sweeps)
-
-
-# ---------------------------------------------------------------------------
-# Figure 15 -- few-shot prompting sweep (ReAct).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Figure15Result:
-    sweeps: Dict[str, SweepResult]
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for sweep in self.sweeps.values():
-            rows.extend(sweep.rows())
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 15: few-shot example sweep (ReAct)")
+        for point in _sweep("react", benchmark, "max_iterations", values)
+    ]
+    return ParameterSweep(
+        _characterize(points, num_tasks, model, seed, "iteration-budget"),
+        "Figure 14: iteration budget sweep (ReAct)",
+    )
 
 
 def figure15(
@@ -783,42 +593,25 @@ def figure15(
     num_tasks: int = 10,
     model: str = "8b",
     seed: int = 0,
-) -> Figure15Result:
-    sweeps = {
-        benchmark: _parameter_sweep(
-            "react", benchmark, "num_few_shot", counts, num_tasks, model, seed
-        )
+) -> ParameterSweep:
+    points = [
+        point
         for benchmark in benchmarks
-    }
-    return Figure15Result(sweeps=sweeps)
+        for point in _sweep("react", benchmark, "num_few_shot", counts)
+    ]
+    return ParameterSweep(
+        _characterize(points, num_tasks, model, seed, "few-shot"),
+        "Figure 15: few-shot example sweep (ReAct)",
+    )
 
 
-# ---------------------------------------------------------------------------
-# Figure 16 -- sequential vs parallel test-time scaling.
-# ---------------------------------------------------------------------------
+class Figure16(ParameterSweep):
+    """Fig. 16: sequential (Reflexion trials, LATS expansions) vs parallel
+    (LATS children) test-time scaling."""
 
-
-@dataclass
-class Figure16Result:
-    reflexion_sequential: SweepResult
-    lats_sequential: SweepResult
-    lats_parallel: SweepResult
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for label, sweep in (
-            ("reflexion_sequential", self.reflexion_sequential),
-            ("lats_sequential", self.lats_sequential),
-            ("lats_parallel", self.lats_parallel),
-        ):
-            for row in sweep.rows():
-                row = dict(row)
-                row["scaling"] = label
-                rows.append(row)
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 16: sequential vs parallel scaling (HotpotQA)")
+    def row(self, point: StudyPoint) -> Dict[str, object]:
+        kind = "parallel" if "agent_config.num_children" in point.coords else "sequential"
+        return {**super().row(point), "scaling": f"{point.coords['agent']}_{kind}"}
 
 
 def figure16(
@@ -828,59 +621,33 @@ def figure16(
     num_tasks: int = 8,
     model: str = "8b",
     seed: int = 0,
-) -> Figure16Result:
-    benchmark = "hotpotqa"
-    reflexion_sequential = _parameter_sweep(
-        "reflexion", benchmark, "max_trials", reflexion_trials, num_tasks, model, seed
+) -> Figure16:
+    points = (
+        _sweep("reflexion", "hotpotqa", "max_trials", reflexion_trials)
+        + _sweep("lats", "hotpotqa", "max_expansions", lats_expansions)
+        + _sweep("lats", "hotpotqa", "num_children", lats_children, max_expansions=16)
     )
-    lats_sequential = _parameter_sweep(
-        "lats", benchmark, "max_expansions", lats_expansions, num_tasks, model, seed
-    )
-    lats_parallel = _parameter_sweep(
-        "lats",
-        benchmark,
-        "num_children",
-        lats_children,
-        num_tasks,
-        model,
-        seed,
-        base_overrides={"max_expansions": 16},
-    )
-    return Figure16Result(
-        reflexion_sequential=reflexion_sequential,
-        lats_sequential=lats_sequential,
-        lats_parallel=lats_parallel,
+    return Figure16(
+        _characterize(points, num_tasks, model, seed, "test-time-scaling"),
+        "Figure 16: sequential vs parallel scaling (HotpotQA)",
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 17 -- model-size effects on test-time scaling.
-# ---------------------------------------------------------------------------
+class Figure17(DesignSpaceView):
+    """Fig. 17: model-size effects on test-time scaling."""
 
-
-@dataclass
-class Figure17Result:
-    sweeps: Dict[Tuple[str, str], SweepResult]  # (agent, model) -> sweep
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for (agent, model), sweep in sorted(self.sweeps.items()):
-            for point in sweep.points:
-                rows.append(
-                    {
-                        "agent": agent,
-                        "model": model,
-                        "scaling_level": point.config.get(sweep.parameter),
-                        "accuracy": point.accuracy,
-                        "latency_s": point.latency_s,
-                        "total_tokens": point.total_tokens,
-                        "energy_wh": point.energy_wh,
-                    }
-                )
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Figure 17: model size effects (HotpotQA)")
+    LABELS = (
+        ("agent", "agent"),
+        ("model", "model"),
+        ("scaling_level", lambda point: next(iter(_swept(point).values()))),
+    )
+    METRICS = (
+        ("accuracy", design_accuracy),
+        ("latency_s", "mean_latency"),
+        ("total_tokens", "mean_total_tokens"),
+        ("energy_wh", "energy_wh_per_query"),
+    )
+    COST, QUALITY = "latency_s", "accuracy"
 
 
 def figure17(
@@ -889,100 +656,14 @@ def figure17(
     models: Sequence[str] = ("8b", "70b"),
     num_tasks: int = 6,
     seed: int = 0,
-) -> Figure17Result:
-    benchmark = "hotpotqa"
-    sweeps: Dict[Tuple[str, str], SweepResult] = {}
-    for model in models:
-        sweeps[("reflexion", model)] = _parameter_sweep(
-            "reflexion", benchmark, "max_trials", reflexion_trials, num_tasks, model, seed
-        )
-        sweeps[("lats", model)] = _parameter_sweep(
-            "lats", benchmark, "max_expansions", lats_expansions, num_tasks, model, seed
-        )
-    return Figure17Result(sweeps=sweeps)
-
-
-# ---------------------------------------------------------------------------
-# Mixed-traffic fleet study (the paper's Table IV datacenter scenario,
-# extended with heterogeneous pools and autoscaling).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MixedFleetResult:
-    """Per-pool and per-class view of one mixed-traffic fleet experiment."""
-
-    outcome: object  # ResultSet
-
-    def pool_rows(self) -> List[Dict[str, object]]:
-        return self.outcome.per_pool_summary()
-
-    def class_rows(self) -> List[Dict[str, object]]:
-        return self.outcome.per_class_summary()
-
-    def rows(self) -> List[Dict[str, object]]:
-        return self.pool_rows() + self.class_rows()
-
-    @property
-    def replica_seconds(self) -> float:
-        return self.outcome.replica_seconds
-
-    @property
-    def scaling_events(self) -> List[object]:
-        return self.outcome.serving.scaling_events
-
-    def format(self) -> str:
-        parts = [
-            format_table(self.pool_rows(), "Mixed fleet: per-pool metrics"),
-            format_table(self.class_rows(), "Mixed fleet: per-traffic-class metrics"),
-            (
-                f"replica-seconds: {self.replica_seconds:.1f}  "
-                f"scaling events: {len(self.scaling_events)}"
-            ),
-        ]
-        return "\n\n".join(parts)
-
-
-def mixed_fleet(
-    qps: float = 2.0,
-    num_requests: int = 24,
-    chat_weight: float = 0.6,
-    agent_weight: float = 0.4,
-    chat_replicas: int = 1,
-    agent_replicas: int = 2,
-    autoscale: bool = True,
-    max_chat_replicas: int = 3,
-    predictor_error: float = 0.0,
-    seed: int = 0,
-) -> MixedFleetResult:
-    """Serve a chatbot + agent traffic mixture on a two-pool fleet.
-
-    The chatbot pool handles short interactive requests (optionally
-    autoscaled between 1 and ``max_chat_replicas`` replicas); the agent pool
-    runs SJF scheduling with prefix-affinity routing for the long multi-call
-    ReAct traffic.  Returns per-pool throughput/p95/energy/replica-seconds
-    and per-class latency/accuracy -- the datacenter-scale view of Table IV.
-    """
-    autoscaler = None
-    if autoscale:
-        autoscaler = AutoscalerSpec(
-            pool="chat",
-            min_replicas=1,
-            max_replicas=max_chat_replicas,
-            check_interval_s=1.0,
-            warmup_s=2.0,
-            scale_up_pending_per_replica=2.0,
-            scale_down_pending_per_replica=0.5,
-        )
-    spec = ExperimentSpec(
-        pools=chat_agent_pools(chat_replicas, agent_replicas),
-        workloads=chat_agent_mixture(chat_weight, agent_weight),
-        autoscaler=autoscaler,
-        arrival=ArrivalSpec(
-            process="poisson", qps=qps, num_requests=num_requests, task_pool_size=12
-        ),
-        agent_config=AgentConfig(max_iterations=5),
-        predictor_error=predictor_error,
-        seed=seed,
+) -> Figure17:
+    sweeps = {"reflexion": ("max_trials", reflexion_trials), "lats": ("max_expansions", lats_expansions)}
+    points = [
+        {"model": model, **point}
+        for agent, model in sorted((agent, model) for agent in sweeps for model in models)
+        for point in _sweep(agent, "hotpotqa", *sweeps[agent])
+    ]
+    return Figure17(
+        _characterize(points, num_tasks, "8b", seed, "model-size"),
+        "Figure 17: model size effects (HotpotQA)",
     )
-    return MixedFleetResult(outcome=run_experiment(spec))

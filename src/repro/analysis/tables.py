@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.agents import AgentConfig, PAPER_AGENTS, get_agent_class
 from repro.analysis.reporting import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.analysis.study_view import StudyView
+from repro.api import ArrivalSpec, ExperimentSpec, StudyPoint, StudySpec, run_study
 from repro.core import (
     CHATGPT_QUERIES_PER_DAY,
     GOOGLE_QUERIES_PER_DAY,
@@ -17,49 +18,36 @@ from repro.core import (
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
 
 
-# ---------------------------------------------------------------------------
-# Table I -- agent capability comparison (static).
-# ---------------------------------------------------------------------------
-
-
 @dataclass
-class Table1Result:
-    rows_data: List[Dict[str, str]]
+class PaperTable:
+    """A table whose rows are fixed when it is built (Tables I, II and IV)."""
 
-    def rows(self) -> List[Dict[str, str]]:
+    rows_data: List[Dict[str, object]]
+    title: str
+
+    def rows(self) -> List[Dict[str, object]]:
         return self.rows_data
 
     def format(self) -> str:
-        return format_table(self.rows(), "Table I: comparison of AI agents")
+        return format_table(self.rows(), self.title)
 
 
-def table1(agents: Sequence[str] = PAPER_AGENTS) -> Table1Result:
+# ---------------------------------------------------------------------------
+# Tables I and II -- agent capabilities and benchmark descriptions (static).
+# ---------------------------------------------------------------------------
+
+
+def table1(agents: Sequence[str] = PAPER_AGENTS) -> PaperTable:
     rows = []
     for name in agents:
         capabilities = get_agent_class(name).capabilities
         row = {"Agent": name}
         row.update(capabilities.as_row())
         rows.append(row)
-    return Table1Result(rows_data=rows)
+    return PaperTable(rows, "Table I: comparison of AI agents")
 
 
-# ---------------------------------------------------------------------------
-# Table II -- benchmark descriptions (static).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Table2Result:
-    rows_data: List[Dict[str, str]]
-
-    def rows(self) -> List[Dict[str, str]]:
-        return self.rows_data
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Table II: description of benchmarks")
-
-
-def table2(benchmarks: Sequence[str] = AGENTIC_WORKLOADS) -> Table2Result:
+def table2(benchmarks: Sequence[str] = AGENTIC_WORKLOADS) -> PaperTable:
     rows = []
     for name in benchmarks:
         info = create_workload(name).info()
@@ -71,7 +59,7 @@ def table2(benchmarks: Sequence[str] = AGENTIC_WORKLOADS) -> Table2Result:
                 "Agent": ", ".join(info.agents),
             }
         )
-    return Table2Result(rows_data=rows)
+    return PaperTable(rows, "Table II: description of benchmarks")
 
 
 # ---------------------------------------------------------------------------
@@ -79,39 +67,37 @@ def table2(benchmarks: Sequence[str] = AGENTIC_WORKLOADS) -> Table2Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Table3Row:
-    model: str
-    workload: str
-    accuracy: Optional[float]
-    latency_s: float
-    energy_wh: float
-    latency_vs_sharegpt: float
-    energy_vs_sharegpt: float
+class Table3(StudyView):
+    """Each model's ShareGPT chat baseline beside agents on HotpotQA."""
 
+    LABELS = (
+        ("model", "model"),
+        # The baseline point names its workload; agent points run HotpotQA.
+        ("workload", lambda point: point.coords.get("workload", point.coords["agent"])),
+    )
+    METRICS = (
+        (
+            "accuracy_pct",
+            lambda result: (
+                "-" if result.spec.workload == "sharegpt" else round(result.accuracy * 100, 1)
+            ),
+        ),
+        ("latency_s", "mean_latency"),
+        ("energy_wh_per_query", "energy_wh_per_query"),
+    )
+    #: The columns relative to the model's ShareGPT baseline, and their metrics.
+    RATIOS = (
+        ("latency_x_sharegpt", "mean_latency"),
+        ("energy_x_sharegpt", "energy_wh_per_query"),
+    )
 
-@dataclass
-class Table3Result:
-    rows_data: List[Table3Row] = field(default_factory=list)
-
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for row in self.rows_data:
-            rows.append(
-                {
-                    "model": row.model,
-                    "workload": row.workload,
-                    "accuracy_pct": "-" if row.accuracy is None else round(row.accuracy * 100, 1),
-                    "latency_s": row.latency_s,
-                    "energy_wh_per_query": row.energy_wh,
-                    "latency_x_sharegpt": row.latency_vs_sharegpt,
-                    "energy_x_sharegpt": row.energy_vs_sharegpt,
-                }
-            )
-        return rows
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Table III: per-request accuracy, latency, energy (HotpotQA)")
+    def row(self, point: StudyPoint) -> Dict[str, object]:
+        row = super().row(point)
+        baseline = self.result.at(model=point.coords["model"], workload="sharegpt")
+        for column, metric in self.RATIOS:
+            value, base = point.metric(metric), baseline.metric(metric)
+            row[column] = 1.0 if point is baseline else (value / base if base else 0.0)
+        return row
 
 
 #: highest-accuracy configurations used by the paper's Section VI analysis
@@ -129,53 +115,32 @@ def table3(
     num_tasks: int = 6,
     seed: int = 0,
     agent_configs: Optional[Dict[str, AgentConfig]] = None,
-) -> Table3Result:
+) -> Table3:
     """Reproduce Table III: ShareGPT vs Reflexion vs LATS on HotpotQA."""
     agent_configs = agent_configs or TABLE3_AGENT_CONFIGS
-    result = Table3Result()
+    points: List[Dict[str, object]] = []
     for model in models:
-        base = ExperimentSpec(
-            model=model,
-            arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-            seed=seed,
+        points.append(
+            {
+                "model": model,
+                "workload": "sharegpt",
+                "agent": "chatbot",
+                "arrival.num_requests": max(num_tasks, 10),
+            }
         )
-        baseline = run_experiment(
-            base.with_overrides(
-                agent="chatbot",
-                workload="sharegpt",
-                arrival=ArrivalSpec(process="single", num_requests=max(num_tasks, 10)),
-            )
+        points.extend(
+            {"model": model, "agent": agent, "agent_config": config}
+            for agent, config in agent_configs.items()
         )
-        base_latency = baseline.mean_latency
-        base_energy = baseline.energy_wh_per_query
-        result.rows_data.append(
-            Table3Row(
-                model=model,
-                workload="sharegpt",
-                accuracy=None,
-                latency_s=base_latency,
-                energy_wh=base_energy,
-                latency_vs_sharegpt=1.0,
-                energy_vs_sharegpt=1.0,
-            )
-        )
-        for agent, config in agent_configs.items():
-            run = run_experiment(
-                base.with_overrides(agent=agent, workload="hotpotqa", agent_config=config)
-            )
-            energy = run.energy_wh_per_query
-            result.rows_data.append(
-                Table3Row(
-                    model=model,
-                    workload=agent,
-                    accuracy=run.accuracy,
-                    latency_s=run.mean_latency,
-                    energy_wh=energy,
-                    latency_vs_sharegpt=(run.mean_latency / base_latency) if base_latency else 0.0,
-                    energy_vs_sharegpt=(energy / base_energy) if base_energy else 0.0,
-                )
-            )
-    return Table3Result(rows_data=result.rows_data)
+    base = ExperimentSpec(
+        workload="hotpotqa",
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
+    )
+    return Table3(
+        result=run_study(StudySpec(base=base, points=tuple(points), name="per-request-energy")),
+        title="Table III: per-request accuracy, latency, energy (HotpotQA)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +148,31 @@ def table3(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Table4Result:
-    projections: List[PowerProjection] = field(default_factory=list)
+class Table4(PaperTable):
+    """Datacenter-wide power demand: a projection of Table III's rows."""
 
-    def rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for projection in self.projections:
+    def power_for(self, label: str, queries_per_day: float) -> PowerProjection:
+        for row in self.rows_data:
+            if row["workload"] == label and row["queries_per_day"] == queries_per_day:
+                return PowerProjection(label, row["energy_wh_per_query"], queries_per_day)
+        raise KeyError(f"no Table IV projection for {label} at {queries_per_day}")
+
+
+def table4(
+    table3_result: Optional[Table3] = None,
+    traffic_levels: Sequence[float] = (CHATGPT_QUERIES_PER_DAY, GOOGLE_QUERIES_PER_DAY),
+    **table3_kwargs,
+) -> Table4:
+    """Translate Table III per-query energy into datacenter power (Table IV)."""
+    table3_result = table3_result or table3(**table3_kwargs)
+    rows = []
+    for row in table3_result.rows():
+        for queries_per_day in traffic_levels:
+            projection = project_power(
+                label=f"{row['workload']}-{row['model']}",
+                energy_wh_per_query=row["energy_wh_per_query"],
+                queries_per_day=queries_per_day,
+            )
             rows.append(
                 {
                     "workload": projection.label,
@@ -199,33 +182,4 @@ class Table4Result:
                     "power_gw": projection.power_gigawatts,
                 }
             )
-        return rows
-
-    def power_for(self, label: str, queries_per_day: float) -> PowerProjection:
-        for projection in self.projections:
-            if projection.label == label and projection.queries_per_day == queries_per_day:
-                return projection
-        raise KeyError(f"no Table IV projection for {label} at {queries_per_day}")
-
-    def format(self) -> str:
-        return format_table(self.rows(), "Table IV: datacenter-wide power demand")
-
-
-def table4(
-    table3_result: Optional[Table3Result] = None,
-    traffic_levels: Sequence[float] = (CHATGPT_QUERIES_PER_DAY, GOOGLE_QUERIES_PER_DAY),
-    **table3_kwargs,
-) -> Table4Result:
-    """Translate Table III per-query energy into datacenter power (Table IV)."""
-    table3_result = table3_result or table3(**table3_kwargs)
-    projections: List[PowerProjection] = []
-    for row in table3_result.rows_data:
-        for queries_per_day in traffic_levels:
-            projections.append(
-                project_power(
-                    label=f"{row.workload}-{row.model}",
-                    energy_wh_per_query=row.energy_wh,
-                    queries_per_day=queries_per_day,
-                )
-            )
-    return Table4Result(projections=projections)
+    return Table4(rows, "Table IV: datacenter-wide power demand")

@@ -12,10 +12,10 @@ and :func:`run_study` expands the Cartesian grid (or an explicit
 :meth:`~StudyResult.pareto_frontier` queries (e.g. replica-seconds vs
 per-class p95 -- the fleet-sizing study).
 
-An offered-load sweep (paper Fig. 11) is a one-axis study: the ``qps``
-axis is shorthand for :meth:`ExperimentSpec.at_qps`, and
-:func:`repro.analysis.peak_throughput` reads the knee off its serving
-outcomes.
+An offered-load sweep (one curve of paper Fig. 11) is a one-axis study:
+the ``qps`` axis (or a ``qps`` key of a point) is shorthand for
+:meth:`ExperimentSpec.at_qps`, and :func:`repro.analysis.peak_throughput`
+reads the knee off its serving outcomes.
 
 Metrics (for tabulation, cell lookups and Pareto queries) are either
 callables on the point's :class:`~repro.api.results.ResultSet` or names in
@@ -281,6 +281,7 @@ class StudySpec:
 
 #: Spec-vocabulary types an axis value may carry (type-tagged when encoded).
 _SPEC_VALUE_TYPES: Dict[str, type] = {
+    "AgentConfig": AgentConfig,
     "PoolSpec": PoolSpec,
     "WeightedWorkload": WeightedWorkload,
     "AdmissionSpec": AdmissionSpec,

@@ -2,8 +2,8 @@
 
 This package turns raw simulator traces into the quantities the paper
 reports: latency breakdowns, GPU runtime/utilization, token-composition
-breakdowns, KV-memory statistics, per-query energy, accuracy-cost Pareto
-analysis, and datacenter-wide power projections.
+breakdowns, KV-memory statistics, per-query energy, Pareto frontiers,
+and datacenter-wide power projections.
 """
 
 from repro.core.intervals import clip, intersect, merge_intervals, total_length
@@ -15,14 +15,7 @@ from repro.core.metrics import (
     mean,
     percentile,
 )
-from repro.core.pareto import (
-    DesignPoint,
-    best_accuracy_point,
-    best_efficiency_point,
-    diminishing_returns,
-    normalized_efficiency,
-    pareto_frontier,
-)
+from repro.core.pareto import pareto_frontier
 from repro.core.datacenter import (
     CHATGPT_QUERIES_PER_DAY,
     GOOGLE_QUERIES_PER_DAY,
@@ -37,7 +30,6 @@ from repro.core.runner import CharacterizationResult, RequestObservation
 __all__ = [
     "CHATGPT_QUERIES_PER_DAY",
     "CharacterizationResult",
-    "DesignPoint",
     "GOOGLE_QUERIES_PER_DAY",
     "GpuRuntimeBreakdown",
     "LatencyBreakdown",
@@ -45,16 +37,12 @@ __all__ = [
     "PowerProjection",
     "RequestObservation",
     "TokenBreakdown",
-    "best_accuracy_point",
-    "best_efficiency_point",
     "clip",
-    "diminishing_returns",
     "format_power",
     "gigawatt_threshold_energy_wh",
     "intersect",
     "mean",
     "merge_intervals",
-    "normalized_efficiency",
     "pareto_frontier",
     "percentile",
     "project_power",

@@ -335,9 +335,7 @@ class LLMEngine:
         for item in step.prefills:
             request = item.request
             request.num_computed_tokens += item.new_tokens
-            self.kv_cache.register_prefill_progress(
-                request, request.num_computed_tokens, now=now
-            )
+            self.kv_cache.register_prefill_progress(request, request.num_computed_tokens)
             share = item.new_tokens / max(new_tokens, 1)
             request.timings.prefill_time += duration * share
             if item.last_chunk:
@@ -408,7 +406,6 @@ class LLMEngine:
         joules += self.energy.record(PowerState.DRAFT, draft_duration)
 
         generated = 0
-        now = self.env.now
         streams = self._accept_streams
         for request in decodes:
             stream = streams.get(request.request_id)
@@ -422,7 +419,7 @@ class LLMEngine:
             # accepted extras need their own KV blocks.  Clamp the emission
             # to what the free pool can actually hold (reserve_tokens fails
             # without side effects, so stepping down is safe).
-            while emit > 1 and not self.kv_cache.reserve_tokens(request, emit, now=now):
+            while emit > 1 and not self.kv_cache.reserve_tokens(request, emit):
                 emit -= 1
             self.spec_accepted_tokens += emit - 1
             request.timings.decode_time += duration
@@ -575,7 +572,7 @@ class LLMEngine:
                 grown = alloc_plan.get(index)
                 if grown:
                     for pos in grown:
-                        append_block(decodes[pos], now=step_end)
+                        append_block(decodes[pos])
                     kv_blocks += len(grown)
             step_start = step_end
         self._full_breakdown["decode"] = breakdown_decode

@@ -63,7 +63,6 @@ class Block:
     block_id: int
     ref_count: int = 0
     content_hash: Optional[int] = None
-    last_used: float = 0.0
 
 
 class KVCacheOutOfMemory(Exception):
@@ -115,7 +114,7 @@ class BlockAllocator:
         return n_blocks <= self.num_free_blocks
 
     # -- allocation ------------------------------------------------------------
-    def allocate(self, n_blocks: int, now: float = 0.0) -> List[int]:
+    def allocate(self, n_blocks: int) -> List[int]:
         """Allocate ``n_blocks`` fresh blocks, evicting cached blocks if needed."""
         if n_blocks < 0:
             raise ValueError("cannot allocate a negative number of blocks")
@@ -136,7 +135,6 @@ class BlockAllocator:
             block = self._block(block_id)
             block.ref_count = 1
             block.content_hash = None
-            block.last_used = now
             allocated.append(block_id)
         return allocated
 
@@ -155,21 +153,19 @@ class BlockAllocator:
         self.eviction_count += 1
 
     # -- reference counting -----------------------------------------------------
-    def acquire(self, block_id: int, now: float = 0.0) -> None:
+    def acquire(self, block_id: int) -> None:
         """Take an additional reference on a (possibly evictable) cached block."""
         block = self._block(block_id)
         if block.ref_count == 0:
             self._evictable.pop(block_id, None)
         block.ref_count += 1
-        block.last_used = now
 
-    def release(self, block_id: int, now: float = 0.0) -> None:
+    def release(self, block_id: int) -> None:
         """Drop a reference; unreferenced blocks become evictable or free."""
         block = self._block(block_id)
         if block.ref_count <= 0:
             raise ValueError(f"release of unreferenced block {block_id}")
         block.ref_count -= 1
-        block.last_used = now
         if block.ref_count == 0:
             if block.content_hash is not None and self.config.enable_prefix_caching:
                 self._evictable[block_id] = None
@@ -178,7 +174,7 @@ class BlockAllocator:
                 block.content_hash = None
                 self._free.append(block_id)
 
-    def acquire_many(self, block_ids: "Iterable[int]", now: float = 0.0) -> None:
+    def acquire_many(self, block_ids: "Iterable[int]") -> None:
         """:meth:`acquire` for a run of blocks, resolving shared state once.
 
         Sequence setup and teardown touch every block of a request (often
@@ -197,9 +193,8 @@ class BlockAllocator:
             if block.ref_count == 0:
                 evictable.pop(block_id, None)
             block.ref_count += 1
-            block.last_used = now
 
-    def release_many(self, block_ids: "Iterable[int]", now: float = 0.0) -> None:
+    def release_many(self, block_ids: "Iterable[int]") -> None:
         """:meth:`release` for a run of blocks (see :meth:`acquire_many`)."""
         blocks = self.blocks
         evictable = self._evictable
@@ -213,7 +208,6 @@ class BlockAllocator:
             if block.ref_count <= 0:
                 raise ValueError(f"release of unreferenced block {block_id}")
             block.ref_count -= 1
-            block.last_used = now
             if block.ref_count == 0:
                 if block.content_hash is not None and caching:
                     evictable[block_id] = None

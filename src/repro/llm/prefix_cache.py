@@ -71,17 +71,6 @@ class PrefixCache:
             hits += 1
         return hits * self.block_size
 
-    def blocks_needed(self, request: LLMRequest) -> int:
-        """Blocks a prefill allocation would need for ``request`` right now."""
-        total_tokens = request.num_prompt_tokens
-        cached_tokens = self.peek_cached_tokens(
-            request.prompt_token_ids,
-            hashes=request.prompt_block_hashes(self.block_size),
-        )
-        cached_blocks = cached_tokens // self.block_size
-        total_blocks = -(-total_tokens // self.block_size)  # ceil
-        return total_blocks - cached_blocks
-
     def hit_rate(self) -> float:
         if self.prompt_tokens_seen == 0:
             return 0.0
@@ -100,7 +89,6 @@ class PrefixCache:
     def allocate_sequence(
         self,
         request: LLMRequest,
-        now: float = 0.0,
         defer_registration: bool = False,
     ) -> Optional[SequenceAllocation]:
         """Allocate the block table for ``request``'s prompt.
@@ -150,8 +138,8 @@ class PrefixCache:
         if not self.allocator.can_allocate(fresh_needed + evictable_cached):
             return None
 
-        self.allocator.acquire_many(cached_block_ids, now=now)
-        fresh_ids = self.allocator.allocate(fresh_needed, now=now)
+        self.allocator.acquire_many(cached_block_ids)
+        fresh_ids = self.allocator.allocate(fresh_needed)
 
         block_ids = list(cached_block_ids) + fresh_ids
         allocation = SequenceAllocation(
@@ -181,7 +169,7 @@ class PrefixCache:
         return allocation
 
     def register_prefill_progress(
-        self, request: LLMRequest, num_computed_tokens: int, now: float = 0.0
+        self, request: LLMRequest, num_computed_tokens: int
     ) -> None:
         """Publish hashes of prompt blocks completed by a prefill chunk.
 
@@ -223,7 +211,7 @@ class PrefixCache:
             - request.num_output_tokens
         )
 
-    def append_token(self, request: LLMRequest, now: float = 0.0) -> bool:
+    def append_token(self, request: LLMRequest) -> bool:
         """Reserve KV space for one generated token; False if out of memory."""
         if request.request_id not in self._allocations:
             raise KeyError(f"request {request.request_id} has no allocation")
@@ -231,10 +219,10 @@ class PrefixCache:
             return True
         if not self.allocator.can_allocate(1):
             return False
-        self.append_block(request, now=now)
+        self.append_block(request)
         return True
 
-    def append_block(self, request: LLMRequest, now: float = 0.0) -> None:
+    def append_block(self, request: LLMRequest) -> None:
         """Grow ``request``'s block table by one block.
 
         For callers that already know the next token needs exactly one
@@ -242,10 +230,10 @@ class PrefixCache:
         both; the engine's decode-run plan proves them ahead of time).
         """
         allocation = self._allocations[request.request_id]
-        allocation.block_ids.append(self.allocator.allocate(1, now=now)[0])
+        allocation.block_ids.append(self.allocator.allocate(1)[0])
         request.block_ids = allocation.block_ids
 
-    def reserve_tokens(self, request: LLMRequest, num_tokens: int, now: float = 0.0) -> bool:
+    def reserve_tokens(self, request: LLMRequest, num_tokens: int) -> bool:
         """Reserve KV space for ``num_tokens`` upcoming tokens in one call.
 
         Used by speculative decoding, which grows the context by every
@@ -263,12 +251,12 @@ class PrefixCache:
             return True
         if not self.allocator.can_allocate(extra):
             return False
-        allocation.block_ids.extend(self.allocator.allocate(extra, now=now))
+        allocation.block_ids.extend(self.allocator.allocate(extra))
         request.block_ids = allocation.block_ids
         return True
 
     # -- teardown -----------------------------------------------------------
-    def free_sequence(self, request: LLMRequest, now: float = 0.0) -> None:
+    def free_sequence(self, request: LLMRequest) -> None:
         """Release the request's blocks, caching full blocks of its context."""
         allocation = self._allocations.pop(request.request_id, None)
         if allocation is None:
@@ -293,11 +281,11 @@ class PrefixCache:
                 )
             else:
                 self.allocator.register_hashes(zip(allocation.block_ids, hashes))
-        self.allocator.release_many(allocation.block_ids, now=now)
+        self.allocator.release_many(allocation.block_ids)
         request.block_ids = []
 
-    def release_for_preemption(self, request: LLMRequest, now: float = 0.0) -> None:
+    def release_for_preemption(self, request: LLMRequest) -> None:
         """Free blocks of a preempted request (recompute-style preemption)."""
-        self.free_sequence(request, now=now)
+        self.free_sequence(request)
         request.num_cached_tokens = 0
         request.num_computed_tokens = 0

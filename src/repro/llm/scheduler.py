@@ -466,7 +466,7 @@ class Scheduler:
             if step is not None:
                 return step
         if self.running:
-            return self._schedule_decode(now)
+            return self._schedule_decode()
         return None
 
     def _schedule_chunked(self, now: float) -> Optional[ScheduledStep]:
@@ -481,7 +481,7 @@ class Scheduler:
         """
         decodes: List[LLMRequest] = []
         if self.running:
-            decodes = self._schedule_decode(now).decodes
+            decodes = self._schedule_decode().decodes
         # Decode tokens consume the batch's token budget first (vLLM's
         # max_num_batched_tokens accounting); prompt chunks fill the rest,
         # capped by the configured chunk size.
@@ -510,7 +510,7 @@ class Scheduler:
                 break
             request = self.policy.peek()
             allocation = self.kv_cache.allocate_sequence(
-                request, now=now, defer_registration=True
+                request, defer_registration=True
             )
             if allocation is None:
                 # KV cache full: admit nothing more this step.
@@ -556,7 +556,7 @@ class Scheduler:
             new_tokens = max(1, request.num_prompt_tokens - cached_estimate)
             if prefills and new_tokens > token_budget:
                 break
-            allocation = self.kv_cache.allocate_sequence(request, now=now)
+            allocation = self.kv_cache.allocate_sequence(request)
             if allocation is None:
                 # KV cache full: admit nothing more.  If nothing is running
                 # and nothing was admitted the request simply waits for blocks
@@ -583,7 +583,7 @@ class Scheduler:
             return None
         return ScheduledStep(kind=StepKind.PREFILL, prefills=prefills)
 
-    def _schedule_decode(self, now: float) -> ScheduledStep:
+    def _schedule_decode(self) -> ScheduledStep:
         # Reserve KV space for the next token of every running sequence,
         # preempting the newest sequences if the cache is exhausted.  A
         # sequence whose block table already covers its next token needs no
@@ -604,19 +604,19 @@ class Scheduler:
             if spare_tokens(request) > 0:
                 scheduled.append(request)
                 continue
-            reserved = self.kv_cache.append_token(request, now=now)
+            reserved = self.kv_cache.append_token(request)
             while not reserved:
                 victim = self._pick_preemption_victim(protected=protected)
                 if victim is None:
                     break
-                self._preempt(victim, now)
+                self._preempt(victim)
                 preempted.add(victim)
-                reserved = self.kv_cache.append_token(request, now=now)
+                reserved = self.kv_cache.append_token(request)
             if reserved:
                 scheduled.append(request)
             else:
                 # Could not make room even after preempting everything else.
-                self._preempt(request, now)
+                self._preempt(request)
                 protected.discard(request)
         return ScheduledStep(kind=StepKind.DECODE, decodes=scheduled)
 
@@ -633,13 +633,13 @@ class Scheduler:
                 return candidate
         return None
 
-    def _preempt(self, request: LLMRequest, now: float) -> None:
+    def _preempt(self, request: LLMRequest) -> None:
         """Recompute-style preemption: free blocks and move back to waiting."""
         if request in self.running:
             self.running.remove(request)
         if request in self.prefilling:
             self.prefilling.remove(request)
-        self.kv_cache.release_for_preemption(request, now=now)
+        self.kv_cache.release_for_preemption(request)
         request.state = RequestState.WAITING
         self.waiting.appendleft(request)
         self.policy.push_front(request)
@@ -670,5 +670,5 @@ class Scheduler:
         if request in self.running:
             self.running.remove(request)
         request.state = RequestState.FINISHED
-        self.kv_cache.free_sequence(request, now=now)
+        self.kv_cache.free_sequence(request)
         self.policy.on_complete(request, now)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.agents import PAPER_AGENTS
 from repro.analysis import (
-    characterization_matrix,
+    characterization_study,
     default_config,
     figure4,
     figure5,
@@ -31,9 +31,9 @@ from repro.core import CHATGPT_QUERIES_PER_DAY
 
 
 @pytest.fixture(scope="module")
-def matrix():
-    """Shared tiny characterization matrix (2 benchmarks, 3 tasks each)."""
-    return characterization_matrix(
+def study():
+    """Shared tiny characterization study (2 benchmarks, 3 tasks each)."""
+    return characterization_study(
         benchmarks=("hotpotqa", "webshop"),
         agents=PAPER_AGENTS,
         num_tasks=3,
@@ -68,42 +68,42 @@ class TestCharacterizationFigures:
         assert default_config("webshop").max_iterations > default_config("hotpotqa").max_iterations
         assert default_config("hotpotqa", num_few_shot=5).num_few_shot == 5
 
-    def test_matrix_respects_support_matrix(self, matrix):
-        assert matrix.get("cot", "webshop") is None
-        assert matrix.get("react", "hotpotqa") is not None
+    def test_matrix_respects_support_matrix(self, study):
+        assert study.slice(agent="cot", workload="webshop").points == []
+        assert study.at(agent="react", workload="hotpotqa").outcome is not None
 
-    def test_figure4_agents_make_more_calls_than_cot(self, matrix):
-        fig = figure4(matrix=matrix)
+    def test_figure4_agents_make_more_calls_than_cot(self, study):
+        fig = figure4(study=study)
         ratios = fig.llm_call_ratio_vs_cot("hotpotqa")
-        assert ratios, "expected tool-augmented agents in the matrix"
+        assert ratios, "expected tool-augmented agents in the study"
         assert all(ratio > 1.0 for ratio in ratios.values())
         assert max(ratios, key=ratios.get) == "lats"
 
-    def test_figure4_rows_have_expected_columns(self, matrix):
-        rows = figure4(matrix=matrix).rows()
+    def test_figure4_rows_have_expected_columns(self, study):
+        rows = figure4(study=study).rows()
         assert {"benchmark", "agent", "llm_invocations", "tool_invocations"} <= set(rows[0])
 
-    def test_figure5_fractions_sum_to_one(self, matrix):
-        for row in figure5(matrix=matrix).rows():
+    def test_figure5_fractions_sum_to_one(self, study):
+        for row in figure5(study=study).rows():
             total = row["llm_frac"] + row["tool_frac"] + row["overlap_frac"] + row["other_frac"]
             assert total == pytest.approx(1.0, abs=0.02)
 
-    def test_figure5_both_llm_and_tools_contribute(self, matrix):
-        fractions = figure5(matrix=matrix).average_fractions()
+    def test_figure5_both_llm_and_tools_contribute(self, study):
+        fractions = figure5(study=study).average_fractions()
         assert fractions["llm"] > 0.3
         assert fractions["tool"] > 0.02
 
-    def test_figure6_utilization_within_unit_range(self, matrix):
-        for row in figure6(matrix=matrix).rows():
+    def test_figure6_utilization_within_unit_range(self, study):
+        for row in figure6(study=study).rows():
             assert 0.0 <= row["gpu_utilization"] <= 1.0
             assert row["prefill_frac"] < row["decode_frac"]
 
-    def test_figure6_hotpotqa_idle_exceeds_webshop_idle(self, matrix):
-        rows = {(r["benchmark"], r["agent"]): r for r in figure6(matrix=matrix).rows()}
+    def test_figure6_hotpotqa_idle_exceeds_webshop_idle(self, study):
+        rows = {(r["benchmark"], r["agent"]): r for r in figure6(study=study).rows()}
         assert rows[("hotpotqa", "react")]["idle_frac"] > rows[("webshop", "react")]["idle_frac"]
 
-    def test_figure8_token_composition(self, matrix):
-        rows = {(r["benchmark"], r["agent"]): r for r in figure8(matrix=matrix).rows()}
+    def test_figure8_token_composition(self, study):
+        rows = {(r["benchmark"], r["agent"]): r for r in figure8(study=study).rows()}
         react = rows[("hotpotqa", "react")]
         cot = rows[("hotpotqa", "cot")]
         assert react["input_total"] > cot["input_total"]
@@ -121,25 +121,27 @@ class TestCharacterizationFigures:
 class TestSweepFigures:
     def test_figure14_accuracy_non_decreasing_with_budget(self):
         fig = figure14(budgets={"hotpotqa": (2, 6, 12)}, num_tasks=6)
-        points = fig.sweeps["hotpotqa"].points
-        assert points[-1].accuracy >= points[0].accuracy - 0.01
-        assert points[-1].p95_latency_s >= points[0].p95_latency_s
+        rows = [row for row in fig.rows() if row["benchmark"] == "hotpotqa"]
+        assert rows[-1]["accuracy"] >= rows[0]["accuracy"] - 0.01
+        assert rows[-1]["p95_latency_s"] >= rows[0]["p95_latency_s"]
 
     def test_figure14_markers_are_selected(self):
         fig = figure14(budgets={"hotpotqa": (2, 6, 12)}, num_tasks=4)
-        sweep = fig.sweeps["hotpotqa"]
-        assert sweep.best_accuracy() is not None
-        assert sweep.best_efficiency() is not None
+        assert fig.best_accuracy(workload="hotpotqa") is not None
+        assert fig.best_efficiency(workload="hotpotqa") is not None
 
     def test_figure15_zero_shot_is_worst(self):
         fig = figure15(counts=(0, 2, 4), benchmarks=("hotpotqa",), num_tasks=6)
-        points = fig.sweeps["hotpotqa"].points
-        accuracy = {p.config["num_few_shot"]: p.accuracy for p in points}
+        accuracy = {
+            row["num_few_shot"]: row["accuracy"]
+            for row in fig.rows()
+            if row["benchmark"] == "hotpotqa"
+        }
         assert accuracy[2] >= accuracy[0]
 
     def test_figure13_contains_all_supported_agents(self):
         fig = figure13(benchmarks=("hotpotqa",), num_tasks=3)
-        agents = {point.agent for point in fig.points["hotpotqa"]}
+        agents = {row["agent"] for row in fig.rows() if row["benchmark"] == "hotpotqa"}
         assert agents == {"react", "reflexion", "lats", "llmcompiler"}
         rows = fig.rows()
         assert all(0 <= row["efficiency_norm"] <= 1 for row in rows)
@@ -160,15 +162,15 @@ class TestEnergyTables:
         return table3(models=("8b",), num_tasks=3)
 
     def test_table3_contains_baseline_and_agents(self, table3_result):
-        workloads = [row.workload for row in table3_result.rows_data]
+        workloads = [row["workload"] for row in table3_result.rows()]
         assert workloads == ["sharegpt", "reflexion", "lats"]
 
     def test_table3_agents_cost_more_than_sharegpt(self, table3_result):
-        baseline = table3_result.rows_data[0]
-        for row in table3_result.rows_data[1:]:
-            assert row.latency_s > baseline.latency_s
-            assert row.energy_wh > baseline.energy_wh
-            assert row.energy_vs_sharegpt > 3.0
+        baseline, *agents = table3_result.rows()
+        for row in agents:
+            assert row["latency_s"] > baseline["latency_s"]
+            assert row["energy_wh_per_query"] > baseline["energy_wh_per_query"]
+            assert row["energy_x_sharegpt"] > 3.0
 
     def test_table4_power_scales_linearly_with_traffic(self, table3_result):
         result = table4(table3_result=table3_result)

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.study_view import DesignSpaceView
+from repro.api import ExperimentSpec, StudyAxis, StudyPoint, StudyResult, StudySpec
 from repro.core import (
-    DesignPoint,
     GpuRuntimeBreakdown,
     LatencyBreakdown,
     LatencyStats,
     PowerProjection,
     TokenBreakdown,
-    best_accuracy_point,
-    best_efficiency_point,
-    diminishing_returns,
     format_power,
     gigawatt_threshold_energy_wh,
     intersect,
     merge_intervals,
-    normalized_efficiency,
     pareto_frontier,
     percentile,
     project_power,
@@ -148,11 +145,12 @@ class TestBreakdownAggregation:
 
 
 def design_frontier(points):
-    """Fig. 13's frontier: lower latency and higher accuracy win."""
+    """Fig. 13's frontier over (label, accuracy, latency_s) tuples: lower
+    latency and higher accuracy win."""
     return pareto_frontier(
         points,
-        cost=lambda point: point.latency_s,
-        quality=lambda point: point.accuracy,
+        cost=lambda point: point[2],
+        quality=lambda point: point[1],
         minimize_quality=False,
     )
 
@@ -161,49 +159,78 @@ def reference_sweep(points):
     """The accuracy/latency sweep the shared frontier replaced, kept as the
     reference: identical except that it keeps only the first of exact
     duplicates."""
-    candidates = sorted(points, key=lambda p: (p.latency_s, -p.accuracy))
+    candidates = sorted(points, key=lambda p: (p[2], -p[1]))
     frontier = []
     best_accuracy = -1.0
     for point in candidates:
-        if point.accuracy > best_accuracy:
+        if point[1] > best_accuracy:
             frontier.append(point)
-            best_accuracy = point.accuracy
+            best_accuracy = point[1]
     return frontier
+
+
+class Designs(DesignSpaceView):
+    """The design-space markers over hand-built (label, accuracy, latency_s)
+    tuples: each tuple stands in for its point's outcome."""
+
+    LABELS = (("label", lambda point: point.labels["design"]),)
+    METRICS = (
+        ("accuracy", lambda outcome: outcome[1]),
+        ("latency_s", lambda outcome: outcome[2]),
+    )
+    COST, QUALITY = "latency_s", "accuracy"
+
+
+def design_view(points):
+    study = StudySpec(
+        base=ExperimentSpec(),
+        axes=(
+            StudyAxis(
+                name="design",
+                field="seed",
+                values=tuple(range(len(points))),
+                labels=tuple(point[0] for point in points),
+            ),
+        ),
+    )
+    executed = [
+        StudyPoint(
+            coords={"design": index},
+            labels={"design": point[0]},
+            seed=index,
+            spec=study.base,
+            outcome=point,
+        )
+        for index, point in enumerate(points)
+    ]
+    return Designs(result=StudyResult(study=study, points=executed), title="designs")
 
 
 class TestPareto:
     def _points(self):
         return [
-            DesignPoint("a", "react", "hotpotqa", accuracy=0.3, latency_s=5),
-            DesignPoint("b", "reflexion", "hotpotqa", accuracy=0.4, latency_s=20),
-            DesignPoint("c", "lats", "hotpotqa", accuracy=0.8, latency_s=60),
-            DesignPoint("d", "lats", "hotpotqa", accuracy=0.5, latency_s=80),
+            ("a", 0.3, 5.0),
+            ("b", 0.4, 20.0),
+            ("c", 0.8, 60.0),
+            ("d", 0.5, 80.0),
         ]
 
-    def test_invalid_design_point_rejected(self):
-        with pytest.raises(ValueError):
-            DesignPoint("x", "react", "hotpotqa", accuracy=1.5, latency_s=1)
-        with pytest.raises(ValueError):
-            DesignPoint("x", "react", "hotpotqa", accuracy=0.5, latency_s=-1)
-
     def test_cost_efficiency(self):
-        point = DesignPoint("x", "react", "hotpotqa", accuracy=0.5, latency_s=10)
-        assert point.cost_efficiency == pytest.approx(0.05)
-        assert point.efficiency_against(100) == pytest.approx(0.005)
+        view = design_view([("x", 0.5, 10.0)])
+        (row,) = view.rows()
+        assert view.efficiency(row) == pytest.approx(0.05)
 
     def test_pareto_frontier_excludes_dominated(self):
         frontier = design_frontier(self._points())
-        labels = [point.label for point in frontier]
+        labels = [point[0] for point in frontier]
         assert labels == ["a", "b", "c"]  # d is dominated by c
 
     def test_exact_duplicates_all_survive_in_input_order(self):
-        points = self._points() + [
-            DesignPoint("c2", "lats", "hotpotqa", accuracy=0.8, latency_s=60),
-        ]
-        assert [point.label for point in design_frontier(points)] == [
+        points = self._points() + [("c2", 0.8, 60.0)]
+        assert [point[0] for point in design_frontier(points)] == [
             "a", "b", "c", "c2"
         ]
-        assert [point.label for point in reference_sweep(points)] == ["a", "b", "c"]
+        assert [point[0] for point in reference_sweep(points)] == ["a", "b", "c"]
 
     def test_directions_flip_dominance(self):
         items = [(1.0, 1.0), (2.0, 2.0)]
@@ -215,21 +242,22 @@ class TestPareto:
         ) == [(2.0, 2.0)]
 
     def test_best_accuracy_and_efficiency_points(self):
-        points = self._points()
-        assert best_accuracy_point(points).label == "c"
-        assert best_efficiency_point(points).label == "a"
+        view = design_view(self._points())
+        assert view.best_accuracy()["label"] == "c"
+        assert view.best_efficiency()["label"] == "a"
 
     def test_best_points_of_empty_list_are_none(self):
-        assert best_accuracy_point([]) is None
-        assert best_efficiency_point([]) is None
+        view = design_view(self._points())
+        assert view.best_accuracy(design="missing") is None
+        assert view.best_efficiency(design="missing") is None
 
     def test_normalized_efficiency_max_is_one(self):
-        normalized = normalized_efficiency(self._points())
-        assert max(normalized.values()) == pytest.approx(1.0)
-        assert all(0 <= value <= 1 for value in normalized.values())
+        normalized = design_view(self._points()).normalized_efficiency()
+        assert max(normalized) == pytest.approx(1.0)
+        assert all(0 <= value <= 1 for value in normalized)
 
     def test_diminishing_returns_sequence(self):
-        marginals = diminishing_returns(self._points())
+        marginals = design_view(self._points()).diminishing_returns()
         assert len(marginals) == 3
         # accuracy/latency marginal gain decreases along the curve
         assert marginals[0] >= marginals[-1]
@@ -241,24 +269,21 @@ class TestPareto:
     )
     @settings(max_examples=50, deadline=None)
     def test_frontier_is_subset_and_undominated(self, raw):
-        points = [
-            DesignPoint(f"p{i}", "react", "hotpotqa", accuracy=a, latency_s=l)
-            for i, (a, l) in enumerate(raw)
-        ]
+        points = [(f"p{i}", a, l) for i, (a, l) in enumerate(raw)]
         frontier = design_frontier(points)
         for point in frontier:
             assert point in points
             assert not any(
-                other.accuracy >= point.accuracy
-                and other.latency_s <= point.latency_s
-                and (other.accuracy > point.accuracy or other.latency_s < point.latency_s)
+                other[1] >= point[1]
+                and other[2] <= point[2]
+                and (other[1] > point[1] or other[2] < point[2])
                 for other in points
             )
         # Dropping exact duplicates (after the first) gives the old sweep.
         deduplicated, seen = [], set()
         for point in frontier:
-            if (point.latency_s, point.accuracy) not in seen:
-                seen.add((point.latency_s, point.accuracy))
+            if (point[2], point[1]) not in seen:
+                seen.add((point[2], point[1]))
                 deduplicated.append(point)
         assert deduplicated == reference_sweep(points)
 

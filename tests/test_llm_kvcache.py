@@ -101,9 +101,10 @@ class TestBlockAllocator:
         blocks = allocator.allocate(3)
         for index, block_id in enumerate(blocks):
             allocator.register_hash(block_id, content_hash=index)
-            allocator.release(block_id, now=float(index))
+            allocator.release(block_id)
         allocator.allocate(1)
-        # Block released earliest (hash 0) must have been evicted first.
+        # Release order is the LRU order: the block released earliest
+        # (hash 0) must have been evicted first.
         assert allocator.lookup_hash(0) is None
         assert allocator.lookup_hash(1) is not None
 

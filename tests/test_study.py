@@ -190,6 +190,31 @@ class TestStudySpecExpansion:
         first = rebuilt.axes[0].values[0][0]
         assert isinstance(first.agent_config, AgentConfig)
 
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            "characterization_study", "figure7", "figure9", "figure11", "figure12",
+            "figure13", "figure14", "figure15", "figure16", "figure17", "table3",
+        ],
+    )
+    def test_paper_artifact_studies_round_trip(self, artifact, monkeypatch):
+        """Every paper artifact's declared study, agent configs included,
+        survives JSON; ``run_study`` is stubbed, so nothing runs."""
+        import repro.analysis as analysis
+        from repro.analysis import figures, tables
+
+        declared = []
+
+        def declare_only(study, **_):
+            declared.append(study)
+            return StudyResult(study=study)
+
+        monkeypatch.setattr(figures, "run_study", declare_only)
+        monkeypatch.setattr(tables, "run_study", declare_only)
+        getattr(analysis, artifact)()
+        (study,) = declared
+        assert StudySpec.from_dict(json.loads(json.dumps(study.to_dict()))) == study
+
 
 # ---------------------------------------------------------------------------
 # Hand-built results: slicing, tabulation, Pareto geometry
