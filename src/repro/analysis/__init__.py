@@ -31,7 +31,7 @@ from repro.analysis.predictive_scaling import (
     PredictiveScalingResult,
     predictive_scaling_study,
 )
-from repro.analysis.reporting import format_table, format_value, print_table
+from repro.analysis.reporting import format_table, format_value
 from repro.analysis.sessions import (
     SessionStudyResult,
     sessions_study,
@@ -94,7 +94,6 @@ __all__ = [
     "format_table",
     "format_value",
     "peak_throughput",
-    "print_table",
     "table1",
     "table2",
     "table3",

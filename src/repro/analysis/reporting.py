@@ -38,7 +38,3 @@ def format_table(rows: Sequence[Dict[str, Any]], title: str = "") -> str:
     ]
     lines = ([title] if title else []) + [header, separator] + body
     return "\n".join(lines)
-
-
-def print_table(rows: Sequence[Dict[str, Any]], title: str = "") -> None:
-    print(format_table(rows, title))

@@ -137,7 +137,6 @@ class SystemBuilder:
                 predictor_seed=spec.seed,
                 **scheduler_kwargs,
             ),
-            decode_fast_forward=spec.decode_fast_forward,
             kv_cache_fraction=inherit(pool.kv_cache_fraction, spec.kv_cache_fraction),
             prefill_chunk_tokens=inherit(
                 pool.prefill_chunk_tokens, spec.prefill_chunk_tokens

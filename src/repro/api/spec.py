@@ -651,10 +651,6 @@ class ExperimentSpec:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    # Fast-forward each engine's decode runs, one simulated event per run
-    # (bit-for-bit identical results; see EngineConfig.decode_fast_forward).
-    # Disable to force the reference one-event-per-token path.
-    decode_fast_forward: bool = True
     # Admission policy guarding the serving door (None = the open door).  A
     # bare policy name is accepted as shorthand for AdmissionSpec(policy=name).
     admission: Optional[AdmissionSpec] = None

@@ -229,11 +229,6 @@ class StudySpec:
             spec = replace(spec, seed=seed)
         return spec
 
-    @property
-    def num_points(self) -> int:
-        """Total runs the study declares (grid points x seeds)."""
-        return len(self.expand())
-
     # -- serialisation --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-ready); inverse of :meth:`from_dict`."""

@@ -6,7 +6,7 @@ breakdowns, KV-memory statistics, per-query energy, Pareto frontiers,
 and datacenter-wide power projections.
 """
 
-from repro.core.intervals import clip, intersect, merge_intervals, total_length
+from repro.core.intervals import intersect, merge_intervals, total_length
 from repro.core.metrics import (
     GpuRuntimeBreakdown,
     LatencyBreakdown,
@@ -23,7 +23,6 @@ from repro.core.datacenter import (
     format_power,
     gigawatt_threshold_energy_wh,
     project_power,
-    project_scenarios,
 )
 from repro.core.runner import CharacterizationResult, RequestObservation
 
@@ -37,7 +36,6 @@ __all__ = [
     "PowerProjection",
     "RequestObservation",
     "TokenBreakdown",
-    "clip",
     "format_power",
     "gigawatt_threshold_energy_wh",
     "intersect",
@@ -46,6 +44,5 @@ __all__ = [
     "pareto_frontier",
     "percentile",
     "project_power",
-    "project_scenarios",
     "total_length",
 ]

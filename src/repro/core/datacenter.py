@@ -9,7 +9,6 @@ power draw needed to serve it, and comparisons against reference power scales
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
 
 SECONDS_PER_DAY = 86_400.0
 HOURS_PER_DAY = 24.0
@@ -74,20 +73,6 @@ def project_power(
         energy_wh_per_query=energy_wh_per_query,
         queries_per_day=queries_per_day,
     )
-
-
-def project_scenarios(
-    label: str, energy_wh_per_query: float, scenarios: Dict[str, float] | None = None
-) -> Dict[str, PowerProjection]:
-    """Project a per-query energy across the paper's traffic scenarios."""
-    scenarios = scenarios or {
-        "chatgpt_71.4M_per_day": CHATGPT_QUERIES_PER_DAY,
-        "google_13.7B_per_day": GOOGLE_QUERIES_PER_DAY,
-    }
-    return {
-        name: project_power(label, energy_wh_per_query, volume)
-        for name, volume in scenarios.items()
-    }
 
 
 def gigawatt_threshold_energy_wh(queries_per_day: float = CHATGPT_QUERIES_PER_DAY) -> float:

@@ -46,14 +46,3 @@ def intersect(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interval]:
         else:
             j += 1
     return result
-
-
-def clip(intervals: Iterable[Interval], window: Interval) -> List[Interval]:
-    """Clip an interval union to ``window``."""
-    low, high = window
-    clipped = [
-        (max(start, low), min(end, high))
-        for start, end in intervals
-        if end > low and start < high
-    ]
-    return merge_intervals(clipped)

@@ -49,19 +49,3 @@ class LLMClient:
         )
         self.calls_issued += 1
         return self.engine.submit(request)
-
-    def generate_many(
-        self,
-        prompts_and_lengths: list[tuple[Prompt, int]],
-        metadata: Optional[Dict[str, Any]] = None,
-    ) -> Event:
-        """Submit several calls at once (parallel LLM calls, e.g. LATS expansion).
-
-        Returns an event that fires when *all* calls complete, with a dict of
-        ``index -> LLMResult``.
-        """
-        events = [
-            self.generate(prompt, output_tokens, metadata=metadata)
-            for prompt, output_tokens in prompts_and_lengths
-        ]
-        return self.env.all_of(events)

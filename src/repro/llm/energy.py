@@ -144,11 +144,3 @@ class EnergyWindow:
         if self.total_seconds == 0:
             return 0.0
         return self.total_joules / self.total_seconds
-
-
-def wh_to_joules(wh: float) -> float:
-    return wh * JOULES_PER_WH
-
-
-def joules_to_wh(joules: float) -> float:
-    return joules / JOULES_PER_WH

@@ -44,14 +44,6 @@ class EngineConfig:
     block_size: int = 16
     enable_prefix_caching: bool = True
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    # Exact decode fast-forwarding: collapse runs of per-token decode steps
-    # into one simulated event.  A run is bounded per engine -- by this
-    # engine's earliest completion, its KV-allocation budget, the run
-    # horizon, and arrivals at this engine -- never by other engines' events;
-    # every per-token timing is reconstructed, so results are bit-for-bit
-    # identical to the per-token path.  It is on by default and only
-    # disabled for A/B-testing the equivalence.
-    decode_fast_forward: bool = True
     # Fraction of the hardware-derived KV block budget this engine gets
     # (1.0 = the full budget; see KVCacheConfig.from_hardware).
     kv_cache_fraction: float = 1.0
@@ -62,8 +54,8 @@ class EngineConfig:
     # Speculative decoding acceptance model; None = disabled (bit-for-bit
     # identical to the pre-speculative engine).  When set, decode steps emit
     # ``accepted + 1`` tokens for one verify pass plus the draft-model cost,
-    # and speculative execution supersedes ``decode_fast_forward`` (the
-    # fast-forward's one-token-per-step replay no longer describes a step).
+    # and each is its own simulated event: a decode run's one-token-per-step
+    # replay no longer describes a step.
     speculative: Optional[SpeculativeSpec] = None
 
     def __post_init__(self) -> None:
@@ -462,8 +454,7 @@ class LLMEngine:
         decodes = step.decodes
         k_limit = 1
         if (
-            self.config.decode_fast_forward
-            and not preempted
+            not preempted
             # A partial prefill in flight means the next step will be MIXED,
             # so no decode run is unobservable (always empty in atomic mode).
             and not self.scheduler.prefilling

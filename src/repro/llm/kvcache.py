@@ -248,13 +248,7 @@ class BlockAllocator:
         block.content_hash = content_hash
         self.hash_to_block[content_hash] = block_id
 
-    def lookup_hash(self, content_hash: int) -> Optional[int]:
-        return self.hash_to_block.get(content_hash)
-
     # -- introspection -----------------------------------------------------------
     def ref_count(self, block_id: int) -> int:
         block = self.blocks.get(block_id)
         return block.ref_count if block is not None else 0
-
-    def cached_block_count(self) -> int:
-        return len(self.hash_to_block)

@@ -170,18 +170,3 @@ class PerformanceModel:
         kv_bytes = self._kv_bytes_per_token * float(sum(context_lengths))
         memory_time = (self._weight_bytes + kv_bytes) / self._decode_bandwidth
         return max(compute_time, memory_time) + self._step_overhead
-
-    # -- convenience ------------------------------------------------------
-    def generation_time(
-        self,
-        prompt_tokens: int,
-        output_tokens: int,
-        cached_tokens: int = 0,
-    ) -> float:
-        """Latency of a single request run alone (no batching interference)."""
-        total = self.prefill_time(prompt_tokens - cached_tokens, cached_tokens)
-        context = prompt_tokens
-        for _ in range(max(output_tokens - 1, 0)):
-            total += self.decode_step_time([context])
-            context += 1
-        return total

@@ -445,9 +445,6 @@ class Scheduler:
         self.waiting.append(request)
         self.policy.push(request)
 
-    def has_work(self) -> bool:
-        return bool(self.waiting) or bool(self.running) or bool(self.prefilling)
-
     @property
     def num_waiting(self) -> int:
         return len(self.waiting)

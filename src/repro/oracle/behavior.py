@@ -166,12 +166,6 @@ class TaskOracle:
             raise KeyError(f"unknown output role: {role!r} (known: {self.ROLES})")
         return max(1, round(samplers[role].sample(self.stream)))
 
-    def sample_tool_observation_tokens(self) -> int:
-        return max(1, round(self.benchmark.tool_observation_tokens.sample(self.stream)))
-
-    def sample_tool_latency(self) -> float:
-        return max(0.0, self.benchmark.tool_latency.sample(self.stream))
-
 
 def make_oracle(
     *,

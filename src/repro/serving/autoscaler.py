@@ -358,26 +358,19 @@ class Autoscaler:
     def _target_replicas(
         self, per_replica_rate: float, forecast_rate: float, mean_tokens: float
     ) -> int:
+        """Replicas needed to clear backlog + forecast demand within the horizon.
+
+        Demand is measured in decode tokens: the predictor-estimated backlog
+        already enqueued on the pool, plus the forecast arrival count over
+        ``horizon_s`` priced at ``mean_tokens``, the mean decode tokens recent
+        requests cost.  Dividing by what one replica clears per horizon gives
+        the target, clamped to ``[min_replicas, max_replicas]``.
+        """
         backlog = self.pool.pending_predicted_tokens(self.predictor)
         demand = backlog + forecast_rate * self.horizon_s * mean_tokens
         per_replica_budget = per_replica_rate * self.horizon_s
         target = math.ceil(demand / per_replica_budget) if per_replica_budget > 0 else 0
         return max(self.min_replicas, min(self.max_replicas, target))
-
-    def target_replicas(
-        self, now: float, per_replica_rate: float, forecast_rate: float
-    ) -> int:
-        """Replicas needed to clear backlog + forecast demand within the horizon.
-
-        Demand is measured in decode tokens: the predictor-estimated backlog
-        already enqueued on the pool, plus the forecast arrival count over
-        ``horizon_s`` priced at the mean decode tokens recent requests cost.
-        Dividing by what one replica clears per horizon gives the target,
-        clamped to ``[min_replicas, max_replicas]``.
-        """
-        return self._target_replicas(
-            per_replica_rate, forecast_rate, self.mean_tokens_per_request(now)
-        )
 
     def forecast_mae(self, now: Optional[float] = None) -> Optional[float]:
         """Mean absolute forecast-rate error over matured forecasts."""

@@ -339,15 +339,6 @@ class ReplicaPool:
         if self._span_start[index] is not None:
             self._active[index] = True
 
-    @property
-    def num_warming(self) -> int:
-        """Replicas provisioned but still inside their warm-up window."""
-        return sum(
-            1
-            for index in self.warming_etas
-            if self._span_start[index] is not None
-        )
-
     def warming_replicas_within(self, now: float, horizon_s: float) -> int:
         """In-flight scale-ups whose warm-up completes within the horizon."""
         deadline = now + horizon_s

@@ -389,11 +389,6 @@ class PiecewiseShape(RateShape):
     def max_level(self) -> float:
         return max(shape.max_level for _, shape in self.segments)
 
-    @property
-    def total_duration_s(self) -> float:
-        """Programmed span of the segments (the final shape continues after)."""
-        return sum(duration for duration, _ in self.segments)
-
     def next_change(self, t: float) -> Optional[float]:
         shape, local, start = self._locate(max(t, 0.0))
         child = shape.next_change(local)

@@ -2,7 +2,7 @@
 
 The kernel is a small, dependency-free analogue of SimPy: simulation
 *processes* are Python generators that yield :class:`Event` objects
-(timeouts, other processes, manual events, resource requests) and are resumed
+(timeouts, other processes, manual events, :class:`AllOf` joins) and are resumed
 by the :class:`Environment` when those events fire.  All timing in the
 reproduction -- LLM engine steps, tool latencies, request arrivals -- is
 expressed in simulated seconds on this kernel, so experiments that would take
@@ -11,18 +11,14 @@ hours of GPU time in the paper run in milliseconds of wall-clock time here.
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
 from repro.sim.distributions import (
     DeterministicArrivals,
-    ExponentialSampler,
     LogNormalSampler,
     PoissonArrivals,
     RandomStream,
@@ -31,19 +27,14 @@ from repro.sim.distributions import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "DeterministicArrivals",
     "Environment",
     "Event",
-    "ExponentialSampler",
-    "Interrupt",
     "LogNormalSampler",
     "PoissonArrivals",
     "Process",
     "RandomStream",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "UniformSampler",
 ]

@@ -28,14 +28,6 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 _PENDING = object()
 
 
@@ -173,36 +165,14 @@ class Process(Event):
         self._target: Optional[Event] = None
         _Start(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current sim time."""
-        if self.triggered:
-            return
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, priority=0)
-        # Detach from whatever the process was waiting on.
-        if self._target is not None and not self._target.processed:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
-            self._target = None
-
     def retarget(self, event: Event) -> None:
         """Make the waiting process resume on ``event`` instead of its target.
 
-        The process is detached from the event it is waiting on, as
-        :meth:`interrupt` does, and waits on ``event`` instead; the old
-        target still fires, but no longer resumes this process.  Lets the
-        owner of a sleeping process move its wake-up (the engine shortens
-        an in-flight decode run this way when a request arrives).
+        The process stops waiting on the event it yielded and waits on
+        ``event`` instead; the old target still fires, but no longer
+        resumes this process.  Lets the owner of a sleeping process move its
+        wake-up (the engine shortens an in-flight decode run this way when a
+        request arrives).
         """
         target = self._target
         if target is None or target.processed:
@@ -248,26 +218,27 @@ class Process(Event):
         self.env._active_process = None
 
 
-class ConditionEvent(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when all child events have fired, with ``{index: value}``.
 
-    __slots__ = ("_events", "_pending")
+    A child that fails fails the composite with the child's exception.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
-        self._pending = 0
         for event in self._events:
             if event.processed:
                 self._check(event)
             else:
-                self._pending += 1
                 event.callbacks.append(self._check)
         if not self.triggered and self._satisfied():
             self.succeed(self._collect())
 
-    def _satisfied(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _satisfied(self) -> bool:
+        return all(event.triggered and event.ok for event in self._events)
 
     def _collect(self) -> dict:
         return {
@@ -285,24 +256,6 @@ class ConditionEvent(Event):
             return
         if self._satisfied():
             self.succeed(self._collect())
-
-
-class AllOf(ConditionEvent):
-    """Fires when all child events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return all(event.triggered and event.ok for event in self._events)
-
-
-class AnyOf(ConditionEvent):
-    """Fires as soon as any child event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return any(event.triggered and event.ok for event in self._events)
 
 
 class Environment:
@@ -370,17 +323,12 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             return
         event._scheduled = True
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
+        heapq.heappush(self._queue, (self._now + delay, 1, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when the queue is empty)."""

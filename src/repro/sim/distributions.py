@@ -62,10 +62,6 @@ class RandomStream:
         index = int(self._rng.choice(len(options), p=p))
         return options[index]
 
-    def shuffle(self, items: list) -> list:
-        order = self._rng.permutation(len(items))
-        return [items[int(i)] for i in order]
-
 
 @dataclass(frozen=True)
 class UniformSampler:
@@ -80,20 +76,6 @@ class UniformSampler:
     @property
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class ExponentialSampler:
-    """Exponential sampler with the given mean."""
-
-    mean_value: float
-
-    def sample(self, stream: RandomStream) -> float:
-        return stream.exponential(self.mean_value)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
 
 
 @dataclass(frozen=True)

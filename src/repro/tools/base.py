@@ -139,11 +139,6 @@ class ToolSet:
             raise KeyError(f"unknown tool {name!r}; available: {self.names}")
         return self._tools[name]
 
-    @property
-    def primary(self) -> BaseTool:
-        """The benchmark's main tool (first registered)."""
-        return next(iter(self._tools.values()))
-
     def call(self, action: ToolAction):
         """Dispatch ``action`` to the owning tool.
 

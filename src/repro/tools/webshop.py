@@ -83,11 +83,6 @@ class ProductCatalog:
         scored.sort(key=lambda pair: (-pair[0], pair[1].price))
         return [product for _, product in scored[:limit]]
 
-    def find_matching(
-        self, requirements: Dict[str, str], max_price: Optional[float]
-    ) -> List[Product]:
-        return [p for p in self.products if p.matches(requirements, max_price)]
-
 
 class WebShopTool(BaseTool):
     """Search/click navigation over a :class:`ProductCatalog`."""
@@ -101,12 +96,6 @@ class WebShopTool(BaseTool):
         self.current_product: Optional[Product] = None
         self.purchased: Optional[Product] = None
         self.selected_options: Dict[str, str] = {}
-
-    def reset_session(self) -> None:
-        self.current_results = []
-        self.current_product = None
-        self.purchased = None
-        self.selected_options = {}
 
     def _result_page(self) -> str:
         lines = ["Search results page 1 of 3. [Back to Search] [Next >]"]

@@ -2,8 +2,8 @@
 
 The characterization golden was captured by running the original
 hand-wired single-request runner (commit ``c26818c``); the serving goldens
-are exact-decode runs of the configurations used here, identical with
-``decode_fast_forward`` on and off.  Every metric is asserted with zero
+are exact-decode runs of the configurations used here, identical under the
+per-token seam (``tests/per_token.py``).  Every metric is asserted with zero
 tolerance: one replica under FCFS scheduling through ``run_experiment``
 must stay event-for-event identical.  If an engine or scheduler change is
 *supposed* to shift these numbers, regenerate them on purpose; never

@@ -21,7 +21,6 @@ from repro.core import (
     pareto_frontier,
     percentile,
     project_power,
-    project_scenarios,
     total_length,
 )
 from repro.core.metrics import mean
@@ -311,11 +310,6 @@ class TestDatacenter:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             project_power("x", -1.0, 1e6)
-
-    def test_project_scenarios_has_both_traffic_levels(self):
-        scenarios = project_scenarios("x", 1.0)
-        assert len(scenarios) == 2
-        assert any(p.queries_per_day == pytest.approx(71.4e6) for p in scenarios.values())
 
     def test_gigawatt_threshold_near_paper_value(self):
         # Paper: ~100 Wh/query pushes tens of millions of queries/day to GW scale.

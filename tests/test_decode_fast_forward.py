@@ -1,11 +1,13 @@
 """Bit-for-bit equivalence of exact decode fast-forwarding.
 
-``EngineConfig.decode_fast_forward`` collapses runs of per-token decode steps
-into one simulated event and replays the per-token bookkeeping.  These tests
-run identical scenarios with the flag on and off and require *byte-identical*
-outcomes -- every step record, every per-request timing float, every energy
-and KV statistic -- under idle decode, mid-decode arrivals, and KV-pressure
-preemption.
+The engine's one decode path collapses runs of per-token decode steps into
+one simulated event and replays the per-token bookkeeping.  These tests run
+identical scenarios as they are and under the test-only per-token seam
+(``tests/per_token.py``, every run planned as one step) and require
+*byte-identical* outcomes -- every step record, every per-request timing
+float, every energy and KV statistic -- under idle decode, mid-decode
+arrivals, and KV-pressure preemption.  ``tests/test_reference_engine.py``
+checks the same engine against an independent per-token reference.
 
 In a fleet a run spans other engines' events, so the fleet scenarios also
 cover every read that can observe an engine mid-run: the predicted backlog
@@ -17,7 +19,6 @@ boundary.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 from unittest import mock
 
@@ -44,19 +45,24 @@ from repro.llm.request import reset_request_ids
 from repro.llm.tokenizer import Prompt, SegmentKind, SyntheticTokenizer
 from repro.sim import Environment
 
+from tests.per_token import per_token_decode
 from tests.test_cluster_and_policies import tiny_kv_engine_config
+
+
+def decode_path(fast_forward: bool):
+    """The engine as it is, or under the per-token seam."""
+    return contextlib.nullcontext() if fast_forward else per_token_decode()
 
 
 def run_scenario(config: EngineConfig, script, fast_forward: bool):
     """Run ``script`` against a fresh engine; returns (env, engine)."""
     reset_request_ids()
     env = Environment()
-    engine = LLMEngine(
-        env, dataclasses.replace(config, decode_fast_forward=fast_forward)
-    )
-    client = LLMClient(env, engine)
-    script(env, engine, client)
-    env.run()
+    with decode_path(fast_forward):
+        engine = LLMEngine(env, config)
+        client = LLMClient(env, engine)
+        script(env, engine, client)
+        env.run()
     return env, engine
 
 
@@ -167,14 +173,15 @@ class TestFastForwardEquivalence:
         for fast_forward in (True, False):
             reset_request_ids()
             env = Environment()
-            engine = LLMEngine(env, EngineConfig(decode_fast_forward=fast_forward))
+            engine = LLMEngine(env, EngineConfig())
             client = LLMClient(env, engine)
 
             def proc():
                 yield client.generate(user_prompt(engine, "paused", 150), output_tokens=300)
 
             env.process(proc())
-            env.run(until=2.0)
+            with decode_path(fast_forward):
+                env.run(until=2.0)
             (request,) = engine.scheduler.running
             observed[fast_forward] = (
                 request.num_output_tokens,
@@ -243,9 +250,11 @@ def canonical(value) -> str:
 
 
 def assert_fleet_bit_identical(spec: ExperimentSpec) -> None:
-    """Fast-forward on and off give byte-identical results, fewer events on."""
+    """Fast-forward and the per-token seam give byte-identical results, and
+    fast-forward fewer events."""
     fast, fast_system = run_captured(spec)
-    ref, ref_system = run_captured(spec.with_overrides(decode_fast_forward=False))
+    with per_token_decode():
+        ref, ref_system = run_captured(spec)
 
     assert canonical(fast.summary()) == canonical(ref.summary())
     assert canonical(fast.per_class_summary()) == canonical(ref.per_class_summary())
@@ -269,7 +278,7 @@ CHAT_AND_AGENT = (
 
 
 class TestFleetEquivalence:
-    """Fleet scenarios, fast-forward on against off.
+    """Fleet scenarios, fast-forward against the per-token seam.
 
     Each engine read that catches a run up has a scenario that fails
     without the catch-up: ``request_queues()`` (the predicted backlog)
@@ -494,7 +503,8 @@ class TestPinnedCounters:
 
     def counters(self, fast_forward: bool):
         """(events processed, non-idle engine steps, calls of each COUNTED
-        method) of one served run."""
+        method) of one served run, fast-forwarded or under the per-token
+        seam."""
         reset_request_ids()
         calls = {name: 0 for _, name in self.COUNTED}
 
@@ -512,9 +522,8 @@ class TestPinnedCounters:
                         owner, name, counting(name, getattr(owner, name))
                     )
                 )
-            system = SystemBuilder(
-                self.SPEC.with_overrides(decode_fast_forward=fast_forward)
-            ).build()
+            stack.enter_context(decode_path(fast_forward))
+            system = SystemBuilder(self.SPEC).build()
             ServingDriver(system).serve(_build_plan(system))
         steps = sum(
             1

@@ -75,7 +75,7 @@ class TestBlockAllocator:
         allocator.register_hash(block_id, content_hash=123)
         allocator.release(block_id)
         # The block is reusable both as a cached block and as free capacity.
-        assert allocator.lookup_hash(123) == block_id
+        assert allocator.hash_to_block[123] == block_id
         assert allocator.num_free_blocks == 8
 
     def test_without_prefix_caching_release_forgets_hash(self):
@@ -83,7 +83,7 @@ class TestBlockAllocator:
         block_id = allocator.allocate(1)[0]
         allocator.register_hash(block_id, content_hash=123)
         allocator.release(block_id)
-        assert allocator.lookup_hash(123) is None
+        assert 123 not in allocator.hash_to_block
 
     def test_eviction_removes_hash_mapping(self):
         allocator = BlockAllocator(small_config(4))
@@ -94,7 +94,7 @@ class TestBlockAllocator:
         # Cache full of evictable blocks; allocating forces LRU eviction.
         allocator.allocate(2)
         assert allocator.eviction_count == 2
-        assert allocator.cached_block_count() == 2
+        assert len(allocator.hash_to_block) == 2
 
     def test_lru_eviction_order(self):
         allocator = BlockAllocator(small_config(3))
@@ -105,8 +105,8 @@ class TestBlockAllocator:
         allocator.allocate(1)
         # Release order is the LRU order: the block released earliest
         # (hash 0) must have been evicted first.
-        assert allocator.lookup_hash(0) is None
-        assert allocator.lookup_hash(1) is not None
+        assert 0 not in allocator.hash_to_block
+        assert 1 in allocator.hash_to_block
 
     def test_acquire_increments_refcount_of_cached_block(self):
         allocator = BlockAllocator(small_config(4))

@@ -143,7 +143,8 @@ class TestPerformanceModel:
     def test_generation_time_matches_sharegpt_scale(self, perf_8b):
         # ~250 output tokens on one A100 should land in the couple-of-seconds
         # range the paper reports for single-turn inference (4.23 s).
-        latency = perf_8b.generation_time(prompt_tokens=300, output_tokens=250)
+        # Prefill, then one decode step per token after the first.
+        latency = perf_8b.prefill_time(300) + sum(perf_8b.decode_run_step_times([300], 249))
         assert 2.0 < latency < 8.0
 
     @given(tokens=st.integers(1, 8000), cached=st.integers(0, 4000))

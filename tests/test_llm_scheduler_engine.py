@@ -48,7 +48,6 @@ class TestScheduler:
     def test_no_work_returns_none(self):
         scheduler = make_scheduler()
         assert scheduler.schedule() is None
-        assert not scheduler.has_work()
 
     def test_waiting_request_becomes_prefill_step(self):
         scheduler = make_scheduler()
@@ -265,15 +264,3 @@ class TestEngine:
         with pytest.raises(ValueError):
             client.generate(Prompt(), output_tokens=10)
 
-    def test_generate_many_runs_calls_in_parallel(self, env, engine):
-        client = LLMClient(env, engine)
-        prompt = Prompt()
-        prompt.append(engine.tokenizer.span(SegmentKind.USER, "par", 100))
-
-        def proc():
-            results = yield client.generate_many([(prompt, 32), (prompt, 32), (prompt, 32)])
-            return results
-
-        results = env.run(env.process(proc()))
-        assert len(results) == 3
-        assert all(result.output_tokens == 32 for result in results.values())

@@ -242,11 +242,6 @@ class TestTaskOracle:
         with pytest.raises(KeyError):
             make_oracle().sample_output_tokens("poetry")
 
-    def test_tool_latency_and_observation_positive(self):
-        oracle = make_oracle()
-        assert oracle.sample_tool_latency() >= 0
-        assert oracle.sample_tool_observation_tokens() >= 1
-
     def test_score_full_for_correct(self):
         oracle = make_oracle()
         assert oracle.score(True) == 1.0

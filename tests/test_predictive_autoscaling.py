@@ -148,14 +148,13 @@ class TestWarmupAccounting:
         index = pool.grow(warmup_s=5.0, reason="test")
         assert pool.num_provisioned == 2
         assert pool.num_active == 1
-        assert pool.num_warming == 1
+        assert len(pool.warming_etas) == 1
         assert pool.warming_etas[index] == pytest.approx(5.0)
         # Landing visibility honours the horizon.
         assert pool.warming_replicas_within(0.0, 5.0) == 1
         assert pool.warming_replicas_within(0.0, 3.0) == 0
         env.run(until=6.0)
         assert pool.num_active == 2
-        assert pool.num_warming == 0
         assert not pool.warming_etas
 
     def test_warming_replica_pays_from_grow_instant(self):
@@ -172,7 +171,7 @@ class TestWarmupAccounting:
         pool = ReplicaPool(env, EngineConfig(), num_replicas=1)
         pool.grow(warmup_s=0.0, reason="test")
         assert pool.num_active == 2
-        assert pool.num_warming == 0
+        assert not pool.warming_etas
 
 
 class TestCooldownEnforcement:
@@ -217,11 +216,12 @@ class TestPredictiveController:
         )
         # No completions -> mean tokens/request is 0, so demand is backlog
         # only: 100 tokens / (5 tokens/s * 10 s) = 2 replicas.
-        assert autoscaler.target_replicas(0.0, per_replica_rate=5.0, forecast_rate=0.0) == 2
+        mean_tokens = autoscaler.mean_tokens_per_request(0.0)
+        assert autoscaler._target_replicas(5.0, 0.0, mean_tokens) == 2
         # Clamped to the configured bounds.
-        assert autoscaler.target_replicas(0.0, per_replica_rate=0.1, forecast_rate=0.0) == 8
+        assert autoscaler._target_replicas(0.1, 0.0, mean_tokens) == 8
         pool.num_pending_requests = 0
-        assert autoscaler.target_replicas(0.0, per_replica_rate=5.0, forecast_rate=0.0) == 1
+        assert autoscaler._target_replicas(5.0, 0.0, mean_tokens) == 1
 
     def test_cold_start_falls_back_to_reactive_signals(self):
         # No completions -> no service-rate estimate -> queue pressure must

@@ -11,7 +11,7 @@ from repro.analysis.reporting import format_table, format_value
 from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
 from repro.core import CharacterizationResult
 from repro.llm import EngineConfig, LLMClient, LLMEngine
-from repro.llm.energy import EnergyMeter, PowerState, joules_to_wh, wh_to_joules
+from repro.llm.energy import EnergyMeter, PowerState
 from repro.llm.hardware import cluster_for_model
 from repro.llm.models import LLAMA_3_1_8B
 from repro.llm.tokenizer import Prompt, SegmentKind
@@ -62,9 +62,6 @@ class TestFormatting:
 
 
 class TestEnergyMeter:
-    def test_unit_conversions_roundtrip(self):
-        assert joules_to_wh(wh_to_joules(1.5)) == pytest.approx(1.5)
-
     def test_record_negative_duration_rejected(self):
         meter = EnergyMeter(cluster=cluster_for_model(LLAMA_3_1_8B))
         with pytest.raises(ValueError):

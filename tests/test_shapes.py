@@ -182,7 +182,6 @@ class TestShapeLevels:
         assert program.level(25.0) == 3.0
         assert program.level(95.0) == 3.0  # final segment holds
         assert program.max_level == 3.0
-        assert program.total_duration_s == 30.0
         # Segment boundaries are discontinuities.
         assert program.next_change(12.0) == 20.0
 

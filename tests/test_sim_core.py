@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
-from repro.sim.core import AllOf, AnyOf, Event, Timeout
+from repro.sim import Environment, SimulationError
+from repro.sim.core import AllOf, Event, Timeout
 
 
 class TestEnvironmentBasics:
@@ -185,46 +185,6 @@ class TestProcesses:
         with pytest.raises(RuntimeError, match="kaboom"):
             env.run()
 
-    def test_is_alive_lifecycle(self, env):
-        def proc():
-            yield env.timeout(1.0)
-
-        process = env.process(proc())
-        assert process.is_alive
-        env.run()
-        assert not process.is_alive
-
-    def test_interrupt_wakes_process(self, env):
-        observed = {}
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                observed["cause"] = interrupt.cause
-                observed["time"] = env.now
-            return "interrupted"
-
-        def interrupter(target):
-            yield env.timeout(2.0)
-            target.interrupt(cause="stop now")
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        assert env.run(target) == "interrupted"
-        assert observed["cause"] == "stop now"
-        assert observed["time"] == pytest.approx(2.0)
-
-    def test_interrupt_finished_process_is_noop(self, env):
-        def quick():
-            yield env.timeout(0.5)
-            return 1
-
-        process = env.process(quick())
-        env.run()
-        process.interrupt()  # should not raise
-        assert process.value == 1
-
     def test_retarget_moves_the_wakeup(self, env):
         wakes = []
 
@@ -240,7 +200,7 @@ class TestProcesses:
         env.process(mover(target))
         env.run(until=5.0)
         assert wakes == [(3.5, "early")]
-        assert not target.is_alive
+        assert target.triggered
         # The abandoned timeout still fires, but resumes nobody.
         env.run()
         assert env.now == 10.0
@@ -295,19 +255,6 @@ class TestConditionEvents:
         assert when == pytest.approx(3.0)
         assert sorted(results.values()) == ["a", "b"]
 
-    def test_any_of_fires_on_first_event(self, env):
-        def child(delay, value):
-            yield env.timeout(delay)
-            return value
-
-        def parent():
-            results = yield AnyOf(env, [env.process(child(5, "slow")), env.process(child(1, "fast"))])
-            return results, env.now
-
-        results, when = env.run(env.process(parent()))
-        assert when == pytest.approx(1.0)
-        assert "fast" in results.values()
-
     def test_all_of_with_already_triggered_events(self, env):
         timeout_a = env.timeout(0.0, value="x")
         timeout_b = env.timeout(0.0, value="y")
@@ -323,7 +270,6 @@ class TestConditionEvents:
     def test_env_helpers_build_condition_events(self, env):
         events = [env.timeout(1.0), env.timeout(2.0)]
         assert isinstance(env.all_of(events), AllOf)
-        assert isinstance(env.any_of(events), AnyOf)
 
     def test_all_of_preserves_index_order(self, env):
         def child(delay, value):

@@ -61,7 +61,6 @@ class TestStudySpecExpansion:
             {"qps": 2.0, "scheduler": "fcfs"},
             {"qps": 2.0, "scheduler": "priority"},
         ]
-        assert study.num_points == 4
 
     def test_seeds_expand_innermost(self):
         study = StudySpec(
