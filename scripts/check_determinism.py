@@ -11,8 +11,8 @@ of hash-randomised keys somewhere in the scheduling or aggregation path
 processes.  This script pins the contract the way CI exercises it: run a
 small but representative experiment battery -- including the chunked
 prefill and speculative-decoding fidelity paths, many vtc tenants under
-KV pressure, a least-loaded fleet and a shed, autoscaled two-pool
-fleet -- in two fresh
+KV pressure, per-tenant oit-throttle delays, a least-loaded fleet and a
+shed, autoscaled two-pool fleet -- in two fresh
 interpreters with *different* hash seeds, serialise every result to
 canonical JSON (full latency vectors, not just summaries), and diff.
 
@@ -116,6 +116,27 @@ def battery() -> dict:
                 num_requests=40,
                 task_pool_size=40,
                 tenants=TenantSpec(num_users=1000, skew=1.6, num_apps=8),
+            ),
+        ),
+        # Per-tenant throttling keyed by tenant strings: windows and
+        # in-flight counts per user, and delay-mode re-offers (three users
+        # at 0.5 qps, one admission each per 30 s window while any request
+        # runs; 6 of the 24 arrivals wait at the door).
+        "oit-throttle-delay": mixture(
+            admission=AdmissionSpec(
+                policy="oit-throttle",
+                user_rpm=2.0,
+                kv_threshold=0.01,
+                queue_threshold=0.1,
+                overload_action="delay",
+            ),
+        ).with_overrides(
+            arrival=ArrivalSpec(
+                process="poisson",
+                qps=0.5,
+                num_requests=24,
+                task_pool_size=6,
+                tenants=TenantSpec(num_users=3),
             ),
         ),
         # Fleets: decode runs span other replicas' events, so routing,

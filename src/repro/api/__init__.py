@@ -78,9 +78,7 @@ from repro.api.results import ResultSet, resolve_metric
 from repro.api.runners import ServingDriver, run_experiment
 from repro.api.spec import (
     ARRIVAL_PROCESSES,
-    AdmissionSpec,
     ArrivalSpec,
-    AutoscalerSpec,
     ExperimentSpec,
     MeasurementSpec,
     PoolSpec,
@@ -97,6 +95,8 @@ from repro.api.study import (
 )
 from repro.llm.hardware import HardwareSpec
 from repro.llm.speculative import SpeculativeSpec
+from repro.serving.admission import AdmissionSpec
+from repro.serving.autoscaler import AutoscalerSpec
 from repro.serving.planner import FleetPlan, FleetPlanner
 from repro.serving.sessions import SessionSpec, SessionStats
 from repro.serving.tenants import TenantSpec

@@ -14,24 +14,24 @@ results bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.agents import create_agent
 from repro.agents.base import BaseAgent
-from repro.api.spec import TOOLLESS_AGENTS, AdmissionSpec, ExperimentSpec, PoolSpec
+from repro.api.spec import TOOLLESS_AGENTS, ExperimentSpec, PoolSpec
 from repro.llm import EngineConfig, LLMClient, SchedulerConfig
 from repro.llm.models import get_model
 from repro.llm.predictor import DecodeLengthPredictor
 from repro.serving.admission import (
+    ADMISSION_POLICIES,
     AdmissionController,
     AdmissionPolicy,
+    AdmissionSpec,
     ClusterLoadProbe,
-    build_admission_policy,
 )
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.cluster import Cluster, ReplicaPool
-from repro.serving.forecast import build_forecaster
 from repro.sim import Environment, RandomStream
 from repro.workloads import create_workload
 from repro.workloads.base import Workload
@@ -214,34 +214,12 @@ class SystemBuilder:
     def _admission_policy(
         self, sub: AdmissionSpec, probe: ClusterLoadProbe
     ) -> AdmissionPolicy:
-        """One policy instance from one (sub-)spec, with inherited defaults."""
-        slo = sub.slo_p95_s
-        if slo is None and sub.policy.lower() == "slo-shed":
+        """One policy instance from one (sub-)spec; an ``slo-shed`` spec
+        without its own SLO takes the one measurement declares."""
+        if sub.policy.lower() == "slo-shed" and sub.slo_p95_s is None:
             slo = self.spec.measurement.slo_for(sub.protect_class or None)
-        # A cooperative gate projects at the autoscaler's forecast horizon,
-        # so both controllers reason about the same look-ahead window.
-        horizon_s = 10.0
-        if self.spec.autoscaler is not None:
-            horizon_s = self.spec.autoscaler.horizon_s
-        return build_admission_policy(
-            sub.policy,
-            max_concurrency=sub.max_concurrency,
-            rate_qps=sub.rate_qps,
-            burst=sub.burst,
-            overload_action=sub.overload_action,
-            slo_p95_s=slo,
-            window_s=sub.window_s,
-            enter_factor=sub.enter_factor,
-            exit_factor=sub.exit_factor,
-            protect_class=sub.protect_class or None,
-            load_probe=probe,
-            cooperative=sub.cooperative,
-            horizon_s=horizon_s,
-            user_rpm=sub.user_rpm,
-            app_rpm=sub.app_rpm,
-            kv_threshold=sub.kv_threshold,
-            queue_threshold=sub.queue_threshold,
-        )
+            sub = replace(sub, slo_p95_s=slo)
+        return ADMISSION_POLICIES[sub.policy.lower()](sub, probe)
 
     def build_admission(self, cluster: Cluster) -> AdmissionController:
         """Assemble the door controller: per-class policies + pool attribution.
@@ -251,10 +229,14 @@ class SystemBuilder:
         to the pool that claims the class (the default pool otherwise).
         Policies read the cluster's enqueued backlog through the shared
         :class:`ClusterLoadProbe`, so door decisions see fleet load before
-        any work is enqueued.
+        any work is enqueued; a cooperative gate looks ahead over the
+        autoscaler's horizon.
         """
         spec = self.spec.admission or AdmissionSpec()
-        probe = ClusterLoadProbe(cluster)
+        scaling = self.spec.autoscaler
+        probe = ClusterLoadProbe(
+            cluster, horizon_s=None if scaling is None else scaling.horizon_s
+        )
         class_policies = {
             label: self._admission_policy(sub, probe)
             for label, sub in spec.per_class
@@ -276,36 +258,7 @@ class SystemBuilder:
         if scaling is None:
             return None
         pool = cluster.pool(scaling.pool) if scaling.pool else cluster.default_pool
-        # Predictive mode needs a forecaster fed by the arrival timeline (the
-        # serving driver feeds it) and the cluster's shared decode predictor
-        # for backlog pricing; reactive mode takes neither, keeping its
-        # golden-pinned behaviour untouched.
-        forecaster = None
-        if scaling.mode == "predictive":
-            forecaster = build_forecaster(
-                scaling.forecaster,
-                window_s=scaling.forecaster_window_s,
-                bucket_s=scaling.forecaster_bucket_s,
-                alpha=scaling.forecaster_alpha,
-                beta=scaling.forecaster_beta,
-            )
-        return Autoscaler(
-            env,
-            pool,
-            min_replicas=scaling.min_replicas,
-            max_replicas=scaling.max_replicas,
-            check_interval_s=scaling.check_interval_s,
-            warmup_s=scaling.warmup_s,
-            cooldown_s=scaling.cooldown_s,
-            scale_up_pending_per_replica=scaling.scale_up_pending_per_replica,
-            scale_down_pending_per_replica=scaling.scale_down_pending_per_replica,
-            p95_slo_s=scaling.p95_slo_s,
-            p95_window_s=scaling.p95_window_s,
-            mode=scaling.mode,
-            forecaster=forecaster,
-            horizon_s=scaling.horizon_s,
-            predictor=cluster.predictor,
-        )
+        return Autoscaler(env, pool, scaling, predictor=cluster.predictor)
 
     def build(self) -> System:
         """Assemble environment, cluster, client, traffic, and streams."""

@@ -47,22 +47,11 @@ from repro.workloads.base import Task
 # ---------------------------------------------------------------------------
 
 
-def _run_characterization(
-    system: System, tasks: Optional[List[Task]] = None
-) -> CharacterizationResult:
+def _run_characterization(system: System) -> CharacterizationResult:
     spec = system.spec
     env, cluster = system.env, system.cluster
     # Characterization specs cannot be mixtures: the one class is unlabelled.
-    if tasks is None:
-        tasks = system.traffic[None].workload.sample_tasks(spec.arrival.num_requests)
-    elif spec.measurement.warmup_requests >= len(tasks):
-        # Spec validation only covers arrival.num_requests; explicit task
-        # lists bypass it and must not silently measure an empty window.
-        raise ValueError(
-            f"measurement.warmup_requests ({spec.measurement.warmup_requests}) "
-            f"must be smaller than the explicit task list ({len(tasks)} tasks): "
-            "the measured window would be empty"
-        )
+    tasks = system.traffic[None].workload.sample_tasks(spec.arrival.num_requests)
     agent = system.create_agent(None, seed_stream=system.stream)
 
     observations: List[RequestObservation] = []
@@ -98,7 +87,7 @@ def _run_characterization(
 
 
 class ServingDriver:
-    """Drives one assembled system through an arrival plan.
+    """Drives one assembled system through one arrival plan.
 
     Every arrival is offered to the system's
     :class:`~repro.serving.admission.AdmissionController` before any work is
@@ -108,7 +97,8 @@ class ServingDriver:
     rejected requests are shed with per-class and per-pool accounting.  With
     no admission spec the controller is the open door, and the
     ``concurrency`` policy reproduces the historical enforced gate
-    bit-for-bit.
+    bit-for-bit.  A driver serves one plan: a second :meth:`serve` raises,
+    since the system's engines, pools and door already carry the first.
     """
 
     def __init__(self, system: System):
@@ -157,11 +147,12 @@ class ServingDriver:
         self._session_stats = SessionStats()
         # Completed interaction roots: finished sessions plus sessionless
         # requests.  The drain loop counts roots (not turns) against the
-        # arrival plan when sessions are on, since every plan entry is the
-        # first turn of one interaction.
+        # arrival plan, since every plan entry is the first turn of one
+        # interaction.
         self._roots_done = 0
         # Per-session think-time streams (created lazily, sessions only).
         self._think_streams: Dict[str, RandomStream] = {}
+        self._served = False
 
     def _forecast_label_filter(self) -> Optional[set]:
         """Traffic-class labels whose arrivals land on the autoscaled pool.
@@ -242,8 +233,7 @@ class ServingDriver:
         if session is not None:
             self._on_turn_done(session, agent, label, tenant, result, collected)
         else:
-            if self._sessions_enabled:
-                self._roots_done += 1
+            self._roots_done += 1
             self._on_worker_done(label, tenant, result)
 
     def _note_completion(self, collected: List[AgentRunResult]) -> None:
@@ -477,6 +467,9 @@ class ServingDriver:
     # -- open-loop serving ----------------------------------------------------
     def serve(self, plan: ArrivalPlan) -> ServingResult:
         """Serve an arrival plan to completion and collect serving metrics."""
+        if self._served:
+            raise RuntimeError("a ServingDriver serves one plan; build a new system")
+        self._served = True
         system, env = self.system, self.env
         warmup = self.spec.measurement.warmup_requests
         if warmup >= len(plan):
@@ -486,16 +479,6 @@ class ServingDriver:
                 "would be empty"
             )
         collected: List[AgentRunResult] = []
-        self._admission_delays = []
-        self._warmup_boundary = None
-        self._door_queues.clear()
-        self._retry_pending.clear()
-        self._tenant_completions = []
-        self._session_counter = 0
-        self._session_stats = SessionStats()
-        self._roots_done = 0
-        self._think_streams = {}
-        self.admission.reset_counts()
         energy_before = system.cluster.energy_snapshot()
         start_time = env.now
         generator = env.process(self._request_generator(plan, collected))
@@ -505,26 +488,17 @@ class ServingDriver:
         # worker).  An autoscaler's periodic heartbeat keeps the event queue
         # non-empty forever, so "queue empty" alone is not a liveness test:
         # when only background timers (heartbeats, replica warm-ups) remain,
-        # no worker can ever complete and we bail out the same way.  With
-        # sessions on, a plan entry is one *interaction*: the loop counts
-        # completed roots (finished sessions + sessionless requests) while
-        # think-time timers count as foreground work that keeps it alive.
-        if self._sessions_enabled:
-            while (
-                self._roots_done + self.admission.total_rejected < len(plan)
-                and env.peek() != float("inf")
-            ):
-                if self._only_background_events_remain():
-                    break
-                env.step()
-        else:
-            while (
-                len(collected) + self.admission.total_rejected < len(plan)
-                and env.peek() != float("inf")
-            ):
-                if self._only_background_events_remain():
-                    break
-                env.step()
+        # no worker can ever complete and we bail out the same way.  A plan
+        # entry is one *interaction*: the loop counts completed roots
+        # (finished sessions + sessionless requests), while think-time
+        # timers count as foreground work that keeps it alive.
+        while (
+            self._roots_done + self.admission.total_rejected < len(plan)
+            and env.peek() != float("inf")
+        ):
+            if self._only_background_events_remain():
+                break
+            env.step()
         end_time = env.now
         return self._build_result(
             collected,
@@ -756,20 +730,12 @@ def _build_plan(system: System) -> ArrivalPlan:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(
-    spec: ExperimentSpec, tasks: Optional[List[Task]] = None
-) -> ResultSet:
-    """Assemble and run one experiment; returns its unified :class:`ResultSet`.
-
-    ``tasks`` optionally overrides the workload sample for ``single``-arrival
-    (characterization) experiments.
-    """
+def run_experiment(spec: ExperimentSpec) -> ResultSet:
+    """Assemble and run one experiment; returns its unified :class:`ResultSet`."""
     from repro.llm.request import reset_request_ids
 
     reset_request_ids()
     system = SystemBuilder(spec).build()
     if spec.arrival.process == "single":
-        return ResultSet(spec=spec, characterization=_run_characterization(system, tasks))
-    if tasks is not None:
-        raise ValueError("explicit tasks are only supported for single-arrival specs")
+        return ResultSet(spec=spec, characterization=_run_characterization(system))
     return ResultSet(spec=spec, serving=ServingDriver(system).serve(_build_plan(system)))

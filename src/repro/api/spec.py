@@ -14,9 +14,14 @@ Fleet vocabulary (the paper's Table IV datacenter scenario):
   scheduler, router, and the traffic it prefers (explicit traffic classes
   and/or a predicted-decode-length bound),
 * :class:`WeightedWorkload` -- one traffic class of a workload mixture: an
-  (agent, workload) pair with a sampling weight,
-* :class:`AutoscalerSpec` -- elastic sizing of one pool from load signals
-  (queue depth, rolling p95) with warm-up cost and cooldown.
+  (agent, workload) pair with a sampling weight.
+
+The door and the autoscaler are declared with
+:class:`~repro.serving.admission.AdmissionSpec` and
+:class:`~repro.serving.autoscaler.AutoscalerSpec`, defined beside the
+runtime they configure (as :class:`~repro.serving.sessions.SessionSpec`
+and :class:`~repro.serving.tenants.TenantSpec` are) and re-exported by
+:mod:`repro.api`.
 
 The flat fields are shorthand for the paper's single-engine setup: ``model``,
 ``replicas``, ``scheduler`` and ``router`` describe the one ``"default"``
@@ -36,11 +41,8 @@ from repro.llm.hardware import HardwareSpec
 from repro.llm.models import get_model
 from repro.llm.scheduler import SCHEDULER_POLICIES, available_scheduler_policies
 from repro.llm.speculative import SpeculativeSpec
-from repro.serving.admission import (
-    ADMISSION_POLICIES,
-    available_admission_policies,
-)
-from repro.serving.forecast import FORECASTERS, available_forecasters
+from repro.serving.admission import AdmissionSpec
+from repro.serving.autoscaler import AutoscalerSpec
 from repro.serving.cluster import ROUTER_POLICIES, available_router_policies
 from repro.serving.sessions import SessionSpec
 from repro.serving.shapes import RateShape, build_shape, shape_from_dict
@@ -237,143 +239,6 @@ class MeasurementSpec:
 
 
 @dataclass(frozen=True)
-class AdmissionSpec:
-    """Which admission policy guards the serving door, per traffic class.
-
-    ``policy`` names a policy from the :mod:`repro.serving.admission`
-    registry (``unlimited`` | ``concurrency`` | ``token-bucket`` |
-    ``slo-shed``); the remaining fields parameterise it:
-
-    * ``concurrency`` -- at most ``max_concurrency`` in-flight requests
-      (required); excess requests wait at the door.  Golden-pinned to
-      reproduce the historical enforced door gate bit-for-bit.
-    * ``token-bucket`` -- ``rate_qps`` + ``burst`` tokens; over-rate requests
-      are delayed until the bucket refills (``overload_action="delay"``, the
-      default) or shed (``"reject"``).
-    * ``slo-shed`` -- deadline-aware shedding with hysteresis
-      (``enter_factor`` / ``exit_factor`` around the SLO): work is shed while
-      the projected p95 (rolling ``window_s`` of completed latencies plus the
-      predicted-decode-token backlog drain time) violates ``slo_p95_s``.
-      ``slo_p95_s=None`` inherits the SLO :class:`MeasurementSpec` declares
-      for ``protect_class``; ``protect_class`` names the traffic class whose
-      latency the gate protects (the shedding applies to whatever classes
-      route to this policy).  ``cooperative=True`` couples the gate to the
-      experiment's autoscaler: the SLO projection is taken at the
-      autoscaler's forecast horizon with in-flight scale-ups credited, so
-      work is shed only when warm replicas cannot land in time (and
-      un-shed as they arrive).  Requires an :class:`AutoscalerSpec` on the
-      experiment.
-    * ``oit-throttle`` -- interaction-aware per-tenant throttling: rolling
-      per-user (``user_rpm``) and per-app (``app_rpm``) request-per-minute
-      windows over ``window_s`` that bite only while the cluster is under
-      pressure (KV utilisation >= ``kv_threshold`` or pending work per
-      active replica >= ``queue_threshold``), and never sever an
-      in-progress interaction (tenants with in-flight requests are always
-      admitted).  Requires tenanted arrivals; ``overload_action`` picks
-      reject (default) or delay.
-
-    ``per_class`` overrides the policy per traffic class:
-    ``(("agent", AdmissionSpec(policy="slo-shed", protect_class="chat")),)``
-    sheds agent load whenever chat's SLO projection degrades, while chat
-    itself stays on the default policy.  Overrides cannot nest further.
-    """
-
-    policy: str = "unlimited"
-    max_concurrency: Optional[int] = None
-    rate_qps: Optional[float] = None
-    burst: int = 1
-    overload_action: str = ""
-    slo_p95_s: Optional[float] = None
-    protect_class: str = ""
-    window_s: float = 30.0
-    enter_factor: float = 1.0
-    exit_factor: float = 0.8
-    cooperative: bool = False
-    user_rpm: Optional[float] = None
-    app_rpm: Optional[float] = None
-    kv_threshold: float = 0.85
-    queue_threshold: float = 4.0
-    per_class: Tuple[Tuple[str, "AdmissionSpec"], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.policy.lower() not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {self.policy!r}; "
-                f"known: {available_admission_policies()}"
-            )
-        if self.cooperative and self.policy.lower() != "slo-shed":
-            raise ValueError(
-                "cooperative admission is an slo-shed option "
-                f"(policy is {self.policy!r})"
-            )
-        if self.max_concurrency is not None and self.max_concurrency < 1:
-            raise ValueError("admission max_concurrency must be >= 1 (or None)")
-        if self.policy.lower() == "concurrency" and self.max_concurrency is None:
-            raise ValueError("admission policy 'concurrency' needs max_concurrency")
-        if self.policy.lower() == "token-bucket":
-            if self.rate_qps is None or self.rate_qps <= 0:
-                raise ValueError("token-bucket admission requires rate_qps > 0")
-        elif self.rate_qps is not None:
-            raise ValueError(f"admission policy {self.policy!r} does not take rate_qps")
-        if self.burst < 1:
-            raise ValueError("admission burst must be >= 1")
-        if self.overload_action not in ("", "delay", "reject"):
-            raise ValueError(
-                "admission overload_action must be '', 'delay', or 'reject'"
-            )
-        if self.slo_p95_s is not None and self.slo_p95_s <= 0:
-            raise ValueError("admission slo_p95_s must be > 0 (or None)")
-        if self.window_s <= 0:
-            raise ValueError("admission window_s must be > 0")
-        if self.user_rpm is not None and self.user_rpm <= 0:
-            raise ValueError("admission user_rpm must be > 0 (or None)")
-        if self.app_rpm is not None and self.app_rpm <= 0:
-            raise ValueError("admission app_rpm must be > 0 (or None)")
-        if (self.user_rpm is not None or self.app_rpm is not None) and (
-            self.policy.lower() != "oit-throttle"
-        ):
-            raise ValueError(
-                f"admission policy {self.policy!r} does not take user_rpm/app_rpm"
-            )
-        if not 0 < self.kv_threshold <= 1:
-            raise ValueError("admission kv_threshold must be in (0, 1]")
-        if self.queue_threshold <= 0:
-            raise ValueError("admission queue_threshold must be > 0")
-        if not 0 < self.exit_factor <= self.enter_factor:
-            raise ValueError("admission needs 0 < exit_factor <= enter_factor")
-        if not isinstance(self.per_class, tuple) or any(
-            not isinstance(entry, tuple) for entry in self.per_class
-        ):
-            object.__setattr__(
-                self, "per_class", tuple(tuple(entry) for entry in self.per_class)
-            )
-        labels = [label for label, _ in self.per_class]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate per_class admission labels: {labels}")
-        for label, override in self.per_class:
-            if not label:
-                raise ValueError("per_class admission labels must be non-empty")
-            if not isinstance(override, AdmissionSpec):
-                raise ValueError(
-                    f"per_class admission for {label!r} must be an AdmissionSpec"
-                )
-            if override.per_class:
-                raise ValueError("per_class admission overrides cannot nest")
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "AdmissionSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        data = dict(payload)
-        if data.get("per_class"):
-            data["per_class"] = tuple(
-                (label, override if isinstance(override, AdmissionSpec)
-                 else cls.from_dict(override))
-                for label, override in data["per_class"]
-            )
-        return cls(**data)
-
-
-@dataclass(frozen=True)
 class PoolSpec:
     """One named replica pool of a heterogeneous fleet.
 
@@ -543,83 +408,6 @@ class WeightedWorkload:
                 f"traffic class {self.name!r}: sessions must be a SessionSpec "
                 f"(or a dict form), got {self.sessions!r}"
             )
-
-
-@dataclass(frozen=True)
-class AutoscalerSpec:
-    """Elastic sizing of one pool from load signals.
-
-    ``pool=""`` targets the default (first) pool.  In the default
-    ``mode="reactive"`` (golden-pinned), scale-up triggers when pending
-    requests per provisioned replica exceed
-    ``scale_up_pending_per_replica`` or the rolling p95 of LLM latencies
-    violates ``p95_slo_s`` (when set); scale-down when the queue falls below
-    ``scale_down_pending_per_replica`` with no SLO pressure.  New replicas
-    pay for capacity immediately but take traffic only after ``warmup_s``.
-
-    ``mode="predictive"`` scales *ahead* of demand instead: an arrival
-    ``forecaster`` (:mod:`repro.serving.forecast` registry: ``none`` |
-    ``windowed-rate`` | ``ewma`` | ``holt``) projects the arrival rate over
-    the next ``horizon_s``, the controller converts it into a decode-token
-    demand (times the mean decode length of recent requests, plus the
-    predictor-estimated backlog), and provisions the replicas needed to
-    clear it -- so warm-up cost is paid before the burst lands, not during
-    it.  ``forecaster_*`` parameterise the forecaster (window for
-    ``windowed-rate``; bucket/alpha[/beta] for the smoothers); parameters a
-    forecaster does not take are ignored.
-    """
-
-    pool: str = ""
-    min_replicas: int = 1
-    max_replicas: int = 4
-    check_interval_s: float = 2.0
-    warmup_s: float = 5.0
-    cooldown_s: float = 0.0
-    scale_up_pending_per_replica: float = 4.0
-    scale_down_pending_per_replica: float = 1.0
-    p95_slo_s: Optional[float] = None
-    p95_window_s: float = 30.0
-    mode: str = "reactive"
-    forecaster: str = "windowed-rate"
-    horizon_s: float = 10.0
-    forecaster_window_s: float = 10.0
-    forecaster_bucket_s: float = 2.0
-    forecaster_alpha: float = 0.5
-    forecaster_beta: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError("autoscaler min_replicas must be >= 1")
-        if self.max_replicas < self.min_replicas:
-            raise ValueError("autoscaler max_replicas must be >= min_replicas")
-        if self.check_interval_s <= 0:
-            raise ValueError("autoscaler check_interval_s must be > 0")
-        if self.warmup_s < 0 or self.cooldown_s < 0:
-            raise ValueError("autoscaler warm-up/cooldown must be >= 0")
-        if self.scale_down_pending_per_replica >= self.scale_up_pending_per_replica:
-            raise ValueError(
-                "autoscaler scale-down threshold must be below the scale-up threshold"
-            )
-        if self.p95_slo_s is not None and self.p95_slo_s <= 0:
-            raise ValueError("autoscaler p95_slo_s must be > 0 (or None)")
-        if self.p95_window_s <= 0:
-            raise ValueError("autoscaler p95_window_s must be > 0")
-        if self.mode not in ("reactive", "predictive"):
-            raise ValueError(
-                f"unknown autoscaler mode {self.mode!r}; "
-                "known: ['reactive', 'predictive']"
-            )
-        if self.forecaster.lower() not in FORECASTERS:
-            raise ValueError(
-                f"unknown arrival forecaster {self.forecaster!r}; "
-                f"known: {available_forecasters()}"
-            )
-        if self.horizon_s <= 0:
-            raise ValueError("autoscaler horizon_s must be > 0")
-        if self.forecaster_window_s <= 0 or self.forecaster_bucket_s <= 0:
-            raise ValueError("forecaster window/bucket must be > 0")
-        if not 0 < self.forecaster_alpha <= 1 or not 0 < self.forecaster_beta <= 1:
-            raise ValueError("forecaster alpha/beta must be in (0, 1]")
 
 
 @dataclass(frozen=True)

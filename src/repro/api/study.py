@@ -31,9 +31,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.agents import AgentConfig
 from repro.api.results import Metric, ResultSet, resolve_metric
 from repro.api.spec import (
-    AdmissionSpec,
     ArrivalSpec,
-    AutoscalerSpec,
     ExperimentSpec,
     MeasurementSpec,
     PoolSpec,
@@ -42,6 +40,8 @@ from repro.api.spec import (
 from repro.core.pareto import pareto_frontier
 from repro.llm.hardware import HardwareSpec
 from repro.llm.speculative import SpeculativeSpec
+from repro.serving.admission import AdmissionSpec
+from repro.serving.autoscaler import AutoscalerSpec
 from repro.serving.sessions import SessionSpec
 from repro.serving.shapes import RateShape, shape_from_dict
 from repro.serving.tenants import TenantSpec

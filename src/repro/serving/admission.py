@@ -1,52 +1,24 @@
 """SLO-aware admission control: pluggable door policies for the serving fleet.
 
-Admission control is a policy registry, declared on an experiment with
-:class:`~repro.api.spec.AdmissionSpec`.  A policy sees every request the
-moment it arrives at the serving system -- *before* any work is enqueued on
-a replica pool -- and answers with one of three decisions:
+A policy sees every request the moment it arrives at the serving system --
+*before* any work is enqueued on a replica pool -- and answers with one of
+three decisions:
 
 * ``admit``  -- spawn the request's worker immediately,
-* ``delay``  -- hold the request at the door (it is re-offered when capacity
-  frees up or, for rate limiting, when the bucket refills),
+* ``delay``  -- hold the request at the door until it is re-offered (when a
+  completion frees capacity, or at the policy's :meth:`~AdmissionPolicy.retry_at`),
 * ``reject`` -- shed the request: it never runs, and the fleet records the
   rejection and the decode tokens it avoided.
 
-Built-in policies:
-
-* :class:`UnlimitedAdmission` (``unlimited``) -- the open door (the
-  default; requests are never delayed or rejected),
-* :class:`ConcurrencyAdmission` (``concurrency``) -- at most
-  ``max_concurrency`` in-flight requests, excess queue at the door.  This
-  reproduces the historical enforced gate event-for-event (golden-pinned in
-  ``tests/test_admission.py``),
-* :class:`TokenBucketAdmission` (``token-bucket``) -- classic rate + burst
-  limiting; the bucket holds ``burst`` tokens and refills continuously at
-  ``rate_qps``.  Over-rate requests are delayed until the next token accrues
-  (``overload_action="delay"``, the default) or shed outright (``"reject"``),
-* :class:`SloShedAdmission` (``slo-shed``) -- deadline-aware shedding: the
-  policy projects the p95 latency a newly admitted request would experience
-  (rolling window of completed request latencies, the same signal the
-  :class:`~repro.serving.autoscaler.Autoscaler` scales on, plus the time to
-  drain the fleet's current backlog of
-  :class:`~repro.llm.predictor.DecodeLengthPredictor`-predicted decode
-  tokens) and sheds work while the projection violates the declared SLO.
-  Engagement is hysteretic: shedding starts when the projection exceeds
-  ``slo_p95_s * enter_factor`` and stops only once it falls below
-  ``slo_p95_s * exit_factor``, so the gate does not flap around the SLO.
-  With ``cooperative=True`` the projection additionally credits in-flight
-  autoscaler scale-ups landing within the forecast horizon, so the gate
-  sheds only when warm replicas cannot catch up in time,
-* :class:`OITThrottleAdmission` (``oit-throttle``) -- interaction-aware
-  per-tenant throttling: rolling per-user / per-app requests-per-minute
-  windows that bite only while the cluster is under KV or queue pressure,
-  and never sever an in-progress interaction (a tenant with work already
-  in flight is always admitted).
-
-Tenant-aware policies set the ``tenant_aware`` class flag and take the
-arrival's :class:`~repro.serving.tenants.Tenant` as an extra argument to
-``decide`` / ``admit`` / ``release``; the controller dispatches on the flag
-so existing two-argument policies (including externally registered ones)
-keep working unchanged.
+An experiment declares its door with an :class:`AdmissionSpec`, and every
+registered policy is built from one as ``ADMISSION_POLICIES[name](spec,
+probe)``: the spec is the one place a policy parameter is declared,
+defaulted and validated, and the shared :class:`ClusterLoadProbe` gives
+the policy its fleet load signals.  The built-in policies are
+:class:`UnlimitedAdmission`, :class:`ConcurrencyAdmission`,
+:class:`TokenBucketAdmission`, :class:`SloShedAdmission` and
+:class:`OITThrottleAdmission`; each class describes its own rule and the
+spec fields it reads.
 
 Policies are consulted per traffic class through the
 :class:`AdmissionController`, which owns the per-class policy table and all
@@ -60,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Type
+from typing import Any, Deque, Dict, List, Optional, Tuple, Type
 
 from repro.core.metrics import percentile
 from repro.registry import PolicyRegistry
@@ -72,6 +44,136 @@ REJECT = "reject"
 
 #: Stats key under which requests without a traffic class are accounted.
 UNLABELLED = ""
+
+
+@dataclass(frozen=True)
+class AdmissionSpec:
+    """Which admission policy guards the serving door, per traffic class.
+
+    ``policy`` names a registered policy; the other fields parameterise it,
+    and each policy class says which of them it reads.  Construction
+    rejects a rate the chosen policy does not take, a ``concurrency`` gate
+    without a cap and a ``token-bucket`` without a rate.  On ``slo-shed``,
+    ``slo_p95_s=None`` inherits the SLO the experiment's
+    :class:`~repro.api.spec.MeasurementSpec` declares for
+    ``protect_class``, and ``cooperative=True`` needs an autoscaler on the
+    experiment (both checked by :class:`~repro.api.spec.ExperimentSpec`).
+
+    ``per_class`` overrides the policy per traffic class:
+    ``(("agent", AdmissionSpec(policy="slo-shed", protect_class="chat")),)``
+    sheds agent load whenever chat's SLO projection degrades, while chat
+    itself stays on the default policy.  Overrides cannot nest further.
+    """
+
+    policy: str = "unlimited"
+    max_concurrency: Optional[int] = None
+    rate_qps: Optional[float] = None
+    burst: int = 1
+    overload_action: str = ""
+    slo_p95_s: Optional[float] = None
+    protect_class: str = ""
+    window_s: float = 30.0
+    enter_factor: float = 1.0
+    exit_factor: float = 0.8
+    cooperative: bool = False
+    user_rpm: Optional[float] = None
+    app_rpm: Optional[float] = None
+    kv_threshold: float = 0.85
+    queue_threshold: float = 4.0
+    per_class: Tuple[Tuple[str, "AdmissionSpec"], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.policy.lower() not in ADMISSION_POLICIES:
+            raise ValueError(
+                f"unknown admission policy {self.policy!r}; "
+                f"known: {available_admission_policies()}"
+            )
+        if self.cooperative and self.policy.lower() != "slo-shed":
+            raise ValueError(
+                "cooperative admission is an slo-shed option "
+                f"(policy is {self.policy!r})"
+            )
+        if self.max_concurrency is not None and self.max_concurrency < 1:
+            raise ValueError("admission max_concurrency must be >= 1 (or None)")
+        if self.policy.lower() == "concurrency" and self.max_concurrency is None:
+            raise ValueError("admission policy 'concurrency' needs max_concurrency")
+        if self.policy.lower() == "token-bucket":
+            if self.rate_qps is None or self.rate_qps <= 0:
+                raise ValueError("token-bucket admission requires rate_qps > 0")
+        elif self.rate_qps is not None:
+            raise ValueError(f"admission policy {self.policy!r} does not take rate_qps")
+        if self.burst < 1:
+            raise ValueError("admission burst must be >= 1")
+        if self.overload_action not in ("", DELAY, REJECT):
+            raise ValueError(
+                "admission overload_action must be '', 'delay', or 'reject'"
+            )
+        if self.slo_p95_s is not None and self.slo_p95_s <= 0:
+            raise ValueError("admission slo_p95_s must be > 0 (or None)")
+        if self.window_s <= 0:
+            raise ValueError("admission window_s must be > 0")
+        if self.user_rpm is not None and self.user_rpm <= 0:
+            raise ValueError("admission user_rpm must be > 0 (or None)")
+        if self.app_rpm is not None and self.app_rpm <= 0:
+            raise ValueError("admission app_rpm must be > 0 (or None)")
+        if (self.user_rpm is not None or self.app_rpm is not None) and (
+            self.policy.lower() != "oit-throttle"
+        ):
+            raise ValueError(
+                f"admission policy {self.policy!r} does not take user_rpm/app_rpm"
+            )
+        if not 0 < self.kv_threshold <= 1:
+            raise ValueError("admission kv_threshold must be in (0, 1]")
+        if self.queue_threshold <= 0:
+            raise ValueError("admission queue_threshold must be > 0")
+        if not 0 < self.exit_factor <= self.enter_factor:
+            raise ValueError("admission needs 0 < exit_factor <= enter_factor")
+        if not isinstance(self.per_class, tuple) or any(
+            not isinstance(entry, tuple) for entry in self.per_class
+        ):
+            object.__setattr__(
+                self, "per_class", tuple(tuple(entry) for entry in self.per_class)
+            )
+        labels = [label for label, _ in self.per_class]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate per_class admission labels: {labels}")
+        for label, override in self.per_class:
+            if not label:
+                raise ValueError("per_class admission labels must be non-empty")
+            if not isinstance(override, AdmissionSpec):
+                raise ValueError(
+                    f"per_class admission for {label!r} must be an AdmissionSpec"
+                )
+            if override.per_class:
+                raise ValueError("per_class admission overrides cannot nest")
+
+    @property
+    def overload_decision(self) -> str:
+        """What an over-limit request gets: ``overload_action``, or when it
+        is unset ``delay`` for ``token-bucket`` and ``reject`` for the others."""
+        if self.overload_action:
+            return self.overload_action
+        return DELAY if self.policy.lower() == "token-bucket" else REJECT
+
+    @property
+    def rpm_limits(self) -> Tuple[Optional[float], Optional[float]]:
+        """``oit-throttle``'s (per-user, per-app) requests-per-minute
+        allowances: 60 per user when neither is set."""
+        if self.user_rpm is None and self.app_rpm is None:
+            return 60.0, None
+        return self.user_rpm, self.app_rpm
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "AdmissionSpec":
+        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
+        data = dict(payload)
+        if data.get("per_class"):
+            data["per_class"] = tuple(
+                (label, override if isinstance(override, AdmissionSpec)
+                 else cls.from_dict(override))
+                for label, override in data["per_class"]
+            )
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +189,15 @@ class ClusterLoadProbe:
     predicted-decode-token terms, via the cluster's shared
     :class:`~repro.llm.predictor.DecodeLengthPredictor`) and the decode
     throughput recently sustained by the fleet, from which a policy can
-    project how long newly admitted work would wait.
+    project how long newly admitted work would wait.  ``horizon_s`` is the
+    experiment autoscaler's look-ahead (``None`` without one): the window
+    within which :meth:`projected_drain_seconds` credits in-flight
+    scale-ups.
     """
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, horizon_s: Optional[float] = None):
         self.cluster = cluster
+        self.horizon_s = horizon_s
 
     def pending_predicted_tokens(self) -> float:
         """Predicted decode tokens enqueued (waiting or mid-decode) fleet-wide."""
@@ -135,9 +241,7 @@ class ClusterLoadProbe:
             for pool in self.cluster.pools.values()
         )
 
-    def projected_drain_seconds(
-        self, now: float, window_s: float, horizon_s: float
-    ) -> float:
+    def projected_drain_seconds(self, now: float, window_s: float) -> float:
         """Backlog drain time at the rate the fleet sustains *after* in-flight
         scale-ups land.
 
@@ -150,7 +254,7 @@ class ClusterLoadProbe:
         if drain <= 0.0:
             return drain
         active = self.active_replicas()
-        landing = self.warming_replicas_within(now, horizon_s)
+        landing = self.warming_replicas_within(now, self.horizon_s)
         if active > 0 and landing > 0:
             drain *= active / (active + landing)
         return drain
@@ -180,33 +284,31 @@ class ClusterLoadProbe:
 class AdmissionPolicy:
     """Decides, per arriving request, whether the fleet takes on the work.
 
-    Lifecycle hooks: :meth:`decide` is called once per offer (and once per
-    re-offer of a delayed request); :meth:`admit` / :meth:`release` bracket an
-    admitted request's execution (slot accounting); :meth:`observe` sees every
-    completion fleet-wide regardless of class (latency telemetry for
-    SLO-tracking policies); :meth:`retry_at` tells the driver when a delayed
-    request should be re-offered spontaneously (``None`` = only when a
-    completion frees capacity).
-
-    Tenant-aware policies set ``tenant_aware = True`` and accept the
-    arrival's tenant as a third positional argument to ``decide`` /
-    ``admit`` / ``release``; the controller checks the flag before passing
-    it, so the base two-argument signature stays valid for every existing
-    policy.
+    Every policy is built as ``cls(spec, probe)`` and reads its parameters
+    off ``self.spec``.  Lifecycle hooks: :meth:`decide` is called once per
+    offer (and once per re-offer of a delayed request); :meth:`admit` /
+    :meth:`release` bracket an admitted request's execution (slot
+    accounting); :meth:`observe` sees every completion fleet-wide regardless
+    of class (latency telemetry for SLO-tracking policies); :meth:`retry_at`
+    tells the driver when a delayed request should be re-offered
+    spontaneously (``None`` = only when a completion frees capacity).
+    ``tenant`` is the arrival's :class:`~repro.serving.tenants.Tenant`, or
+    ``None`` for untenanted traffic.
     """
 
     name = "base"
-    #: When True, the controller passes the arrival's Tenant to
-    #: decide/admit/release as an extra argument.
-    tenant_aware = False
 
-    def decide(self, now: float, traffic_class: Optional[str]) -> str:
+    def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
+        self.spec = spec
+        self.probe = probe
+
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
         raise NotImplementedError
 
-    def admit(self, now: float, traffic_class: Optional[str]) -> None:
+    def admit(self, now: float, traffic_class: Optional[str], tenant) -> None:
         """An offered or re-offered request was admitted (slot bookkeeping)."""
 
-    def release(self, now: float, traffic_class: Optional[str]) -> None:
+    def release(self, now: float, traffic_class: Optional[str], tenant) -> None:
         """A request this policy admitted finished (slot bookkeeping)."""
 
     def observe(
@@ -228,33 +330,31 @@ class UnlimitedAdmission(AdmissionPolicy):
 
     name = "unlimited"
 
-    def decide(self, now: float, traffic_class: Optional[str]) -> str:
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
         return ADMIT
 
 
 class ConcurrencyAdmission(AdmissionPolicy):
     """At most ``max_concurrency`` in-flight requests; excess wait at the door.
 
-    Event-for-event identical to the historical enforced door gate:
-    arrivals beyond the cap join a FIFO door queue and are admitted, oldest
-    first, as completions free slots.
+    Arrivals beyond the cap join a FIFO door queue and are admitted, oldest
+    first, as completions free slots (golden-pinned in
+    ``tests/test_admission.py``).
     """
 
     name = "concurrency"
 
-    def __init__(self, max_concurrency: int):
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-        self.max_concurrency = max_concurrency
+    def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
+        super().__init__(spec, probe)
         self.in_flight = 0
 
-    def decide(self, now: float, traffic_class: Optional[str]) -> str:
-        return ADMIT if self.in_flight < self.max_concurrency else DELAY
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
+        return ADMIT if self.in_flight < self.spec.max_concurrency else DELAY
 
-    def admit(self, now: float, traffic_class: Optional[str]) -> None:
+    def admit(self, now: float, traffic_class: Optional[str], tenant) -> None:
         self.in_flight += 1
 
-    def release(self, now: float, traffic_class: Optional[str]) -> None:
+    def release(self, now: float, traffic_class: Optional[str], tenant) -> None:
         self.in_flight -= 1
 
 
@@ -263,8 +363,8 @@ class TokenBucketAdmission(AdmissionPolicy):
 
     The bucket starts full and refills continuously (lazily, on every
     consultation).  Each admission consumes one token; with the bucket empty
-    the request is delayed until the next token accrues
-    (``overload_action="delay"``) or shed (``"reject"``).
+    the request is delayed until the next token accrues (the default) or,
+    with ``overload_action="reject"``, shed.
     """
 
     name = "token-bucket"
@@ -275,34 +375,25 @@ class TokenBucketAdmission(AdmissionPolicy):
     #: at the same simulated instant forever).
     EPSILON = 1e-9
 
-    def __init__(self, rate_qps: float, burst: int = 1, overload_action: str = "delay"):
-        if rate_qps <= 0:
-            raise ValueError("token-bucket rate_qps must be > 0")
-        if burst < 1:
-            raise ValueError("token-bucket burst must be >= 1")
-        if overload_action not in (DELAY, REJECT):
-            raise ValueError(
-                f"token-bucket overload_action must be {DELAY!r} or {REJECT!r}"
-            )
-        self.rate_qps = rate_qps
-        self.burst = burst
-        self.overload_action = overload_action
-        self.tokens = float(burst)
+    def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
+        super().__init__(spec, probe)
+        self.tokens = float(spec.burst)
         self._last_refill = 0.0
 
     def _refill(self, now: float) -> None:
         if now > self._last_refill:
             self.tokens = min(
-                float(self.burst), self.tokens + (now - self._last_refill) * self.rate_qps
+                float(self.spec.burst),
+                self.tokens + (now - self._last_refill) * self.spec.rate_qps,
             )
             self._last_refill = now
 
-    def decide(self, now: float, traffic_class: Optional[str]) -> str:
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
         self._refill(now)
         if self.tokens >= 1.0 - self.EPSILON:
             self.tokens = max(0.0, self.tokens - 1.0)
             return ADMIT
-        return self.overload_action
+        return self.spec.overload_decision
 
     def retry_at(self, now: float) -> Optional[float]:
         """When the next whole token accrues (re-offer time for delays).
@@ -310,14 +401,23 @@ class TokenBucketAdmission(AdmissionPolicy):
         ``None`` in reject mode: an over-rate request is shed on the spot,
         nothing ever waits for a refill.
         """
-        if self.overload_action == REJECT:
+        if self.spec.overload_decision == REJECT:
             return None
         self._refill(now)
         deficit = max(0.0, 1.0 - self.tokens)
-        return now + deficit / self.rate_qps
+        return now + deficit / self.spec.rate_qps
 
 
-class SloShedAdmission(AdmissionPolicy):
+class _WindowedAdmission(AdmissionPolicy):
+    """A rolling-window policy: in delay mode it re-offers every ``window_s / 4``."""
+
+    def retry_at(self, now: float) -> Optional[float]:
+        if self.spec.overload_decision != DELAY:
+            return None
+        return now + self.spec.window_s / 4.0
+
+
+class SloShedAdmission(_WindowedAdmission):
     """Deadline-aware shedding with hysteresis.
 
     The projection a decision is based on is
@@ -329,63 +429,27 @@ class SloShedAdmission(AdmissionPolicy):
 
     Hysteresis: shedding engages when the projection exceeds
     ``slo_p95_s * enter_factor`` and disengages only when it falls below
-    ``slo_p95_s * exit_factor`` (``exit_factor <= enter_factor``), recorded
-    in :attr:`transitions` as ``(time, shed_active)`` pairs.
+    ``slo_p95_s * exit_factor``, recorded in :attr:`transitions` as
+    ``(time, shed_active)`` pairs.
 
     **Cooperative mode** (``cooperative=True``) couples the gate to the
     autoscaler instead of fighting it: the backlog-drain half of the
     projection is priced at the decode rate the fleet will sustain once
-    in-flight scale-ups land within ``horizon_s``
+    in-flight scale-ups land within the autoscaler's ``horizon_s``
     (:meth:`ClusterLoadProbe.projected_drain_seconds`), so the gate sheds
     only when warm replicas cannot catch up in time -- and un-sheds as they
     arrive, because each landing replica both raises the realised decode
     rate and leaves the warming count behind.
 
-    While shedding, requests routed to this policy are rejected
-    (``overload_action="reject"``, the default) or held at the door and
-    re-offered every ``retry_interval_s`` (``"delay"``, the deprioritising
-    variant).
+    While shedding, requests routed to this policy are rejected (the
+    default) or, with ``overload_action="delay"``, held at the door and
+    re-offered every ``window_s / 4``.
     """
 
     name = "slo-shed"
 
-    def __init__(
-        self,
-        slo_p95_s: float,
-        window_s: float = 30.0,
-        enter_factor: float = 1.0,
-        exit_factor: float = 0.8,
-        protect_class: Optional[str] = None,
-        overload_action: str = "reject",
-        load_probe: Optional[ClusterLoadProbe] = None,
-        retry_interval_s: Optional[float] = None,
-        cooperative: bool = False,
-        horizon_s: float = 10.0,
-    ):
-        if slo_p95_s <= 0:
-            raise ValueError("slo-shed slo_p95_s must be > 0")
-        if window_s <= 0:
-            raise ValueError("slo-shed window_s must be > 0")
-        if not 0 < exit_factor <= enter_factor:
-            raise ValueError("slo-shed needs 0 < exit_factor <= enter_factor")
-        if overload_action not in (DELAY, REJECT):
-            raise ValueError(
-                f"slo-shed overload_action must be {DELAY!r} or {REJECT!r}"
-            )
-        if horizon_s <= 0:
-            raise ValueError("slo-shed horizon_s must be > 0")
-        self.slo_p95_s = slo_p95_s
-        self.window_s = window_s
-        self.enter_factor = enter_factor
-        self.exit_factor = exit_factor
-        self.protect_class = protect_class
-        self.overload_action = overload_action
-        self.load_probe = load_probe
-        self.cooperative = cooperative
-        self.horizon_s = horizon_s
-        self.retry_interval_s = (
-            window_s / 4.0 if retry_interval_s is None else retry_interval_s
-        )
+    def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
+        super().__init__(spec, probe)
         self.shed_active = False
         #: (time, shed_active) hysteresis transitions, oldest first.
         self.transitions: List[Tuple[float, bool]] = []
@@ -406,13 +470,13 @@ class SloShedAdmission(AdmissionPolicy):
     ) -> None:
         # Any completion changes both the rolling window and the backlog.
         self._projection_memo = None
-        if self.protect_class is not None and traffic_class != self.protect_class:
+        if self.spec.protect_class and traffic_class != self.spec.protect_class:
             return
         self._completions.append((now, latency))
 
     def rolling_p95(self, now: float) -> float:
         """p95 of protected-class latencies completed within the window."""
-        cutoff = now - self.window_s
+        cutoff = now - self.spec.window_s
         while self._completions and self._completions[0][0] < cutoff:
             self._completions.popleft()
         return percentile([latency for _, latency in self._completions], 95.0)
@@ -428,48 +492,41 @@ class SloShedAdmission(AdmissionPolicy):
         if memo is not None and memo[0] == now:
             return memo[1]
         projection = self.rolling_p95(now)
-        if self.load_probe is not None:
-            if self.cooperative:
-                projection += self.load_probe.projected_drain_seconds(
-                    now, self.window_s, self.horizon_s
-                )
-            else:
-                projection += self.load_probe.backlog_drain_seconds(now, self.window_s)
+        if self.spec.cooperative:
+            projection += self.probe.projected_drain_seconds(now, self.spec.window_s)
+        else:
+            projection += self.probe.backlog_drain_seconds(now, self.spec.window_s)
         self._projection_memo = (now, projection)
         return projection
 
     # -- decisions ----------------------------------------------------------
-    def decide(self, now: float, traffic_class: Optional[str]) -> str:
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
         projected = self.projected_p95(now)
+        slo = self.spec.slo_p95_s
         if self.shed_active:
-            if projected <= self.slo_p95_s * self.exit_factor:
+            if projected <= slo * self.spec.exit_factor:
                 self.shed_active = False
                 self.transitions.append((now, False))
-        elif projected > self.slo_p95_s * self.enter_factor:
+        elif projected > slo * self.spec.enter_factor:
             self.shed_active = True
             self.transitions.append((now, True))
         if self.shed_active:
-            return self.overload_action
+            return self.spec.overload_decision
         return ADMIT
 
-    def retry_at(self, now: float) -> Optional[float]:
-        if self.overload_action != DELAY:
-            return None
-        return now + self.retry_interval_s
 
-
-class OITThrottleAdmission(AdmissionPolicy):
+class OITThrottleAdmission(_WindowedAdmission):
     """Interaction-aware per-tenant overload throttling (``oit-throttle``).
 
     Two rolling admission windows -- per user (``user_rpm``) and per app
     (``app_rpm``), each a requests-per-minute allowance pro-rated over
-    ``window_s`` -- guard the door, but only while the cluster is actually
-    under pressure: KV-block utilisation at or above ``kv_threshold`` on any
-    engine, or the fleet's pending queue at or above ``queue_threshold``
-    requests per active replica (both read through the shared
-    :class:`ClusterLoadProbe`; with no probe the throttle never bites).
-    Off-pressure, heavy tenants run free -- the point of throttling on
-    *interaction* state rather than rate alone.
+    ``window_s``, 60 per user when neither is set -- guard the door, but
+    only while the cluster is actually under pressure: KV-block utilisation
+    at or above ``kv_threshold`` on any engine, or the fleet's pending queue
+    at or above ``queue_threshold`` requests per active replica (both read
+    through the shared :class:`ClusterLoadProbe`).  Off-pressure, heavy
+    tenants run free -- the point of throttling on *interaction* state
+    rather than rate alone.
 
     Interaction protection: a tenant with a request already in flight is
     always admitted, whatever its windows say, so a multi-request
@@ -477,51 +534,15 @@ class OITThrottleAdmission(AdmissionPolicy):
     Untenanted arrivals are always admitted (there is nobody to attribute
     them to).
 
-    Over-allowance requests are shed (``overload_action="reject"``, the
-    default) or held at the door and re-offered every ``retry_interval_s``
-    (``"delay"``).
+    Over-allowance requests are shed (the default) or, with
+    ``overload_action="delay"``, held at the door and re-offered every
+    ``window_s / 4``.
     """
 
     name = "oit-throttle"
-    tenant_aware = True
 
-    def __init__(
-        self,
-        user_rpm: Optional[float] = 60.0,
-        app_rpm: Optional[float] = None,
-        window_s: float = 60.0,
-        kv_threshold: float = 0.85,
-        queue_threshold: float = 4.0,
-        overload_action: str = "reject",
-        load_probe: Optional[ClusterLoadProbe] = None,
-        retry_interval_s: Optional[float] = None,
-    ):
-        if user_rpm is None and app_rpm is None:
-            raise ValueError("oit-throttle needs user_rpm and/or app_rpm")
-        if user_rpm is not None and user_rpm <= 0:
-            raise ValueError("oit-throttle user_rpm must be > 0 (or None)")
-        if app_rpm is not None and app_rpm <= 0:
-            raise ValueError("oit-throttle app_rpm must be > 0 (or None)")
-        if window_s <= 0:
-            raise ValueError("oit-throttle window_s must be > 0")
-        if not 0 < kv_threshold <= 1:
-            raise ValueError("oit-throttle kv_threshold must be in (0, 1]")
-        if queue_threshold <= 0:
-            raise ValueError("oit-throttle queue_threshold must be > 0")
-        if overload_action not in (DELAY, REJECT):
-            raise ValueError(
-                f"oit-throttle overload_action must be {DELAY!r} or {REJECT!r}"
-            )
-        self.user_rpm = user_rpm
-        self.app_rpm = app_rpm
-        self.window_s = window_s
-        self.kv_threshold = kv_threshold
-        self.queue_threshold = queue_threshold
-        self.overload_action = overload_action
-        self.load_probe = load_probe
-        self.retry_interval_s = (
-            window_s / 4.0 if retry_interval_s is None else retry_interval_s
-        )
+    def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
+        super().__init__(spec, probe)
         #: Admission timestamps per user / app key (pruned to the window).
         self._user_windows: Dict[str, Deque[float]] = {}
         self._app_windows: Dict[str, Deque[float]] = {}
@@ -533,16 +554,13 @@ class OITThrottleAdmission(AdmissionPolicy):
     # -- signals -------------------------------------------------------------
     def under_pressure(self, now: float) -> bool:
         """True while the cluster justifies throttling anyone at all."""
-        probe = self.load_probe
-        if probe is None:
-            return False
-        if probe.kv_utilization() >= self.kv_threshold:
+        if self.probe.kv_utilization() >= self.spec.kv_threshold:
             return True
-        return probe.pending_per_active_replica() >= self.queue_threshold
+        return self.probe.pending_per_active_replica() >= self.spec.queue_threshold
 
     def _allowance(self, rpm: float) -> int:
         """Admissions permitted inside one rolling window (at least one)."""
-        return max(1, int(rpm * self.window_s / 60.0))
+        return max(1, int(rpm * self.spec.window_s / 60.0))
 
     def _window_full(
         self, windows: Dict[str, Deque[float]], key: str, now: float, rpm: float
@@ -550,13 +568,13 @@ class OITThrottleAdmission(AdmissionPolicy):
         window = windows.get(key)
         if window is None:
             return False
-        cutoff = now - self.window_s
+        cutoff = now - self.spec.window_s
         while window and window[0] <= cutoff:
             window.popleft()
         return len(window) >= self._allowance(rpm)
 
     # -- decisions -----------------------------------------------------------
-    def decide(self, now: float, traffic_class: Optional[str], tenant=None) -> str:
+    def decide(self, now: float, traffic_class: Optional[str], tenant) -> str:
         if tenant is None:
             return ADMIT
         if self._in_flight.get(tenant.user, 0) > 0:
@@ -564,25 +582,26 @@ class OITThrottleAdmission(AdmissionPolicy):
             return ADMIT
         if not self.under_pressure(now):
             return ADMIT
-        over_user = self.user_rpm is not None and self._window_full(
-            self._user_windows, tenant.user, now, self.user_rpm
+        user_rpm, app_rpm = self.spec.rpm_limits
+        over_user = user_rpm is not None and self._window_full(
+            self._user_windows, tenant.user, now, user_rpm
         )
-        over_app = self.app_rpm is not None and self._window_full(
-            self._app_windows, tenant.app, now, self.app_rpm
+        over_app = app_rpm is not None and self._window_full(
+            self._app_windows, tenant.app, now, app_rpm
         )
         if over_user or over_app:
             self.throttled += 1
-            return self.overload_action
+            return self.spec.overload_decision
         return ADMIT
 
-    def admit(self, now: float, traffic_class: Optional[str], tenant=None) -> None:
+    def admit(self, now: float, traffic_class: Optional[str], tenant) -> None:
         if tenant is None:
             return
         self._user_windows.setdefault(tenant.user, deque()).append(now)
         self._app_windows.setdefault(tenant.app, deque()).append(now)
         self._in_flight[tenant.user] = self._in_flight.get(tenant.user, 0) + 1
 
-    def release(self, now: float, traffic_class: Optional[str], tenant=None) -> None:
+    def release(self, now: float, traffic_class: Optional[str], tenant) -> None:
         if tenant is None:
             return
         remaining = self._in_flight.get(tenant.user, 0) - 1
@@ -591,21 +610,21 @@ class OITThrottleAdmission(AdmissionPolicy):
         else:
             self._in_flight.pop(tenant.user, None)
 
-    def retry_at(self, now: float) -> Optional[float]:
-        if self.overload_action != DELAY:
-            return None
-        return now + self.retry_interval_s
-
 
 ADMISSION_POLICY_REGISTRY = PolicyRegistry("admission policy")
-#: name -> class mapping (keys are lower-case); kept for membership checks.
+#: name -> class mapping (keys are lower-case); each class is built as
+#: ``cls(spec, probe)``.
 ADMISSION_POLICIES: Dict[str, Type[AdmissionPolicy]] = ADMISSION_POLICY_REGISTRY.policies
 
 
 def register_admission_policy(
     policy_class: Type[AdmissionPolicy],
 ) -> Type[AdmissionPolicy]:
-    """Register a policy class under its ``name`` (also usable as a decorator)."""
+    """Register a policy class under its ``name`` (also usable as a decorator).
+
+    The class is built as ``policy_class(spec, probe)`` from the
+    :class:`AdmissionSpec` naming it and the fleet's :class:`ClusterLoadProbe`.
+    """
     return ADMISSION_POLICY_REGISTRY.register(policy_class)
 
 
@@ -618,80 +637,6 @@ register_admission_policy(OITThrottleAdmission)
 
 def available_admission_policies() -> List[str]:
     return ADMISSION_POLICY_REGISTRY.available()
-
-
-def build_admission_policy(
-    name: str,
-    *,
-    max_concurrency: Optional[int] = None,
-    rate_qps: Optional[float] = None,
-    burst: int = 1,
-    overload_action: str = "",
-    slo_p95_s: Optional[float] = None,
-    window_s: float = 30.0,
-    enter_factor: float = 1.0,
-    exit_factor: float = 0.8,
-    protect_class: Optional[str] = None,
-    load_probe: Optional[ClusterLoadProbe] = None,
-    cooperative: bool = False,
-    horizon_s: float = 10.0,
-    user_rpm: Optional[float] = None,
-    app_rpm: Optional[float] = None,
-    kv_threshold: float = 0.85,
-    queue_threshold: float = 4.0,
-) -> AdmissionPolicy:
-    """Instantiate a registered admission policy from declarative parameters.
-
-    ``overload_action=""`` picks the policy's default (token-bucket delays,
-    slo-shed rejects).  Raises :class:`ValueError` for unknown names or
-    missing required parameters.
-    """
-    key = name.lower()
-    if key not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"unknown admission policy {name!r}; known: {available_admission_policies()}"
-        )
-    if key == "unlimited":
-        return UnlimitedAdmission()
-    if key == "concurrency":
-        if max_concurrency is None:
-            raise ValueError("admission policy 'concurrency' requires max_concurrency")
-        return ConcurrencyAdmission(max_concurrency)
-    if key == "token-bucket":
-        if rate_qps is None:
-            raise ValueError("admission policy 'token-bucket' requires rate_qps")
-        return TokenBucketAdmission(rate_qps, burst, overload_action or DELAY)
-    if key == "slo-shed":
-        if slo_p95_s is None:
-            raise ValueError(
-                "admission policy 'slo-shed' requires an SLO (slo_p95_s on the "
-                "admission spec, or one declared in MeasurementSpec)"
-            )
-        return SloShedAdmission(
-            slo_p95_s,
-            window_s=window_s,
-            enter_factor=enter_factor,
-            exit_factor=exit_factor,
-            protect_class=protect_class,
-            overload_action=overload_action or REJECT,
-            load_probe=load_probe,
-            cooperative=cooperative,
-            horizon_s=horizon_s,
-        )
-    if key == "oit-throttle":
-        return OITThrottleAdmission(
-            # A spec leaving both unset gets the per-user default allowance.
-            user_rpm=user_rpm if (user_rpm is not None or app_rpm is not None) else 60.0,
-            app_rpm=app_rpm,
-            window_s=window_s,
-            kv_threshold=kv_threshold,
-            queue_threshold=queue_threshold,
-            overload_action=overload_action or REJECT,
-            load_probe=load_probe,
-        )
-    # Externally registered policies are built with their default
-    # constructor; parameterise them by registering a pre-configured class.
-    return ADMISSION_POLICY_REGISTRY.create(name)
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +724,9 @@ class AdmissionController:
         # Per-tenant [offered, rejected] door totals (Tenant is frozen and
         # hashable); feeds the per-run fairness report.
         self._tenant_counts: Dict[object, List[int]] = {}
-        # Per-pool rejection labels of the current run (lazy shed pricing):
-        # id(pool) -> (pool, {label: rejections}); base = shed_tokens carried
-        # over from previous runs on the same system.
+        # Per-pool rejection labels (lazy shed pricing):
+        # id(pool) -> (pool, {label: rejections}).
         self._pool_rejections: Dict[int, Tuple[object, Dict[str, int]]] = {}
-        self._pool_shed_base: Dict[int, float] = {}
         # Unique policy instances, default first (observation fan-out order).
         self.policies: List[AdmissionPolicy] = [default_policy]
         for policy in self.class_policies.values():
@@ -809,27 +752,6 @@ class AdmissionController:
         if traffic_class is not None and traffic_class.lower() in self.class_pools:
             return self.class_pools[traffic_class.lower()]
         return self.default_pool
-
-    # -- tenant-aware dispatch ----------------------------------------------
-    @staticmethod
-    def _decide(policy: AdmissionPolicy, now, traffic_class, tenant) -> str:
-        if getattr(policy, "tenant_aware", False):
-            return policy.decide(now, traffic_class, tenant)
-        return policy.decide(now, traffic_class)
-
-    @staticmethod
-    def _admit(policy: AdmissionPolicy, now, traffic_class, tenant) -> None:
-        if getattr(policy, "tenant_aware", False):
-            policy.admit(now, traffic_class, tenant)
-        else:
-            policy.admit(now, traffic_class)
-
-    @staticmethod
-    def _release(policy: AdmissionPolicy, now, traffic_class, tenant) -> None:
-        if getattr(policy, "tenant_aware", False):
-            policy.release(now, traffic_class, tenant)
-        else:
-            policy.release(now, traffic_class)
 
     def _tenant_counts_for(self, tenant) -> Optional[List[int]]:
         if tenant is None:
@@ -857,10 +779,10 @@ class AdmissionController:
         if tenant_counts is not None:
             tenant_counts[0] += 1
         policy = self.policy_for(traffic_class)
-        decision = self._decide(policy, now, traffic_class, tenant)
+        decision = policy.decide(now, traffic_class, tenant)
         if decision == ADMIT:
             counts.admitted += 1
-            self._admit(policy, now, traffic_class, tenant)
+            policy.admit(now, traffic_class, tenant)
         elif decision == DELAY:
             counts.delayed += 1
         else:
@@ -873,10 +795,10 @@ class AdmissionController:
         """Re-offer a request already waiting at the door (no offered count)."""
         counts = self._counts_for(traffic_class)
         policy = self.policy_for(traffic_class)
-        decision = self._decide(policy, now, traffic_class, tenant)
+        decision = policy.decide(now, traffic_class, tenant)
         if decision == ADMIT:
             counts.admitted += 1
-            self._admit(policy, now, traffic_class, tenant)
+            policy.admit(now, traffic_class, tenant)
         elif decision == REJECT:
             self._record_rejection(traffic_class, counts, tenant)
         return decision
@@ -895,7 +817,6 @@ class AdmissionController:
             entry = self._pool_rejections.get(key)
             if entry is None:
                 entry = self._pool_rejections[key] = (pool, {})
-                self._pool_shed_base.setdefault(key, pool.shed_tokens)
             label = UNLABELLED if traffic_class is None else traffic_class
             entry[1][label] = entry[1].get(label, 0) + 1
 
@@ -911,7 +832,7 @@ class AdmissionController:
         counts = self._counts_for(traffic_class)
         counts.completed += 1
         counts.output_tokens += output_tokens
-        self._release(self.policy_for(traffic_class), now, traffic_class, tenant)
+        self.policy_for(traffic_class).release(now, traffic_class, tenant)
         for policy in self.policies:
             policy.observe(now, traffic_class, latency, output_tokens)
 
@@ -960,14 +881,9 @@ class AdmissionController:
         return sum(counts.rejected for counts in self._counts.values())
 
     def finalize_shed_estimates(self) -> None:
-        """Price each pool's rejections at the run's final class token means.
-
-        Idempotent: recomputes ``pool.shed_tokens`` from the base carried
-        into this run plus the current estimates.
-        """
-        for key, (pool, by_label) in self._pool_rejections.items():
-            base = self._pool_shed_base.get(key, 0.0)
-            pool.shed_tokens = base + sum(
+        """Price each pool's rejections at the run's final class token means."""
+        for pool, by_label in self._pool_rejections.values():
+            pool.shed_tokens = sum(
                 count * self.estimated_task_tokens(label or None)
                 for label, count in by_label.items()
             )
@@ -986,10 +902,3 @@ class AdmissionController:
             )
             for label, counts in self._counts.items()
         }
-
-    def reset_counts(self) -> None:
-        """Clear per-run accounting (policy state -- buckets, windows -- persists)."""
-        self._counts.clear()
-        self._tenant_counts.clear()
-        self._pool_rejections.clear()
-        self._pool_shed_base.clear()

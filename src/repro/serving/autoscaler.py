@@ -1,7 +1,10 @@
 """Elastic-capacity controller: grows/shrinks a replica pool during a run.
 
 The :class:`Autoscaler` is a periodic simulation process watching one
-:class:`~repro.serving.cluster.ReplicaPool`.  It runs in one of two modes:
+:class:`~repro.serving.cluster.ReplicaPool`, built as ``Autoscaler(env,
+pool, spec)`` from an :class:`AutoscalerSpec`, the one place its
+parameters are declared, defaulted and validated.  It runs in one of two
+modes:
 
 **reactive** (the default, and the historical behaviour, golden-pinned):
 every ``check_interval_s`` it evaluates two load signals -- queue depth
@@ -43,16 +46,81 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.metrics import percentile
 from repro.llm.predictor import DecodeLengthPredictor
 from repro.serving.cluster import ReplicaPool
-from repro.serving.forecast import ArrivalForecaster
+from repro.serving.forecast import FORECASTERS, available_forecasters, build_forecaster
 from repro.sim import Environment
 
-#: Autoscaler operating modes.
-AUTOSCALER_MODES = ("reactive", "predictive")
+
+@dataclass(frozen=True)
+class AutoscalerSpec:
+    """Elastic sizing of one pool from load signals (see the module doc).
+
+    ``pool=""`` targets the default (first) pool.  ``mode`` is
+    ``"reactive"`` (the default, golden-pinned) or ``"predictive"``, whose
+    ``forecaster`` (:mod:`repro.serving.forecast` registry: ``none`` |
+    ``windowed-rate`` | ``ewma`` | ``holt``) is built from the
+    ``forecaster_*`` parameters (window for ``windowed-rate``;
+    bucket/alpha[/beta] for the smoothers; parameters a forecaster does not
+    take are ignored).  ``horizon_s`` is the look-ahead of the predictive
+    target and of a cooperative ``slo-shed`` gate.
+    """
+
+    pool: str = ""
+    min_replicas: int = 1
+    max_replicas: int = 4
+    check_interval_s: float = 2.0
+    warmup_s: float = 5.0
+    cooldown_s: float = 0.0
+    scale_up_pending_per_replica: float = 4.0
+    scale_down_pending_per_replica: float = 1.0
+    p95_slo_s: Optional[float] = None
+    p95_window_s: float = 30.0
+    mode: str = "reactive"
+    forecaster: str = "windowed-rate"
+    horizon_s: float = 10.0
+    forecaster_window_s: float = 10.0
+    forecaster_bucket_s: float = 2.0
+    forecaster_alpha: float = 0.5
+    forecaster_beta: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.min_replicas < 1:
+            raise ValueError("autoscaler min_replicas must be >= 1")
+        if self.max_replicas < self.min_replicas:
+            raise ValueError("autoscaler max_replicas must be >= min_replicas")
+        if self.check_interval_s <= 0:
+            raise ValueError("autoscaler check_interval_s must be > 0")
+        if self.warmup_s < 0 or self.cooldown_s < 0:
+            raise ValueError("autoscaler warm-up/cooldown must be >= 0")
+        if self.scale_down_pending_per_replica >= self.scale_up_pending_per_replica:
+            raise ValueError(
+                "autoscaler scale-down threshold must be below the scale-up threshold"
+            )
+        if self.p95_slo_s is not None and self.p95_slo_s <= 0:
+            raise ValueError("autoscaler p95_slo_s must be > 0 (or None)")
+        if self.p95_window_s <= 0:
+            raise ValueError("autoscaler p95_window_s must be > 0")
+        if self.mode not in ("reactive", "predictive"):
+            raise ValueError(
+                f"unknown autoscaler mode {self.mode!r}; "
+                "known: ['reactive', 'predictive']"
+            )
+        if self.forecaster.lower() not in FORECASTERS:
+            raise ValueError(
+                f"unknown arrival forecaster {self.forecaster!r}; "
+                f"known: {available_forecasters()}"
+            )
+        if self.horizon_s <= 0:
+            raise ValueError("autoscaler horizon_s must be > 0")
+        if self.forecaster_window_s <= 0 or self.forecaster_bucket_s <= 0:
+            raise ValueError("forecaster window/bucket must be > 0")
+        if not 0 < self.forecaster_alpha <= 1 or not 0 < self.forecaster_beta <= 1:
+            raise ValueError("forecaster alpha/beta must be in (0, 1]")
 
 
 def rolling_window_completions(replicas, window_s: float, now: float) -> List:
@@ -76,57 +144,34 @@ def rolling_window_completions(replicas, window_s: float, now: float) -> List:
 
 
 class Autoscaler:
-    """Feedback controller that elastically sizes one replica pool."""
+    """Feedback controller that elastically sizes one replica pool.
+
+    ``predictor`` prices the pool's backlog in predicted decode tokens (the
+    cluster's shared :class:`~repro.llm.predictor.DecodeLengthPredictor`;
+    an exact one when omitted).  Predictive mode builds its arrival
+    forecaster from the spec; the serving driver feeds it arrivals.
+    """
 
     def __init__(
         self,
         env: Environment,
         pool: ReplicaPool,
-        min_replicas: int = 1,
-        max_replicas: int = 4,
-        check_interval_s: float = 2.0,
-        warmup_s: float = 5.0,
-        cooldown_s: float = 0.0,
-        scale_up_pending_per_replica: float = 4.0,
-        scale_down_pending_per_replica: float = 1.0,
-        p95_slo_s: Optional[float] = None,
-        p95_window_s: float = 30.0,
-        mode: str = "reactive",
-        forecaster: Optional[ArrivalForecaster] = None,
-        horizon_s: float = 10.0,
+        spec: AutoscalerSpec,
         predictor: Optional[DecodeLengthPredictor] = None,
     ):
-        if min_replicas < 1:
-            raise ValueError("min_replicas must be >= 1")
-        if max_replicas < min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
-        if check_interval_s <= 0:
-            raise ValueError("check_interval_s must be > 0")
-        if scale_down_pending_per_replica >= scale_up_pending_per_replica:
-            raise ValueError("scale-down threshold must be below scale-up threshold")
-        if mode not in AUTOSCALER_MODES:
-            raise ValueError(
-                f"unknown autoscaler mode {mode!r}; known: {list(AUTOSCALER_MODES)}"
-            )
-        if mode == "predictive" and forecaster is None:
-            raise ValueError("predictive autoscaling requires an arrival forecaster")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
         self.env = env
         self.pool = pool
-        self.mode = mode
-        self.forecaster = forecaster
-        self.horizon_s = horizon_s
+        self.spec = spec
         self.predictor = predictor or DecodeLengthPredictor()
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.check_interval_s = check_interval_s
-        self.warmup_s = warmup_s
-        self.cooldown_s = cooldown_s
-        self.scale_up_pending_per_replica = scale_up_pending_per_replica
-        self.scale_down_pending_per_replica = scale_down_pending_per_replica
-        self.p95_slo_s = p95_slo_s
-        self.p95_window_s = p95_window_s
+        self.forecaster = None
+        if spec.mode == "predictive":
+            self.forecaster = build_forecaster(
+                spec.forecaster,
+                window_s=spec.forecaster_window_s,
+                bucket_s=spec.forecaster_bucket_s,
+                alpha=spec.forecaster_alpha,
+                beta=spec.forecaster_beta,
+            )
         self._last_action_time = float("-inf")
         # Planner-derived replica target (see FleetPlanner): the controller
         # grows toward it and refuses to shrink below it.  None (the default)
@@ -153,10 +198,10 @@ class Autoscaler:
     # -- control loop ---------------------------------------------------------
     def _run(self):
         while True:
-            self.sleep_event = self.env.timeout(self.check_interval_s)
+            self.sleep_event = self.env.timeout(self.spec.check_interval_s)
             yield self.sleep_event
             self._apply_planned_target()
-            if self.mode == "predictive":
+            if self.spec.mode == "predictive":
                 self._evaluate_predictive()
             else:
                 self._evaluate()
@@ -175,7 +220,7 @@ class Autoscaler:
             self.planned_target = None
             return
         self.planned_target = max(
-            self.min_replicas, min(self.max_replicas, int(target))
+            self.spec.min_replicas, min(self.spec.max_replicas, int(target))
         )
 
     def _above_planned_floor(self, provisioned: int) -> bool:
@@ -191,35 +236,36 @@ class Autoscaler:
         if provisioned < self.planned_target:
             reason = f"planned target={self.planned_target}"
             for _ in range(self.planned_target - provisioned):
-                pool.grow(warmup_s=self.warmup_s, reason=reason)
+                pool.grow(warmup_s=self.spec.warmup_s, reason=reason)
             self._last_action_time = self.env.now
 
     def _evaluate(self) -> None:
         now = self.env.now
-        if now - self._last_action_time < self.cooldown_s:
+        if now - self._last_action_time < self.spec.cooldown_s:
             return
         pool = self.pool
         provisioned = pool.num_provisioned
         pending_per_replica = pool.num_pending_requests / max(provisioned, 1)
+        slo = self.spec.p95_slo_s
         # The rolling-p95 scan is only paid for when an SLO watches it.
-        rolling_p95 = 0.0 if self.p95_slo_s is None else self.rolling_p95(now)
-        slo_violated = self.p95_slo_s is not None and rolling_p95 > self.p95_slo_s
-        if provisioned < self.max_replicas and (
-            pending_per_replica > self.scale_up_pending_per_replica or slo_violated
+        rolling_p95 = 0.0 if slo is None else self.rolling_p95(now)
+        slo_violated = slo is not None and rolling_p95 > slo
+        if provisioned < self.spec.max_replicas and (
+            pending_per_replica > self.spec.scale_up_pending_per_replica or slo_violated
         ):
             reason = (
                 f"p95={rolling_p95:.2f}s>SLO"
                 if slo_violated
                 else f"pending/replica={pending_per_replica:.2f}"
             )
-            pool.grow(warmup_s=self.warmup_s, reason=reason)
+            pool.grow(warmup_s=self.spec.warmup_s, reason=reason)
             self._last_action_time = now
             return
         if (
-            pool.num_active > self.min_replicas
-            and provisioned > self.min_replicas
+            pool.num_active > self.spec.min_replicas
+            and provisioned > self.spec.min_replicas
             and self._above_planned_floor(provisioned)
-            and pending_per_replica < self.scale_down_pending_per_replica
+            and pending_per_replica < self.spec.scale_down_pending_per_replica
             and not slo_violated
         ):
             pool.shrink(reason=f"pending/replica={pending_per_replica:.2f}")
@@ -231,14 +277,14 @@ class Autoscaler:
         # One rolling-window scan per heartbeat: rate, mean decode length,
         # and the SLO check are all derived from the same completion window.
         window = self.recent_completions(now)
-        slo_violated = self.p95_slo_s is not None and (
+        slo_violated = self.spec.p95_slo_s is not None and (
             percentile(
                 [request.timings.e2e_latency for request in window], 95.0
             )
-            > self.p95_slo_s
+            > self.spec.p95_slo_s
         )
         self._resolve_lead_probes(now, slo_violated)
-        if now - self._last_action_time < self.cooldown_s:
+        if now - self._last_action_time < self.spec.cooldown_s:
             return
         per_replica_rate = self._per_replica_token_rate(window, now)
         if per_replica_rate <= 0.0:
@@ -248,7 +294,7 @@ class Autoscaler:
             return
         pool = self.pool
         provisioned = pool.num_provisioned
-        forecast_rate = self.forecaster.forecast_rate(now, self.horizon_s)
+        forecast_rate = self.forecaster.forecast_rate(now, self.spec.horizon_s)
         mean_tokens = (
             sum(request.num_output_tokens for request in window) / len(window)
             if window
@@ -263,11 +309,11 @@ class Autoscaler:
             # fires against the smaller provisioned count.
             pre_pressure = slo_violated or (
                 pool.num_pending_requests / max(provisioned, 1)
-                > self.scale_up_pending_per_replica
+                > self.spec.scale_up_pending_per_replica
             )
             reason = f"forecast={forecast_rate:.2f}qps target={target}"
             for _ in range(target - provisioned):
-                pool.grow(warmup_s=self.warmup_s, reason=reason)
+                pool.grow(warmup_s=self.spec.warmup_s, reason=reason)
             self._last_action_time = now
             if not pre_pressure:
                 # A genuine scale-ahead: capacity provisioned before queue
@@ -282,11 +328,11 @@ class Autoscaler:
         if (
             target < provisioned
             and not slo_violated
-            and pool.num_active > self.min_replicas
-            and provisioned > self.min_replicas
+            and pool.num_active > self.spec.min_replicas
+            and provisioned > self.spec.min_replicas
             and self._above_planned_floor(provisioned)
             and pool.num_pending_requests / max(provisioned, 1)
-            < self.scale_down_pending_per_replica
+            < self.spec.scale_down_pending_per_replica
         ):
             pool.shrink(reason=f"target={target}<provisioned={provisioned}")
             self._last_action_time = now
@@ -305,7 +351,7 @@ class Autoscaler:
         for grew_at, provisioned_before in self._pending_lead_probes:
             fired = slo_violated or (
                 pending / max(provisioned_before, 1)
-                > self.scale_up_pending_per_replica
+                > self.spec.scale_up_pending_per_replica
             )
             if fired:
                 self.scale_ahead_leads.append(now - grew_at)
@@ -317,17 +363,21 @@ class Autoscaler:
     def rolling_p95(self, now: Optional[float] = None) -> float:
         """p95 of LLM-request latencies completed within the rolling window."""
         now = self.env.now if now is None else now
-        window = rolling_window_completions(self.pool.replicas, self.p95_window_s, now)
+        window = rolling_window_completions(
+            self.pool.replicas, self.spec.p95_window_s, now
+        )
         return percentile([request.timings.e2e_latency for request in window], 95.0)
 
     def recent_completions(self, now: Optional[float] = None) -> List:
         """Pool requests completed within the trailing ``p95_window_s``."""
         now = self.env.now if now is None else now
-        return rolling_window_completions(self.pool.replicas, self.p95_window_s, now)
+        return rolling_window_completions(
+            self.pool.replicas, self.spec.p95_window_s, now
+        )
 
     def _record_active_sample(self, now: float) -> None:
         self._active_samples.append((now, self.pool.num_active))
-        cutoff = now - self.p95_window_s
+        cutoff = now - self.spec.p95_window_s
         while self._active_samples and self._active_samples[0][0] < cutoff:
             self._active_samples.popleft()
 
@@ -342,7 +392,7 @@ class Autoscaler:
     def _per_replica_token_rate(self, window: List, now: float) -> float:
         if not window:
             return 0.0
-        span = min(self.p95_window_s, now) if now > 0 else self.p95_window_s
+        span = min(self.spec.p95_window_s, now) if now > 0 else self.spec.p95_window_s
         if span <= 0:
             return 0.0
         total = sum(request.num_output_tokens for request in window)
@@ -367,10 +417,10 @@ class Autoscaler:
         the target, clamped to ``[min_replicas, max_replicas]``.
         """
         backlog = self.pool.pending_predicted_tokens(self.predictor)
-        demand = backlog + forecast_rate * self.horizon_s * mean_tokens
-        per_replica_budget = per_replica_rate * self.horizon_s
+        demand = backlog + forecast_rate * self.spec.horizon_s * mean_tokens
+        per_replica_budget = per_replica_rate * self.spec.horizon_s
         target = math.ceil(demand / per_replica_budget) if per_replica_budget > 0 else 0
-        return max(self.min_replicas, min(self.max_replicas, target))
+        return max(self.spec.min_replicas, min(self.spec.max_replicas, target))
 
     def forecast_mae(self, now: Optional[float] = None) -> Optional[float]:
         """Mean absolute forecast-rate error over matured forecasts."""

@@ -18,15 +18,33 @@ from repro.api import (
     run_experiment,
 )
 from repro.serving.admission import (
+    ADMISSION_POLICIES,
     ADMIT,
     DELAY,
     REJECT,
-    ConcurrencyAdmission,
+    AdmissionPolicy,
     SloShedAdmission,
     TokenBucketAdmission,
     available_admission_policies,
-    build_admission_policy,
+    register_admission_policy,
 )
+
+
+class IdleProbe:
+    """A fleet with no backlog: projections are the rolling p95 alone."""
+
+    def backlog_drain_seconds(self, now, window_s):
+        return 0.0
+
+
+def token_bucket(**params) -> TokenBucketAdmission:
+    return TokenBucketAdmission(
+        AdmissionSpec(policy="token-bucket", **params), IdleProbe()
+    )
+
+
+def slo_shed(**params) -> SloShedAdmission:
+    return SloShedAdmission(AdmissionSpec(policy="slo-shed", **params), IdleProbe())
 
 
 def agent_spec(**overrides) -> ExperimentSpec:
@@ -122,38 +140,39 @@ class TestTokenBucketRefill:
     """Refill timing of the token bucket, request by request."""
 
     def test_burst_then_rate(self):
-        bucket = TokenBucketAdmission(rate_qps=2.0, burst=3)
+        bucket = token_bucket(rate_qps=2.0, burst=3)
         # The bucket starts full: the burst is admitted back to back.
-        assert [bucket.decide(0.0, None) for _ in range(3)] == [ADMIT] * 3
+        assert [bucket.decide(0.0, None, None) for _ in range(3)] == [ADMIT] * 3
         # Empty bucket: delayed, next token half a second out (rate 2/s).
-        assert bucket.decide(0.0, None) == DELAY
+        assert bucket.decide(0.0, None, None) == DELAY
         assert bucket.retry_at(0.0) == pytest.approx(0.5)
         # At the refill instant exactly one token has accrued.
-        assert bucket.decide(0.5, None) == ADMIT
-        assert bucket.decide(0.5, None) == DELAY
+        assert bucket.decide(0.5, None, None) == ADMIT
+        assert bucket.decide(0.5, None, None) == DELAY
 
     def test_refill_caps_at_burst(self):
-        bucket = TokenBucketAdmission(rate_qps=10.0, burst=2)
+        bucket = token_bucket(rate_qps=10.0, burst=2)
         for _ in range(2):
-            assert bucket.decide(0.0, None) == ADMIT
+            assert bucket.decide(0.0, None, None) == ADMIT
         # A long quiet period refills to burst, not beyond.
-        assert [bucket.decide(100.0, None) for _ in range(3)] == [ADMIT, ADMIT, DELAY]
+        refilled = [bucket.decide(100.0, None, None) for _ in range(3)]
+        assert refilled == [ADMIT, ADMIT, DELAY]
 
     def test_reject_mode_sheds_instead_of_queueing(self):
-        bucket = TokenBucketAdmission(rate_qps=1.0, burst=1, overload_action="reject")
-        assert bucket.decide(0.0, None) == ADMIT
-        assert bucket.decide(0.0, None) == REJECT
+        bucket = token_bucket(rate_qps=1.0, burst=1, overload_action="reject")
+        assert bucket.decide(0.0, None, None) == ADMIT
+        assert bucket.decide(0.0, None, None) == REJECT
         assert bucket.retry_at(0.0) is None  # reject mode never re-offers
 
     def test_retry_chain_is_rate_spaced(self):
-        bucket = TokenBucketAdmission(rate_qps=4.0, burst=1)
-        assert bucket.decide(0.0, None) == ADMIT
+        bucket = token_bucket(rate_qps=4.0, burst=1)
+        assert bucket.decide(0.0, None, None) == ADMIT
         retries = []
         now = 0.0
         for _ in range(3):
             now = bucket.retry_at(now)
             retries.append(now)
-            assert bucket.decide(now, None) == ADMIT
+            assert bucket.decide(now, None, None) == ADMIT
         assert retries == [pytest.approx(0.25 * (i + 1)) for i in range(3)]
 
     def test_end_to_end_delay_spacing(self):
@@ -183,7 +202,7 @@ class TestSloShedHysteresis:
     """Synthetic burst against the shed gate's enter/exit thresholds."""
 
     def _policy(self) -> SloShedAdmission:
-        return SloShedAdmission(
+        return slo_shed(
             slo_p95_s=10.0, window_s=100.0, enter_factor=1.0, exit_factor=0.5
         )
 
@@ -191,12 +210,12 @@ class TestSloShedHysteresis:
         policy = self._policy()
         # Healthy completions: projection below the SLO, gate open.
         policy.observe(1.0, None, 5.0, 100)
-        assert policy.decide(1.0, None) == ADMIT
+        assert policy.decide(1.0, None, None) == ADMIT
         assert not policy.shed_active
         # A latency spike pushes the rolling p95 over the SLO: gate sheds.
         for time in (2.0, 3.0, 4.0):
             policy.observe(time, None, 20.0, 100)
-        assert policy.decide(4.0, None) == REJECT
+        assert policy.decide(4.0, None, None) == REJECT
         assert policy.shed_active
         # Recovery to just under the SLO is NOT enough -- hysteresis holds
         # the gate closed until the projection falls below slo * exit_factor.
@@ -205,21 +224,21 @@ class TestSloShedHysteresis:
         cleared = 104.0  # spike completions age out of the 100s window
         assert policy.rolling_p95(cleared) < 10.0  # p95 back under the SLO
         assert policy.rolling_p95(cleared) > 5.0   # ...but above the exit bar
-        assert policy.decide(cleared, None) == REJECT
+        assert policy.decide(cleared, None, None) == REJECT
         assert policy.shed_active
         # Only once the projection clears slo * exit_factor does it reopen.
         reopened = 150.0  # every 6s completion has aged out too
-        assert policy.decide(reopened, None) == ADMIT
+        assert policy.decide(reopened, None, None) == ADMIT
         assert not policy.shed_active
         # The transition log shows exactly one engage/disengage cycle.
         assert [active for _, active in policy.transitions] == [True, False]
 
     def test_protect_class_filters_observations(self):
-        policy = SloShedAdmission(slo_p95_s=1.0, window_s=50.0, protect_class="chat")
+        policy = slo_shed(slo_p95_s=1.0, window_s=50.0, protect_class="chat")
         policy.observe(0.0, "agent", 99.0, 100)  # unprotected class: ignored
-        assert policy.decide(1.0, "agent") == ADMIT
+        assert policy.decide(1.0, "agent", None) == ADMIT
         policy.observe(2.0, "chat", 99.0, 100)  # protected class violates
-        assert policy.decide(3.0, "agent") == REJECT
+        assert policy.decide(3.0, "agent", None) == REJECT
 
     def test_mixture_sheds_agent_class_only(self):
         spec = ExperimentSpec(
@@ -341,35 +360,39 @@ class TestAdmissionSpecValidation:
         rebuilt = ExperimentSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
 
-    def test_build_admission_policy_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown admission policy"):
-            build_admission_policy("bouncer")
+    def test_every_registered_policy_builds_from_its_spec(self):
+        required = {
+            "concurrency": dict(max_concurrency=1),
+            "token-bucket": dict(rate_qps=1.0),
+            "slo-shed": dict(slo_p95_s=1.0),
+        }
+        probe = IdleProbe()
+        for name, cls in ADMISSION_POLICIES.items():
+            spec = AdmissionSpec(policy=name, **required.get(name, {}))
+            policy = cls(spec, probe)
+            assert isinstance(policy, AdmissionPolicy)
+            assert policy.spec is spec and policy.probe is probe
 
     def test_custom_registered_policy_is_constructed(self):
-        from repro.serving.admission import (
-            ADMISSION_POLICIES,
-            AdmissionPolicy,
-            ADMIT,
-            register_admission_policy,
-        )
+        # A policy registered from outside overrides only decide, and runs
+        # end to end: it rejects every other offer.
+        offers = []
 
         @register_admission_policy
         class EveryOther(AdmissionPolicy):
             name = "every-other"
 
-            def __init__(self):
-                self.count = 0
-
-            def decide(self, now, traffic_class):
-                self.count += 1
-                return ADMIT
+            def decide(self, now, traffic_class, tenant):
+                offers.append(self.spec.policy)
+                return ADMIT if len(offers) % 2 else REJECT
 
         try:
-            policy = build_admission_policy("every-other")
-            assert isinstance(policy, EveryOther)
-            assert policy.decide(0.0, None) == ADMIT
+            result = run_experiment(agent_spec(admission="every-other"))
         finally:
             ADMISSION_POLICIES.pop("every-other", None)
+        assert offers == ["every-other"] * 10
+        assert result.num_rejected == 5
+        assert result.num_completed == 5
 
 
 class TestWarmupValidation:
@@ -410,20 +433,6 @@ class TestWarmupValidation:
         )
         with pytest.raises(ValueError, match="warmup_requests"):
             driver.serve(short)
-
-    def test_characterization_rejects_explicit_tasks_shorter_than_warmup(self):
-        # Explicit task lists bypass the arrival.num_requests validation.
-        spec = ExperimentSpec(
-            agent="chatbot",
-            workload="sharegpt",
-            arrival=ArrivalSpec(process="single", num_requests=10),
-            measurement=MeasurementSpec(warmup_requests=5),
-        )
-        from repro.api import SystemBuilder
-
-        tasks = SystemBuilder(spec).build().traffic[None].workload.sample_tasks(3)
-        with pytest.raises(ValueError, match="warmup_requests"):
-            run_experiment(spec, tasks=tasks)
 
     def test_characterization_honours_warmup(self):
         base = ExperimentSpec(

@@ -38,8 +38,12 @@ def mixture(qps: float = 6.0, num_users: int = 20, **overrides) -> ExperimentSpe
     """A chat 0.6 / ReAct 0.4 mixture of 24 Poisson arrivals, 20 tenants."""
     return ExperimentSpec(
         workloads=(
-            WeightedWorkload(agent="chatbot", workload="sharegpt", weight=0.6, name="chat"),
-            WeightedWorkload(agent="react", workload="hotpotqa", weight=0.4, name="agent"),
+            WeightedWorkload(
+                agent="chatbot", workload="sharegpt", weight=0.6, name="chat"
+            ),
+            WeightedWorkload(
+                agent="react", workload="hotpotqa", weight=0.4, name="agent"
+            ),
         ),
         agent_config=AgentConfig(max_iterations=4),
         arrival=ArrivalSpec(

@@ -43,7 +43,7 @@ from repro.llm import (
     register_gpu,
 )
 from repro.llm.models import ModelSpec
-from repro.serving.autoscaler import Autoscaler
+from repro.serving.autoscaler import Autoscaler, AutoscalerSpec
 from repro.serving.cluster import Cluster, ReplicaPool
 from repro.sim import Environment
 
@@ -619,7 +619,7 @@ def make_floor_autoscaler(env, pool, **overrides) -> Autoscaler:
         scale_down_pending_per_replica=0.5,
     )
     defaults.update(overrides)
-    return Autoscaler(env, pool, **defaults)
+    return Autoscaler(env, pool, AutoscalerSpec(**defaults))
 
 
 class TestPlannedTarget:

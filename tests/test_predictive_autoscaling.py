@@ -26,7 +26,7 @@ from repro.llm import EngineConfig
 from repro.serving.admission import ADMIT, REJECT, SloShedAdmission
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.cluster import ReplicaPool
-from repro.serving.forecast import NoForecaster, WindowedRateForecaster
+from repro.serving.forecast import WindowedRateForecaster
 from repro.sim import Environment
 
 
@@ -70,7 +70,7 @@ def make_autoscaler(env: Environment, pool: FakePool, **overrides) -> Autoscaler
         scale_down_pending_per_replica=0.5,
     )
     defaults.update(overrides)
-    return Autoscaler(env, pool, **defaults)
+    return Autoscaler(env, pool, AutoscalerSpec(**defaults))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +199,22 @@ class TestCooldownEnforcement:
 
 class TestPredictiveController:
     def test_predictive_mode_requires_forecaster(self):
-        env = Environment()
+        # Predictive mode builds its forecaster from the spec, which only
+        # names registered ones.
         with pytest.raises(ValueError, match="forecaster"):
-            make_autoscaler(env, FakePool(), mode="predictive")
+            AutoscalerSpec(mode="predictive", forecaster="arima")
+        scaler = make_autoscaler(Environment(), FakePool(), mode="predictive")
+        assert isinstance(scaler.forecaster, WindowedRateForecaster)
 
     def test_unknown_mode_rejected(self):
-        env = Environment()
         with pytest.raises(ValueError, match="unknown autoscaler mode"):
-            make_autoscaler(env, FakePool(), mode="proactive")
+            AutoscalerSpec(mode="proactive")
 
     def test_target_replicas_sizes_for_backlog_and_forecast(self):
         env = Environment()
         pool = FakePool(pending=10, provisioned=1)  # backlog: 100 tokens
         autoscaler = make_autoscaler(
-            env, pool, mode="predictive", forecaster=NoForecaster(), horizon_s=10.0
+            env, pool, mode="predictive", forecaster="none", horizon_s=10.0
         )
         # No completions -> mean tokens/request is 0, so demand is backlog
         # only: 100 tokens / (5 tokens/s * 10 s) = 2 replicas.
@@ -228,9 +230,7 @@ class TestPredictiveController:
         # still grow the pool (the predictive target would divide by zero).
         env = Environment()
         pool = FakePool(pending=100, provisioned=1)
-        make_autoscaler(
-            env, pool, mode="predictive", forecaster=WindowedRateForecaster()
-        )
+        make_autoscaler(env, pool, mode="predictive", forecaster="windowed-rate")
         env.run(until=1.5)
         assert pool.grow_times == [1.0]
 
@@ -255,48 +255,46 @@ class StubProbe:
     def backlog_drain_seconds(self, now, window_s):
         return self.backlog_drain
 
-    def projected_drain_seconds(self, now, window_s, horizon_s):
+    def projected_drain_seconds(self, now, window_s):
         return self.projected_drain
 
 
 class TestCooperativeSloShed:
     def make_gate(self, cooperative: bool, probe: StubProbe) -> SloShedAdmission:
-        return SloShedAdmission(
-            slo_p95_s=10.0,
-            load_probe=probe,
-            cooperative=cooperative,
-            horizon_s=8.0,
-        )
+        spec = AdmissionSpec(policy="slo-shed", slo_p95_s=10.0, cooperative=cooperative)
+        return SloShedAdmission(spec, probe)
 
     def test_independent_gate_sheds_on_current_backlog(self):
         # Backlog projection violates the SLO; scale-ups landing soon would
         # clear it, but the independent gate cannot see them.
         probe = StubProbe(backlog_drain=20.0, projected_drain=2.0)
-        assert self.make_gate(False, probe).decide(0.0, "agent") == REJECT
+        assert self.make_gate(False, probe).decide(0.0, "agent", None) == REJECT
 
     def test_cooperative_gate_waits_for_inflight_scaleups(self):
         probe = StubProbe(backlog_drain=20.0, projected_drain=2.0)
-        assert self.make_gate(True, probe).decide(0.0, "agent") == ADMIT
+        assert self.make_gate(True, probe).decide(0.0, "agent", None) == ADMIT
 
     def test_cooperative_gate_still_sheds_when_scaleups_cannot_catch_up(self):
         probe = StubProbe(backlog_drain=30.0, projected_drain=25.0)
-        assert self.make_gate(True, probe).decide(0.0, "agent") == REJECT
+        assert self.make_gate(True, probe).decide(0.0, "agent", None) == REJECT
 
     def test_cooperative_gate_unsheds_as_replicas_land(self):
         probe = StubProbe(backlog_drain=30.0, projected_drain=25.0)
         gate = self.make_gate(True, probe)
-        assert gate.decide(0.0, "agent") == REJECT
+        assert gate.decide(0.0, "agent", None) == REJECT
         assert gate.shed_active
         # Warm replicas landed: the horizon projection clears the exit
         # threshold (10 * 0.8) and the gate reopens.
         probe.projected_drain = 4.0
-        assert gate.decide(1.0, "agent") == ADMIT
+        assert gate.decide(1.0, "agent", None) == ADMIT
         assert not gate.shed_active
         assert [active for _, active in gate.transitions] == [True, False]
 
     def test_horizon_must_be_positive(self):
+        # The gate looks ahead over the autoscaler's horizon, which its
+        # spec validates.
         with pytest.raises(ValueError, match="horizon_s"):
-            SloShedAdmission(slo_p95_s=10.0, horizon_s=0.0)
+            AutoscalerSpec(horizon_s=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ class TestQpsSweep:
         assert peak_throughput(chatbot_sweep) > peak_throughput(agent_sweep)
 
 
-def characterize(agent: str, workload: str, num_tasks: int = 20, tasks=None, **overrides):
+def characterize(agent: str, workload: str, num_tasks: int = 20, **overrides):
     """Single-arrival (one request at a time) characterization at seed 1."""
     spec = ExperimentSpec(
         agent=agent,
@@ -180,7 +180,7 @@ def characterize(agent: str, workload: str, num_tasks: int = 20, tasks=None, **o
         seed=1,
         **overrides,
     )
-    return run_experiment(spec, tasks=tasks)
+    return run_experiment(spec)
 
 
 class TestCharacterizationRun:
@@ -193,13 +193,6 @@ class TestCharacterizationRun:
             assert observation.kv_max_bytes > 0
         assert result.mean_llm_calls >= 2
         assert 0 <= result.accuracy <= 1
-
-    def test_runner_respects_explicit_tasks(self):
-        workload = create_workload("math", seed=1)
-        tasks = workload.sample_tasks(2)
-        result = characterize("react", "math", tasks=tasks)
-        assert result.num_requests == 2
-        assert [run.task_id for run in result.runs] == [t.task_id for t in tasks]
 
     def test_gpu_idle_fraction_larger_for_slow_tools(self):
         hotpot = characterize("react", "hotpotqa", num_tasks=4)

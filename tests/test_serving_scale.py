@@ -69,9 +69,9 @@ class TestMaxConcurrencyEnforcement:
         assert gated.mean_latency > open_door.mean_latency
         assert gated.mean_admission_delay > open_door.mean_admission_delay
 
-    def test_reused_server_reports_per_run_admission_delays(self):
+    def test_driver_serves_one_plan(self):
         from repro.api import ServingDriver, SystemBuilder
-        from repro.serving import arrival_plan
+        from repro.api.runners import _build_plan
 
         spec = ExperimentSpec(
             agent="chatbot",
@@ -81,14 +81,10 @@ class TestMaxConcurrencyEnforcement:
         )
         system = SystemBuilder(spec).build()
         driver = ServingDriver(system)
-        plan = lambda tag: arrival_plan(
-            [(None, system.traffic[None].workload, 1.0)], qps=4.0, num_requests=4,
-            stream=system.stream.substream(f"plan/{tag}"), task_pool_size=4,
-        )
-        first = driver.serve(plan("a"))
-        second = driver.serve(plan("b"))
+        first = driver.serve(_build_plan(system))
         assert len(first.admission_delays) == 4
-        assert len(second.admission_delays) == 4
+        with pytest.raises(RuntimeError, match="one plan"):
+            driver.serve(_build_plan(system))
 
 
 class TestPeakThroughputHardening:

@@ -21,9 +21,9 @@ from repro.serving.admission import (
     DELAY,
     REJECT,
     AdmissionController,
+    AdmissionSpec,
     OITThrottleAdmission,
     available_admission_policies,
-    build_admission_policy,
 )
 from repro.serving.loadgen import arrival_plan
 from repro.serving.shapes import ConstantShape, SquareWaveShape
@@ -358,18 +358,30 @@ class _Probe:
         return self.pending
 
 
+def oit_throttle(probe: _Probe, **params) -> OITThrottleAdmission:
+    return OITThrottleAdmission(AdmissionSpec(policy="oit-throttle", **params), probe)
+
+
 class TestOITThrottle:
     def test_registered(self):
         assert "oit-throttle" in available_admission_policies()
 
-    def test_requires_a_rate(self):
-        with pytest.raises(ValueError, match="user_rpm"):
-            OITThrottleAdmission(user_rpm=None, app_rpm=None)
+    def test_default_allows_60_rpm_per_user(self):
+        # Neither rpm set: 60 requests/min per user over the spec's 30 s
+        # window, i.e. 30 admissions per rolling window.
+        policy = oit_throttle(_Probe(kv=1.0))
+        assert policy.spec.window_s == 30.0
+        tenant = _tenant(1)
+        for second in range(30):
+            assert policy.decide(float(second), None, tenant) == ADMIT
+            policy.admit(float(second), None, tenant)
+            policy.release(float(second), None, tenant)
+        assert policy.decide(29.5, None, tenant) == REJECT
+        # The t=0 admission has left the window.
+        assert policy.decide(30.5, None, tenant) == ADMIT
 
     def test_never_bites_without_pressure(self):
-        policy = OITThrottleAdmission(
-            user_rpm=1.0, window_s=60.0, load_probe=_Probe(kv=0.0, pending=0.0)
-        )
+        policy = oit_throttle(_Probe(kv=0.0, pending=0.0), user_rpm=1.0, window_s=60.0)
         tenant = _tenant(1)
         for _ in range(20):
             assert policy.decide(0.0, None, tenant) == ADMIT
@@ -379,7 +391,7 @@ class TestOITThrottle:
 
     def test_bites_under_kv_pressure(self):
         probe = _Probe(kv=0.95)
-        policy = OITThrottleAdmission(user_rpm=2.0, window_s=60.0, load_probe=probe)
+        policy = oit_throttle(probe, user_rpm=2.0, window_s=60.0)
         tenant = _tenant(1)
         for _ in range(2):  # fill the per-user window
             assert policy.decide(0.0, None, tenant) == ADMIT
@@ -392,9 +404,7 @@ class TestOITThrottle:
 
     def test_queue_pressure_also_triggers(self):
         probe = _Probe(pending=10.0)
-        policy = OITThrottleAdmission(
-            user_rpm=1.0, window_s=60.0, queue_threshold=4.0, load_probe=probe
-        )
+        policy = oit_throttle(probe, user_rpm=1.0, window_s=60.0, queue_threshold=4.0)
         tenant = _tenant(2)
         policy.admit(0.0, None, tenant)
         policy.release(0.0, None, tenant)
@@ -402,7 +412,7 @@ class TestOITThrottle:
 
     def test_in_progress_interaction_never_severed(self):
         probe = _Probe(kv=1.0)
-        policy = OITThrottleAdmission(user_rpm=1.0, window_s=60.0, load_probe=probe)
+        policy = oit_throttle(probe, user_rpm=1.0, window_s=60.0)
         tenant = _tenant(3)
         policy.admit(0.0, None, tenant)  # still in flight
         # Over the RPM window AND under pressure, but the tenant has an
@@ -413,9 +423,7 @@ class TestOITThrottle:
 
     def test_app_rpm_budget(self):
         probe = _Probe(kv=0.95)
-        policy = OITThrottleAdmission(
-            user_rpm=None, app_rpm=2.0, window_s=60.0, load_probe=probe
-        )
+        policy = oit_throttle(probe, app_rpm=2.0, window_s=60.0)
         a = Tenant(user="u1", app="app0", rank=1, population=10)
         b = Tenant(user="u2", app="app0", rank=2, population=10)
         for tenant in (a, b):  # two users drain the shared app budget
@@ -425,13 +433,13 @@ class TestOITThrottle:
         assert policy.decide(1.0, None, c) == REJECT
 
     def test_untenanted_traffic_always_admitted(self):
-        policy = OITThrottleAdmission(user_rpm=1.0, load_probe=_Probe(kv=1.0))
+        policy = oit_throttle(_Probe(kv=1.0), user_rpm=1.0)
         assert policy.decide(0.0, None, None) == ADMIT
 
     def test_delay_mode(self):
         probe = _Probe(kv=0.95)
-        policy = OITThrottleAdmission(
-            user_rpm=1.0, window_s=60.0, overload_action="delay", load_probe=probe
+        policy = oit_throttle(
+            probe, user_rpm=1.0, window_s=60.0, overload_action="delay"
         )
         tenant = _tenant(4)
         policy.admit(0.0, None, tenant)
@@ -439,16 +447,10 @@ class TestOITThrottle:
         assert policy.decide(1.0, None, tenant) == DELAY
         assert policy.retry_at(1.0) == pytest.approx(1.0 + 60.0 / 4.0)
 
-    def test_builder(self):
-        policy = build_admission_policy("oit-throttle", user_rpm=30.0, app_rpm=600.0)
-        assert isinstance(policy, OITThrottleAdmission)
-        assert policy.user_rpm == 30.0
-        assert policy.app_rpm == 600.0
-
     def test_controller_tenant_accounting(self):
         probe = _Probe(kv=0.95)
         controller = AdmissionController(
-            OITThrottleAdmission(user_rpm=1.0, window_s=60.0, load_probe=probe)
+            oit_throttle(probe, user_rpm=1.0, window_s=60.0)
         )
         tenant = _tenant(5)
         assert controller.offer(0.0, "chat", tenant) == ADMIT
@@ -456,7 +458,7 @@ class TestOITThrottle:
         assert controller.offer(1.0, "chat", tenant) == REJECT
         counts = controller.tenant_counts()
         assert counts[tenant] == (2, 1)
-        # Legacy two-argument offers still work (untenanted traffic).
+        # Untenanted offers are admitted and leave the tenant counts alone.
         assert controller.offer(2.0, "chat") == ADMIT
         assert controller.tenant_counts() == counts
 
