@@ -108,6 +108,14 @@ class System:
             agent.request_metadata["traffic_class"] = label
         return agent
 
+    def close(self) -> None:
+        """Stop the engine and autoscaler loops, whose suspended generators
+        would keep the system in reference cycles, once nothing more runs."""
+        for engine in self.cluster.engines:
+            engine.process.close()
+        if self.autoscaler is not None:
+            self.autoscaler.process.close()
+
 
 class SystemBuilder:
     """Builds a :class:`System` from an :class:`ExperimentSpec`."""

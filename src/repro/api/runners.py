@@ -736,6 +736,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultSet:
 
     reset_request_ids()
     system = SystemBuilder(spec).build()
-    if spec.arrival.process == "single":
-        return ResultSet(spec=spec, characterization=_run_characterization(system))
-    return ResultSet(spec=spec, serving=ServingDriver(system).serve(_build_plan(system)))
+    try:
+        if spec.arrival.process == "single":
+            return ResultSet(spec=spec, characterization=_run_characterization(system))
+        return ResultSet(spec=spec, serving=ServingDriver(system).serve(_build_plan(system)))
+    finally:
+        system.close()

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Dict
 
 from repro.llm.hardware import ClusterSpec
@@ -60,20 +62,12 @@ class EnergyMeter:
         resolves the state power and dict slots once.  Used by the engine's
         decode fast-forward replay, which books one entry per virtual token.
         """
+        if durations_s and min(durations_s) < 0:
+            raise ValueError("duration must be non-negative")
         power = self.cluster.power_w(state.value)
-        joules_total = self.joules_by_state[state]
-        seconds_total = self.seconds_by_state[state]
-        series: "list[float]" = []
-        append = series.append
-        for duration_s in durations_s:
-            if duration_s < 0:
-                raise ValueError("duration must be non-negative")
-            joules = power * duration_s
-            joules_total += joules
-            seconds_total += duration_s
-            append(joules)
-        self.joules_by_state[state] = joules_total
-        self.seconds_by_state[state] = seconds_total
+        series = [power * duration_s for duration_s in durations_s]
+        self.joules_by_state[state] = reduce(add, series, self.joules_by_state[state])
+        self.seconds_by_state[state] = reduce(add, durations_s, self.seconds_by_state[state])
         return series
 
     @property

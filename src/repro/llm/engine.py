@@ -15,12 +15,16 @@ utilization, and KV-memory statistics exactly the way the paper reports them.
 
 from __future__ import annotations
 
-import heapq
+import collections.abc
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from operator import add, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.llm.energy import EnergyMeter, EnergySnapshot, PowerState
 from repro.llm.hardware import ClusterSpec, cluster_for_model
@@ -66,8 +70,6 @@ class EngineConfig:
         return self.cluster if self.cluster is not None else cluster_for_model(self.model)
 
 
-# Not frozen: records are created once per simulated step on the hot path,
-# and a frozen dataclass pays object.__setattr__ per field in __init__.
 @dataclass(slots=True)
 class EngineStepRecord:
     """One engine step (or idle period) for offline analysis."""
@@ -85,22 +87,156 @@ class EngineStepRecord:
     energy_joules: float
 
 
+#: Step kinds, in the order of their column codes and of a breakdown's keys.
+_KINDS = ("prefill", "decode", "mixed", "idle")
+_INF = float("inf")
+
+
+class StepRecords(collections.abc.Sequence):
+    """An engine's step history: typed columns, read as :class:`EngineStepRecord`s.
+
+    One column per record field (``kind`` as its index in ``_KINDS``;
+    ``kv_bytes_active`` is derived from the blocks), grown one entry per
+    prefill, mixed or idle step and once per replayed decode segment.  No
+    record exists until one is read: indexing, slicing, iteration, ``len``
+    and ``==`` build them as the list they stand for would hold them.
+    Entries are in time order, so ``ends`` (each ``start + duration``) is
+    sorted and a window's entries are one bisected range; the window scan
+    also folds the whole-history sums, on read and in entry order.
+    """
+
+    def __init__(self, bytes_per_block: float):
+        self._bytes_per_block = bytes_per_block
+        columns = self._columns = tuple(array(code) for code in "ddbqqqqqqd")
+        self.starts, self.kinds, self.kv_blocks = columns[0], columns[2], columns[7]
+        self.ends = array("d")
+        self._folded = 0
+        self._breakdown = dict.fromkeys(_KINDS, 0.0)
+        self._kv = (0.0, 0.0, 0.0)  # KV seconds, byte-seconds, peak bytes
+        # ((start, end, length), breakdown, kv) of the last window read.
+        self._last: tuple = ((), {}, ())
+
+    def add(self, start, duration, kind, *counts_and_joules) -> None:
+        """One step: the record's fields in order, without ``kv_bytes_active``."""
+        values = (start, duration, _KINDS.index(kind), *counts_and_joules)
+        for column, value in zip(self._columns, values):
+            column.append(value)
+        self.ends.append(start + duration)
+
+    def add_decode(self, start, durations, ends, joules, batch_size, kv_blocks,
+                   growth, num_waiting, resampled) -> None:
+        """Decode steps of one batch back to back from ``start`` (step i ends
+        at ``ends[i]``).  Each sees ``kv_blocks`` plus the ``(offset, blocks)``
+        of ``growth`` added after earlier steps, and ``num_waiting``;
+        ``resampled`` (blocks, waiting) replaces both for the last step."""
+        count = len(durations)
+        starts, spans, kinds, batches, new, cached, generated, kv, waiting, energy = self._columns
+        starts.append(start)
+        starts.fromlist(ends[:-1])
+        spans.fromlist(durations)
+        self.ends.fromlist(ends)
+        energy.fromlist(joules)
+        kinds.frombytes(bytes((_KINDS.index("decode"),)) * count)
+        batch = array("q", (batch_size,)) * count
+        batches.extend(batch)
+        generated.extend(batch)
+        new.frombytes(bytes(batch.itemsize * count))
+        cached.frombytes(bytes(batch.itemsize * count))
+        waiting.extend(array("q", (num_waiting,)) * count)
+        blocks_seen: List[int] = []
+        for offset, blocks in growth:
+            blocks_seen += [kv_blocks] * (offset + 1 - len(blocks_seen))
+            kv_blocks += blocks
+        kv.fromlist(blocks_seen + [kv_blocks] * (count - len(blocks_seen)))
+        if resampled is not None:
+            kv[-1], waiting[-1] = resampled
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = range(len(self))[index]
+        return next(self._records(index, index + 1))
+
+    def __iter__(self) -> Iterator[EngineStepRecord]:
+        return self._records(0, len(self))
+
+    def _records(self, lo: int, hi: int) -> Iterator[EngineStepRecord]:
+        columns = (column[lo:hi] for column in self._columns)
+        for start, duration, kind, *counts, blocks, waiting, joules in zip(*columns):
+            yield EngineStepRecord(
+                start, duration, _KINDS[kind], *counts, blocks,
+                blocks * self._bytes_per_block, waiting, joules,
+            )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def window(self, start: float, end: float) -> Tuple[Dict[str, float], Tuple[float, ...]]:
+        """Seconds per step kind and the active KV's (seconds, byte-seconds,
+        peak bytes) within ``[start, end]``."""
+        key = (start, end, len(self))
+        if self._last[0] != key:
+            starts, ends = self.starts, self.ends
+            if not ends or (start <= starts[0] and end >= ends[-1]):
+                self._kv = self._scan(self._folded, key[2], -_INF, _INF, self._breakdown, self._kv)
+                self._folded = key[2]
+                self._last = (key, dict(self._breakdown), self._kv)
+            else:
+                lo = bisect_right(ends, start)
+                hi = bisect_left(starts, end) if end != _INF else len(starts)
+                breakdown = dict.fromkeys(_KINDS, 0.0)
+                self._last = (key, breakdown, self._scan(lo, hi, start, end, breakdown, (0.0,) * 3))
+        return dict(self._last[1]), self._last[2]
+
+    def _scan(self, lo, hi, start, end, breakdown, kv) -> Tuple[float, ...]:
+        """Add entries ``[lo, hi)``'s positive overlaps with ``[start, end]`` to
+        ``breakdown`` (in place) and ``kv``, each sum in entry order."""
+        overlap = np.minimum(np.frombuffer(self.ends[lo:hi]), end) - np.maximum(
+            np.frombuffer(self.starts[lo:hi]), start
+        )
+        counted = overlap > 0
+        overlap = overlap[counted]
+        kinds = np.frombuffer(self.kinds[lo:hi], np.int8)[counted]
+        for code, kind in enumerate(_KINDS):
+            breakdown[kind] = _sum_after(breakdown[kind], overlap[kinds == code])
+        kv_bytes = np.frombuffer(self.kv_blocks[lo:hi], np.int64)[counted] * self._bytes_per_block
+        total_time, weighted, maximum = kv
+        if kv_bytes.size:
+            maximum = max(maximum, kv_bytes.max().item())
+        return _sum_after(total_time, overlap), _sum_after(weighted, kv_bytes * overlap), maximum
+
+
+def _sum_after(total, terms) -> float:
+    """``total + terms[0] + terms[1] + ...``, added left to right
+    (``np.add.accumulate`` is sequential, unlike ``np.sum``)."""
+    if not terms.size:
+        return total
+    return np.add.accumulate(np.concatenate(((total,), terms)))[-1].item()
+
+
 @dataclass(slots=True)
 class _DecodeRun:
     """A fast-forwarded decode run in flight.
 
     ``ends[i]`` is the absolute end time of virtual step ``i``; steps
-    ``[0, applied)`` have been replayed.  ``alloc_plan`` is the planner's
-    replay index -> positions (into ``decodes``) of the sequences whose
-    block table grows at that step boundary.
+    ``[0, applied)`` have been replayed.  ``growth`` is the planner's
+    allocation plan in step order -- (replay index, positions into
+    ``decodes`` of the sequences whose block table grows at that step
+    boundary) -- of which the first ``grown`` have been applied.
     """
 
     decodes: List[LLMRequest]
     start: float
     durations: List[float]
     ends: List[float]
-    alloc_plan: Dict[int, List[int]]
+    growth: List[Tuple[int, List[int]]]
     applied: int = 0
+    grown: int = 0
 
 
 class LLMEngine:
@@ -138,7 +274,7 @@ class LLMEngine:
         self.energy = EnergyMeter(cluster=self.cluster)
         self.tokenizer = SyntheticTokenizer(vocab_size=self.model.vocab_size)
 
-        self.step_records: List[EngineStepRecord] = []
+        self.step_records = StepRecords(kv_config.bytes_per_block)
         self.completed_requests: List[LLMRequest] = []
         self.total_generated_tokens: int = 0
         self.total_prefill_tokens: int = 0
@@ -155,23 +291,10 @@ class LLMEngine:
         # request id so draws are independent of batch composition).
         self._accept_streams: Dict[int, RandomStream] = {}
 
-        # Window-query acceleration: step records are appended in time order,
-        # so (sorted) start/end arrays let reporting bisect to the records
-        # overlapping a window, and running full-history aggregates answer
-        # whole-run queries in O(1) instead of re-scanning every record.
-        self._record_starts: List[float] = []
-        self._record_ends: List[float] = []
-        self._full_breakdown: Dict[str, float] = {
-            "prefill": 0.0, "decode": 0.0, "mixed": 0.0, "idle": 0.0
-        }
-        self._full_kv_time: float = 0.0
-        self._full_kv_weighted: float = 0.0
-        self._full_kv_max: float = 0.0
-
         self._wakeup: Optional[Event] = None
         self._idle_since: Optional[float] = None
         self._decode_run: Optional[_DecodeRun] = None
-        self._process = env.process(self._run())
+        self.process = env.process(self._run())
 
     # -- public API ---------------------------------------------------------
     def submit(self, request: LLMRequest) -> Event:
@@ -192,7 +315,7 @@ class LLMEngine:
             if kept < len(run.ends):
                 del run.durations[kept:]
                 del run.ends[kept:]
-                self._process.retarget(self.env.timeout_at(run.ends[-1]))
+                self.process.retarget(self.env.timeout_at(run.ends[-1]))
         request.timings.arrival = self.env.now
         completion = self.env.event()
         request.completion_event = completion
@@ -470,7 +593,7 @@ class LLMEngine:
             durations, ends, alloc_plan = self._plan_decode_chunk(start, step_times, decodes)
         else:
             durations, ends, alloc_plan = step_times, [start + step_times[0]], {}
-        run = _DecodeRun(decodes, start, durations, ends, alloc_plan)
+        run = _DecodeRun(decodes, start, durations, ends, list(alloc_plan.items()))
         self._decode_run = run
         yield self.env.timeout_at(ends[-1])
         self._decode_run = None
@@ -491,6 +614,12 @@ class LLMEngine:
         boundary hit the allocator, and each gets exactly one block without
         re-deriving its context: the per-token path's other append_token
         calls are no-ops with no side effects.
+
+        Nor do the records: inside a run only the run changes this engine
+        (an arrival cuts it), so each step sees the waiting count sampled
+        here and the active blocks sampled here plus the planned growth so
+        far; the run's last step re-samples both after its completions,
+        where the per-token path samples them.
         """
         first = run.applied
         run.applied = stop
@@ -498,78 +627,39 @@ class LLMEngine:
         durations = run.durations[first:stop]
         count = stop - first
         last = len(run.durations) - 1
-        batch = len(decodes)
         for request in decodes:
             request.num_output_tokens += count
             timings = request.timings
             timings.decode_time = reduce(add, durations, timings.decode_time)
-        joules_series = self.energy.record_series(PowerState.DECODE, durations)
-        append_block = self.kv_cache.append_block
-        alloc_plan = run.alloc_plan
-        # Inlined _record_step: inside a run nothing but the run itself
-        # changes this engine's state (an arrival cuts the run, so only the
-        # last step can see it), so the batch size, waiting count, and
-        # (between planned block allocations, each of which adds exactly one
-        # active block) the KV occupancy are known without re-deriving them
-        # per virtual step.  The last step re-samples both after completions
-        # run, exactly where the per-token path samples them.
+        joules = self.energy.record_series(PowerState.DECODE, durations)
+        self.total_generated_tokens += len(decodes) * count
         allocator = self.kv_cache.allocator
-        bytes_per_block = allocator.config.bytes_per_block
         kv_blocks = allocator.num_active_blocks
         num_waiting = self.scheduler.num_waiting
-        records = self.step_records
-        starts = self._record_starts
-        ends = self._record_ends
-        breakdown_decode = self._full_breakdown["decode"]
-        kv_time = self._full_kv_time
-        kv_weighted = self._full_kv_weighted
-        kv_max = self._full_kv_max
-        self.total_generated_tokens += batch * count
-        step_start = run.ends[first - 1] if first else run.start
-        for offset, duration in enumerate(durations):
-            index = first + offset
-            step_end = step_start + duration
-            joules = joules_series[offset]
-            if index == last:
-                self._finish_completed(decodes)
-                kv_blocks = allocator.num_active_blocks
-                num_waiting = self.scheduler.num_waiting
-            kv_bytes = kv_blocks * bytes_per_block
-            records.append(
-                EngineStepRecord(
-                    step_start,
-                    duration,
-                    "decode",
-                    batch,
-                    0,
-                    0,
-                    batch,
-                    kv_blocks,
-                    kv_bytes,
-                    num_waiting,
-                    joules,
-                )
-            )
-            starts.append(step_start)
-            ends.append(step_end)
-            overlap = step_end - step_start
-            if overlap > 0:
-                breakdown_decode += overlap
-                kv_time += overlap
-                kv_weighted += kv_bytes * overlap
-                if kv_bytes > kv_max:
-                    kv_max = kv_bytes
-            if index < last:
-                grown = alloc_plan.get(index)
-                if grown:
-                    for pos in grown:
-                        append_block(decodes[pos])
-                    kv_blocks += len(grown)
-            step_start = step_end
-        self._full_breakdown["decode"] = breakdown_decode
-        self._full_kv_time = kv_time
-        self._full_kv_weighted = kv_weighted
-        self._full_kv_max = kv_max
+        append_block = self.kv_cache.append_block
+        limit = min(stop, last)
+        segment_growth = []
+        while run.grown < len(run.growth) and run.growth[run.grown][0] < limit:
+            index, positions = run.growth[run.grown]
+            for pos in positions:
+                append_block(decodes[pos])
+            segment_growth.append((index - first, len(positions)))
+            run.grown += 1
+        resampled = None
+        if stop > last:
+            self._finish_completed(decodes)
+            resampled = (allocator.num_active_blocks, self.scheduler.num_waiting)
+        self.step_records.add_decode(
+            run.ends[first - 1] if first else run.start,
+            durations,
+            run.ends[first:stop],
+            joules,
+            len(decodes),
+            kv_blocks,
+            segment_growth,
+            num_waiting,
+            resampled,
+        )
 
     def _catch_up(self) -> None:
         """Replay the in-flight run's virtual steps that have ended by now.
@@ -594,65 +684,57 @@ class LLMEngine:
     ) -> Tuple[List[float], List[float], Dict[int, List[int]]]:
         """Durations of the longest run of decode steps this engine can own.
 
-        Extends the run one virtual step of ``step_times`` at a time (one
-        per step up to the earliest completion), while (a) the final wake
-        stays within the active numeric run horizon, so a paused run never
-        leaves the run half-applied, and (b) the KV block allocations the
-        per-token path would perform at each intermediate boundary all fit
-        in the free pool, so no step would have preempted.  Events elsewhere
-        in the simulation do not bound the run: an arrival at this engine
-        cuts it (:meth:`submit`), and reads of its state catch it up first.
+        Keeps the leading steps of ``step_times`` (one per step up to the
+        earliest completion) while (a) the final wake stays within the
+        active numeric run horizon, so a paused run never leaves the run
+        half-applied, and (b) the KV block allocations the per-token path
+        would perform at each intermediate boundary all fit in the free
+        pool, so no step would have preempted.  Events elsewhere in the
+        simulation do not bound the run: an arrival at this engine cuts it
+        (:meth:`submit`), and reads of its state catch it up first.
 
         Returns the durations, each step's absolute end time, and the
         allocation plan: replay loop index -> positions (into ``decodes``,
         ascending) of the sequences whose block table must grow at that step
         boundary.
         """
-        horizon = self.env.run_horizon
+        # Step ``i`` (1-based) ends at the running sum of the first ``i``
+        # durations; the first step is kept whatever the horizon.
+        ends = list(accumulate(step_times, initial=start))[1:]
+        steps = max(1, bisect_right(ends, self.env.run_horizon))
+        # The boundary append of step j allocates a block for a sequence
+        # exactly when j > room (room = how many tokens its block table
+        # covers beyond the current context; this step's reservation
+        # already ran in the scheduler).  Each allocation raises room by
+        # block_size, so a healthy sequence falls due every block_size steps
+        # -- but a sequence re-admitted after recompute preemption is
+        # allocated blocks for its prompt only and re-grows its table one
+        # block per step (room <= 0) until it catches up, which this cadence
+        # reproduces exactly.
         block_size = self.kv_cache.block_size
-        free_budget = self.kv_cache.num_free_blocks()
-        allocated = 0
-        # Min-heap of (due_step, position, room) per sequence: the boundary
-        # append of step j allocates a block exactly when j > room (room =
-        # how many tokens the block table covers beyond the current context;
-        # this step's reservation already ran in the scheduler).  Each
-        # allocation raises room by block_size, so a healthy sequence falls
-        # due every block_size steps -- but a sequence re-admitted after
-        # recompute preemption is allocated blocks for its prompt only and
-        # re-grows its table one block per step (room <= 0) until it catches
-        # up, which this cadence reproduces exactly.
-        due: List[Tuple[int, int, int]] = []
+        growth: List[Tuple[int, int]] = []
         for pos, request in enumerate(decodes):
             room = self.kv_cache.spare_tokens(request)
-            due.append((max(2, room + 1), pos, room))
-        heapq.heapify(due)
-        alloc_plan: Dict[int, List[int]] = {}
-        durations = step_times[:1]
-        end = start + durations[0]
-        ends = [end]
-        for index, next_duration in enumerate(step_times[1:], 2):
-            next_end = end + next_duration
-            if next_end > horizon:
-                break
-            growers: List[int] = []
-            while due and due[0][0] == index:
-                _, pos, room = heapq.heappop(due)
-                growers.append(pos)
+            due = max(2, room + 1)
+            while due <= steps:
+                growth.append((due, pos))
                 room += block_size
-                heapq.heappush(due, (max(index + 1, room + 1), pos, room))
-            if growers:
-                if allocated + len(growers) > free_budget:
-                    break
-                allocated += len(growers)
-                growers.sort()
-                # The per-token path reserves before executing step ``index``,
-                # which the replay loop reaches at the end of iteration
-                # ``index - 2`` (its appends prepare the following step).
-                alloc_plan[index - 2] = growers
-            durations.append(next_duration)
-            ends.append(next_end)
-            end = next_end
-        return durations, ends, alloc_plan
+                due = max(due + 1, room + 1)
+        growth.sort()
+        free_budget = self.kv_cache.num_free_blocks()
+        allocated = 0
+        alloc_plan: Dict[int, List[int]] = {}
+        for index, group in groupby(growth, key=itemgetter(0)):
+            growers = [pos for _, pos in group]
+            if allocated + len(growers) > free_budget:
+                steps = index - 1
+                break
+            allocated += len(growers)
+            # The per-token path reserves before executing step ``index``,
+            # which the replay loop reaches at the end of iteration
+            # ``index - 2`` (its appends prepare the following step).
+            alloc_plan[index - 2] = growers
+        return step_times[:steps], ends[:steps], alloc_plan
 
     # -- helpers -------------------------------------------------------------
     def _finish_completed(self, requests: List[LLMRequest]) -> None:
@@ -662,10 +744,12 @@ class LLMEngine:
             if request.state == RequestState.FINISHED:
                 continue
             request.timings.finished = self.env.now
-            self.scheduler.finish_request(request, now=self.env.now)
+            # Produced once: freeing hashes them, and the result holds them.
+            output_token_ids = request.output_token_ids
+            self.scheduler.finish_request(request, self.env.now, output_token_ids)
             self.completed_requests.append(request)
             if request.completion_event is not None:
-                request.completion_event.succeed(request.to_result())
+                request.completion_event.succeed(request.to_result(output_token_ids))
             # The result holds the ids now; nothing reads the stream again.
             self.tokenizer.forget_stream(request.output_stream)
 
@@ -680,70 +764,24 @@ class LLMEngine:
         generated_tokens: int,
         energy_joules: float,
     ) -> None:
-        allocator = self.kv_cache.allocator
-        kv_blocks_active = allocator.num_active_blocks
-        # Same arithmetic as allocator.active_bytes, without re-deriving the
-        # active-block count (this runs once per simulated step).
-        kv_bytes_active = kv_blocks_active * allocator.config.bytes_per_block
-        self.step_records.append(
-            EngineStepRecord(
-                start=start,
-                duration=duration,
-                kind=kind,
-                batch_size=batch_size,
-                new_tokens=new_tokens,
-                cached_tokens=cached_tokens,
-                generated_tokens=generated_tokens,
-                kv_blocks_active=kv_blocks_active,
-                kv_bytes_active=kv_bytes_active,
-                num_waiting=self.scheduler.num_waiting,
-                energy_joules=energy_joules,
-            )
+        self.step_records.add(
+            start,
+            duration,
+            kind,
+            batch_size,
+            new_tokens,
+            cached_tokens,
+            generated_tokens,
+            self.kv_cache.allocator.num_active_blocks,
+            self.scheduler.num_waiting,
+            energy_joules,
         )
-        # Running aggregates use the same float expression the windowed scan
-        # evaluates for a full-history window, keeping them bit-identical.
-        record_end = start + duration
-        overlap = record_end - start
-        self._record_starts.append(start)
-        self._record_ends.append(record_end)
-        if overlap > 0:
-            self._full_breakdown[kind] += overlap
-            self._full_kv_time += overlap
-            self._full_kv_weighted += kv_bytes_active * overlap
-            self._full_kv_max = max(self._full_kv_max, kv_bytes_active)
 
     # -- reporting -------------------------------------------------------------
-    def _window_indices(self, start: float, end: float) -> range:
-        """Index range of step records that can overlap ``[start, end]``.
-
-        Records are appended in time order (engine steps never overlap), so
-        both start and end arrays are sorted and the overlapping records form
-        one contiguous run found by bisection.
-        """
-        lo = bisect_right(self._record_ends, start)
-        hi = bisect_left(self._record_starts, end) if end != float("inf") else len(
-            self._record_starts
-        )
-        return range(lo, hi)
-
-    def _covers_full_history(self, start: float, end: float) -> bool:
-        if not self.step_records:
-            return True
-        return start <= self._record_starts[0] and end >= self._record_ends[-1]
-
     def runtime_breakdown(self, start: float = 0.0, end: Optional[float] = None) -> Dict[str, float]:
         """Seconds spent per step kind within ``[start, end]``."""
-        end = end if end is not None else float("inf")
-        if self._covers_full_history(start, end):
-            breakdown = dict(self._full_breakdown)
-        else:
-            breakdown = {"prefill": 0.0, "decode": 0.0, "mixed": 0.0, "idle": 0.0}
-            for index in self._window_indices(start, end):
-                record = self.step_records[index]
-                record_end = record.start + record.duration
-                overlap = min(record_end, end) - max(record.start, start)
-                if overlap > 0:
-                    breakdown[record.kind] += overlap
+        end = end if end is not None else _INF
+        breakdown = self.step_records.window(start, end)[0]
         if self._idle_since is not None:
             # Account the idle period that is still open at observation time.
             open_end = min(self.env.now, end)
@@ -754,23 +792,7 @@ class LLMEngine:
 
     def kv_memory_stats(self, start: float = 0.0, end: Optional[float] = None) -> Dict[str, float]:
         """Time-weighted average and maximum active KV-cache bytes in a window."""
-        end = end if end is not None else float("inf")
-        if self._covers_full_history(start, end):
-            total_time = self._full_kv_time
-            weighted = self._full_kv_weighted
-            maximum = self._full_kv_max
-        else:
-            total_time = 0.0
-            weighted = 0.0
-            maximum = 0.0
-            for index in self._window_indices(start, end):
-                record = self.step_records[index]
-                record_end = record.start + record.duration
-                overlap = min(record_end, end) - max(record.start, start)
-                if overlap <= 0:
-                    continue
-                total_time += overlap
-                weighted += record.kv_bytes_active * overlap
-                maximum = max(maximum, record.kv_bytes_active)
+        end = end if end is not None else _INF
+        total_time, weighted, maximum = self.step_records.window(start, end)[1]
         average = weighted / total_time if total_time > 0 else 0.0
         return {"average_bytes": average, "max_bytes": maximum}

@@ -218,10 +218,12 @@ class BlockAllocator:
 
     def register_hashes(
         self, pairs: "Iterable[tuple[int, int]]"
-    ) -> None:
-        """:meth:`register_hash` for ``(block_id, content_hash)`` pairs."""
+    ) -> List["tuple[int, int]"]:
+        """:meth:`register_hash` for ``(block_id, content_hash)`` pairs;
+        returns the pairs skipped because another block holds the hash."""
+        skipped: List["tuple[int, int]"] = []
         if not self.config.enable_prefix_caching:
-            return
+            return skipped
         blocks = self.blocks
         hash_to_block = self.hash_to_block
         for block_id, content_hash in pairs:
@@ -231,9 +233,11 @@ class BlockAllocator:
                 blocks[block_id] = block
             existing = hash_to_block.get(content_hash)
             if existing is not None and existing != block_id:
+                skipped.append((block_id, content_hash))
                 continue
             block.content_hash = content_hash
             hash_to_block[content_hash] = block_id
+        return skipped
 
     # -- prefix-cache integration -----------------------------------------------
     def register_hash(self, block_id: int, content_hash: int) -> None:

@@ -16,8 +16,10 @@ entire context privately, matching the paper's "w/o prefix caching" baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.llm.kvcache import BlockAllocator, KVCacheConfig, KVCacheOutOfMemory
 from repro.llm.request import LLMRequest
@@ -36,6 +38,8 @@ class SequenceAllocation:
     # prefill registers every full prompt block at admission; chunked prefill
     # defers and advances this watermark at each chunk boundary.
     num_registered_blocks: int = 0
+    # (block, hash) pairs skipped at registration (another block held the hash).
+    unregistered: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class PrefixCache:
@@ -46,6 +50,9 @@ class PrefixCache:
         self.block_size: int = config.block_size
         self.allocator = BlockAllocator(config)
         self._allocations: Dict[int, SequenceAllocation] = {}
+        # (token ids, their chained block hashes) of the last four sequences
+        # hashed; one remembered chain already saves most of the hashing.
+        self._chains: Deque[Tuple[Tuple[int, ...], List[int]]] = deque(maxlen=4)
         # Cumulative counters for cache-efficiency reporting.
         self.cached_token_hits: int = 0
         self.prompt_tokens_seen: int = 0
@@ -55,21 +62,50 @@ class PrefixCache:
     def enabled(self) -> bool:
         return self.config.enable_prefix_caching
 
-    def peek_cached_tokens(
-        self, token_ids: Sequence[int], hashes: Optional[Sequence[int]] = None
-    ) -> int:
-        """Number of prompt tokens that would hit the cache (no side effects)."""
+    def chain_hashes(
+        self, token_ids: Tuple[int, ...], prefix_hashes: Sequence[int] = ()
+    ) -> List[int]:
+        """:func:`block_hashes` of ``token_ids``, resumed where it is known.
+
+        A block's hash is a pure function of the tokens up to its end, so the
+        chain resumes after ``prefix_hashes`` or after the longest remembered
+        chain whose ids are a prefix of ``token_ids``, and is remembered in
+        turn.  An agent's next prompt extends the context its last call
+        hashed, so chains are tried newest first: the rest fail on length.
+        """
+        resume = prefix_hashes
+        for ids, hashes in reversed(self._chains):
+            size = len(ids)
+            if len(hashes) > len(resume) and size <= len(token_ids) and (
+                token_ids[size - 1] == ids[-1] and token_ids[:size] == ids
+            ):
+                resume = hashes
+        hashes = block_hashes(token_ids, self.block_size, resume)
+        self._chains.append((token_ids, hashes))
+        return hashes
+
+    def prompt_hashes(self, request: LLMRequest) -> List[int]:
+        """Chained block hashes of ``request``'s prompt, computed once."""
+        if request.prompt_hashes is None:
+            request.prompt_hashes = self.chain_hashes(request.prompt_token_ids)
+        return request.prompt_hashes
+
+    def cached_blocks(self, request: LLMRequest) -> List[int]:
+        """Ids of the cached blocks holding ``request``'s leading prompt blocks.
+
+        An admission's one walk of its prefix, without side effects: the
+        scheduler's estimate reads it and :meth:`allocate_sequence` takes it.
+        """
         if not self.enabled:
-            return 0
-        if hashes is None:
-            hashes = block_hashes(token_ids, self.block_size)
-        hits = 0
+            return []
+        cached: List[int] = []
         lookup = self.allocator.hash_to_block.get
-        for content_hash in hashes:
-            if lookup(content_hash) is None:
+        for content_hash in self.prompt_hashes(request):
+            block_id = lookup(content_hash)
+            if block_id is None:
                 break
-            hits += 1
-        return hits * self.block_size
+            cached.append(block_id)
+        return cached
 
     def hit_rate(self) -> float:
         if self.prompt_tokens_seen == 0:
@@ -90,6 +126,7 @@ class PrefixCache:
         self,
         request: LLMRequest,
         defer_registration: bool = False,
+        cached_block_ids: Optional[List[int]] = None,
     ) -> Optional[SequenceAllocation]:
         """Allocate the block table for ``request``'s prompt.
 
@@ -97,6 +134,7 @@ class PrefixCache:
         (the scheduler will retry later or preempt).  At most one token of
         prefill work is always left even on a full-prefix hit, mirroring
         vLLM's requirement to recompute the final token for sampling.
+        ``cached_block_ids``: :meth:`cached_blocks`, if just looked up.
 
         With ``defer_registration=True`` (chunked prefill) the hashes of
         freshly computed prompt blocks are *not* published at admission;
@@ -107,15 +145,9 @@ class PrefixCache:
         if request.request_id in self._allocations:
             raise ValueError(f"request {request.request_id} already allocated")
 
-        hashes = request.prompt_block_hashes(self.block_size)
-        cached_block_ids: List[int] = []
-        if self.enabled:
-            lookup = self.allocator.hash_to_block.get
-            for content_hash in hashes:
-                block_id = lookup(content_hash)
-                if block_id is None:
-                    break
-                cached_block_ids.append(block_id)
+        hashes = self.prompt_hashes(request) if self.enabled else []
+        if cached_block_ids is None:
+            cached_block_ids = self.cached_blocks(request)
 
         num_cached_tokens = len(cached_block_ids) * self.block_size
         # Keep at least one token to compute so the engine produces logits.
@@ -128,20 +160,17 @@ class PrefixCache:
         # Acquiring an evictable cached block removes it from the free pool,
         # so those acquisitions count against the fresh allocation too --
         # otherwise a tightly-packed cache passes the check here and blows up
-        # inside ``allocate`` below.
-        blocks = self.allocator.blocks
-        evictable_cached = sum(
-            1
-            for block_id in cached_block_ids
-            if (block := blocks.get(block_id)) is None or block.ref_count == 0
-        )
-        if not self.allocator.can_allocate(fresh_needed + evictable_cached):
-            return None
+        # inside ``allocate`` below.  They are counted only when counting
+        # every hit does not fit.
+        allocator = self.allocator
+        if not allocator.can_allocate(fresh_needed + len(cached_block_ids)):
+            blocks = allocator.blocks
+            evictable_cached = sum(blocks[block_id].ref_count == 0 for block_id in cached_block_ids)
+            if not allocator.can_allocate(fresh_needed + evictable_cached):
+                return None
 
-        self.allocator.acquire_many(cached_block_ids)
-        fresh_ids = self.allocator.allocate(fresh_needed)
-
-        block_ids = list(cached_block_ids) + fresh_ids
+        allocator.acquire_many(cached_block_ids)
+        block_ids = cached_block_ids + allocator.allocate(fresh_needed)
         allocation = SequenceAllocation(
             request_id=request.request_id,
             block_ids=block_ids,
@@ -155,7 +184,7 @@ class PrefixCache:
         full_prompt_blocks = request.num_prompt_tokens // self.block_size
         if self.enabled and not defer_registration:
             start = len(cached_block_ids)
-            self.allocator.register_hashes(
+            allocation.unregistered = allocator.register_hashes(
                 zip(block_ids[start:full_prompt_blocks], hashes[start:full_prompt_blocks])
             )
             allocation.num_registered_blocks = full_prompt_blocks
@@ -189,7 +218,7 @@ class PrefixCache:
         start = allocation.num_registered_blocks
         if computed_blocks <= start:
             return
-        self.allocator.register_hashes(
+        allocation.unregistered += self.allocator.register_hashes(
             zip(
                 allocation.block_ids[start:computed_blocks],
                 allocation.block_hashes[start:computed_blocks],
@@ -256,31 +285,35 @@ class PrefixCache:
         return True
 
     # -- teardown -----------------------------------------------------------
-    def free_sequence(self, request: LLMRequest) -> None:
-        """Release the request's blocks, caching full blocks of its context."""
+    def free_sequence(
+        self, request: LLMRequest, output_token_ids: Optional[Tuple[int, ...]] = None
+    ) -> None:
+        """Release the request's blocks, caching full blocks of its context
+        (``output_token_ids``: the request's, if the caller produced them)."""
         allocation = self._allocations.pop(request.request_id, None)
         if allocation is None:
             return
         if self.enabled:
             # Cache every full block of prompt + generated tokens so the next
             # LLM call of this agent (whose prompt extends this context) hits.
-            all_tokens = request.all_token_ids()
-            # Resume the hash chain after the request's memoized prompt
-            # hashes: prompt + output shares its full-block prompt prefix.
-            hashes = block_hashes(
-                all_tokens, self.block_size,
-                prefix_hashes=request.prompt_block_hashes(self.block_size),
+            if output_token_ids is None:
+                output_token_ids = request.output_token_ids
+            hashes = self.chain_hashes(
+                request.prompt_token_ids + output_token_ids, self.prompt_hashes(request)
             )
+            block_ids = allocation.block_ids
+            limit = len(block_ids)
             computed = request.num_computed_tokens
             if 0 < computed < request.num_prompt_tokens:
                 # Chunked prefill was interrupted mid-prompt: only blocks
                 # whose KV entries were actually computed may be published.
                 limit = computed // self.block_size
-                self.allocator.register_hashes(
-                    zip(allocation.block_ids[:limit], hashes[:limit])
-                )
-            else:
-                self.allocator.register_hashes(zip(allocation.block_ids, hashes))
+            # Blocks below the watermark hold their hashes already, except
+            # the skipped ones, whose holder may have been evicted since.
+            start = allocation.num_registered_blocks
+            self.allocator.register_hashes(
+                chain(allocation.unregistered, zip(block_ids[start:limit], hashes[start:limit]))
+            )
         self.allocator.release_many(allocation.block_ids)
         request.block_ids = []
 

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.llm.tokenizer import (
-    Prompt,
-    SegmentKind,
-    SyntheticTokenizer,
-    TokenSpan,
-    block_hashes,
-)
+from repro.llm.tokenizer import Prompt, SegmentKind, SyntheticTokenizer, TokenSpan
 
 _request_counter = itertools.count()
 
@@ -105,7 +99,7 @@ class LLMRequest:
         "block_ids",
         "completion_event",
         "tokenizer",
-        "_prompt_hashes",
+        "prompt_hashes",
     )
 
     def __init__(
@@ -136,10 +130,10 @@ class LLMRequest:
         # The tokenizer the output ids are drawn from; set by the engine the
         # request is submitted to.
         self.tokenizer: Optional[SyntheticTokenizer] = None
-        # Memoized chained block hashes of the (immutable) prompt, keyed by
-        # block size.  The scheduler re-hashes waiting prompts on every
-        # admission attempt otherwise, which dominates contended runs.
-        self._prompt_hashes: Optional[Tuple[int, List[int]]] = None
+        # Chained block hashes of the (immutable) prompt, set by the prefix
+        # cache the request is admitted to on its first lookup, so admission
+        # retries of a waiting prompt do not re-hash it.
+        self.prompt_hashes: Optional[List[int]] = None
 
     # -- sizes --------------------------------------------------------------
     @property
@@ -163,26 +157,17 @@ class LLMRequest:
             return ()
         return self.tokenizer.synthetic_tokens(self.output_stream, self.num_output_tokens)
 
-    def all_token_ids(self) -> Tuple[int, ...]:
-        return self.prompt_token_ids + self.output_token_ids
-
-    def prompt_block_hashes(self, block_size: int) -> List[int]:
-        """Chained block hashes of the prompt, computed once per request."""
-        cached = self._prompt_hashes
-        if cached is not None and cached[0] == block_size:
-            return cached[1]
-        hashes = block_hashes(self.prompt_token_ids, block_size)
-        self._prompt_hashes = (block_size, hashes)
-        return hashes
-
-    def to_result(self) -> "LLMResult":
+    def to_result(self, output_token_ids: Optional[Tuple[int, ...]] = None) -> "LLMResult":
+        """This request's outcome; ``output_token_ids`` if already produced."""
         counts = self.prompt.count_by_kind()
+        if output_token_ids is None:
+            output_token_ids = self.output_token_ids
         return LLMResult(
             request_id=self.request_id,
             prompt_tokens=self.num_prompt_tokens,
             cached_prompt_tokens=self.num_cached_tokens,
             output_tokens=self.num_output_tokens,
-            output_token_ids=self.output_token_ids,
+            output_token_ids=output_token_ids,
             prompt_tokens_by_kind={k: v for k, v in counts.items() if v},
             queue_time=self.timings.queue_time,
             prefill_time=self.timings.prefill_time,

@@ -546,14 +546,13 @@ class Scheduler:
             if len(self.running) + len(prefills) >= self.config.max_num_seqs:
                 break
             request = self.policy.peek()
-            cached_estimate = self.kv_cache.peek_cached_tokens(
-                request.prompt_token_ids,
-                hashes=request.prompt_block_hashes(self.kv_cache.block_size),
-            )
-            new_tokens = max(1, request.num_prompt_tokens - cached_estimate)
+            # The estimate counts every leading cached block, including the
+            # one a full-prompt hit gives back (rule 2).
+            cached = self.kv_cache.cached_blocks(request)
+            new_tokens = max(1, request.num_prompt_tokens - len(cached) * self.kv_cache.block_size)
             if prefills and new_tokens > token_budget:
                 break
-            allocation = self.kv_cache.allocate_sequence(request)
+            allocation = self.kv_cache.allocate_sequence(request, cached_block_ids=cached)
             if allocation is None:
                 # KV cache full: admit nothing more.  If nothing is running
                 # and nothing was admitted the request simply waits for blocks
@@ -663,9 +662,9 @@ class Scheduler:
                     self.prefilling.remove(request)
                 self.running.append(request)
 
-    def finish_request(self, request: LLMRequest, now: float = 0.0) -> None:
+    def finish_request(self, request: LLMRequest, now: float = 0.0, output_token_ids=None) -> None:
         if request in self.running:
             self.running.remove(request)
         request.state = RequestState.FINISHED
-        self.kv_cache.free_sequence(request)
+        self.kv_cache.free_sequence(request, output_token_ids)
         self.policy.on_complete(request, now)

@@ -183,6 +183,15 @@ class Process(Event):
         event.callbacks.append(self._resume)
         self._target = event
 
+    def close(self) -> None:
+        """Stop the process for good: detach it from the event it waits on,
+        then close its generator.  The process itself never fires."""
+        target = self._target
+        if target is not None and not target.processed:
+            target.callbacks.remove(self._resume)
+        self._target = None
+        self._generator.close()
+
     # -- driving ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self.env._active_process = self

@@ -59,8 +59,11 @@ class RandomStream:
         return int(self._rng.poisson(lam))
 
     def choice(self, options: Sequence, p: Sequence[float] | None = None):
-        index = int(self._rng.choice(len(options), p=p))
-        return options[index]
+        # Unweighted, ``Generator.choice(n)`` draws ``integers(0, n)``: the
+        # same index, without ``choice``'s per-call argument handling.
+        if p is None:
+            return options[int(self._rng.integers(0, len(options)))]
+        return options[int(self._rng.choice(len(options), p=p))]
 
 
 @dataclass(frozen=True)

@@ -540,10 +540,10 @@ class TestPinnedCounters:
     def test_fast_forward_on(self):
         # One roofline evaluation per run start, a KV call only for a
         # sequence at a block boundary when a run starts, and token ids
-        # produced once per prompt and twice per finished request (for its
-        # prefix-cache hash and for its result).
-        assert self.counters(True) == (156, self.ENGINE_STEPS, 25, 1, 48)
+        # produced once per prompt and once per finished request (its
+        # prefix-cache hash and its result share them).
+        assert self.counters(True) == (156, self.ENGINE_STEPS, 25, 1, 32)
 
     def test_fast_forward_off(self):
         # Every step is a real step here: one roofline evaluation each.
-        assert self.counters(False) == (2798, self.ENGINE_STEPS, 2677, 322, 48)
+        assert self.counters(False) == (2798, self.ENGINE_STEPS, 2677, 322, 32)

@@ -11,7 +11,7 @@ from repro.llm.kvcache import KVCacheOutOfMemory
 from repro.llm.models import LLAMA_3_1_8B
 from repro.llm.hardware import cluster_for_model
 from repro.llm.request import LLMRequest, SamplingParams
-from repro.llm.tokenizer import Prompt, SegmentKind, SyntheticTokenizer
+from repro.llm.tokenizer import Prompt, SegmentKind, SyntheticTokenizer, block_hashes
 
 TOKENIZER = SyntheticTokenizer()
 
@@ -191,15 +191,16 @@ class TestPrefixCache:
         assert allocation.num_cached_tokens == 0
         assert cache.hit_rate() == 0.0
 
-    def test_peek_cached_tokens_has_no_side_effects(self):
+    def test_cached_blocks_has_no_side_effects(self):
         cache = PrefixCache(small_config(64))
         first = make_request(100, stream="shared")
         cache.allocate_sequence(first)
         cache.free_sequence(first)
         second = make_request(100, stream="shared")
-        peeked = cache.peek_cached_tokens(second.prompt_token_ids)
-        assert peeked == 96
+        cached = cache.cached_blocks(second)
+        assert len(cached) * cache.block_size == 96
         assert cache.active_blocks() == 0
+        assert cache.allocator.num_free_blocks == 64
 
     def test_allocation_fails_when_cache_too_small(self):
         cache = PrefixCache(small_config(4))
@@ -253,3 +254,81 @@ class TestPrefixCache:
         cache.allocate_sequence(second)
         # The second request adds only its private last block.
         assert cache.active_blocks() == active_after_first + 1
+
+    def test_full_prompt_hit_registers_its_given_back_block_once_the_holder_is_evicted(self):
+        # A hit on every block of a 32-token prompt gives its last block
+        # back; the fresh block that replaces it cannot take the key while
+        # the old holder keeps it, and takes it at free once the holder is
+        # evicted.
+        cache = PrefixCache(small_config(4))
+        first = make_request(32, stream="full")
+        a0, a1 = cache.allocate_sequence(first).block_ids
+        cache.free_sequence(first)
+        second = make_request(32, stream="full")
+        allocation = cache.allocate_sequence(second)
+        assert allocation.num_cached_tokens == 16
+        b0, b1 = allocation.block_ids
+        key = allocation.block_hashes[1]
+        assert b0 == a0 and allocation.unregistered == [(b1, key)]
+        hash_to_block = cache.allocator.hash_to_block
+        assert hash_to_block[key] == a1
+        cache.allocator.allocate(2)  # the never-used block, then evicts a1
+        assert key not in hash_to_block
+        cache.free_sequence(second)
+        assert hash_to_block[key] == b1
+        assert cache.cached_blocks(make_request(32, stream="full")) == [a0, b1]
+
+    def test_key_skipped_at_admission_is_registered_at_free_once_its_holder_is_evicted(self):
+        # LRU eviction takes the first block of a cached 3-block chain and
+        # leaves the other two: a prompt extending it misses at block 0, so
+        # its fresh blocks 1 and 2 cannot take keys that old blocks hold.
+        cache = PrefixCache(small_config(6))
+        first = make_request(48, stream="chain")
+        a0, a1, a2 = cache.allocate_sequence(first).block_ids
+        cache.free_sequence(first)
+        spare = cache.allocator.allocate(4)  # three never-used blocks, then evicts a0
+        cache.allocator.release_many(spare)
+        second = make_request(49, stream="chain")
+        allocation = cache.allocate_sequence(second)
+        assert allocation.num_cached_tokens == 0
+        keys = allocation.block_hashes
+        b1, b2 = allocation.block_ids[1:3]
+        assert allocation.unregistered == [(b1, keys[1]), (b2, keys[2])]
+        cache.allocator.allocate(1)  # evicts a1, the least recently released
+        cache.free_sequence(second)
+        hash_to_block = cache.allocator.hash_to_block
+        assert hash_to_block[keys[1]] == b1
+        assert hash_to_block[keys[2]] == a2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block_size=st.sampled_from([1, 3, 16]),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.booleans(),
+            st.integers(0, 40),
+            st.lists(st.integers(0, 2), max_size=40),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_resumed_chains_equal_hashing_from_scratch(block_size, steps):
+    # Contexts either extend an earlier one (the chain resumes) or keep a
+    # cut of it and diverge (no remembered chain is a prefix, or a shorter
+    # one is); every chain must equal block_hashes from block 0.
+    cache = PrefixCache(
+        KVCacheConfig(block_size=block_size, num_blocks=8, bytes_per_block=1.0)
+    )
+    contexts = [()]
+    for parent, extends, cut, tail in steps:
+        base = contexts[parent % len(contexts)]
+        ids = base + tuple(tail) if extends else base[:cut] + (3,) + tuple(tail)
+        assert cache.chain_hashes(ids) == block_hashes(ids, block_size)
+        prefix = block_hashes(base, block_size)
+        assert cache.chain_hashes(base + tuple(tail), prefix) == block_hashes(
+            base + tuple(tail), block_size
+        )
+        contexts.append(ids)

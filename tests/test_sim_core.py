@@ -228,6 +228,27 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             process.retarget(fired)
 
+    def test_close_stops_a_waiting_process(self, env):
+        wakes = []
+        closed = []
+
+        def sleeper():
+            try:
+                yield env.timeout(5.0)
+                wakes.append(env.now)
+            finally:
+                closed.append(env.now)
+
+        process = env.process(sleeper())
+        env.run(until=1.0)
+        process.close()
+        assert closed == [1.0]
+        # The timeout it waited on still fires, but resumes nobody.
+        env.run()
+        assert env.now == 5.0
+        assert wakes == []
+        assert not process.triggered
+
     def test_two_processes_interleave_in_time_order(self, env):
         order = []
 

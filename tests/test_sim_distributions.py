@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,38 @@ from repro.sim import (
     RandomStream,
     UniformSampler,
 )
+from repro.sim.distributions import _derive_seed
+
+
+#: Population sizes from 1 to 2**20: all small ones, then each power of
+#: two and its neighbours.
+CHOICE_SIZES = list(range(1, 65)) + [
+    size for power in range(7, 21) for size in (2**power - 1, 2**power, 2**power + 1)
+][:-1]
 
 
 class TestRandomStream:
+    def test_unweighted_choice_draws_what_numpy_choice_draws(self):
+        # ``choice`` without weights draws ``Generator.integers(0, n)``
+        # directly.  numpy is not pinned, so this pins the equivalence: the
+        # same index as ``Generator.choice(n)``, and the stream stays in step.
+        for seed in range(50):
+            stream = RandomStream(seed, "choice")
+            generator = np.random.default_rng(_derive_seed(seed, "choice"))
+            for size in CHOICE_SIZES:
+                options = range(size)
+                assert stream.choice(options) == options[int(generator.choice(size))]
+            assert stream.random() == float(generator.random())
+
+    def test_weighted_choice_keeps_numpy_choice(self):
+        stream = RandomStream(7, "weighted")
+        generator = np.random.default_rng(_derive_seed(7, "weighted"))
+        weights = [0.1, 0.6, 0.3]
+        for _ in range(100):
+            assert stream.choice("abc", p=weights) == "abc"[int(generator.choice(3, p=weights))]
+        with pytest.raises(ValueError):
+            stream.choice("abc", p=[0.5, 0.6, 0.3])
+
     def test_same_seed_and_name_is_deterministic(self):
         a = RandomStream(42, "x")
         b = RandomStream(42, "x")
