@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.agents import AgentConfig
 from repro.agents.registry import AGENT_CLASSES, available_agents
+from repro.api.codec import from_dict
 from repro.llm.hardware import HardwareSpec
 from repro.llm.models import get_model
 from repro.llm.scheduler import SCHEDULER_POLICIES, available_scheduler_policies
@@ -45,7 +46,7 @@ from repro.serving.admission import AdmissionSpec
 from repro.serving.autoscaler import AutoscalerSpec
 from repro.serving.cluster import ROUTER_POLICIES, available_router_policies
 from repro.serving.sessions import SessionSpec
-from repro.serving.shapes import RateShape, build_shape, shape_from_dict
+from repro.serving.shapes import RateShape, build_shape
 from repro.serving.tenants import TenantSpec
 from repro.workloads import available_workloads
 
@@ -73,8 +74,7 @@ class ArrivalSpec:
     time (the effective rate at ``t`` is ``qps * shape.level(t)``) --
     ``constant`` | ``ramp`` | ``square-wave`` | ``diurnal`` | ``trace`` |
     ``piecewise``, from the :mod:`repro.serving.shapes` registry.  A bare
-    shape name is shorthand for the shape with default parameters, and a
-    dict form (``{"kind": "ramp", ...}``) is accepted for deserialization.
+    shape name is shorthand for the shape with default parameters.
     ``shape=None`` (and the identity ``ConstantShape(1.0)``) is the
     constant-rate Poisson or deterministic process, golden-pinned
     bit-for-bit.
@@ -85,16 +85,15 @@ class ArrivalSpec:
 
     ``tenants`` optionally attaches a
     :class:`~repro.serving.tenants.TenantSpec`: every arrival is labelled
-    with a tenant drawn from a Zipf-skewed user population (a dict form is
-    accepted for deserialization).  ``tenants=None`` reproduces the
-    untenanted plans bit-for-bit.
+    with a tenant drawn from a Zipf-skewed user population.
+    ``tenants=None`` reproduces the untenanted plans bit-for-bit.
 
     ``sessions`` optionally attaches a
     :class:`~repro.serving.sessions.SessionSpec`: every planned arrival
     becomes the *first turn* of a multi-turn conversation whose later turns
     share a growing prefix and re-enter the cluster closed-loop after a
-    think-time gap (a dict form is accepted for deserialization).
-    ``sessions=None`` reproduces the single-shot model bit-for-bit.
+    think-time gap.  ``sessions=None`` reproduces the single-shot model
+    bit-for-bit.
     """
 
     process: str = "single"
@@ -122,8 +121,6 @@ class ArrivalSpec:
             raise ValueError(f"{self.process} arrivals do not take a qps")
         if isinstance(self.shape, str):
             object.__setattr__(self, "shape", build_shape(self.shape))
-        elif isinstance(self.shape, dict):
-            object.__setattr__(self, "shape", shape_from_dict(self.shape))
         if self.shape is not None:
             if self.process not in ("poisson", "uniform"):
                 raise ValueError(
@@ -133,7 +130,7 @@ class ArrivalSpec:
             if not isinstance(self.shape, RateShape):
                 raise ValueError(
                     f"arrival shape must be a RateShape (or a registered shape "
-                    f"name / dict), got {self.shape!r}"
+                    f"name), got {self.shape!r}"
                 )
             if self.shape.max_level <= 0:
                 raise ValueError("arrival shape never reaches a positive rate")
@@ -144,8 +141,6 @@ class ArrivalSpec:
                 )
             if self.duration_s <= 0:
                 raise ValueError("arrival duration_s must be > 0 (or None)")
-        if isinstance(self.tenants, dict):
-            object.__setattr__(self, "tenants", TenantSpec.from_dict(self.tenants))
         if self.tenants is not None:
             if self.process not in ("poisson", "uniform"):
                 raise ValueError(
@@ -154,11 +149,8 @@ class ArrivalSpec:
                 )
             if not isinstance(self.tenants, TenantSpec):
                 raise ValueError(
-                    f"arrival tenants must be a TenantSpec (or a dict form), "
-                    f"got {self.tenants!r}"
+                    f"arrival tenants must be a TenantSpec, got {self.tenants!r}"
                 )
-        if isinstance(self.sessions, dict):
-            object.__setattr__(self, "sessions", SessionSpec.from_dict(self.sessions))
         if self.sessions is not None:
             if self.process not in ("poisson", "uniform"):
                 raise ValueError(
@@ -167,21 +159,8 @@ class ArrivalSpec:
                 )
             if not isinstance(self.sessions, SessionSpec):
                 raise ValueError(
-                    f"arrival sessions must be a SessionSpec (or a dict form), "
-                    f"got {self.sessions!r}"
+                    f"arrival sessions must be a SessionSpec, got {self.sessions!r}"
                 )
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ArrivalSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        data = dict(payload)
-        if isinstance(data.get("shape"), dict):
-            data["shape"] = shape_from_dict(data["shape"])
-        if isinstance(data.get("tenants"), dict):
-            data["tenants"] = TenantSpec.from_dict(data["tenants"])
-        if isinstance(data.get("sessions"), dict):
-            data["sessions"] = SessionSpec.from_dict(data["sessions"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -250,8 +229,8 @@ class PoolSpec:
 
     ``hardware`` gives this pool its own GPU generation and tensor-parallel
     degree (a :class:`~repro.llm.hardware.HardwareSpec`; a bare catalog GPU
-    name or a dict form is accepted as shorthand), so pools in one fleet can
-    run different perf/energy/cost curves and KV budgets.  ``None`` (and
+    name is accepted as shorthand), so pools in one fleet can run different
+    perf/energy/cost curves and KV budgets.  ``None`` (and
     :attr:`ExperimentSpec.hardware` unset) keeps the model's
     :func:`~repro.llm.hardware.cluster_for_model` default bit-for-bit.
     """
@@ -267,8 +246,7 @@ class PoolSpec:
     enable_prefix_caching: Optional[bool] = None
     kv_cache_fraction: Optional[float] = None
     # Chunked-prefill budget and speculative-decoding model for this pool's
-    # engines (None = inherit the experiment defaults; dict forms accepted
-    # for ``speculative``).
+    # engines (None = inherit the experiment defaults).
     prefill_chunk_tokens: Optional[int] = None
     speculative: Optional[SpeculativeSpec] = None
     # GPU generation / TP degree for this pool's engines (None = inherit the
@@ -304,26 +282,20 @@ class PoolSpec:
             raise ValueError(
                 f"pool {self.name!r}: prefill_chunk_tokens must be >= 1 (or None)"
             )
-        if isinstance(self.speculative, dict):
-            object.__setattr__(
-                self, "speculative", SpeculativeSpec.from_dict(self.speculative)
-            )
         if self.speculative is not None and not isinstance(
             self.speculative, SpeculativeSpec
         ):
             raise ValueError(
-                f"pool {self.name!r}: speculative must be a SpeculativeSpec "
-                f"(or a dict form), got {self.speculative!r}"
+                f"pool {self.name!r}: speculative must be a SpeculativeSpec, "
+                f"got {self.speculative!r}"
             )
         if isinstance(self.hardware, str):
             object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
-        elif isinstance(self.hardware, dict):
-            object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
         if self.hardware is not None:
             if not isinstance(self.hardware, HardwareSpec):
                 raise ValueError(
                     f"pool {self.name!r}: hardware must be a HardwareSpec "
-                    f"(or a catalog GPU name / dict form), got {self.hardware!r}"
+                    f"(or a catalog GPU name), got {self.hardware!r}"
                 )
             try:
                 self.hardware.resolve().kv_cache_bytes(get_model(self.model))
@@ -343,22 +315,21 @@ class WeightedWorkload:
     inherits the experiment-level agent config.
 
     ``shape`` optionally gives this class its own
-    :class:`~repro.serving.shapes.RateShape` (bare names and dict forms are
-    accepted like :attr:`ArrivalSpec.shape`): the class arrives at
+    :class:`~repro.serving.shapes.RateShape` (a bare name is accepted like
+    :attr:`ArrivalSpec.shape`): the class arrives at
     ``qps * normalized_weight * arrival_shape.level(t) * shape.level(t)``,
     so one class can burst while the others stay steady -- the Table IV
     scenario of agent spikes over a constant chat floor.
 
     ``tenants`` optionally gives this class its own
     :class:`~repro.serving.tenants.TenantSpec` user population (overriding
-    the :attr:`ArrivalSpec.tenants` default for this class); dict forms are
-    accepted like shapes.
+    the :attr:`ArrivalSpec.tenants` default for this class).
 
     ``sessions`` optionally gives this class its own
     :class:`~repro.serving.sessions.SessionSpec` conversation shape
-    (overriding the :attr:`ArrivalSpec.sessions` default for this class);
-    dict forms are accepted like shapes.  A chat class can run multi-turn
-    conversations while a batch class stays single-shot.
+    (overriding the :attr:`ArrivalSpec.sessions` default for this class).
+    A chat class can run multi-turn conversations while a batch class stays
+    single-shot.
     """
 
     agent: str = "react"
@@ -383,30 +354,24 @@ class WeightedWorkload:
             raise ValueError(f"traffic class {self.name!r}: weight must be > 0")
         if isinstance(self.shape, str):
             object.__setattr__(self, "shape", build_shape(self.shape))
-        elif isinstance(self.shape, dict):
-            object.__setattr__(self, "shape", shape_from_dict(self.shape))
         if self.shape is not None and not isinstance(self.shape, RateShape):
             raise ValueError(
                 f"traffic class {self.name!r}: shape must be a RateShape "
-                f"(or a registered shape name / dict), got {self.shape!r}"
+                f"(or a registered shape name), got {self.shape!r}"
             )
         if self.shape is not None and self.shape.max_level <= 0:
             raise ValueError(
                 f"traffic class {self.name!r}: shape never reaches a positive rate"
             )
-        if isinstance(self.tenants, dict):
-            object.__setattr__(self, "tenants", TenantSpec.from_dict(self.tenants))
         if self.tenants is not None and not isinstance(self.tenants, TenantSpec):
             raise ValueError(
-                f"traffic class {self.name!r}: tenants must be a TenantSpec "
-                f"(or a dict form), got {self.tenants!r}"
+                f"traffic class {self.name!r}: tenants must be a TenantSpec, "
+                f"got {self.tenants!r}"
             )
-        if isinstance(self.sessions, dict):
-            object.__setattr__(self, "sessions", SessionSpec.from_dict(self.sessions))
         if self.sessions is not None and not isinstance(self.sessions, SessionSpec):
             raise ValueError(
-                f"traffic class {self.name!r}: sessions must be a SessionSpec "
-                f"(or a dict form), got {self.sessions!r}"
+                f"traffic class {self.name!r}: sessions must be a SessionSpec, "
+                f"got {self.sessions!r}"
             )
 
 
@@ -463,13 +428,12 @@ class ExperimentSpec:
     # co-scheduled with decode tokens in one mixed roofline step.  None (the
     # default) keeps atomic prefill, golden-pinned bit-for-bit.
     prefill_chunk_tokens: Optional[int] = None
-    # Speculative decoding acceptance model (dict forms accepted); None (the
-    # default) disables it, golden-pinned bit-for-bit.
+    # Speculative decoding acceptance model; None (the default) disables it,
+    # golden-pinned bit-for-bit.
     speculative: Optional[SpeculativeSpec] = None
     # Default hardware for every pool's engines (a HardwareSpec; bare catalog
-    # GPU names and dict forms accepted; PoolSpec.hardware overrides it per
-    # pool).  None (the default) keeps cluster_for_model, golden-pinned
-    # bit-for-bit.
+    # GPU names accepted; PoolSpec.hardware overrides it per pool).  None
+    # (the default) keeps cluster_for_model, golden-pinned bit-for-bit.
     hardware: Optional[HardwareSpec] = None
     # How the cluster picks a pool for each request: "static" (the
     # traffic-class / predicted-decode classification) or "cost-aware" (the
@@ -498,25 +462,18 @@ class ExperimentSpec:
             raise ValueError("kv_cache_fraction must be in (0, 1]")
         if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1 (or None)")
-        if isinstance(self.speculative, dict):
-            object.__setattr__(
-                self, "speculative", SpeculativeSpec.from_dict(self.speculative)
-            )
         if self.speculative is not None and not isinstance(
             self.speculative, SpeculativeSpec
         ):
             raise ValueError(
-                f"speculative must be a SpeculativeSpec (or a dict form), "
-                f"got {self.speculative!r}"
+                f"speculative must be a SpeculativeSpec, got {self.speculative!r}"
             )
         if isinstance(self.hardware, str):
             object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
-        elif isinstance(self.hardware, dict):
-            object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
         if self.hardware is not None and not isinstance(self.hardware, HardwareSpec):
             raise ValueError(
-                f"hardware must be a HardwareSpec (or a catalog GPU name / "
-                f"dict form), got {self.hardware!r}"
+                f"hardware must be a HardwareSpec (or a catalog GPU name), "
+                f"got {self.hardware!r}"
             )
         if self.pool_classification not in ("static", "cost-aware"):
             raise ValueError(
@@ -682,42 +639,5 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        data = dict(payload)
-        if isinstance(data.get("agent_config"), dict):
-            data["agent_config"] = AgentConfig(**data["agent_config"])
-        if isinstance(data.get("arrival"), dict):
-            data["arrival"] = ArrivalSpec.from_dict(data["arrival"])
-        if isinstance(data.get("measurement"), dict):
-            data["measurement"] = MeasurementSpec(**data["measurement"])
-        if isinstance(data.get("admission"), dict):
-            data["admission"] = AdmissionSpec.from_dict(data["admission"])
-        if data.get("pools"):
-            pools = []
-            for pool in data["pools"]:
-                if isinstance(pool, dict):
-                    pool = dict(pool, traffic_classes=tuple(pool.get("traffic_classes", ())))
-                    if isinstance(pool.get("hardware"), dict):
-                        pool["hardware"] = HardwareSpec.from_dict(pool["hardware"])
-                    pool = PoolSpec(**pool)
-                pools.append(pool)
-            data["pools"] = tuple(pools)
-        if data.get("workloads"):
-            mixes = []
-            for mix in data["workloads"]:
-                if isinstance(mix, dict):
-                    mix = dict(mix)
-                    if isinstance(mix.get("agent_config"), dict):
-                        mix["agent_config"] = AgentConfig(**mix["agent_config"])
-                    if isinstance(mix.get("shape"), dict):
-                        mix["shape"] = shape_from_dict(mix["shape"])
-                    mix = WeightedWorkload(**mix)
-                mixes.append(mix)
-            data["workloads"] = tuple(mixes)
-        if isinstance(data.get("autoscaler"), dict):
-            data["autoscaler"] = AutoscalerSpec(**data["autoscaler"])
-        if isinstance(data.get("speculative"), dict):
-            data["speculative"] = SpeculativeSpec.from_dict(data["speculative"])
-        if isinstance(data.get("hardware"), dict):
-            data["hardware"] = HardwareSpec.from_dict(data["hardware"])
-        return cls(**data)
+        """Rebuild a spec from :meth:`to_dict` output (see :mod:`repro.api.codec`)."""
+        return from_dict(cls, payload)

@@ -28,23 +28,12 @@ import itertools
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.agents import AgentConfig
+from repro.api.codec import decode, field_type, from_dict
 from repro.api.results import Metric, ResultSet, resolve_metric
-from repro.api.spec import (
-    ArrivalSpec,
-    ExperimentSpec,
-    MeasurementSpec,
-    PoolSpec,
-    WeightedWorkload,
-)
+from repro.api.spec import ExperimentSpec, PoolSpec
 from repro.core.pareto import pareto_frontier
-from repro.llm.hardware import HardwareSpec
-from repro.llm.speculative import SpeculativeSpec
-from repro.serving.admission import AdmissionSpec
-from repro.serving.autoscaler import AutoscalerSpec
-from repro.serving.sessions import SessionSpec
-from repro.serving.shapes import RateShape, shape_from_dict
-from repro.serving.tenants import TenantSpec
+from repro.serving.shapes import RateShape
+
 
 def _default_label(value: Any) -> str:
     """Short human label for an axis value (shapes, pool tuples, scalars)."""
@@ -231,104 +220,39 @@ class StudySpec:
 
     # -- serialisation --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-ready); inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "seeds": list(self.seeds),
-            "axes": [
-                {
-                    "name": axis.name,
-                    "field": axis.field,
-                    "labels": list(axis.labels),
-                    "values": [_encode_value(value) for value in axis.values],
-                }
-                for axis in self.axes
-            ],
-            "points": [
-                {key: _encode_value(value) for key, value in point.items()}
-                for point in self.points
-            ],
-        }
+        """Plain-dict form (JSON-ready); inverse of :meth:`from_dict`.
+
+        ``dataclasses.asdict``, so each axis value and point coordinate is
+        written as the field it replaces appears in
+        :meth:`ExperimentSpec.to_dict`.
+        """
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "StudySpec":
-        """Rebuild a study from :meth:`to_dict` output."""
-        return cls(
-            name=payload.get("name", "study"),
-            base=ExperimentSpec.from_dict(payload["base"]),
-            seeds=tuple(payload.get("seeds", ())),
-            axes=tuple(
-                StudyAxis(
-                    name=axis["name"],
-                    field=axis.get("field", ""),
-                    labels=tuple(axis.get("labels", ())),
-                    values=tuple(_decode_value(value) for value in axis["values"]),
-                )
-                for axis in payload.get("axes", ())
-            ),
-            points=tuple(
-                {key: _decode_value(value) for key, value in point.items()}
-                for point in payload.get("points", ())
-            ),
-        )
+    def from_dict(cls, payload: Mapping[str, Any]) -> "StudySpec":
+        """Rebuild a study from :meth:`to_dict` output.
 
+        Each axis value and point coordinate decodes as the declared type of
+        the spec field at its path (``qps`` as a float); the rest goes
+        through :func:`repro.api.codec.from_dict`.
+        """
 
-#: Spec-vocabulary types an axis value may carry (type-tagged when encoded).
-_SPEC_VALUE_TYPES: Dict[str, type] = {
-    "AgentConfig": AgentConfig,
-    "PoolSpec": PoolSpec,
-    "WeightedWorkload": WeightedWorkload,
-    "AdmissionSpec": AdmissionSpec,
-    "AutoscalerSpec": AutoscalerSpec,
-    "ArrivalSpec": ArrivalSpec,
-    "MeasurementSpec": MeasurementSpec,
-    "TenantSpec": TenantSpec,
-    "SessionSpec": SessionSpec,
-    "SpeculativeSpec": SpeculativeSpec,
-    "HardwareSpec": HardwareSpec,
-}
+        def decode_at(path: str, value: Any) -> Any:
+            declared = float if path == "qps" else field_type(ExperimentSpec, path)
+            return decode(declared, value)
 
-
-def _encode_value(value: Any) -> Any:
-    """JSON-ready encoding of an axis value (scalars, shapes, spec types)."""
-    if isinstance(value, RateShape):
-        return {"__shape__": value.to_dict()}
-    for tag, value_type in _SPEC_VALUE_TYPES.items():
-        if isinstance(value, value_type):
-            return {"__spec__": tag, "value": asdict(value)}
-    if isinstance(value, (tuple, list)):
-        return {"__seq__": [_encode_value(entry) for entry in value]}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise ValueError(f"cannot serialise study axis value {value!r}")
-
-
-def _decode_value(value: Any) -> Any:
-    """Inverse of :func:`_encode_value`."""
-    if isinstance(value, dict):
-        if "__shape__" in value:
-            return shape_from_dict(value["__shape__"])
-        if "__spec__" in value:
-            value_type = _SPEC_VALUE_TYPES[value["__spec__"]]
-            payload = dict(value["value"])
-            if hasattr(value_type, "from_dict"):
-                return value_type.from_dict(payload)
-            if value_type is PoolSpec:
-                payload["traffic_classes"] = tuple(payload.get("traffic_classes", ()))
-            if value_type is WeightedWorkload:
-                if isinstance(payload.get("shape"), dict):
-                    payload["shape"] = shape_from_dict(payload["shape"])
-                if isinstance(payload.get("agent_config"), dict):
-                    payload["agent_config"] = AgentConfig(**payload["agent_config"])
-            if value_type is MeasurementSpec:
-                payload["class_slos"] = tuple(
-                    tuple(entry) for entry in payload.get("class_slos", ())
-                )
-            return value_type(**payload)
-        if "__seq__" in value:
-            return tuple(_decode_value(entry) for entry in value["__seq__"])
-    return value
+        axes = [
+            dict(axis, values=[
+                decode_at(axis.get("field") or axis["name"], value)
+                for value in axis["values"]
+            ])
+            for axis in payload.get("axes", ())
+        ]
+        points = [
+            {path: decode_at(path, value) for path, value in point.items()}
+            for point in payload.get("points", ())
+        ]
+        return from_dict(cls, dict(payload, axes=axes, points=points))
 
 
 # ---------------------------------------------------------------------------

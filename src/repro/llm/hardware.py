@@ -17,8 +17,8 @@ consumes.  Leaving ``hardware=None`` on a spec keeps today's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.llm.models import ModelSpec, LLAMA_3_1_70B, LLAMA_3_1_8B
 
@@ -232,8 +232,9 @@ class HardwareSpec:
 
     ``gpu`` names a :data:`GPU_CATALOG` entry (a :class:`GPUSpec` instance is
     accepted and coerced to its name), so the spec stays a plain string/number
-    record that round-trips through ``to_dict``/``from_dict``.  ``resolve()``
-    produces the :class:`ClusterSpec` the engine consumes.
+    record that round-trips through ``dataclasses.asdict`` and
+    :func:`repro.api.codec.from_dict`.  ``resolve()`` produces the
+    :class:`ClusterSpec` the engine consumes.
     """
 
     gpu: str = "A100-40GB"
@@ -264,13 +265,6 @@ class HardwareSpec:
             tensor_parallel=self.tensor_parallel,
             gpu_memory_utilization=self.gpu_memory_utilization,
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "HardwareSpec":
-        return cls(**dict(data))
 
 
 def cluster_for_model(model: ModelSpec) -> ClusterSpec:

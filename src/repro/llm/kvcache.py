@@ -169,7 +169,6 @@ class BlockAllocator:
         if block.ref_count == 0:
             if block.content_hash is not None and self.config.enable_prefix_caching:
                 self._evictable[block_id] = None
-                self._evictable.move_to_end(block_id)
             else:
                 block.content_hash = None
                 self._free.append(block_id)
@@ -211,7 +210,6 @@ class BlockAllocator:
             if block.ref_count == 0:
                 if block.content_hash is not None and caching:
                     evictable[block_id] = None
-                    evictable.move_to_end(block_id)
                 else:
                     block.content_hash = None
                     free.append(block_id)

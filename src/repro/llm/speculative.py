@@ -34,7 +34,6 @@ of the window.  Draws come from a dedicated per-request
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.sim import RandomStream
 
@@ -65,11 +64,6 @@ class SpeculativeSpec:
             raise ValueError("speculative num_speculative_tokens must be >= 1")
         if not 0 <= self.acceptance <= 1:
             raise ValueError("speculative acceptance must be in [0, 1]")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SpeculativeSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        return cls(**dict(payload))
 
     def expected_tokens_per_step(self) -> float:
         """Mean tokens emitted per speculative step (accepted run + bonus)."""

@@ -31,8 +31,8 @@ to an ``slo-shed`` policy whose ``protect_class`` is the chat class.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, fields
+from typing import ClassVar, Deque, Dict, List, Optional, Tuple, Type
 
 from repro.core.metrics import percentile
 from repro.registry import PolicyRegistry
@@ -51,11 +51,12 @@ class AdmissionSpec:
     """Which admission policy guards the serving door, per traffic class.
 
     ``policy`` names a registered policy; the other fields parameterise it,
-    and each policy class says which of them it reads.  Construction
-    rejects a rate the chosen policy does not take, a ``concurrency`` gate
-    without a cap and a ``token-bucket`` without a rate.  On ``slo-shed``,
-    ``slo_p95_s=None`` inherits the SLO the experiment's
-    :class:`~repro.api.spec.MeasurementSpec` declares for
+    and each policy class lists the ones it reads in ``READS``.
+    Construction rejects a field, other than ``policy`` and ``per_class``,
+    that is set away from its default but not read by the chosen policy, a
+    ``concurrency`` gate without a cap and a ``token-bucket`` without a
+    rate.  On ``slo-shed``, ``slo_p95_s=None`` inherits the SLO the
+    experiment's :class:`~repro.api.spec.MeasurementSpec` declares for
     ``protect_class``, and ``cooperative=True`` needs an autoscaler on the
     experiment (both checked by :class:`~repro.api.spec.ExperimentSpec`).
 
@@ -88,11 +89,14 @@ class AdmissionSpec:
                 f"unknown admission policy {self.policy!r}; "
                 f"known: {available_admission_policies()}"
             )
-        if self.cooperative and self.policy.lower() != "slo-shed":
-            raise ValueError(
-                "cooperative admission is an slo-shed option "
-                f"(policy is {self.policy!r})"
-            )
+        reads = ADMISSION_POLICIES[self.policy.lower()].READS
+        for spec_field in fields(self):
+            if spec_field.name not in ("policy", "per_class", *reads) and (
+                getattr(self, spec_field.name) != spec_field.default
+            ):
+                raise ValueError(
+                    f"admission policy {self.policy!r} does not take {spec_field.name}"
+                )
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError("admission max_concurrency must be >= 1 (or None)")
         if self.policy.lower() == "concurrency" and self.max_concurrency is None:
@@ -100,8 +104,6 @@ class AdmissionSpec:
         if self.policy.lower() == "token-bucket":
             if self.rate_qps is None or self.rate_qps <= 0:
                 raise ValueError("token-bucket admission requires rate_qps > 0")
-        elif self.rate_qps is not None:
-            raise ValueError(f"admission policy {self.policy!r} does not take rate_qps")
         if self.burst < 1:
             raise ValueError("admission burst must be >= 1")
         if self.overload_action not in ("", DELAY, REJECT):
@@ -116,12 +118,6 @@ class AdmissionSpec:
             raise ValueError("admission user_rpm must be > 0 (or None)")
         if self.app_rpm is not None and self.app_rpm <= 0:
             raise ValueError("admission app_rpm must be > 0 (or None)")
-        if (self.user_rpm is not None or self.app_rpm is not None) and (
-            self.policy.lower() != "oit-throttle"
-        ):
-            raise ValueError(
-                f"admission policy {self.policy!r} does not take user_rpm/app_rpm"
-            )
         if not 0 < self.kv_threshold <= 1:
             raise ValueError("admission kv_threshold must be in (0, 1]")
         if self.queue_threshold <= 0:
@@ -162,18 +158,6 @@ class AdmissionSpec:
         if self.user_rpm is None and self.app_rpm is None:
             return 60.0, None
         return self.user_rpm, self.app_rpm
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "AdmissionSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        data = dict(payload)
-        if data.get("per_class"):
-            data["per_class"] = tuple(
-                (label, override if isinstance(override, AdmissionSpec)
-                 else cls.from_dict(override))
-                for label, override in data["per_class"]
-            )
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +269,9 @@ class AdmissionPolicy:
     """Decides, per arriving request, whether the fleet takes on the work.
 
     Every policy is built as ``cls(spec, probe)`` and reads its parameters
-    off ``self.spec``.  Lifecycle hooks: :meth:`decide` is called once per
+    off ``self.spec``; ``READS`` names the :class:`AdmissionSpec` fields it
+    reads, and a spec that sets any other away from its default is
+    rejected.  Lifecycle hooks: :meth:`decide` is called once per
     offer (and once per re-offer of a delayed request); :meth:`admit` /
     :meth:`release` bracket an admitted request's execution (slot
     accounting); :meth:`observe` sees every completion fleet-wide regardless
@@ -297,6 +283,7 @@ class AdmissionPolicy:
     """
 
     name = "base"
+    READS: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
         self.spec = spec
@@ -343,6 +330,7 @@ class ConcurrencyAdmission(AdmissionPolicy):
     """
 
     name = "concurrency"
+    READS = ("max_concurrency",)
 
     def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
         super().__init__(spec, probe)
@@ -368,6 +356,7 @@ class TokenBucketAdmission(AdmissionPolicy):
     """
 
     name = "token-bucket"
+    READS = ("rate_qps", "burst", "overload_action")
 
     #: Tolerance below one whole token still counted as admittable; absorbs
     #: the float error of ``now + deficit/rate`` retry arithmetic (without it
@@ -447,6 +436,10 @@ class SloShedAdmission(_WindowedAdmission):
     """
 
     name = "slo-shed"
+    READS = (
+        "slo_p95_s", "protect_class", "window_s", "enter_factor", "exit_factor",
+        "cooperative", "overload_action",
+    )
 
     def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
         super().__init__(spec, probe)
@@ -540,6 +533,10 @@ class OITThrottleAdmission(_WindowedAdmission):
     """
 
     name = "oit-throttle"
+    READS = (
+        "window_s", "user_rpm", "app_rpm", "kv_threshold", "queue_threshold",
+        "overload_action",
+    )
 
     def __init__(self, spec: AdmissionSpec, probe: ClusterLoadProbe):
         super().__init__(spec, probe)

@@ -34,7 +34,7 @@ so sessionless specs remain bit-for-bit identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 #: Think-time distributions a session may declare.
 THINK_TIME_DISTRIBUTIONS: Tuple[str, ...] = ("exponential", "constant")
@@ -71,11 +71,6 @@ class SessionSpec:
                 f"session think_time must be one of {THINK_TIME_DISTRIBUTIONS}, "
                 f"got {self.think_time!r}"
             )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SessionSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        return cls(**dict(payload))
 
 
 @dataclass

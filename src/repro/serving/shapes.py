@@ -27,9 +27,10 @@ Built-in shapes (the registry accepts external ones too):
   continues past the programmed end.
 
 Every shape is a frozen dataclass: validated on construction, hashable,
-serialisable through :meth:`RateShape.to_dict` / :func:`shape_from_dict`
-(the ``kind`` field is the registry discriminator), and usable directly as
-an :class:`~repro.api.spec.ArrivalSpec` / ``WeightedWorkload`` field.
+serialisable through ``dataclasses.asdict`` and rebuilt by
+:func:`repro.api.codec.from_dict` (the ``kind`` field is the registry
+discriminator), and usable directly as an
+:class:`~repro.api.spec.ArrivalSpec` / ``WeightedWorkload`` field.
 
 :func:`deterministic_trace` integrates a shape into deterministic arrival
 times (``t += 1 / rate(t)``) -- the synthetic ramp/burst/diurnal traces the
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.registry import PolicyRegistry
@@ -96,11 +97,6 @@ class RateShape:
                 return None
             t = boundary
         return None
-
-    # -- serialisation --------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-ready); inverse of :func:`shape_from_dict`."""
-        return asdict(self)  # type: ignore[call-overload]
 
 
 SHAPE_REGISTRY = PolicyRegistry("rate shape")
@@ -405,32 +401,6 @@ class PiecewiseShape(RateShape):
         if not boundaries:
             return None
         return min(boundaries)
-
-
-def shape_from_dict(payload: Dict[str, Any]) -> RateShape:
-    """Rebuild a shape from :meth:`RateShape.to_dict` output.
-
-    The ``kind`` key selects the registered class; remaining keys are its
-    constructor parameters.  Nested shapes (piecewise segments) are rebuilt
-    recursively, and JSON round-trips (tuples decayed to lists) are healed.
-    """
-    if isinstance(payload, RateShape):
-        return payload
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    if kind is None or kind.lower() not in RATE_SHAPES:
-        raise ValueError(
-            f"unknown rate shape {kind!r}; known: {available_shapes()}"
-        )
-    shape_class = RATE_SHAPES[kind.lower()]
-    if shape_class is PiecewiseShape:
-        data["segments"] = tuple(
-            (duration, shape_from_dict(sub)) for duration, sub in data.get("segments", ())
-        )
-    if shape_class is TraceShape:
-        data["times"] = tuple(data.get("times", ()))
-        data["levels"] = tuple(data.get("levels", ()))
-    return shape_class(**data)
 
 
 def build_shape(name: str, **params: Any) -> RateShape:

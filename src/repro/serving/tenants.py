@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.distributions import RandomStream
 
@@ -63,11 +63,6 @@ class TenantSpec:
             raise ValueError("tenant skew must be >= 0 (0 = uniform)")
         if self.num_apps < 1:
             raise ValueError("tenant num_apps must be >= 1")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TenantSpec":
-        """Rebuild from a plain-dict form (inverse of ``dataclasses.asdict``)."""
-        return cls(**dict(payload))
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,43 @@ class TestAdmissionSpecValidation:
         with pytest.raises(ValueError, match="does not take rate_qps"):
             AdmissionSpec(policy="unlimited", rate_qps=1.0)
 
+    def test_fields_the_policy_does_not_read_are_rejected(self):
+        with pytest.raises(
+            ValueError, match="'concurrency' does not take overload_action"
+        ):
+            AdmissionSpec(
+                policy="concurrency", max_concurrency=1, overload_action="reject",
+                window_s=5, kv_threshold=0.1,
+            )
+
+    # One valid non-default value per field a built-in policy may read.
+    READ_VALUES = dict(
+        max_concurrency=2, rate_qps=1.0, burst=3, overload_action="delay",
+        slo_p95_s=2.0, protect_class="chat", window_s=10.0, enter_factor=1.2,
+        exit_factor=0.9, cooperative=True, user_rpm=30.0, app_rpm=100.0,
+        kv_threshold=0.5, queue_threshold=2.0,
+    )
+
+    @pytest.mark.parametrize(
+        "policy,ignored",
+        [
+            ("unlimited", "burst"),
+            ("concurrency", "window_s"),
+            ("token-bucket", "kv_threshold"),
+            ("slo-shed", "user_rpm"),
+            ("oit-throttle", "enter_factor"),
+        ],
+    )
+    def test_each_policy_takes_what_it_reads_and_nothing_else(self, policy, ignored):
+        reads = ADMISSION_POLICIES[policy].READS
+        assert set(reads) <= set(self.READ_VALUES)
+        settings = {name: self.READ_VALUES[name] for name in reads}
+        assert AdmissionSpec(policy=policy, **settings).policy == policy
+        with pytest.raises(ValueError, match=f"does not take {ignored}"):
+            AdmissionSpec(
+                policy=policy, **settings, **{ignored: self.READ_VALUES[ignored]}
+            )
+
     def test_hysteresis_factors_ordered(self):
         with pytest.raises(ValueError, match="exit_factor"):
             AdmissionSpec(policy="slo-shed", slo_p95_s=1.0, exit_factor=1.5)

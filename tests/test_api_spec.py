@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.agents import AgentConfig
@@ -94,10 +96,9 @@ class TestArrivalSpecValidation:
 
         named = ArrivalSpec(process="poisson", qps=1.0, shape="diurnal")
         assert isinstance(named.shape, DiurnalShape)
-        from_dict = ArrivalSpec(
-            process="poisson", qps=1.0, shape=RampShape().to_dict()
-        )
-        assert from_dict.shape == RampShape()
+        # A dict is a plain form, which only repro.api.codec decodes.
+        with pytest.raises(ValueError, match="RateShape"):
+            ArrivalSpec(process="poisson", qps=1.0, shape=asdict(RampShape()))
         with pytest.raises(ValueError, match="unknown rate shape"):
             ArrivalSpec(process="poisson", qps=1.0, shape="sawtooth")
         with pytest.raises(ValueError, match="RateShape"):

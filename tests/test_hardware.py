@@ -10,6 +10,8 @@ autoscaler's planner-driven floor.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.api import (
@@ -26,6 +28,7 @@ from repro.api import (
     run_experiment,
     run_study,
 )
+from repro.api.codec import from_dict
 from repro.llm import (
     A100_40GB,
     A100_80GB,
@@ -182,13 +185,13 @@ class TestHardwareSpec:
     def test_dict_round_trip(self):
         spec = HardwareSpec(gpu="H100-80GB", tensor_parallel=4,
                             gpu_memory_utilization=0.85)
-        data = spec.to_dict()
+        data = asdict(spec)
         assert data == {
             "gpu": H100_80GB.name,
             "tensor_parallel": 4,
             "gpu_memory_utilization": 0.85,
         }
-        assert HardwareSpec.from_dict(data) == spec
+        assert from_dict(HardwareSpec, data) == spec
 
     @pytest.mark.parametrize(
         "gpu,tensor_parallel",
@@ -216,9 +219,10 @@ class TestHardwareSpec:
 class TestSpecThreading:
     def test_pool_hardware_shorthand_coercion(self):
         by_str = PoolSpec(name="p", model="8b", hardware="H100-80GB")
-        by_dict = PoolSpec(name="p", model="8b", hardware={"gpu": "H100-80GB"})
         assert by_str.hardware == HardwareSpec(gpu="H100-80GB")
-        assert by_dict.hardware == by_str.hardware
+        # A dict is a plain form, which only repro.api.codec decodes.
+        with pytest.raises(ValueError, match="must be a HardwareSpec"):
+            PoolSpec(name="p", model="8b", hardware={"gpu": "H100-80GB"})
 
     def test_pool_fit_error_names_pool(self):
         with pytest.raises(ValueError, match="pool 'big'.*does not fit"):

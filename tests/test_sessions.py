@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ArrivalSpec, ExperimentSpec, SessionSpec, run_experiment
+from repro.api import (
+    ArrivalSpec,
+    ExperimentSpec,
+    SessionSpec,
+    StudyAxis,
+    StudySpec,
+    run_experiment,
+)
+from repro.api.codec import from_dict
 from repro.llm import EngineConfig, Prompt, SamplingParams
 from repro.llm.kvcache import KVCacheConfig
 from repro.llm.request import LLMRequest
@@ -51,8 +59,8 @@ def session_spec(**overrides) -> ExperimentSpec:
 class TestSessionSpec:
     def test_defaults_round_trip(self):
         spec = SessionSpec(turns=4, followup_tokens=64, think_time_s=5.0)
-        assert SessionSpec.from_dict(
-            {"turns": 4, "followup_tokens": 64, "think_time_s": 5.0}
+        assert from_dict(
+            SessionSpec, {"turns": 4, "followup_tokens": 64, "think_time_s": 5.0}
         ) == spec
 
     def test_invalid_turns_rejected(self):
@@ -67,36 +75,43 @@ class TestSessionSpec:
         with pytest.raises(ValueError, match="think_time_s"):
             SessionSpec(think_time_s=-1.0)
 
-    def test_arrival_spec_coerces_dict(self):
-        arrival = ArrivalSpec(
-            process="poisson",
-            qps=1.0,
-            num_requests=2,
-            sessions={"turns": 2, "followup_tokens": 16},
-        )
-        assert isinstance(arrival.sessions, SessionSpec)
-        assert arrival.sessions.turns == 2
+    def test_arrival_spec_rejects_dict(self):
+        # A dict is a plain form, which only repro.api.codec decodes.
+        with pytest.raises(ValueError, match="must be a SessionSpec"):
+            ArrivalSpec(
+                process="poisson",
+                qps=1.0,
+                num_requests=2,
+                sessions={"turns": 2, "followup_tokens": 16},
+            )
 
     def test_sessions_need_open_loop_arrivals(self):
         with pytest.raises(ValueError, match="open-loop"):
             ArrivalSpec(process="single", num_requests=2, sessions=SessionSpec())
 
     def test_arrival_from_dict_decodes_sessions(self):
-        arrival = ArrivalSpec.from_dict(
+        arrival = from_dict(
+            ArrivalSpec,
             {
                 "process": "poisson",
                 "qps": 1.0,
                 "num_requests": 2,
                 "sessions": {"turns": 5},
-            }
+            },
         )
         assert arrival.sessions == SessionSpec(turns=5)
 
     def test_study_axis_value_round_trips(self):
-        from repro.api.study import _decode_value, _encode_value
+        import json
 
         spec = SessionSpec(turns=6, followup_tokens=48, think_time_s=2.0)
-        assert _decode_value(_encode_value(spec)) == spec
+        study = StudySpec(
+            base=session_spec(),
+            axes=(StudyAxis(name="turns", field="arrival.sessions", values=(spec,)),),
+        )
+        rebuilt = StudySpec.from_dict(json.loads(json.dumps(study.to_dict())))
+        assert rebuilt == study
+        assert rebuilt.axes[0].values == (spec,)
 
 
 # ---------------------------------------------------------------------------

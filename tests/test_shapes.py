@@ -12,9 +12,12 @@ level-1 shape produces bit-for-bit the unshaped plans of the generators
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+from repro.api import ArrivalSpec
+from repro.api.codec import from_dict
 from repro.serving.loadgen import arrival_plan
 from repro.serving.shapes import (
     ConstantShape,
@@ -28,7 +31,6 @@ from repro.serving.shapes import (
     build_shape,
     deterministic_trace,
     register_shape,
-    shape_from_dict,
 )
 from repro.sim.distributions import RandomStream
 from repro.workloads import create_workload
@@ -210,19 +212,20 @@ class TestShapeSerialization:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape.kind)
     def test_round_trip_survives_json(self, shape):
-        payload = json.loads(json.dumps(shape.to_dict()))
+        payload = json.loads(json.dumps(asdict(shape)))
         assert payload["kind"] == shape.kind
-        assert shape_from_dict(payload) == shape
+        assert from_dict(RateShape, payload) == shape
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown rate shape"):
-            shape_from_dict({"kind": "sawtooth"})
+            from_dict(RateShape, {"kind": "sawtooth"})
         with pytest.raises(ValueError, match="unknown rate shape"):
-            shape_from_dict({"level_value": 1.0})
+            from_dict(RateShape, {"level_value": 1.0})
 
     def test_from_dict_passes_shapes_through(self):
         shape = RampShape()
-        assert shape_from_dict(shape) is shape
+        payload = {"process": "poisson", "qps": 1.0, "shape": shape}
+        assert from_dict(ArrivalSpec, payload).shape is shape
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,27 @@ class TestStudySpecExpansion:
         [
             "characterization_study", "figure7", "figure9", "figure11", "figure12",
             "figure13", "figure14", "figure15", "figure16", "figure17", "table3",
+            "admission_study", "burst_profile_study", "engine_fidelity_study",
+            "fairness_study", "predictor_error_study", "fleet_sizing_study",
+            "hetero_fleet_study", "sessions_study",
         ],
     )
     def test_paper_artifact_studies_round_trip(self, artifact, monkeypatch):
-        """Every paper artifact's declared study, agent configs included,
-        survives JSON; ``run_study`` is stubbed, so nothing runs."""
+        """Every paper artifact's and grid study's declared study, agent
+        configs, pools and door specs included, survives JSON; ``run_study``
+        is stubbed in every module that calls it, so nothing runs."""
         import repro.analysis as analysis
-        from repro.analysis import figures, tables
+        from repro.analysis import (
+            admission,
+            burst_profiles,
+            engine_fidelity,
+            fairness,
+            figures,
+            fleet_sizing,
+            hetero_fleet,
+            sessions,
+            tables,
+        )
 
         declared = []
 
@@ -208,8 +222,11 @@ class TestStudySpecExpansion:
             declared.append(study)
             return StudyResult(study=study)
 
-        monkeypatch.setattr(figures, "run_study", declare_only)
-        monkeypatch.setattr(tables, "run_study", declare_only)
+        for module in (
+            figures, tables, admission, burst_profiles, engine_fidelity,
+            fairness, fleet_sizing, hetero_fleet, sessions,
+        ):
+            monkeypatch.setattr(module, "run_study", declare_only)
         getattr(analysis, artifact)()
         (study,) = declared
         assert StudySpec.from_dict(json.loads(json.dumps(study.to_dict()))) == study

@@ -71,8 +71,10 @@ class TestTenantSpec:
     def test_round_trip(self):
         from dataclasses import asdict
 
+        from repro.api.codec import from_dict
+
         spec = TenantSpec(num_users=1_000_000, skew=1.6, num_apps=50)
-        assert TenantSpec.from_dict(asdict(spec)) == spec
+        assert from_dict(TenantSpec, asdict(spec)) == spec
 
 
 class TestZipfSampling:
