@@ -2,10 +2,11 @@
 
 Two lanes: a mini hardware-layout study asserting the headline (the mixed
 H100+L4 fleet dominates the homogeneous A100 fleet sized to the same chat
-attainment on dollars per 1k served tokens, and the FleetPlanner selects
-it under a cost budget), and an identity check pinning that a spec with
-``hardware`` left unset reproduces the explicit paper-default hardware bit
-for bit -- pinning hardware must cost nothing when it names the default.
+attainment on dollars per 1k served tokens, and it is the best frontier
+layout within a cost budget), and an identity check pinning that a spec
+with ``hardware`` left unset reproduces the explicit paper-default hardware
+bit for bit -- pinning hardware must cost nothing when it names the
+default.
 """
 
 from repro.analysis import hetero_fleet_study
@@ -32,12 +33,15 @@ def test_hetero_fleet_cost_frontier(run_once):
         assert "a100-heavy" not in fleets
 
     # The planner question: under a $/1k-tokens budget the heavy A100
-    # fleet cannot meet, the planner buys the mixed fleet.
-    plan = study.plan(0.003, traffic="burst")
-    print(f"plan under $0.003/1k tokens: {plan.describe()}")
-    assert plan.labels.get("fleet") == "mixed-h100-l4"
-    assert plan.cost <= 0.003
-    assert plan.quality >= study.metric(
+    # fleet cannot meet, the best frontier layout is the mixed fleet.
+    best = study.best_within(0.003, traffic="burst")
+    print(
+        f"best under $0.003/1k tokens: {best.point.labels['fleet']} "
+        f"cost={best.cost:.4g} quality={best.quality:.4g}"
+    )
+    assert best.point.labels["fleet"] == "mixed-h100-l4"
+    assert best.cost <= 0.003
+    assert best.quality >= study.metric(
         "slo_attainment:chat", traffic="burst", fleet="a100-heavy"
     )
 

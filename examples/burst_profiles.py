@@ -3,9 +3,9 @@
 The ramp / square-wave / diurnal profiles that validated the arrival
 forecasters now live in the spec vocabulary
 (:mod:`repro.serving.shapes`), so the forecaster question becomes a
-declarative study: a :class:`~repro.api.StudySpec` sweeps
-``autoscaler.forecaster`` x ``arrival.shape`` on one predictive-autoscaled
-chatbot pool, while an offline table scores every forecaster on each
+declarative study: a :class:`~repro.api.StudySpec` sweeps one predictive
+``autoscaler`` per forecaster x ``arrival.shape`` on one chatbot pool,
+while an offline table scores every forecaster on each
 profile's deterministic trace (the exact loop the accuracy tests pin).
 
 Expected read: offline, the trend-aware ``holt`` forecaster wins the ramp

@@ -13,8 +13,8 @@ sweeps fleet hardware layouts (each pool pinned to a catalog GPU via
 
 Every run is priced with the catalog's GPU hourly rates (GCP on-demand),
 so the planning question becomes a Pareto query -- dollars per 1k served
-tokens vs chat SLO attainment -- and :class:`~repro.api.FleetPlanner`
-answers it under a cost budget.
+tokens vs chat SLO attainment -- and the study's ``best_within`` answers it
+under a cost budget: the best-attainment frontier layout that fits.
 
 Expected read: the mixed H100+L4 fleet *dominates* the heavy homogeneous
 A100 fleet -- cheaper tokens AND higher chat attainment (the A100 chat
@@ -51,13 +51,18 @@ def main() -> None:
 
     # The planner question: best attainment within a $/1k-tokens budget.
     budget = 0.003
-    plan = study.plan(budget, traffic="burst")
+    best = study.best_within(budget, traffic="burst")
+    layout = ", ".join(f"{axis}={label}" for axis, label in best.point.labels.items())
+    pools = ", ".join(f"{pool.name}x{pool.replicas}" for pool in best.point.spec.fleet)
     print()
     print(f"planner, burst traffic, budget ${budget:g}/1k tokens:")
-    print(f"  {plan.describe()}")
     print(
-        f"  -> buy the {plan.labels.get('fleet', '?')} fleet: "
-        f"${plan.cost:.4f}/1k tokens at {plan.quality:.0%} chat attainment"
+        f"  plan[{layout}] cost={best.cost:.4g} quality={best.quality:.4g}"
+        f" pools({pools})"
+    )
+    print(
+        f"  -> buy the {best.point.labels['fleet']} fleet: "
+        f"${best.cost:.4f}/1k tokens at {best.quality:.0%} chat attainment"
     )
 
 

@@ -6,8 +6,9 @@ registers a new policy; this script makes the document a *projection* of
 the code instead.  It imports every pluggable registry (agents,
 workloads, scheduler policies, router policies, admission policies,
 arrival forecasters, rate shapes), renders one table per registry --
-name, implementing class, and the first line of the class docstring --
-and writes ``docs/REGISTRIES.md``.
+name, implementing class, the spec fields the class reads (for a registry
+whose classes declare ``READS``: admission policies and forecasters), and
+the first line of the class docstring -- and writes ``docs/REGISTRIES.md``.
 
 Modes::
 
@@ -53,7 +54,10 @@ Every policy family below is a case-insensitive name → class registry
 (see `src/repro/registry.py`).  Spec fields name entries by their
 registry name (`ExperimentSpec(scheduler="vtc", router="session-affinity")`),
 and each family exposes a `register_*` hook so external code can add
-policies without touching this repository.
+policies without touching this repository.  Where a family's classes are
+built from a spec, the `reads` column lists the spec fields each class
+reads, and the spec rejects a parameter of the family that is set away
+from its default but not read by the chosen class (see `docs/SPECS.md`).
 """
 
 #: (section title, spec field that names entries, registering module, rows).
@@ -156,13 +160,21 @@ def render() -> str:
     """The full REGISTRIES.md content the live registries imply."""
     parts: List[str] = [HEADER]
     for title, field, module, entries in _registries():
+        # Classes that declare READS get a column of the spec fields they read.
+        declares_reads = any(hasattr(cls, "READS") for cls in entries.values())
+        columns = ["name", "class", "reads", "summary"]
+        if not declares_reads:
+            columns.remove("reads")
         parts.append(f"\n## {title}\n")
         parts.append(f"Named by {field}; registered in {module}.\n")
-        parts.append("\n| name | class | summary |")
-        parts.append("\n| --- | --- | --- |")
+        parts.append("\n| " + " | ".join(columns) + " |")
+        parts.append("\n|" + " --- |" * len(columns))
         for name in sorted(entries):
             cls = entries[name]
-            parts.append(f"\n| `{name}` | `{cls.__name__}` | {_first_doc_line(cls)} |")
+            cells = [f"`{name}`", f"`{cls.__name__}`", _first_doc_line(cls)]
+            if declares_reads:
+                cells.insert(2, ", ".join(f"`{read}`" for read in cls.READS) or "--")
+            parts.append("\n| " + " | ".join(cells) + " |")
         parts.append("\n")
     parts.append(_render_gpu_catalog())
     return "".join(parts)

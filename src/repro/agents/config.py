@@ -53,7 +53,6 @@ class AgentConfig:
     max_trials: int = 3
     num_children: int = 5
     max_expansions: int = 10
-    max_tree_depth: int = 8
     replan_rounds: int = 3
     tasks_per_wave: int = 3
     max_output_tokens: int = 2048
@@ -64,7 +63,6 @@ class AgentConfig:
             "max_trials",
             "num_children",
             "max_expansions",
-            "max_tree_depth",
             "replan_rounds",
             "tasks_per_wave",
             "max_output_tokens",

@@ -10,10 +10,11 @@ forecaster registry the way Table IV gestures at:
   trace of every shape (:func:`repro.serving.shapes.deterministic_trace` +
   :func:`repro.serving.forecast.replay_score`, the exact scoring loop the
   accuracy tests pin), no simulator in the loop;
-* **in-the-loop study** -- a :class:`~repro.api.StudySpec` sweeping
-  ``autoscaler.forecaster`` x ``arrival.shape`` on a predictive-autoscaled
-  pool, reporting the realised forecast MAE, the scale-ahead lead time,
-  p95 latency, and replica-seconds per cell.
+* **in-the-loop study** -- a :class:`~repro.api.StudySpec` sweeping one
+  predictive ``autoscaler`` per forecaster (each carrying only the
+  smoothing its forecaster reads) x ``arrival.shape``, reporting the
+  realised forecast MAE, the scale-ahead lead time, p95 latency, and
+  replica-seconds per cell.
 
 The qualitative shape to expect: the trend-aware ``holt`` forecaster wins
 the ramp offline, and in the loop the forecasted runs buy scale-ahead lead
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.analysis.study_view import StudyView
+from repro.analysis.study_view import StudyView, predictive_autoscaler
 from repro.api import (
     ArrivalSpec,
     AutoscalerSpec,
@@ -35,7 +36,7 @@ from repro.api import (
     StudySpec,
     run_study,
 )
-from repro.serving.forecast import build_forecaster, replay_score
+from repro.serving.forecast import FORECASTERS, replay_score
 from repro.serving.shapes import (
     DiurnalShape,
     RampShape,
@@ -73,15 +74,16 @@ def offline_accuracy(
 
     One row per profile with a column per forecaster -- the pure-accuracy
     view (no serving system in the loop), scored exactly the way the
-    forecaster tests pin.
+    forecaster tests pin, each forecaster at its spec defaults.
     """
     rows: List[Dict[str, object]] = []
     for label, shape in profiles:
         trace = deterministic_trace(shape, duration_s=duration_s, qps=qps)
         row: Dict[str, object] = {"profile": label}
         for name in forecasters:
+            spec = AutoscalerSpec(mode="predictive", forecaster=name)
             row[f"{name}_mae"] = replay_score(
-                build_forecaster(name), trace, horizon_s=horizon_s
+                FORECASTERS[name.lower()](spec), trace, horizon_s=horizon_s
             )
         rows.append(row)
     return rows
@@ -136,7 +138,7 @@ def burst_profile_study(
     task_pool_size: int = 8,
     seed: int = 0,
 ) -> BurstProfileResult:
-    """Sweep ``autoscaler.forecaster`` x ``arrival.shape`` on one elastic pool.
+    """Sweep one predictive ``autoscaler`` per forecaster x ``arrival.shape``.
 
     A chatbot pool under predictive autoscaling serves each traffic
     program; only the forecaster and the shape vary across cells, so MAE,
@@ -144,6 +146,19 @@ def burst_profile_study(
     pairing alone.  The offline-accuracy table rides along for the
     no-simulator view of the same grid.
     """
+    autoscalers = tuple(
+        predictive_autoscaler(
+            name,
+            min_replicas=min_replicas,
+            max_replicas=max_replicas,
+            check_interval_s=1.0,
+            warmup_s=warmup_s,
+            horizon_s=horizon_s,
+            scale_up_pending_per_replica=3.0,
+            scale_down_pending_per_replica=0.5,
+        )
+        for name in forecasters
+    )
     base = ExperimentSpec(
         agent="chatbot",
         workload="sharegpt",
@@ -153,20 +168,7 @@ def burst_profile_study(
             num_requests=num_requests,
             task_pool_size=task_pool_size,
         ),
-        autoscaler=AutoscalerSpec(
-            mode="predictive",
-            forecaster=forecasters[0],
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-            check_interval_s=1.0,
-            warmup_s=warmup_s,
-            horizon_s=horizon_s,
-            scale_up_pending_per_replica=3.0,
-            scale_down_pending_per_replica=0.5,
-            forecaster_bucket_s=2.0,
-            forecaster_alpha=0.6,
-            forecaster_beta=0.4,
-        ),
+        autoscaler=autoscalers[0],
         seed=seed,
     )
     study = StudySpec(
@@ -180,8 +182,9 @@ def burst_profile_study(
             ),
             StudyAxis(
                 name="forecaster",
-                field="autoscaler.forecaster",
-                values=tuple(forecasters),
+                field="autoscaler",
+                values=autoscalers,
+                labels=tuple(forecasters),
             ),
         ),
         name="burst-profiles",

@@ -12,22 +12,20 @@ The headline read: a mixed fleet -- H100 chat pool for latency headroom,
 L4 agent pool for cheap background tokens -- lands on the cost/attainment
 Pareto frontier and *dominates* the homogeneous A100 fleet sized to the
 same chat attainment, which pays A100 rates for every background token.
-:class:`~repro.serving.planner.FleetPlanner` then selects the mixed layout
-under a cost budget.  ``examples/hetero_fleet.py`` prints the grid, the
-frontier, and the plan.
+:meth:`~repro.analysis.study_view.FrontierView.best_within` then selects the
+mixed layout under a cost budget.  ``examples/hetero_fleet.py`` prints the
+grid, the frontier, and that pick.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig
 from repro.analysis.study_view import FrontierView, chat_agent_mixture, chat_agent_pools
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
-    FleetPlan,
-    FleetPlanner,
     MeasurementSpec,
     StudyAxis,
     StudySpec,
@@ -63,17 +61,6 @@ class HeteroFleetResult(FrontierView):
     FRONTIER_TITLE = (
         "Pareto frontier under {traffic} traffic ($/1k tokens vs chat attainment)"
     )
-
-    def plan(self, cost_budget: float, **coords: Any) -> FleetPlan:
-        """The best-attainment layout of the slice within a $/1k-tokens budget."""
-        metrics = dict(self.METRICS)
-        planner = FleetPlanner(
-            self.result.slice(**coords),
-            cost=metrics[self.COST],
-            quality=metrics[self.QUALITY],
-            minimize_quality=self.MINIMIZE_QUALITY,
-        )
-        return planner.plan_for_budget(cost_budget)
 
     def mixed_dominates(
         self, traffic: str, mixed: str = "mixed-h100-l4", homogeneous: str = "a100-heavy"

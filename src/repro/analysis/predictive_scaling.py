@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
-from repro.analysis.study_view import chat_agent_mixture
+from repro.analysis.study_view import chat_agent_mixture, predictive_autoscaler
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
@@ -138,15 +138,7 @@ def _autoscaler_for(
     )
     if mode == "reactive":
         return AutoscalerSpec(**base)
-    return AutoscalerSpec(
-        mode="predictive",
-        forecaster=forecaster,
-        horizon_s=horizon_s,
-        forecaster_bucket_s=2.0,
-        forecaster_alpha=0.6,
-        forecaster_beta=0.4,
-        **base,
-    )
+    return predictive_autoscaler(forecaster, horizon_s=horizon_s, **base)
 
 
 def _admission_for(mode: str, shed_window_s: float) -> AdmissionSpec:

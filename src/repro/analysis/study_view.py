@@ -7,12 +7,14 @@ between studies: the table's label columns (``LABELS``) and metric
 columns (``METRICS``) and, for a :class:`FrontierView`, the cost/quality
 frontier and how its table prints.  Rows, tables, one-cell metrics
 (through :meth:`~repro.api.StudyResult.at`, which insists on exactly one
-matching point) and frontier queries live here once.
+matching point) and frontier queries, such as the best point within a
+cost budget, live here once.
 
 :class:`DesignSpaceView` is the frontier of the paper's accuracy/latency
-design space (Figs. 13-17) with the markers the paper draws on it.  The two
+design space (Figs. 13-17) with the markers the paper draws on it.  The
 helpers build what the Table IV serving studies share: the chat+agent
-traffic mixture and the chat-pool + agent-pool fleet layout.
+traffic mixture, the chat-pool + agent-pool fleet layout, and a predictive
+autoscaler whose forecaster carries only the smoothing it reads.
 """
 
 from __future__ import annotations
@@ -21,8 +23,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.reporting import format_table
-from repro.api import ParetoPoint, PoolSpec, StudyPoint, StudyResult, WeightedWorkload
+from repro.api import (
+    AutoscalerSpec,
+    ParetoPoint,
+    PoolSpec,
+    StudyPoint,
+    StudyResult,
+    WeightedWorkload,
+)
 from repro.api.results import Metric
+from repro.serving.forecast import FORECASTERS
 
 #: A label column's source: a coordinate name, or a callable on the point.
 Label = Union[str, Callable[[StudyPoint], Any]]
@@ -93,6 +103,19 @@ class FrontierView(StudyView):
             quality=metrics[self.QUALITY],
             minimize_quality=self.MINIMIZE_QUALITY,
         )
+
+    def best_within(self, cost_budget: float, **coords: Any) -> ParetoPoint:
+        """The best-quality frontier point of the slice at ``coords`` whose
+        cost fits ``cost_budget``, else the cheapest (its ``cost`` then
+        shows the budget was blown)."""
+        frontier = self.frontier(**coords)
+        if not frontier:
+            raise ValueError(f"no study points match {coords}")
+        affordable = [entry for entry in frontier if entry.cost <= cost_budget]
+        if not affordable:
+            return frontier[0]
+        sign = 1.0 if self.MINIMIZE_QUALITY else -1.0
+        return min(affordable, key=lambda entry: sign * entry.quality)
 
     def frontier_labels(self, axis: str, **coords: Any) -> List[str]:
         """The ``axis`` labels of the frontier members, cheapest first."""
@@ -207,3 +230,13 @@ def chat_agent_pools(
             hardware=agent_gpu,
         ),
     )
+
+
+def predictive_autoscaler(forecaster: str, **fields: Any) -> AutoscalerSpec:
+    """A predictive :class:`~repro.api.AutoscalerSpec` on ``forecaster`` at
+    the studies' smoothing (2 s buckets, alpha 0.6, beta 0.4), of which it
+    sets the fields that forecaster reads."""
+    smoothing = dict(forecaster_bucket_s=2.0, forecaster_alpha=0.6, forecaster_beta=0.4)
+    reads = getattr(FORECASTERS.get(forecaster.lower()), "READS", ())
+    smoothing = {name: value for name, value in smoothing.items() if name in reads}
+    return AutoscalerSpec(mode="predictive", forecaster=forecaster, **smoothing, **fields)

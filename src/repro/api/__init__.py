@@ -63,9 +63,10 @@ Heterogeneous hardware: ``PoolSpec(hardware=HardwareSpec(gpu="H100-80GB"))``
 catalog GPUs with their own roofline, power, and hourly cost, results gain
 ``cost_usd`` / ``energy_j`` / ``cost_per_1k_tokens``,
 ``pool_classification="cost-aware"`` routes work to the cheapest pool whose
-predicted decode still meets the class SLO, and
-:class:`~repro.serving.planner.FleetPlanner` picks an operating point from a
-hardware-layout study's cost/quality frontier (see
+predicted decode still meets the class SLO, and a hardware-layout study's
+cost/quality frontier answers the planning question:
+:meth:`~repro.analysis.study_view.FrontierView.best_within` returns the
+best-quality layout whose cost fits a budget (see
 ``examples/hetero_fleet.py``).
 
 This package is the only way in: the paper's figures and tables
@@ -97,7 +98,6 @@ from repro.llm.hardware import HardwareSpec
 from repro.llm.speculative import SpeculativeSpec
 from repro.serving.admission import AdmissionSpec
 from repro.serving.autoscaler import AutoscalerSpec
-from repro.serving.planner import FleetPlan, FleetPlanner
 from repro.serving.sessions import SessionSpec, SessionStats
 from repro.serving.tenants import TenantSpec
 
@@ -107,8 +107,6 @@ __all__ = [
     "ArrivalSpec",
     "AutoscalerSpec",
     "ExperimentSpec",
-    "FleetPlan",
-    "FleetPlanner",
     "HardwareSpec",
     "MeasurementSpec",
     "ParetoPoint",

@@ -19,7 +19,7 @@ same metrics over that class's runs (:attr:`ResultSet.classes`), and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.agents import AgentRunResult
@@ -67,6 +67,20 @@ def _declare(unit: str, scope: str) -> Callable[[Callable[..., Any]], property]:
     return declare
 
 
+def _computed_once(method: Callable[["ResultSet"], Any]) -> Callable[["ResultSet"], Any]:
+    """Compute a :class:`ResultSet` method once per result: the records it
+    reads are final, and tables read one breakdown once per column."""
+
+    @functools.wraps(method)
+    def once(self: "ResultSet") -> Any:
+        computed = self._computed
+        if method.__name__ not in computed:
+            computed[method.__name__] = method(self)
+        return computed[method.__name__]
+
+    return once
+
+
 @dataclass
 class ResultSet:
     """Outcome of one :func:`~repro.api.run_experiment` call.
@@ -78,6 +92,10 @@ class ResultSet:
     characterization: Optional[CharacterizationResult] = None
     serving: Optional[ServingResult] = None
     traffic_class: Optional[str] = None
+    # Values of the _computed_once methods; a class slice starts its own.
+    _computed: Dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if (self.characterization is None) == (self.serving is None):
@@ -195,14 +213,17 @@ class ResultSet:
         """Mean summed LLM-call latency per request (paper Fig. 9's metric)."""
         return mean([sum(call.e2e_latency for call in run.llm_calls) for run in self.runs])
 
+    @_computed_once
     def latency_breakdown(self) -> LatencyBreakdown:
         """Per-request average LLM/tool/overlap/other split (paper Fig. 5)."""
         return LatencyBreakdown.average(LatencyBreakdown.from_result(run) for run in self.runs)
 
+    @_computed_once
     def token_breakdown(self) -> TokenBreakdown:
         """Per-request average prompt/output token composition (paper Fig. 8)."""
         return TokenBreakdown.average(TokenBreakdown.from_result(run) for run in self.runs)
 
+    @_computed_once
     def gpu_breakdown(self) -> GpuRuntimeBreakdown:
         """GPU prefill/decode/idle split (paper Fig. 6).
 

@@ -25,7 +25,7 @@ the metric vocabulary :func:`~repro.api.results.resolve_metric` defines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.codec import decode, field_type, from_dict
@@ -36,7 +36,11 @@ from repro.serving.shapes import RateShape
 
 
 def _default_label(value: Any) -> str:
-    """Short human label for an axis value (shapes, pool tuples, scalars)."""
+    """Short human label for an axis value (shapes, pool tuples, specs, scalars).
+
+    Any other dataclass prints as its type and the fields it sets away from
+    their defaults: ``AdmissionSpec(policy=token-bucket, rate_qps=1)``.
+    """
     if isinstance(value, RateShape):
         return getattr(value, "kind", type(value).__name__)
     if isinstance(value, tuple) and value and all(
@@ -46,7 +50,15 @@ def _default_label(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:g}"
     if is_dataclass(value) and not isinstance(value, type):
-        return type(value).__name__
+        set_fields: List[str] = []
+        for spec_field in fields(value):
+            default = spec_field.default
+            if spec_field.default_factory is not MISSING:
+                default = spec_field.default_factory()
+            current = getattr(value, spec_field.name)
+            if current != default:
+                set_fields.append(f"{spec_field.name}={_default_label(current)}")
+        return f"{type(value).__name__}({', '.join(set_fields)})"
     return str(value)
 
 
@@ -168,9 +180,17 @@ class StudySpec:
                     "declare seeds either as the seeds= repetition or as a "
                     "seed axis/point coordinate, not both"
                 )
-        # Eager validation: every grid point must build a valid spec.
-        for coords, _labels, seed in self.expand():
+        # Eager validation: every grid point must build a valid spec, and
+        # one label of an axis must name one value, or slices by it merge.
+        labelled: Dict[Tuple[str, str], Any] = {}
+        for coords, labels, seed in self.expand():
             self.spec_for(coords, seed)
+            for name, label in labels.items():
+                if labelled.setdefault((name, label), coords[name]) != coords[name]:
+                    raise ValueError(
+                        f"study axis {name!r}: label {label!r} names two "
+                        "different values; pass labels to tell them apart"
+                    )
 
     # -- expansion -------------------------------------------------------------
     def expand(self) -> List[Tuple[Dict[str, Any], Dict[str, str], int]]:

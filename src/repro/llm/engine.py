@@ -358,13 +358,11 @@ class LLMEngine:
             if step is None:
                 yield from self._idle_until_work()
                 continue
-            if step.kind == StepKind.PREFILL:
-                yield from self._execute_prefill(step)
-            elif step.kind == StepKind.MIXED:
-                yield from self._execute_mixed(step)
-            else:
+            if step.kind == StepKind.DECODE:
                 preempted = self.scheduler.preemption_count != preemptions_before
                 yield from self._execute_decode(step, preempted)
+            else:
+                yield from self._execute_prefill(step)
 
     def _idle_until_work(self):
         idle_start = self.env.now
@@ -388,60 +386,29 @@ class LLMEngine:
             )
 
     def _execute_prefill(self, step: ScheduledStep):
-        start = self.env.now
-        new_tokens = step.new_prefill_tokens
-        cached_tokens = step.cached_prefill_tokens
-        duration = self.perf.prefill_time(new_tokens, cached_tokens)
-        # Running sequences decode nothing while this atomic prefill step
-        # occupies the engine: head-of-line blocking, metered for the
-        # ``prefill_hol_block_s`` metric (telemetry only).
-        if self.scheduler.num_running > 0:
-            self.prefill_hol_block_s += duration
-        yield self.env.timeout(duration)
-        joules = self.energy.record(PowerState.PREFILL, duration)
-
-        generated = 0
-        for item in step.prefills:
-            request = item.request
-            request.num_computed_tokens = request.num_prompt_tokens
-            share = item.new_tokens / max(new_tokens, 1)
-            request.timings.prefill_time += duration * share
-            # Prefill produces the first output token.
-            request.num_output_tokens += 1
-            generated += 1
-            if request.timings.first_token is None:
-                request.timings.first_token = self.env.now
-        self.scheduler.on_prefill_complete(step.prefills)
-        self.total_prefill_tokens += new_tokens
-        self.total_generated_tokens += generated
-        self._finish_completed([item.request for item in step.prefills])
-        self._record_step(
-            start=start,
-            duration=duration,
-            kind="prefill",
-            batch_size=step.batch_size,
-            new_tokens=new_tokens,
-            cached_tokens=cached_tokens,
-            generated_tokens=generated,
-            energy_joules=joules,
-        )
-
-    def _execute_mixed(self, step: ScheduledStep):
-        """One chunked-prefill step: prompt chunks and decode tokens together.
+        """One step with prefill work: atomic prompts, or chunks beside decodes.
 
         A single roofline evaluation covers the combined work
-        (:meth:`PerformanceModel.mixed_step_time`); energy books under the
-        prefill power state (the chunk's dense compute dominates the step's
-        intensity).  Prefill chunks advance ``num_computed_tokens`` and
-        publish chunk-boundary hashes; the chunk completing a prompt emits
-        the request's first token and promotes it to decoding.  Decode
-        sequences each emit one token exactly as in a per-token decode step.
+        (:meth:`PerformanceModel.mixed_step_time`, which prices a step
+        without decodes as a plain prefill); energy books under the prefill
+        power state (the prompt tokens' dense compute dominates the step's
+        intensity).  Each item advances ``num_computed_tokens`` and
+        publishes the prompt blocks it completed (nothing for an atomic
+        item, whose blocks were published at admission); the item
+        completing a prompt emits the request's first token and promotes it
+        to decoding.  Decode sequences each emit one token exactly as in a
+        per-token decode step.
         """
         start = self.env.now
         new_tokens = step.new_prefill_tokens
         cached_tokens = step.cached_prefill_tokens
         context_lengths = [request.context_length for request in step.decodes]
         duration = self.perf.mixed_step_time(new_tokens, cached_tokens, context_lengths)
+        # Running sequences that decode nothing while this step occupies the
+        # engine are head-of-line blocked, metered for the
+        # ``prefill_hol_block_s`` metric (telemetry only).
+        if not step.decodes and self.scheduler.num_running > 0:
+            self.prefill_hol_block_s += duration
         yield self.env.timeout(duration)
         joules = self.energy.record(PowerState.PREFILL, duration)
 
@@ -449,7 +416,7 @@ class LLMEngine:
         now = self.env.now
         for item in step.prefills:
             request = item.request
-            request.num_computed_tokens += item.new_tokens
+            request.num_computed_tokens = item.cached_tokens + item.new_tokens
             self.kv_cache.register_prefill_progress(request, request.num_computed_tokens)
             share = item.new_tokens / max(new_tokens, 1)
             request.timings.prefill_time += duration * share
@@ -462,7 +429,7 @@ class LLMEngine:
             request.timings.decode_time += duration
             request.num_output_tokens += 1
             generated += 1
-        self.scheduler.on_chunks_complete(step.prefills)
+        self.scheduler.on_prefill_complete(step.prefills)
         self.total_prefill_tokens += new_tokens
         self.total_generated_tokens += generated
         finishable = [item.request for item in step.prefills if item.last_chunk]
@@ -471,7 +438,7 @@ class LLMEngine:
         self._record_step(
             start=start,
             duration=duration,
-            kind="mixed",
+            kind=step.kind.value,
             batch_size=step.batch_size,
             new_tokens=new_tokens,
             cached_tokens=cached_tokens,

@@ -532,8 +532,8 @@ class Scheduler:
             )
             budget -= chunk
         if prefills:
-            # Always MIXED (even with no decodes): items may be partial
-            # chunks, which only the engine's mixed executor understands.
+            # Always MIXED (even with no decodes), so every chunked step
+            # with prefill work records as a mixed step.
             return ScheduledStep(kind=StepKind.MIXED, prefills=prefills, decodes=decodes)
         if decodes:
             return ScheduledStep(kind=StepKind.DECODE, decodes=decodes)
@@ -643,17 +643,12 @@ class Scheduler:
 
     # -- step completion hooks ---------------------------------------------
     def on_prefill_complete(self, items: List[PrefillItem]) -> None:
-        for item in items:
-            if item.request.state == RequestState.RUNNING:
-                self.running.append(item.request)
-
-    def on_chunks_complete(self, items: List[PrefillItem]) -> None:
-        """A chunked-prefill step executed: promote finished prompts.
+        """A step with prefill work executed: promote finished prompts.
 
         The engine has already advanced each request's
-        ``num_computed_tokens`` and registered chunk-boundary hashes; here
-        requests whose final chunk ran move from ``prefilling`` to
-        ``running`` so they decode starting next step.
+        ``num_computed_tokens`` and registered its completed blocks; here
+        requests whose final chunk ran (every atomic item) move from
+        ``prefilling`` to ``running`` so they decode starting next step.
         """
         for item in items:
             request = item.request

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.metrics import percentile
 from repro.llm.predictor import DecodeLengthPredictor
 from repro.serving.cluster import ReplicaPool
-from repro.serving.forecast import FORECASTERS, available_forecasters, build_forecaster
+from repro.serving.forecast import FORECASTERS, available_forecasters
 from repro.sim import Environment
 
 
@@ -63,11 +63,14 @@ class AutoscalerSpec:
     ``pool=""`` targets the default (first) pool.  ``mode`` is
     ``"reactive"`` (the default, golden-pinned) or ``"predictive"``, whose
     ``forecaster`` (:mod:`repro.serving.forecast` registry: ``none`` |
-    ``windowed-rate`` | ``ewma`` | ``holt``) is built from the
-    ``forecaster_*`` parameters (window for ``windowed-rate``;
-    bucket/alpha[/beta] for the smoothers; parameters a forecaster does not
-    take are ignored).  ``horizon_s`` is the look-ahead of the predictive
-    target and of a cooperative ``slo-shed`` gate.
+    ``windowed-rate`` | ``ewma`` | ``holt``) is built from this spec and
+    lists the ``forecaster_*`` fields it reads in ``READS`` (the window for
+    ``windowed-rate``; bucket and alpha for ``ewma``; bucket, alpha and beta
+    for ``holt``).  Construction rejects a ``forecaster*`` field set away
+    from its default that the chosen forecaster does not read, and every
+    one of them on a reactive spec.  ``horizon_s`` is the look-ahead of the
+    predictive target and of a cooperative ``slo-shed`` gate, so both modes
+    take it.
     """
 
     pool: str = ""
@@ -121,6 +124,19 @@ class AutoscalerSpec:
             raise ValueError("forecaster window/bucket must be > 0")
         if not 0 < self.forecaster_alpha <= 1 or not 0 < self.forecaster_beta <= 1:
             raise ValueError("forecaster alpha/beta must be in (0, 1]")
+        # A reactive autoscaler builds no forecaster, so it reads none of them.
+        reader, reads = "a reactive autoscaler", ()
+        if self.mode == "predictive":
+            reader = f"arrival forecaster {self.forecaster!r}"
+            reads = ("forecaster", *FORECASTERS[self.forecaster.lower()].READS)
+        for spec_field in fields(self):
+            name = spec_field.name
+            if (
+                name.startswith("forecaster")
+                and name not in reads
+                and getattr(self, name) != spec_field.default
+            ):
+                raise ValueError(f"{reader} does not take {name}")
 
 
 def rolling_window_completions(replicas, window_s: float, now: float) -> List:
@@ -165,18 +181,8 @@ class Autoscaler:
         self.predictor = predictor or DecodeLengthPredictor()
         self.forecaster = None
         if spec.mode == "predictive":
-            self.forecaster = build_forecaster(
-                spec.forecaster,
-                window_s=spec.forecaster_window_s,
-                bucket_s=spec.forecaster_bucket_s,
-                alpha=spec.forecaster_alpha,
-                beta=spec.forecaster_beta,
-            )
+            self.forecaster = FORECASTERS[spec.forecaster.lower()](spec)
         self._last_action_time = float("-inf")
-        # Planner-derived replica target (see FleetPlanner): the controller
-        # grows toward it and refuses to shrink below it.  None (the default)
-        # leaves the signal-driven behaviour untouched.
-        self.planned_target: Optional[int] = None
         # Forecast-triggered grows whose reactive counterpart has not fired
         # yet: (grow time, pre-grow provisioned count) pairs waiting for the
         # first heartbeat at which the counterfactual reactive trigger fires.
@@ -200,44 +206,10 @@ class Autoscaler:
         while True:
             self.sleep_event = self.env.timeout(self.spec.check_interval_s)
             yield self.sleep_event
-            self._apply_planned_target()
             if self.spec.mode == "predictive":
                 self._evaluate_predictive()
             else:
                 self._evaluate()
-
-    # -- planner coupling ------------------------------------------------------
-    def set_planned_target(self, target: Optional[int]) -> None:
-        """Install a planner-derived replica target (``None`` clears it).
-
-        The controller grows toward the target at its next heartbeat (paying
-        ``warmup_s`` as usual) and refuses to shrink below it; signal-driven
-        scale-ups *above* the target still apply, so the planner sets the
-        floor of the operating point and the load signals handle transients.
-        The target is clamped to ``[min_replicas, max_replicas]``.
-        """
-        if target is None:
-            self.planned_target = None
-            return
-        self.planned_target = max(
-            self.spec.min_replicas, min(self.spec.max_replicas, int(target))
-        )
-
-    def _above_planned_floor(self, provisioned: int) -> bool:
-        """Whether a shrink would keep capacity at or above the planned target."""
-        return self.planned_target is None or provisioned > self.planned_target
-
-    def _apply_planned_target(self) -> None:
-        """Grow toward the planned target (shrink is handled by the floor)."""
-        if self.planned_target is None:
-            return
-        pool = self.pool
-        provisioned = pool.num_provisioned
-        if provisioned < self.planned_target:
-            reason = f"planned target={self.planned_target}"
-            for _ in range(self.planned_target - provisioned):
-                pool.grow(warmup_s=self.spec.warmup_s, reason=reason)
-            self._last_action_time = self.env.now
 
     def _evaluate(self) -> None:
         now = self.env.now
@@ -264,7 +236,6 @@ class Autoscaler:
         if (
             pool.num_active > self.spec.min_replicas
             and provisioned > self.spec.min_replicas
-            and self._above_planned_floor(provisioned)
             and pending_per_replica < self.spec.scale_down_pending_per_replica
             and not slo_violated
         ):
@@ -330,7 +301,6 @@ class Autoscaler:
             and not slo_violated
             and pool.num_active > self.spec.min_replicas
             and provisioned > self.spec.min_replicas
-            and self._above_planned_floor(provisioned)
             and pool.num_pending_requests / max(provisioned, 1)
             < self.spec.scale_down_pending_per_replica
         ):

@@ -14,16 +14,23 @@ Built-in forecasters:
   predictive autoscaler degenerates to sizing for the backlog already
   enqueued (useful as the look-ahead-free control arm of a study),
 * :class:`WindowedRateForecaster` (``windowed-rate``) -- persistence
-  forecasting: the rate observed over the trailing ``window_s`` is assumed
-  to continue through the horizon.  Reacts fast, but lags ramps by half a
-  window and has no notion of trend,
+  forecasting: the rate observed over the trailing ``forecaster_window_s``
+  is assumed to continue through the horizon.  Reacts fast, but lags ramps
+  by half a window and has no notion of trend,
 * :class:`EwmaForecaster` (``ewma``) -- exponentially weighted moving
   average of per-bucket arrival rates; smoother than the raw window (burst
-  noise is damped by ``alpha``) but, like persistence, trend-blind,
+  noise is damped by ``forecaster_alpha``) but, like persistence,
+  trend-blind,
 * :class:`HoltForecaster` (``holt``) -- double exponential smoothing
   (Holt's linear method): a level *and* a trend term, extrapolated
   ``horizon_s`` ahead.  The only built-in that scales ahead of a ramp
   instead of chasing it.
+
+Every forecaster is built from the experiment's
+:class:`~repro.serving.autoscaler.AutoscalerSpec` as
+``FORECASTERS[name](spec)`` and reads its parameters off ``self.spec``;
+``READS`` lists the ``forecaster_*`` fields it reads, and the spec rejects
+any other set away from its default.
 
 Every forecaster also keeps the books needed to score itself: each
 :meth:`~ArrivalForecaster.forecast_rate` call is logged, and once simulated
@@ -34,22 +41,28 @@ forecast interval is known, giving the absolute forecast error reported in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.registry import PolicyRegistry
+
+if TYPE_CHECKING:  # the spec module imports this registry to validate
+    from repro.serving.autoscaler import AutoscalerSpec
 
 
 class ArrivalForecaster:
     """Predicts the arrival rate the fleet will see over a future horizon.
 
-    Subclasses implement :meth:`_predict_rate`; the base class owns the
-    arrival timeline (:meth:`observe`), the forecast log, and the error
-    accounting (:meth:`mean_absolute_error`).  Rates are requests/second.
+    Subclasses implement :meth:`_predict_rate` and list the spec fields
+    they read in ``READS``; the base class owns the arrival timeline
+    (:meth:`observe`), the forecast log, and the error accounting
+    (:meth:`mean_absolute_error`).  Rates are requests/second.
     """
 
     name = "base"
+    READS: ClassVar[Tuple[str, ...]] = ()
 
-    def __init__(self) -> None:
+    def __init__(self, spec: AutoscalerSpec) -> None:
+        self.spec = spec
         #: Observed arrival timestamps, append-ordered (simulated seconds).
         self.arrivals: List[float] = []
         # (made_at, target_time, predicted_rate) per forecast_rate call.
@@ -117,15 +130,11 @@ class WindowedRateForecaster(ArrivalForecaster):
     """Persistence forecasting: the trailing-window rate continues unchanged."""
 
     name = "windowed-rate"
-
-    def __init__(self, window_s: float = 10.0) -> None:
-        super().__init__()
-        if window_s <= 0:
-            raise ValueError("windowed-rate window_s must be > 0")
-        self.window_s = window_s
+    READS = ("forecaster_window_s",)
 
     def _predict_rate(self, now: float, horizon_s: float) -> float:
-        span = min(self.window_s, now) if now > 0 else self.window_s
+        window_s = self.spec.forecaster_window_s
+        span = min(window_s, now) if now > 0 else window_s
         if span <= 0:
             return 0.0
         return self._arrivals_between(now - span, now) / span
@@ -139,11 +148,8 @@ class _BucketedForecaster(ArrivalForecaster):
     a dying burst down).
     """
 
-    def __init__(self, bucket_s: float = 2.0) -> None:
-        super().__init__()
-        if bucket_s <= 0:
-            raise ValueError("forecaster bucket_s must be > 0")
-        self.bucket_s = bucket_s
+    def __init__(self, spec: AutoscalerSpec) -> None:
+        super().__init__(spec)
         self._bucket_start = 0.0
         self._bucket_count = 0
 
@@ -154,10 +160,11 @@ class _BucketedForecaster(ArrivalForecaster):
 
     def _fold_until(self, t: float) -> None:
         """Close every bucket that fully elapsed before ``t``."""
-        while t >= self._bucket_start + self.bucket_s:
-            self._update(self._bucket_count / self.bucket_s)
+        bucket_s = self.spec.forecaster_bucket_s
+        while t >= self._bucket_start + bucket_s:
+            self._update(self._bucket_count / bucket_s)
             self._bucket_count = 0
-            self._bucket_start += self.bucket_s
+            self._bucket_start += bucket_s
 
     def _update(self, rate: float) -> None:
         raise NotImplementedError
@@ -167,19 +174,18 @@ class EwmaForecaster(_BucketedForecaster):
     """EWMA of per-bucket arrival rates; the smoothed level is the forecast."""
 
     name = "ewma"
+    READS = ("forecaster_bucket_s", "forecaster_alpha")
 
-    def __init__(self, bucket_s: float = 2.0, alpha: float = 0.5) -> None:
-        super().__init__(bucket_s)
-        if not 0 < alpha <= 1:
-            raise ValueError("ewma alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self, spec: AutoscalerSpec) -> None:
+        super().__init__(spec)
         self.level: Optional[float] = None
 
     def _update(self, rate: float) -> None:
         if self.level is None:
             self.level = rate
         else:
-            self.level = self.alpha * rate + (1 - self.alpha) * self.level
+            alpha = self.spec.forecaster_alpha
+            self.level = alpha * rate + (1 - alpha) * self.level
 
     def _predict_rate(self, now: float, horizon_s: float) -> float:
         self._fold_until(now)
@@ -190,22 +196,15 @@ class HoltForecaster(_BucketedForecaster):
     """Holt's linear (double exponential) smoothing: level + trend look-ahead.
 
     ``level`` tracks the smoothed rate, ``trend`` its per-bucket slope; the
-    forecast extrapolates ``horizon_s / bucket_s`` buckets ahead, floored at
-    zero (arrival rates cannot go negative).
+    forecast extrapolates ``horizon_s / forecaster_bucket_s`` buckets
+    ahead, floored at zero (arrival rates cannot go negative).
     """
 
     name = "holt"
+    READS = ("forecaster_bucket_s", "forecaster_alpha", "forecaster_beta")
 
-    def __init__(
-        self, bucket_s: float = 2.0, alpha: float = 0.5, beta: float = 0.3
-    ) -> None:
-        super().__init__(bucket_s)
-        if not 0 < alpha <= 1:
-            raise ValueError("holt alpha must be in (0, 1]")
-        if not 0 < beta <= 1:
-            raise ValueError("holt beta must be in (0, 1]")
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self, spec: AutoscalerSpec) -> None:
+        super().__init__(spec)
         self.level: Optional[float] = None
         self.trend = 0.0
 
@@ -214,9 +213,10 @@ class HoltForecaster(_BucketedForecaster):
             self.level = rate
             self.trend = 0.0
             return
+        alpha, beta = self.spec.forecaster_alpha, self.spec.forecaster_beta
         previous = self.level
-        self.level = self.alpha * rate + (1 - self.alpha) * (self.level + self.trend)
-        self.trend = self.beta * (self.level - previous) + (1 - self.beta) * self.trend
+        self.level = alpha * rate + (1 - alpha) * (self.level + self.trend)
+        self.trend = beta * (self.level - previous) + (1 - beta) * self.trend
 
     def _predict_rate(self, now: float, horizon_s: float) -> float:
         self._fold_until(now)
@@ -225,12 +225,13 @@ class HoltForecaster(_BucketedForecaster):
         # forecast_rate's contract is the MEAN rate over the horizon, not the
         # endpoint: for a linear trend over buckets 1..k that mean is
         # level + trend * (k + 1) / 2.
-        steps = horizon_s / self.bucket_s
+        steps = horizon_s / self.spec.forecaster_bucket_s
         return self.level + self.trend * (steps + 1.0) / 2.0
 
 
 FORECASTER_REGISTRY = PolicyRegistry("arrival forecaster")
-#: name -> class mapping (keys are lower-case); kept for membership checks.
+#: name -> class mapping (keys are lower-case); ``FORECASTERS[name](spec)``
+#: builds one.
 FORECASTERS: Dict[str, Type[ArrivalForecaster]] = FORECASTER_REGISTRY.policies
 
 
@@ -289,35 +290,3 @@ def replay_score(
             "start_s + horizon_s)"
         )
     return error
-
-
-def build_forecaster(
-    name: str,
-    *,
-    window_s: float = 10.0,
-    bucket_s: float = 2.0,
-    alpha: float = 0.5,
-    beta: float = 0.3,
-) -> ArrivalForecaster:
-    """Instantiate a registered forecaster from declarative parameters.
-
-    Parameters a forecaster does not take are ignored, so one spec
-    vocabulary covers the whole registry.  Raises :class:`ValueError` for
-    unknown names.
-    """
-    key = name.lower()
-    if key not in FORECASTERS:
-        raise ValueError(
-            f"unknown arrival forecaster {name!r}; known: {available_forecasters()}"
-        )
-    if key == "none":
-        return NoForecaster()
-    if key == "windowed-rate":
-        return WindowedRateForecaster(window_s=window_s)
-    if key == "ewma":
-        return EwmaForecaster(bucket_s=bucket_s, alpha=alpha)
-    if key == "holt":
-        return HoltForecaster(bucket_s=bucket_s, alpha=alpha, beta=beta)
-    # Externally registered forecasters are built with their default
-    # constructor; parameterise them by registering a pre-configured class.
-    return FORECASTER_REGISTRY.create(name)

@@ -111,7 +111,7 @@ class TestChunkedScheduler:
             (item,) = step.prefills
             request.num_computed_tokens += item.new_tokens
             chunks.append(item.new_tokens)
-            scheduler.on_chunks_complete(step.prefills)
+            scheduler.on_prefill_complete(step.prefills)
         assert chunks == [64, 64, 64, 8]
         assert request.num_computed_tokens == 200
         assert scheduler.num_running == 1
@@ -127,7 +127,7 @@ class TestChunkedScheduler:
         first = scheduler.schedule()
         assert first.prefills[0].last_chunk
         short.num_computed_tokens += first.prefills[0].new_tokens
-        scheduler.on_chunks_complete(first.prefills)
+        scheduler.on_prefill_complete(first.prefills)
 
         long = make_request(200, stream="long")
         scheduler.add_request(long)

@@ -7,8 +7,7 @@ flat spec here is written a second time with that pool declared
 (``pools=(flat.fleet[0],)``, the four flat fleet fields back at their
 defaults, ``hardware`` left on the spec for the pool to inherit); both
 forms must run the same experiment to the last bit.  Also pins flat
-traffic on a declared two-pool fleet under a predictive autoscaler, and
-the planner's ``{"default": n}`` pool targets for a flat spec.
+traffic on a declared two-pool fleet under a predictive autoscaler.
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ from repro.api import (
     HardwareSpec,
     PoolSpec,
     SessionSpec,
-    StudyAxis,
-    StudySpec,
     TenantSpec,
     run_experiment,
-    run_study,
 )
 from repro.api.spec import FLAT_FLEET_FIELDS
-from repro.serving import FleetPlanner, SquareWaveShape
+from repro.serving import SquareWaveShape
 
 CHARACTERIZATION = ExperimentSpec(
     agent="react",
@@ -130,19 +126,3 @@ class TestFlatFieldsAreOneDefaultPool:
         assert len(system.autoscaler.forecaster.arrivals) == len(plan)
         assert len(result.results) == len(plan)
         assert _observables(run_experiment(spec)) == _observables(run_experiment(spec))
-
-    def test_planner_maps_a_flat_spec_to_the_default_pool(self):
-        flat = ExperimentSpec(
-            agent="chatbot",
-            workload="sharegpt",
-            replicas=3,
-            arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=4, task_pool_size=4),
-        )
-        study = run_study(
-            StudySpec(base=flat, axes=(StudyAxis(name="qps", values=(2.0,)),))
-        )
-        planner = FleetPlanner(
-            study, cost="cost_per_1k_tokens", quality="p95_latency",
-            minimize_quality=True,
-        )
-        assert planner.plan_for_budget(float("inf")).pool_targets == {"default": 3}

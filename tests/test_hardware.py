@@ -4,8 +4,8 @@ Covers the GPU catalog registry (round-trips, aliases, unknown-name errors),
 HardwareSpec validation and serialisation, per-GPU model-fit errors, the
 golden pin (specs with ``hardware=None`` -- and with the explicit paper
 default -- reproduce the default path bit for bit), cost/energy metric
-accounting, cost-aware pool classification, the FleetPlanner, and the
-autoscaler's planner-driven floor.
+accounting, cost-aware pool classification, and the best frontier layout
+within a cost budget.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.api import (
     ArrivalSpec,
     ExperimentSpec,
-    FleetPlanner,
     HardwareSpec,
     MeasurementSpec,
     PoolSpec,
@@ -28,6 +27,7 @@ from repro.api import (
     run_experiment,
     run_study,
 )
+from repro.analysis.study_view import FrontierView
 from repro.api.codec import from_dict
 from repro.llm import (
     A100_40GB,
@@ -46,7 +46,6 @@ from repro.llm import (
     register_gpu,
 )
 from repro.llm.models import ModelSpec
-from repro.serving.autoscaler import Autoscaler, AutoscalerSpec
 from repro.serving.cluster import Cluster, ReplicaPool
 from repro.sim import Environment
 
@@ -505,15 +504,22 @@ class TestCostAwareClassification:
 
 
 # ---------------------------------------------------------------------------
-# FleetPlanner
+# The best frontier layout within a cost budget
 # ---------------------------------------------------------------------------
 
 
-class TestFleetPlanner:
+class HardwareSweep(FrontierView):
+    """$/1k tokens against p95 latency (both minimised) over a GPU sweep."""
+
+    METRICS = (("usd_per_1k_tok", "cost_per_1k_tokens"), ("p95_s", "p95_latency"))
+    COST, QUALITY = "usd_per_1k_tok", "p95_s"
+
+
+class TestBestWithin:
     @pytest.fixture(scope="class")
-    def study(self):
+    def view(self):
         base = small_serving_spec()
-        return run_study(
+        result = run_study(
             StudySpec(
                 base=base,
                 axes=(
@@ -531,144 +537,32 @@ class TestFleetPlanner:
                 name="hw-sweep",
             )
         )
+        return HardwareSweep(result=result, title="hw-sweep")
 
-    @pytest.fixture(scope="class")
-    def planner(self, study):
-        return FleetPlanner(
-            study, cost="cost_per_1k_tokens", quality="p95_latency",
-            minimize_quality=True,
-        )
-
-    def test_frontier_sorted_by_cost(self, planner):
-        costs = [entry.cost for entry in planner.frontier]
+    def test_frontier_sorted_by_cost(self, view):
+        costs = [entry.cost for entry in view.frontier()]
         assert costs == sorted(costs)
-        assert planner.frontier  # non-empty
+        assert costs  # non-empty
 
-    def test_budget_pick_fits_budget(self, planner):
-        budget = max(entry.cost for entry in planner.frontier)
-        plan = planner.plan_for_budget(budget)
-        assert plan.cost <= budget
+    def test_budget_pick_fits_budget(self, view):
+        budget = max(entry.cost for entry in view.frontier())
+        best = view.best_within(budget)
+        assert best.cost <= budget
         # Best quality among affordable points (minimised metric).
-        assert plan.quality == min(entry.quality for entry in planner.frontier)
+        assert best.quality == min(entry.quality for entry in view.frontier())
 
-    def test_blown_budget_falls_back_to_cheapest(self, planner):
-        cheapest = min(entry.cost for entry in planner.frontier)
-        plan = planner.plan_for_budget(cheapest / 10.0)
-        assert plan.cost == pytest.approx(cheapest)
+    def test_blown_budget_falls_back_to_cheapest(self, view):
+        cheapest = min(entry.cost for entry in view.frontier())
+        best = view.best_within(cheapest / 10.0)
+        assert best.cost == pytest.approx(cheapest)
 
-    def test_target_pick_is_cheapest_meeting_target(self, planner):
-        target = max(entry.quality for entry in planner.frontier)
-        plan = planner.plan_for_target(target)
-        meeting = [e for e in planner.frontier if e.quality <= target]
-        assert plan.cost == pytest.approx(min(e.cost for e in meeting))
+    def test_empty_slice_rejected(self, view):
+        with pytest.raises(ValueError, match="no study points match"):
+            view.best_within(float("inf"), hw="tpu")
 
-    def test_unreachable_target_falls_back_to_best_quality(self, planner):
-        plan = planner.plan_for_target(0.0)
-        assert plan.quality == min(entry.quality for entry in planner.frontier)
-
-    def test_plan_carries_pool_targets_and_labels(self, planner):
-        plan = planner.plan_for_budget(float("inf"))
-        assert plan.pool_targets == {"default": 1}
-        assert plan.labels.get("hw") in ("a100", "h100", "l4")
-        assert "plan[" in plan.describe()
-
-    def test_empty_study_rejected(self, study):
-        from repro.api.study import StudyResult
-
-        with pytest.raises(ValueError, match="at least one point"):
-            FleetPlanner(StudyResult(study=study.study, points=[]))
-
-
-# ---------------------------------------------------------------------------
-# Autoscaler planned-target floor
-# ---------------------------------------------------------------------------
-
-
-class FloorPool:
-    """Minimal pool surface for driving the Autoscaler loop."""
-
-    def __init__(self, pending: int = 0, provisioned: int = 1):
-        self.name = "floor"
-        self.num_pending_requests = pending
-        self.num_provisioned = provisioned
-        self.num_active = provisioned
-        self.grow_reasons: list = []
-        self.shrink_count = 0
-        self._env = None
-
-    def grow(self, warmup_s: float = 0.0, reason: str = "") -> int:
-        self.grow_reasons.append(reason)
-        self.num_provisioned += 1
-        self.num_active += 1
-        return self.num_provisioned - 1
-
-    def shrink(self, reason: str = "") -> int:
-        self.shrink_count += 1
-        self.num_provisioned -= 1
-        self.num_active -= 1
-        return self.num_provisioned
-
-    def pending_predicted_tokens(self, predictor) -> float:
-        return float(self.num_pending_requests) * 10.0
-
-
-def make_floor_autoscaler(env, pool, **overrides) -> Autoscaler:
-    pool._env = env
-    defaults = dict(
-        min_replicas=1,
-        max_replicas=8,
-        check_interval_s=1.0,
-        warmup_s=0.0,
-        scale_up_pending_per_replica=2.0,
-        scale_down_pending_per_replica=0.5,
-    )
-    defaults.update(overrides)
-    return Autoscaler(env, pool, AutoscalerSpec(**defaults))
-
-
-class TestPlannedTarget:
-    def test_grows_toward_planned_target(self):
-        env = Environment()
-        pool = FloorPool(pending=0, provisioned=1)
-        scaler = make_floor_autoscaler(env, pool)
-        scaler.set_planned_target(3)
-        env.run(until=2.5)
-        assert pool.num_provisioned == 3
-        assert any(reason.startswith("planned target") for reason in pool.grow_reasons)
-
-    def test_idle_pool_never_shrinks_below_floor(self):
-        env = Environment()
-        pool = FloorPool(pending=0, provisioned=3)
-        scaler = make_floor_autoscaler(env, pool)
-        scaler.set_planned_target(3)
-        env.run(until=8.5)
-        assert pool.num_provisioned == 3
-        assert pool.shrink_count == 0
-
-    def test_clearing_target_restores_reactive_shrink(self):
-        env = Environment()
-        pool = FloorPool(pending=0, provisioned=3)
-        scaler = make_floor_autoscaler(env, pool)
-        scaler.set_planned_target(3)
-        env.run(until=3.5)
-        assert pool.num_provisioned == 3
-        scaler.set_planned_target(None)
-        env.run(until=10.5)
-        assert pool.num_provisioned < 3
-
-    def test_target_clamped_to_replica_bounds(self):
-        env = Environment()
-        pool = FloorPool(provisioned=1)
-        scaler = make_floor_autoscaler(env, pool, max_replicas=4)
-        scaler.set_planned_target(100)
-        assert scaler.planned_target == 4
-        scaler.set_planned_target(0)
-        assert scaler.planned_target == 1
-
-    def test_pressure_can_still_grow_above_floor(self):
-        env = Environment()
-        pool = FloorPool(pending=100, provisioned=1)
-        scaler = make_floor_autoscaler(env, pool, max_replicas=6)
-        scaler.set_planned_target(2)
-        env.run(until=6.5)
-        assert pool.num_provisioned > 2
+    def test_pick_carries_its_layout_and_labels(self, view):
+        best = view.best_within(float("inf"))
+        assert {pool.name: pool.replicas for pool in best.point.spec.fleet} == {
+            "default": 1
+        }
+        assert best.point.labels.get("hw") in ("a100", "h100", "l4")

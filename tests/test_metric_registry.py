@@ -10,7 +10,7 @@ it field for field, types included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, get_type_hints
 
 import pytest
@@ -26,7 +26,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.api.results import METRICS
-from repro.core.metrics import mean, percentile
+from repro.core.metrics import LatencyBreakdown, mean, percentile
 from tests.test_admission import MIXTURE
 
 
@@ -201,6 +201,23 @@ class TestClassSlices:
         for label, view in outcome.classes.items():
             assert view.traffic_class == label
             assert list(view.admission_stats) == [label]
+
+
+    def test_breakdowns_are_computed_once_per_result(self, outcomes):
+        outcome = outcomes["open-door"]
+        whole = outcome.latency_breakdown()
+        assert outcome.latency_breakdown() is whole
+        assert outcome.token_breakdown() is outcome.token_breakdown()
+        assert outcome.gpu_breakdown() is outcome.gpu_breakdown()
+        # The stored values are no part of the result's equality or repr.
+        unread = replace(outcome)
+        assert unread == outcome and repr(unread) == repr(outcome)
+        # Each class slice computes its own, over its own runs.
+        agent = outcome.classes["agent"]
+        assert agent.latency_breakdown() == LatencyBreakdown.average(
+            LatencyBreakdown.from_result(run) for run in agent.runs
+        )
+        assert agent.latency_breakdown() != whole
 
 
 class TestRegistry:

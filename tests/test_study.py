@@ -134,6 +134,62 @@ class TestStudySpecExpansion:
                 ),
             )
 
+    def test_spec_values_get_distinct_default_labels(self):
+        from repro.api import AdmissionSpec, SpeculativeSpec
+
+        token_bucket = AdmissionSpec(policy="token-bucket", rate_qps=1.0)
+        study = StudySpec(
+            base=tiny_spec(),
+            axes=(
+                StudyAxis(
+                    name="door",
+                    field="admission",
+                    values=(
+                        AdmissionSpec(policy="concurrency", max_concurrency=2),
+                        token_bucket,
+                    ),
+                ),
+                StudyAxis(
+                    name="spec",
+                    field="speculative",
+                    values=(SpeculativeSpec(), SpeculativeSpec(acceptance=0.9)),
+                ),
+            ),
+        )
+        label_sets = [labels for _, labels, _ in study.expand()]
+        assert len({tuple(labels.values()) for labels in label_sets}) == 4
+        assert label_sets[3] == {
+            "door": "AdmissionSpec(policy=token-bucket, rate_qps=1)",
+            "spec": "SpeculativeSpec(acceptance=0.9)",
+        }
+        result = run_study(study)
+        door = label_sets[3]["door"]
+        assert len(result.slice(door=door)) == 2
+        assert result.at(door=door, spec="SpeculativeSpec()").coords == {
+            "door": token_bucket,
+            "spec": SpeculativeSpec(),
+        }
+
+    def test_one_label_names_one_value_of_an_axis(self):
+        with pytest.raises(ValueError, match="label 'square-wave' names two"):
+            StudySpec(
+                base=tiny_spec(),
+                axes=(
+                    StudyAxis(
+                        name="shape",
+                        field="arrival.shape",
+                        values=(SquareWaveShape(), SquareWaveShape(burst_s=2.0)),
+                    ),
+                ),
+            )
+        with pytest.raises(ValueError, match="label 'same' names two"):
+            StudySpec(
+                base=tiny_spec(),
+                axes=(StudyAxis(name="qps", values=(1.0, 2.0), labels=("same", "same")),),
+            )
+        # A repeated value may repeat its label.
+        StudySpec(base=tiny_spec(), points=({"qps": 1.0}, {"qps": 1.0}))
+
     def test_apply_axis_value_nested(self):
         spec = tiny_spec()
         shaped = apply_axis_value(
